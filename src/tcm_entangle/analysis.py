@@ -27,6 +27,8 @@ DEFAULT_ZERO_THRESHOLD = 1e-9
 #: as a death window; shorter runs are isolated zero touches
 MIN_RUN_POINTS = 3
 _BISECT_TOL = 1e-10
+#: largest relative step deviation for which a grid counts as uniform
+_UNIFORM_RTOL = 1e-6
 
 
 class TracePath(enum.Enum):
@@ -46,32 +48,28 @@ class ConcurrenceTrace:
     abs_amplitudes: np.ndarray    # |x_i| per grid point, shape (npts, 3 or 5)
 
 
-def _psi_branch(alpha: float, epsilon: float, T):
-    """Signed X-state branch value for PSI; C = 2*max(0, branch)."""
-    x1, x2, _ = analytic.psi_amplitudes(alpha, epsilon, T)
-    return np.abs(x1 * np.conj(x2))
+def _branch(family: Family, xs):
+    """Signed X-state branch of the closed-form state with amplitudes ``xs``.
 
-
-def _phi_branch(alpha: float, epsilon: float, lam: float, T):
-    """Signed X-state branch value for PHI; C = 2*max(0, branch).
-
-    branch = max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))
-    evaluated on the X-shaped reduced state of the closed-form amplitudes.
+    The reduced atomic state of either family is X-shaped; its entries
+    follow from which ``SUPPORT_KETS`` share a field state.  PSI:
+    rho = diag(0, |x1|^2, |x2|^2, |x3|^2) with rho_23 = x1 x2*.  PHI:
+    rho = diag(|x1|^2, |x4|^2, |x3|^2, |x2|^2 + |x5|^2) with
+    rho_23 = x4 x3* and rho_14 = x1 x2*.
     """
-    x1, x2, x3, x4, x5 = analytic.phi_amplitudes(alpha, epsilon, lam, T)
-    r11 = np.abs(x1) ** 2
-    r22 = np.abs(x4) ** 2
-    r33 = np.abs(x3) ** 2
-    r44 = np.abs(x2) ** 2 + np.abs(x5) ** 2
-    inner = np.abs(x4 * np.conj(x3)) - np.sqrt(r11 * r44)
-    outer = np.abs(x1 * np.conj(x2)) - np.sqrt(r22 * r33)
-    return np.maximum(inner, outer)
+    if family is Family.PSI:
+        x1, x2, x3 = xs
+        diag = (0.0, np.abs(x1) ** 2, np.abs(x2) ** 2, np.abs(x3) ** 2)
+        return entanglement.xstate_branch(diag, x1 * np.conj(x2), 0.0)
+    x1, x2, x3, x4, x5 = xs
+    diag = (np.abs(x1) ** 2, np.abs(x4) ** 2, np.abs(x3) ** 2,
+            np.abs(x2) ** 2 + np.abs(x5) ** 2)
+    return entanglement.xstate_branch(diag, x4 * np.conj(x3), x1 * np.conj(x2))
 
 
 def _branch_fn(trace: ConcurrenceTrace):
-    if trace.family is Family.PSI:
-        return lambda T: _psi_branch(trace.alpha, trace.epsilon, T)
-    return lambda T: _phi_branch(trace.alpha, trace.epsilon, trace.lam, T)
+    return lambda T: _branch(trace.family, analytic.amplitudes(
+        trace.family, trace.alpha, trace.epsilon, trace.lam, T))
 
 
 def analytic_concurrence(trace_like, T):
@@ -89,46 +87,26 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         raise ValueError("T_grid must be strictly ascending")
 
     alpha, eps, lam = spec.alpha, params.epsilon, params.lam
+    psi_family = spec.family is Family.PSI
     if path is TracePath.ANALYTIC:
-        if spec.family is Family.PSI:
-            x1, x2, x3 = analytic.psi_amplitudes(alpha, eps, T_grid)
-            C = 2.0 * np.maximum(0.0, _psi_branch(alpha, eps, T_grid))
-            signed = 2.0 * np.real(x1 * np.conj(x2))
-            abs_amps = np.abs(np.stack([x1, x2, x3], axis=-1))
-        else:
-            xs = analytic.phi_amplitudes(alpha, eps, lam, T_grid)
-            C = 2.0 * np.maximum(0.0, _phi_branch(alpha, eps, lam, T_grid))
-            signed = None
-            abs_amps = np.abs(np.stack(xs, axis=-1))
+        xs = analytic.amplitudes(spec.family, alpha, eps, lam, T_grid)
+        C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
+        signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
+        abs_amps = np.abs(np.stack(xs, axis=-1))
     else:
         basis = Basis(params.n_max)
         decomp = propagator.decompose_model(params, basis)
         psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
-        C = np.empty(T_grid.size)
-        signed = np.empty(T_grid.size) if spec.family is Family.PSI else None
-        namps = 3 if spec.family is Family.PSI else 5
-        abs_amps = np.empty((T_grid.size, namps))
-        idx = _support_indices(spec.family, basis)
-        for i, psi in enumerate(psis):
-            C[i] = entanglement.pure_concurrence(psi, basis)
-            if signed is not None:
-                rho = entanglement.reduce_to_atoms(psi, basis)
-                signed[i] = entanglement.signed_cross_term(rho)
-            abs_amps[i] = np.abs(psi[idx])
+        C = np.array([entanglement.pure_concurrence(psi, basis) for psi in psis])
+        signed = np.array([
+            entanglement.signed_cross_term(entanglement.reduce_to_atoms(psi, basis))
+            for psi in psis]) if psi_family else None
+        abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
 
     return ConcurrenceTrace(family=spec.family, alpha=alpha, epsilon=eps, lam=lam,
                             T_grid=T_grid, C=np.atleast_1d(C),
                             signed_C=None if signed is None else np.atleast_1d(signed),
                             abs_amplitudes=np.atleast_2d(abs_amps))
-
-
-def _support_indices(family: Family, basis: Basis):
-    if family is Family.PSI:
-        kets = [("e", "g", 0, 0), ("g", "e", 0, 0), ("g", "g", 1, 1)]
-    else:
-        kets = [("e", "e", 0, 0), ("g", "g", 0, 0), ("g", "e", 1, 1),
-                ("e", "g", 1, 1), ("g", "g", 2, 2)]
-    return np.array([basis.index(*k) for k in kets])
 
 
 @dataclass(frozen=True)
@@ -251,15 +229,18 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     The demeaned trace is Hann-windowed and the strongest non-zero frequency
     bin is refined by log-parabolic interpolation; for a dipole-coupled
     trace the components are incommensurate, so this reports the dominant
-    component rather than an exact repeat time.  Requires the trace to span
-    at least three nominal periods 2*pi/kappa.
+    component rather than an exact repeat time.  Requires a uniform grid
+    spanning at least three nominal periods 2*pi/kappa.
     """
     T, C = trace.T_grid, trace.C
     kappa = derive_constants(trace.epsilon, trace.alpha).kappa
     nominal = 2.0 * math.pi / kappa
     if T[-1] - T[0] < 3.0 * nominal:
         raise ValueError("trace too short: need at least three nominal periods")
-    dt = float(np.mean(np.diff(T)))
+    steps = np.diff(T)
+    dt = float(np.mean(steps))
+    if np.max(np.abs(steps - dt)) > _UNIFORM_RTOL * dt:
+        raise ValueError("T_grid must be uniformly spaced to estimate a period")
     x = C - np.mean(C)
     n = len(x)
     F = np.abs(np.fft.rfft(x * np.hanning(n)))

@@ -5,7 +5,9 @@ numerical propagator.  All formulas are exact on resonance
 (omega_0 = omega_a + omega_b) with dimensionless time T = g*t and
 lam = omega_0/g entering phases only.
 
-PSI family (support {|eg00>, |ge00>, |gg11>}, two-excitation sector):
+Each family's amplitudes sit on its kets in ``model.SUPPORT_KETS``, in order.
+
+PSI family (two-excitation sector):
 
     x1 = (Lam/4) [theta+ (L+ - L- e^{i kappa T}) + 2 Xi theta-]
     x2 = (Lam/4) [theta+ (L+ - L- e^{i kappa T}) - 2 Xi theta-]
@@ -15,7 +17,7 @@ with kappa = sqrt(8 + eps^2), L+- = eps/kappa +- 1,
 theta+- = cos(a) +- sin(a), Lam = e^{-i kappa L+ T / 2} and
 Xi = e^{i (3 L+ - 2) kappa T / 2}.
 
-PHI family (support {|ee00>, |gg00>, |ge11>, |eg11>, |gg22>}):
+PHI family (zero- and four-excitation sectors):
 
     x1 = (Gam/4) (M+ - (eps/eta) M- + 2 e^{i (eps+eta) T / 2})
     x2 = e^{i lam T} sin(a)
@@ -32,27 +34,10 @@ Both sets agree with exact propagation to machine precision for every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Basis, Family, derive_constants
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Closed-form amplitudes at one time, with the inputs they came from.
-
-    ``xs`` holds (x1, x2, x3) for PSI and (x1, ..., x5) for PHI, with
-    x3 == x4 for PHI by construction.
-    """
-
-    family: Family
-    xs: tuple[complex, ...]
-    alpha: float
-    epsilon: float
-    lam: float
-    T: float
+from .model import Basis, Family, InitialStateSpec, ModelParams, derive_constants
 
 
 def _check_domain(alpha: float, epsilon: float):
@@ -95,39 +80,26 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T):
     return x1, x2, x3, x3, x5
 
 
-def psi_coefficients(alpha: float, epsilon: float, T: float) -> CoefficientSet:
-    """Closed-form PSI amplitudes at a single dimensionless time."""
-    x1, x2, x3 = psi_amplitudes(alpha, epsilon, T)
-    return CoefficientSet(family=Family.PSI, xs=(complex(x1), complex(x2), complex(x3)),
-                          alpha=alpha, epsilon=epsilon, lam=0.0, T=T)
+def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T):
+    """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
-
-def phi_coefficients(alpha: float, epsilon: float, lam: float, T: float) -> CoefficientSet:
-    """Closed-form PHI amplitudes at a single dimensionless time."""
-    xs = phi_amplitudes(alpha, epsilon, lam, T)
-    return CoefficientSet(family=Family.PHI, xs=tuple(complex(x) for x in xs),
-                          alpha=alpha, epsilon=epsilon, lam=lam, T=T)
-
-
-def assemble_state(coefs: CoefficientSet, basis: Basis) -> np.ndarray:
-    """Place the closed-form amplitudes on their basis kets.
-
-    PSI: x1|eg00> + x2|ge00> + x3|gg11>.
-    PHI: x1|ee00> + x2|gg00> + x3|ge11> + x4|eg11> + x5|gg22>.
+    ``lam`` enters PHI phases only; T may be a scalar or array.
     """
-    if basis.n_max < 1 or (coefs.family is Family.PHI and basis.n_max < 2):
-        raise ValueError(f"basis n_max={basis.n_max} too small for {coefs.family.value}")
-    psi = np.zeros(basis.size, dtype=complex)
-    if coefs.family is Family.PSI:
-        x1, x2, x3 = coefs.xs
-        psi[basis.index("e", "g", 0, 0)] = x1
-        psi[basis.index("g", "e", 0, 0)] = x2
-        psi[basis.index("g", "g", 1, 1)] = x3
-    else:
-        x1, x2, x3, x4, x5 = coefs.xs
-        psi[basis.index("e", "e", 0, 0)] = x1
-        psi[basis.index("g", "g", 0, 0)] = x2
-        psi[basis.index("g", "e", 1, 1)] = x3
-        psi[basis.index("e", "g", 1, 1)] = x4
-        psi[basis.index("g", "g", 2, 2)] = x5
-    return psi
+    if family is Family.PSI:
+        return psi_amplitudes(alpha, epsilon, T)
+    return phi_amplitudes(alpha, epsilon, lam, T)
+
+
+def closed_form_states(spec: InitialStateSpec, params: ModelParams, basis: Basis,
+                       T_grid) -> np.ndarray:
+    """Closed-form state vectors on a time grid, shape (len(T_grid), basis.size).
+
+    Each amplitude is placed on its ket in ``model.SUPPORT_KETS``; the basis
+    must hold every such ket (n_max >= 1 for PSI, >= 2 for PHI).
+    """
+    T_grid = np.atleast_1d(np.asarray(T_grid, dtype=float))
+    idx = basis.support_indices(spec.family)
+    states = np.zeros((T_grid.size, basis.size), dtype=complex)
+    states[:, idx] = np.stack(amplitudes(spec.family, spec.alpha, params.epsilon,
+                                         params.lam, T_grid), axis=-1)
+    return states

@@ -17,18 +17,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import figures, verify as verify_mod
 from .config import ConfigError, RunConfig, parse_config, parse_angle
 from .hamiltonian import build_hamiltonian
 from .model import Basis, Family, ModelParams
-
-
-def _load_config(path: str | None, **overrides) -> RunConfig:
-    if path is None:
-        return RunConfig(**overrides)
-    return parse_config(Path(path).read_text(encoding="utf-8"), **overrides)
 
 
 def _figure_config(args, family: Family) -> RunConfig:
@@ -44,7 +36,7 @@ def _figure_config(args, family: Family) -> RunConfig:
             overrides["output_dir"] = args.out
         if args.svg:
             overrides["emit_svg"] = True
-        cfg = _load_config(args.config, **overrides)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), **overrides)
         if cfg.family is not family:
             raise ConfigError(f"this command requires family {family.value}, "
                               f"config says {cfg.family.value}")
@@ -52,9 +44,7 @@ def _figure_config(args, family: Family) -> RunConfig:
 
 
 def _cmd_fig(args, family: Family) -> int:
-    cfg = _figure_config(args, family)
-    runner = figures.run_fig1 if family is Family.PSI else figures.run_fig2
-    for path in runner(cfg):
+    for path in figures.run(_figure_config(args, family)):
         print(path)
     return 0
 
@@ -93,7 +83,7 @@ def _cmd_sweep(args) -> int:
         output_dir=args.out,
         emit_svg=args.svg,
     )
-    for path in figures.run_sweep(cfg):
+    for path in figures.run(cfg):
         print(path)
     return 0
 
@@ -113,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", action="store_true", help="also emit SVG overlays")
 
     p = sub.add_parser("verify", help="run invariant and equivalence suites")
-    p.add_argument("--config", help="accepted for interface symmetry; suites "
-                                    "use their own fixed grids")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="epsilon for --dump-hamiltonian")
     p.add_argument("--dump-hamiltonian", metavar="PATH",

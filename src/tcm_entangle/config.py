@@ -52,6 +52,9 @@ class RunConfig:
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
+        for name in ("T_max", "zero_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_points < 2:
             raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
         if self.T_max <= 0:
@@ -64,6 +67,8 @@ class RunConfig:
             if not 0.0 <= a <= math.pi / 2:
                 raise ConfigError(f"alpha value {a} outside [0, pi/2]")
         for e in self.epsilon_list:
+            if not math.isfinite(e):
+                raise ConfigError(f"epsilon value {e} must be finite")
             if e < 0:
                 raise ConfigError(f"epsilon value {e} must be >= 0")
 

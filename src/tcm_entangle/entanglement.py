@@ -7,8 +7,6 @@ provided: the general eigenvalue route and the X-state closed form.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import Basis
@@ -95,20 +93,30 @@ def is_x_state(rho: np.ndarray, tol: float = X_SHAPE_TOL) -> bool:
     return bool(np.max(np.abs(rho[~mask])) <= tol)
 
 
+def xstate_branch(diag, rho_23, rho_14):
+    """Signed X-state branch; the concurrence is C = 2 max(0, branch).
+
+    branch = max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))
+    with ``diag`` = (rho_11, rho_22, rho_33, rho_44) (1-based indices in the
+    fixed atomic basis).  Works elementwise on scalars or arrays and does
+    no validation, so it can sit inside root-finding loops.
+    """
+    r11, r22, r33, r44 = diag
+    return np.maximum(np.abs(rho_23) - np.sqrt(r11 * r44),
+                      np.abs(rho_14) - np.sqrt(r22 * r33))
+
+
 def xstate_concurrence(rho: np.ndarray) -> float:
     """Closed-form concurrence of an X-shaped atomic density matrix.
 
-    C = 2 max{0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)}
-    (1-based indices in the fixed atomic basis).  Rejects non-X input so the
-    caller can fall back to the general route.
+    C = 2 max(0, xstate_branch).  Rejects non-X input so the caller can
+    fall back to the general route.
     """
     _validate_density_matrix(rho)
     if not is_x_state(rho):
         raise ValueError("density matrix is not X-shaped; use wootters_concurrence")
     d = np.clip(np.diag(rho).real, 0.0, None)
-    inner = abs(rho[1, 2]) - math.sqrt(d[0] * d[3])
-    outer = abs(rho[0, 3]) - math.sqrt(d[1] * d[2])
-    return 2.0 * max(0.0, inner, outer)
+    return 2.0 * max(0.0, float(xstate_branch(d, rho[1, 2], rho[0, 3])))
 
 
 def signed_cross_term(rho: np.ndarray) -> float:

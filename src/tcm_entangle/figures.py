@@ -34,24 +34,21 @@ def _tag(value: float) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(fmt(v) for v in row))
+    """Header row, then one row per index of the equal-length ``columns``."""
+    row_format = ",".join(["%.15g"] * len(columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)] + [row_format % row for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_csv(path: Path):
-    """Parse one of our CSVs back into (header, columns of floats)."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return header, [data[:, j] for j in range(data.shape[1])]
+class TraceDisagreement(ValueError):
+    """The analytic and oracle traces of a BOTH run differ beyond tolerance."""
 
 
-def _traces(config: RunConfig, family: Family, alpha: float, epsilon: float):
+def _traces(config: RunConfig, alpha: float, epsilon: float):
     """Trace on the config grid; with path BOTH the two paths are checked
     against each other and the analytic result is emitted."""
-    spec = InitialStateSpec(family=family, alpha=alpha)
+    spec = InitialStateSpec(family=config.family, alpha=alpha)
     params = ModelParams.from_dimensionless(epsilon=epsilon)
     grid = np.linspace(0.0, config.T_max, config.n_points)
     if config.path == "ORACLE":
@@ -59,9 +56,13 @@ def _traces(config: RunConfig, family: Family, alpha: float, epsilon: float):
     trace = analysis.concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
     if config.path == "BOTH":
         oracle = analysis.concurrence_trace(spec, params, grid, TracePath.ORACLE)
-        gap = float(np.max(np.abs(trace.C - oracle.C)))
-        if gap > TRACE_AGREEMENT_TOL:
-            raise RuntimeError(f"analytic/oracle traces disagree by {gap:.3e}")
+        gaps = np.abs(trace.C - oracle.C)
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > TRACE_AGREEMENT_TOL:
+            raise TraceDisagreement(
+                f"analytic/oracle traces disagree by {gaps[worst]:.3e} "
+                f"(tolerance {TRACE_AGREEMENT_TOL:.0e}) at alpha = {fmt(alpha)}, "
+                f"epsilon = {fmt(epsilon)}, T = {fmt(grid[worst])}")
     return trace
 
 
@@ -79,46 +80,16 @@ def _write_metadata(out: Path, config: RunConfig, note: str):
     (out / "run_metadata.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_fig1(config: RunConfig) -> list[Path]:
-    """One CSV per (alpha, epsilon) for the PSI family, plus SVG overlays.
+def run(config: RunConfig) -> list[Path]:
+    """Curve CSVs per (alpha, epsilon), SVG overlays and run metadata.
 
-    Columns: T, C, signed_C, x1_abs, x2_abs, x3_abs.
+    PSI writes ``fig1_*`` files with columns T, C, signed_C, x1_abs, x2_abs,
+    x3_abs.  PHI writes ``fig2_*`` files with columns T, C, x1_abs, x2_abs,
+    x3_abs, x5_abs, in_death_window, plus intervals.csv of death windows
+    with columns alpha, epsilon, T_start, T_end, length, refined.
     """
-    if config.family is not Family.PSI:
-        raise ValueError("fig1 requires the PSI family")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for eps in config.epsilon_list:
-        curves = []
-        for alpha in config.alpha_list:
-            trace = _traces(config, Family.PSI, alpha, eps)
-            path = out / f"fig1_alpha{_tag(alpha)}_eps{_tag(eps)}.csv"
-            write_csv(path,
-                      ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"],
-                      [trace.T_grid, trace.C, trace.signed_C,
-                       trace.abs_amplitudes[:, 0], trace.abs_amplitudes[:, 1],
-                       trace.abs_amplitudes[:, 2]])
-            written.append(path)
-            curves.append((f"alpha = {alpha:.4f}", trace.T_grid, trace.C))
-        if config.emit_svg:
-            svg = svgplot.line_chart(curves, title=f"Atom-atom concurrence, eps = {eps:g}",
-                                     xlabel="T = g t", ylabel="C")
-            svg_path = out / f"fig1_eps{_tag(eps)}.svg"
-            svg_path.write_text(svg, encoding="utf-8")
-            written.append(svg_path)
-    _write_metadata(out, config, "fig1 dataset; alpha values are a library default choice")
-    return written
-
-
-def run_fig2(config: RunConfig) -> list[Path]:
-    """PHI-family CSVs plus a companion intervals.csv of death windows.
-
-    Curve columns: T, C, x1_abs, x2_abs, x3_abs, x5_abs, in_death_window.
-    intervals.csv columns: alpha, epsilon, T_start, T_end, length, refined.
-    """
-    if config.family is not Family.PHI:
-        raise ValueError("fig2 requires the PHI family")
+    psi_family = config.family is Family.PSI
+    prefix = "fig1" if psi_family else "fig2"
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -126,42 +97,35 @@ def run_fig2(config: RunConfig) -> list[Path]:
     for eps in config.epsilon_list:
         curves = []
         for alpha in config.alpha_list:
-            trace = _traces(config, Family.PHI, alpha, eps)
-            intervals = analysis.detect_death_intervals(trace, config.zero_threshold)
-            in_window = np.zeros(trace.T_grid.size)
-            for iv in intervals:
-                in_window[(trace.T_grid >= iv.T_start) & (trace.T_grid <= iv.T_end)] = 1.0
-                interval_rows.append((alpha, eps, iv.T_start, iv.T_end,
-                                      iv.length, float(iv.refined)))
-            path = out / f"fig2_alpha{_tag(alpha)}_eps{_tag(eps)}.csv"
-            write_csv(path,
-                      ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",
-                       "in_death_window"],
-                      [trace.T_grid, trace.C,
-                       trace.abs_amplitudes[:, 0], trace.abs_amplitudes[:, 1],
-                       trace.abs_amplitudes[:, 2], trace.abs_amplitudes[:, 4],
-                       in_window])
+            trace = _traces(config, alpha, eps)
+            amps = list(trace.abs_amplitudes.T)
+            if psi_family:
+                header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
+                columns = [trace.T_grid, trace.C, trace.signed_C, *amps]
+            else:
+                in_window = np.zeros(trace.T_grid.size)
+                for iv in analysis.detect_death_intervals(trace, config.zero_threshold):
+                    in_window[(trace.T_grid >= iv.T_start) & (trace.T_grid <= iv.T_end)] = 1.0
+                    interval_rows.append((alpha, eps, iv.T_start, iv.T_end,
+                                          iv.length, float(iv.refined)))
+                header = ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",
+                          "in_death_window"]
+                columns = [trace.T_grid, trace.C, *amps[:3], amps[4], in_window]
+            path = out / f"{prefix}_alpha{_tag(alpha)}_eps{_tag(eps)}.csv"
+            write_csv(path, header, columns)
             written.append(path)
             curves.append((f"alpha = {alpha:.4f}", trace.T_grid, trace.C))
         if config.emit_svg:
             svg = svgplot.line_chart(curves, title=f"Atom-atom concurrence, eps = {eps:g}",
                                      xlabel="T = g t", ylabel="C")
-            svg_path = out / f"fig2_eps{_tag(eps)}.svg"
+            svg_path = out / f"{prefix}_eps{_tag(eps)}.svg"
             svg_path.write_text(svg, encoding="utf-8")
             written.append(svg_path)
 
-    intervals_path = out / "intervals.csv"
-    lines = ["alpha,epsilon,T_start,T_end,length,refined"]
-    for row in interval_rows:
-        lines.append(",".join(fmt(v) for v in row))
-    intervals_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    written.append(intervals_path)
-    _write_metadata(out, config, "fig2 dataset; alpha values are a library default choice")
+    if not psi_family:
+        intervals_path = out / "intervals.csv"
+        write_csv(intervals_path, ["alpha", "epsilon", "T_start", "T_end", "length", "refined"],
+                  list(np.array(interval_rows, dtype=float).reshape(-1, 6).T))
+        written.append(intervals_path)
+    _write_metadata(out, config, f"{prefix} dataset; alpha values are a library default choice")
     return written
-
-
-def run_sweep(config: RunConfig) -> list[Path]:
-    """Family-agnostic curve emission over the configured (alpha, eps) grid."""
-    if config.family is Family.PSI:
-        return run_fig1(config)
-    return run_fig2(config)

@@ -32,6 +32,16 @@ class Family(enum.Enum):
     PHI = "PHI"  # cos(a)|ee> + sin(a)|gg>
 
 
+#: The kets |atom_A, atom_B, n_a, n_b> each family can occupy, in the order
+#: of its closed-form amplitudes (x1, x2, ...).  The first two carry the
+#: initial cos(alpha) and sin(alpha); the rest start empty.
+SUPPORT_KETS = {
+    Family.PSI: (("e", "g", 0, 0), ("g", "e", 0, 0), ("g", "g", 1, 1)),
+    Family.PHI: (("e", "e", 0, 0), ("g", "g", 0, 0), ("g", "e", 1, 1),
+                 ("e", "g", 1, 1), ("g", "g", 2, 2)),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the cavity-atom system.
@@ -48,6 +58,9 @@ class ModelParams:
     n_max: int = 2
 
     def __post_init__(self):
+        for name in ("omega_a", "omega_b", "omega_0", "g", "Omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
         if self.Omega < 0:
@@ -173,21 +186,17 @@ class Basis:
         if atom_a not in LEVELS or atom_b not in LEVELS:
             raise ValueError(f"unknown atomic level in ({atom_a}, {atom_b})")
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
-            raise ValueError(f"photon number out of range: ({n_a}, {n_b})")
+            raise ValueError(f"photon numbers ({n_a}, {n_b}) outside [0, n_max={self.n_max}]")
         m = self.n_max + 1
         ia, ib = LEVELS.index(atom_a), LEVELS.index(atom_b)
         return ((ia * 2 + ib) * m + n_a) * m + n_b
 
-    def index_of(self, s: BasisState) -> int:
-        return self.index(s.atom_a, s.atom_b, s.n_a, s.n_b)
+    def support_indices(self, family: Family) -> np.ndarray:
+        """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order."""
+        return np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])
 
     def __len__(self) -> int:
         return self.size
-
-
-def enumerate_basis(n_max: int) -> Basis:
-    """Construct the truncated basis for a given per-mode Fock cutoff."""
-    return Basis(n_max)
 
 
 def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
@@ -196,11 +205,6 @@ def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
     PSI: cos(a)|eg00> + sin(a)|ge00>;  PHI: cos(a)|ee00> + sin(a)|gg00>.
     """
     psi = np.zeros(basis.size, dtype=complex)
-    c, s = math.cos(spec.alpha), math.sin(spec.alpha)
-    if spec.family is Family.PSI:
-        psi[basis.index("e", "g", 0, 0)] = c
-        psi[basis.index("g", "e", 0, 0)] = s
-    else:
-        psi[basis.index("e", "e", 0, 0)] = c
-        psi[basis.index("g", "g", 0, 0)] = s
+    for ket, amp in zip(SUPPORT_KETS[spec.family], (math.cos(spec.alpha), math.sin(spec.alpha))):
+        psi[basis.index(*ket)] = amp
     return psi

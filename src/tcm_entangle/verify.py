@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, entanglement, propagator
+from . import analysis, analytic, entanglement, propagator
 from .analysis import TracePath
 from .hamiltonian import build_hamiltonian, check_conservation
 from .model import (Basis, Family, InitialStateSpec, ModelParams, initial_state)
@@ -117,23 +117,10 @@ def suite_fidelity() -> SuiteResult:
         for alpha in _ALPHAS:
             spec = InitialStateSpec(family, alpha)
             psis = propagator.evolve_grid(initial_state(spec, basis), decomp, _T_GRID)
-            analytic_states = _closed_form_states(spec, params, basis, _T_GRID)
+            analytic_states = analytic.closed_form_states(spec, params, basis, _T_GRID)
             fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
             worst = max(worst, float(np.max(1.0 - fid)))
     return SuiteResult("fidelity", worst, 1e-9)
-
-
-def _closed_form_states(spec, params, basis, T_grid):
-    from . import analytic as an
-    out = np.zeros((len(T_grid), basis.size), dtype=complex)
-    idx = analysis._support_indices(spec.family, basis)
-    if spec.family is Family.PSI:
-        amps = an.psi_amplitudes(spec.alpha, params.epsilon, T_grid)
-    else:
-        amps = an.phi_amplitudes(spec.alpha, params.epsilon, params.lam, T_grid)
-    for j, a in zip(idx, amps):
-        out[:, j] = a
-    return out
 
 
 def suite_trace_agreement() -> SuiteResult:

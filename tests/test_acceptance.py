@@ -19,7 +19,7 @@ from tcm_entangle import figures, verify
 from tcm_entangle.analysis import (TracePath, concurrence_trace,
                                    detect_death_intervals, estimate_period,
                                    max_concurrence)
-from tcm_entangle.analytic import assemble_state, phi_coefficients, psi_coefficients
+from tcm_entangle.analytic import closed_form_states
 from tcm_entangle.config import RunConfig
 from tcm_entangle.entanglement import (pure_concurrence, reduce_to_atoms,
                                        wootters_concurrence)
@@ -59,15 +59,7 @@ class TestAcceptance:
                 for alpha in ALPHA_GRID:
                     spec = InitialStateSpec(family, float(alpha))
                     states = evolve_grid(initial_state(spec, _BASIS), decomp, T_GRID)
-                    if family is Family.PSI:
-                        exact = np.stack([
-                            assemble_state(psi_coefficients(float(alpha), eps, float(T)), _BASIS)
-                            for T in T_GRID])
-                    else:
-                        exact = np.stack([
-                            assemble_state(phi_coefficients(float(alpha), eps,
-                                                            params.lam, float(T)), _BASIS)
-                            for T in T_GRID])
+                    exact = closed_form_states(spec, params, _BASIS, T_GRID)
                     fid = np.abs(np.einsum("ij,ij->i", exact.conj(), states))
                     worst_fid_gap = max(worst_fid_gap, float(np.max(1.0 - fid)))
 
@@ -200,8 +192,7 @@ class TestAcceptance:
 
     def test_09_deterministic_outputs(self, tmp_path):
         mismatches = []
-        for family, runner in ((Family.PSI, figures.run_fig1),
-                               (Family.PHI, figures.run_fig2)):
+        for family in Family:
             dirs = []
             for tag in ("first", "second"):
                 out = tmp_path / f"{family.value}_{tag}"
@@ -209,7 +200,7 @@ class TestAcceptance:
                                 alpha_list=figures.FIGURE_ALPHAS,
                                 epsilon_list=figures.FIGURE_EPSILONS,
                                 output_dir=str(out), emit_svg=True)
-                runner(cfg)
+                figures.run(cfg)
                 dirs.append(out)
             names_a = sorted(p.name for p in dirs[0].iterdir())
             names_b = sorted(p.name for p in dirs[1].iterdir())

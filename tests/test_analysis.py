@@ -156,6 +156,16 @@ class TestEstimatePeriod:
         t2 = _trace(Family.PSI, math.pi / 8, 2.0, T_max=20.0, n=4000)
         assert estimate_period(t2) < estimate_period(t0)
 
+    def test_non_uniform_grid_rejected(self):
+        # the spectral estimate assumes one step; a mixed grid read with its
+        # mean step reported 6.63 here instead of 2.22
+        grid = np.concatenate([np.linspace(0, 10, 3000, endpoint=False),
+                               np.linspace(10, 40, 1000)])
+        t = concurrence_trace(InitialStateSpec(Family.PSI, math.pi / 8),
+                              ModelParams.from_dimensionless(epsilon=0.0), grid)
+        with pytest.raises(ValueError, match="T_grid"):
+            estimate_period(t)
+
     def test_short_trace_rejected(self):
         t = _trace(Family.PSI, math.pi / 8, 0.0, T_max=2.0, n=200)
         with pytest.raises(ValueError, match="short"):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle.analytic import (assemble_state, phi_amplitudes,
-                                   phi_coefficients, psi_amplitudes,
-                                   psi_coefficients)
+from tcm_entangle.analytic import (closed_form_states, phi_amplitudes,
+                                   psi_amplitudes)
 from tcm_entangle.model import (Basis, Family, InitialStateSpec, ModelParams,
                                 initial_state)
 from tcm_entangle.propagator import decompose_model, evolve
@@ -128,11 +127,11 @@ class TestOracleEquivalence:
         params = ModelParams.from_dimensionless(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(Family.PSI, alpha), basis)
-        for T in np.linspace(0, 12, 25):
-            expected = evolve(psi0, decomp, T)
-            got = assemble_state(psi_coefficients(alpha, eps, float(T)), basis)
-            np.testing.assert_allclose(got, expected, atol=1e-10)
+        spec = InitialStateSpec(Family.PSI, alpha)
+        psi0 = initial_state(spec, basis)
+        T_grid = np.linspace(0, 12, 25)
+        for T, got in zip(T_grid, closed_form_states(spec, params, basis, T_grid)):
+            np.testing.assert_allclose(got, evolve(psi0, decomp, T), atol=1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     @pytest.mark.parametrize("alpha", [math.pi / 8, math.pi / 4, math.pi / 3])
@@ -140,12 +139,11 @@ class TestOracleEquivalence:
         params = ModelParams.from_dimensionless(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(Family.PHI, alpha), basis)
-        for T in np.linspace(0, 12, 25):
-            expected = evolve(psi0, decomp, T)
-            got = assemble_state(
-                phi_coefficients(alpha, eps, params.lam, float(T)), basis)
-            np.testing.assert_allclose(got, expected, atol=1e-10)
+        spec = InitialStateSpec(Family.PHI, alpha)
+        psi0 = initial_state(spec, basis)
+        T_grid = np.linspace(0, 12, 25)
+        for T, got in zip(T_grid, closed_form_states(spec, params, basis, T_grid)):
+            np.testing.assert_allclose(got, evolve(psi0, decomp, T), atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(0, math.pi / 2), eps=st.floats(0, 5), T=st.floats(0, 30))
@@ -153,21 +151,22 @@ class TestOracleEquivalence:
         params = ModelParams.from_dimensionless(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(Family.PSI, alpha), basis)
-        expected = evolve(psi0, decomp, T)
-        got = assemble_state(psi_coefficients(alpha, eps, T), basis)
+        spec = InitialStateSpec(Family.PSI, alpha)
+        expected = evolve(initial_state(spec, basis), decomp, T)
+        (got,) = closed_form_states(spec, params, basis, [T])
         assert abs(np.vdot(got, expected)) >= 1 - 1e-9
 
 
-class TestAssembleState:
+class TestClosedFormStates:
     def test_psi_placement(self):
         basis = Basis(2)
-        psi = assemble_state(psi_coefficients(math.pi / 8, 0.0, 0.0), basis)
+        spec = InitialStateSpec(Family.PSI, math.pi / 8)
+        (psi,) = closed_form_states(spec, ModelParams.from_dimensionless(), basis, [0.0])
         assert psi[basis.index("e", "g", 0, 0)] == pytest.approx(math.cos(math.pi / 8))
         assert psi[basis.index("g", "e", 0, 0)] == pytest.approx(math.sin(math.pi / 8))
         assert np.count_nonzero(psi) == 2
 
     def test_phi_requires_two_photon_truncation(self):
-        coefs = phi_coefficients(0.3, 0.0, 2.0, 1.0)
+        spec = InitialStateSpec(Family.PHI, 0.3)
         with pytest.raises(ValueError, match="n_max"):
-            assemble_state(coefs, Basis(1))
+            closed_form_states(spec, ModelParams.from_dimensionless(), Basis(1), [1.0])

@@ -71,10 +71,20 @@ class TestParseConfig:
         dict(n_points=1), dict(T_max=0.0), dict(path="SIDEWAYS"),
         dict(alpha_list=(2.0,)), dict(epsilon_list=(-1.0,)),
         dict(zero_threshold=0.0),
+        dict(T_max=math.nan), dict(T_max=math.inf), dict(zero_threshold=math.nan),
+        dict(epsilon_list=(math.inf,)), dict(epsilon_list=(0.0, math.nan)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+
+def _read_csv(path: Path):
+    """Parse one of the emitted CSVs back into (header, columns of floats)."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return header, [data[:, j] for j in range(data.shape[1])]
 
 
 class TestCsvRoundTrip:
@@ -82,7 +92,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         cols = [np.array([0.0, 1.0 / 3.0, math.pi]), np.array([1e-15, -2.5, 0.0])]
         figures.write_csv(path, ["a", "b"], cols)
-        header, back = figures.read_csv(path)
+        header, back = _read_csv(path)
         assert header == ["a", "b"]
         for src, dst in zip(cols, back):
             np.testing.assert_allclose(dst, src, rtol=1e-14, atol=1e-300)
@@ -107,7 +117,7 @@ class TestCliFigures:
         assert len(csvs) == 6      # 3 alpha x 2 epsilon
         assert len(list(out.glob("fig1_*.svg"))) == 2
         assert (out / "run_metadata.txt").exists()
-        header, cols = figures.read_csv(next(iter(sorted(out.glob("fig1_*.csv")))))
+        header, cols = _read_csv(next(iter(sorted(out.glob("fig1_*.csv")))))
         assert header == ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
         assert len(cols[0]) == 2000
         printed = capsys.readouterr().out.splitlines()
@@ -119,7 +129,7 @@ class TestCliFigures:
         cfg.write_text("family = PHI\nalpha = pi/6\nepsilon = 0\n"
                        "T_max = 6.283185307179586\nn_points = 3000\n")
         assert _run(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
-        header, cols = figures.read_csv(out / "intervals.csv")
+        header, cols = _read_csv(out / "intervals.csv")
         assert header == ["alpha", "epsilon", "T_start", "T_end", "length", "refined"]
         lo = math.asin(math.sqrt(math.tan(math.pi / 6)))
         assert len(cols[0]) == 2
@@ -155,6 +165,44 @@ class TestCliFigures:
     def test_bad_config_path(self, tmp_path, capsys):
         assert _run(["fig1", "--config", str(tmp_path / "missing.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--epsilon", "inf"], "epsilon"),
+        (["--epsilon", "0,nan"], "epsilon"),
+        (["--tmax", "nan"], "T_max"),
+        (["--tmax", "inf"], "T_max"),
+    ])
+    def test_sweep_rejects_non_finite(self, tmp_path, capsys, flags, field):
+        argv = ["sweep", "--family", "PSI", "--alpha", "pi/8", "--epsilon", "0",
+                "--points", "50", "--out", str(tmp_path / "o")]
+        assert _run(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line,field", [
+        ("zero_threshold = nan", "zero_threshold"),
+        ("T_max = inf", "T_max"),
+        ("epsilon = 0, inf", "epsilon"),
+    ])
+    def test_config_rejects_non_finite(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"family = PHI\nalpha = pi/8\n{line}\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    def test_both_disagreement_exits_2(self, tmp_path, capsys):
+        # at T ~ 1e8 the oracle phases lose ~1e-8 to round-off, above the
+        # 1e-9 agreement tolerance of path BOTH
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = PHI\nalpha = pi/8\nepsilon = 2\npath = BOTH\n"
+                       "T_max = 1e8\nn_points = 200\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: analytic/oracle traces disagree")
+        assert "alpha = 0.392699081698724" in err and "epsilon = 2" in err
+        assert "T = " in err
 
 
 class TestCliVerify:

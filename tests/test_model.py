@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcm_entangle.model import (Basis, BasisState, Family, InitialStateSpec,
-                                ModelParams, derive_constants, enumerate_basis,
+                                ModelParams, derive_constants,
                                 excitation_number, initial_state)
 
 
@@ -27,11 +27,20 @@ class TestModelParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(g=0.0), dict(g=-1.0), dict(Omega=-0.1), dict(n_max=1),
+        dict(g=math.inf), dict(Omega=math.nan), dict(omega_a=math.nan, omega_0=math.nan),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         base = dict(omega_a=1.0, omega_b=1.0, omega_0=2.0)
         with pytest.raises(ValueError):
             ModelParams(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(epsilon=math.nan), "Omega"), (dict(epsilon=math.inf), "Omega"),
+        (dict(lam=math.nan), "omega_a"),
+    ])
+    def test_from_dimensionless_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams.from_dimensionless(**kwargs)
 
 
 class TestDerivedConstants:
@@ -53,16 +62,16 @@ class TestDerivedConstants:
 
 class TestBasis:
     def test_n_max_zero_enumeration(self):
-        b = enumerate_basis(0)
+        b = Basis(0)
         assert [s.label() for s in b.states] == ["ee00", "eg00", "ge00", "gg00"]
 
     def test_size(self):
-        assert enumerate_basis(2).size == 36
-        assert enumerate_basis(4).size == 100
+        assert Basis(2).size == 36
+        assert Basis(4).size == 100
 
     def test_documented_ordering(self):
         # atom A slowest, then atom B, then n_a, then n_b
-        b = enumerate_basis(2)
+        b = Basis(2)
         assert b.states[0].label() == "ee00"
         assert b.states[1].label() == "ee01"
         assert b.states[3].label() == "ee10"
@@ -71,12 +80,12 @@ class TestBasis:
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
     def test_index_state_round_trip(self, n_a, n_b, ia, ib):
-        b = enumerate_basis(3)
+        b = Basis(3)
         s = BasisState("eg"[ia], "eg"[ib], n_a, n_b)
-        assert b.states[b.index_of(s)] == s
+        assert b.states[b.index(s.atom_a, s.atom_b, s.n_a, s.n_b)] == s
 
     def test_out_of_range_index_rejected(self):
-        b = enumerate_basis(2)
+        b = Basis(2)
         with pytest.raises(ValueError):
             b.index("e", "g", 3, 0)
         with pytest.raises(ValueError):
@@ -103,28 +112,28 @@ class TestInitialState:
             InitialStateSpec(Family.PSI, math.pi / 2 + 0.01)
 
     def test_psi_alpha_zero_is_eg00(self):
-        b = enumerate_basis(2)
+        b = Basis(2)
         psi = initial_state(InitialStateSpec(Family.PSI, 0.0), b)
         expected = np.zeros(b.size)
         expected[b.index("e", "g", 0, 0)] = 1.0
         np.testing.assert_allclose(psi, expected)
 
     def test_psi_bell_point(self):
-        b = enumerate_basis(2)
+        b = Basis(2)
         psi = initial_state(InitialStateSpec(Family.PSI, math.pi / 4), b)
         assert psi[b.index("e", "g", 0, 0)] == pytest.approx(1 / math.sqrt(2))
         assert psi[b.index("g", "e", 0, 0)] == pytest.approx(1 / math.sqrt(2))
         assert np.count_nonzero(psi) == 2
 
     def test_phi_bell_point(self):
-        b = enumerate_basis(2)
+        b = Basis(2)
         psi = initial_state(InitialStateSpec(Family.PHI, math.pi / 4), b)
         assert psi[b.index("e", "e", 0, 0)] == pytest.approx(1 / math.sqrt(2))
         assert psi[b.index("g", "g", 0, 0)] == pytest.approx(1 / math.sqrt(2))
 
     @pytest.mark.parametrize("family,sectors", [(Family.PSI, {2}), (Family.PHI, {0, 4})])
     def test_sector_support(self, family, sectors):
-        b = enumerate_basis(2)
+        b = Basis(2)
         for alpha in np.linspace(0, math.pi / 2, 7):
             psi = initial_state(InitialStateSpec(family, alpha), b)
             occupied = set(b.excitations[np.abs(psi) > 0].tolist())
@@ -133,7 +142,7 @@ class TestInitialState:
 
     def test_initial_concurrence_is_sin_2alpha(self):
         from tcm_entangle.entanglement import reduce_to_atoms, wootters_concurrence
-        b = enumerate_basis(2)
+        b = Basis(2)
         for family in Family:
             for alpha in np.linspace(0, math.pi / 2, 50):
                 psi = initial_state(InitialStateSpec(family, alpha), b)
