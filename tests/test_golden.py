@@ -1,6 +1,9 @@
 """Golden-file regression: the sha256 of every file the default figure
 commands emit is pinned, so a refactor of the emission path must reproduce
-the frozen CSV/SVG surface byte for byte, not merely be deterministic."""
+the frozen CSV/SVG surface byte for byte, not merely be deterministic.
+
+The PHI sweep pin holds 330 death windows (6 of them touching the grid
+edge), so it also freezes every refined window endpoint to 15 digits."""
 
 import hashlib
 
@@ -39,6 +42,32 @@ GOLDEN = {
     "fig2_both": (["fig2", "--config", "{config}"], {
         **_FIG2_CURVES,
         "run_metadata.txt": "c21344cc778b01c2c4b323b87c596c0bfe76764bb6dc755e8ef119e92e936dd1",
+    }),
+    "sweep_phi_windows": (["sweep", "--family", "PHI",
+                           "--alpha", "pi/24,pi/12,pi/8,pi/6,5*pi/24",
+                           "--epsilon", "0,0.5,1.5,2.5", "--tmax", "40", "--points", "4000"], {
+        "fig2_alpha0p130899693899575_eps0.csv": "28b680bef6a63cb70ba1ff023222d44e9e0a17c0d7cc858565358d1a0a709aba",
+        "fig2_alpha0p130899693899575_eps0p5.csv": "bd5876c95f9c1c1e15209d4932d9dc8ece857327853f3439787332c5de112603",
+        "fig2_alpha0p130899693899575_eps1p5.csv": "19957f0be0d618a05a54dea45ed1fc44a092ab60c110a47f5c77b654bcae3796",
+        "fig2_alpha0p130899693899575_eps2p5.csv": "4e63521fa0b05cc04081fc2fcf140c8772d07f33977ea7cd6b053edadb1f53f7",
+        "fig2_alpha0p261799387799149_eps0.csv": "02c913985bb03a052c84b7b22ed1be65d9b95fc28cabc237e104ff2456111b4f",
+        "fig2_alpha0p261799387799149_eps0p5.csv": "b44cefee14a1e3589403702a7db7064ad71f5de9c8489414105f98ef245f7855",
+        "fig2_alpha0p261799387799149_eps1p5.csv": "4bc82a73a1797a18e34eabd45087374e8ec7a8177fbb994da66a74eb69430bc2",
+        "fig2_alpha0p261799387799149_eps2p5.csv": "964b8c02be3d507929c7a5b16f179aa875bf0f7d713f1390779b1678e95968fa",
+        "fig2_alpha0p392699081698724_eps0.csv": "2e5f04e1354dffa7144637747966beb6649704073d752d97ba1dbe8c10c5b79b",
+        "fig2_alpha0p392699081698724_eps0p5.csv": "a207e37021221d5092b1ebc4268fdc5efcaa0b0997ff194cc516be00cc06882f",
+        "fig2_alpha0p392699081698724_eps1p5.csv": "0032c447a5066fdba91334932b40cc2a6a5eb5858c322377f6fb90c2ce1d2f87",
+        "fig2_alpha0p392699081698724_eps2p5.csv": "e4812c995bf549694ed53b8bb3234168b8473dea6e324f22b3bf2fc26b261195",
+        "fig2_alpha0p523598775598299_eps0.csv": "056032c505ff5ff29f10d37cd774d66f44deb3fb4ea606b4bd70e2ebfd60a77c",
+        "fig2_alpha0p523598775598299_eps0p5.csv": "dad793de49f7b958689ed9705e9d732aa136de05c0cc6404d234d3c72983b99e",
+        "fig2_alpha0p523598775598299_eps1p5.csv": "643a15978e60c1da29daa6ca2422dc6406692c98d751415191f7258b880d3986",
+        "fig2_alpha0p523598775598299_eps2p5.csv": "e3ca5792899ed0b2de7bc73cd6a916ee680055db94761d17c54c8adeaad54882",
+        "fig2_alpha0p654498469497874_eps0.csv": "4619a7f2407672b532df18d2ef9392b96a39ec5351fa7066896da8119e1439af",
+        "fig2_alpha0p654498469497874_eps0p5.csv": "1642b762f63232e67376cb5ff560c1bc970dc65651d2f6544fa1bcc77647b6c6",
+        "fig2_alpha0p654498469497874_eps1p5.csv": "63737c75b7c2d938111dba3102fe64a252c88155f668addb3895f94ff3544d4d",
+        "fig2_alpha0p654498469497874_eps2p5.csv": "b7572c97f710c21d126ab55d82907e61d09707a8084e0ab8c02e480fffdaef0e",
+        "intervals.csv": "f069d4cefd40a6680e8fdcb4731885445d6acb86962096c76b43409002e1ed1d",
+        "run_metadata.txt": "c0629f5f1f6c049b1cc45b1799e29c8a9c32f40c9b550f87aa75bee7bce3d9b9",
     }),
 }
 
