@@ -89,10 +89,11 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     alpha, eps, lam = spec.alpha, params.epsilon, params.lam
     psi_family = spec.family is Family.PSI
     if path is TracePath.ANALYTIC:
-        xs = analytic.amplitudes(spec.family, alpha, eps, lam, T_grid)
-        C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
-        signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
-        abs_amps = np.abs(np.stack(xs, axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            xs = analytic.amplitudes(spec.family, alpha, eps, lam, T_grid)
+            C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
+            signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
+            abs_amps = np.abs(np.stack(xs, axis=-1))
     else:
         basis = Basis(params.n_max)
         decomp = propagator.decompose_model(params, basis)
@@ -102,6 +103,11 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
             entanglement.signed_cross_term(entanglement.reduce_to_atoms(psi, basis))
             for psi in psis]) if psi_family else None
         abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
+    finite = np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1)
+    if not np.all(finite):
+        raise ValueError(f"concurrence trace is not finite at alpha = {alpha:.15g}, "
+                         f"epsilon = {eps:.15g}, T = {T_grid[np.argmin(finite)]:.15g}: "
+                         "epsilon or T is too large for double precision")
 
     return ConcurrenceTrace(family=spec.family, alpha=alpha, epsilon=eps, lam=lam,
                             T_grid=T_grid, C=np.atleast_1d(C),
@@ -122,18 +128,17 @@ class DeathInterval:
         return self.T_end - self.T_start
 
 
-def _bisect_root(fn, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    """Root of a sign change of fn on [lo, hi] to absolute tolerance in T."""
-    flo = float(fn(lo))
+def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Roots of the sign changes of ``sign * fn`` on the brackets [lo, hi],
+    bisected together; each stops once its bracket is at most ``_BISECT_TOL``."""
+    lo_positive = sign * fn(lo) > 0
     for _ in range(200):
-        if hi - lo <= tol:
+        k = np.flatnonzero(hi - lo > _BISECT_TOL)
+        if k.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        fmid = float(fn(mid))
-        if (flo > 0) == (fmid > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[k] + hi[k])
+        same = (sign[k] * fn(mid) > 0) == lo_positive[k]
+        lo[k[same]], hi[k[~same]] = mid[same], mid[~same]
     return 0.5 * (lo + hi)
 
 
@@ -146,39 +151,34 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     a point) keeps the branch >= 0 and is excluded no matter how many grid
     points fall inside the dip.  Runs shorter than ``MIN_RUN_POINTS`` grid
     points are likewise excluded.  Endpoints interior to the grid are
-    refined on the closed-form branch expression to 1e-10 in T; a run
-    touching the grid boundary keeps the boundary point and is marked
-    unrefined.
+    refined on the closed-form branch expression to 1e-10 in T, between the
+    outside neighbour and the run's middle point; a run touching the grid
+    boundary keeps the boundary point and is marked unrefined.
     """
-    T, C = trace.T_grid, trace.C
-    below = C < zero_threshold
-    intervals: list[DeathInterval] = []
+    T = trace.T_grid
+    below = trace.C < zero_threshold
+    edges = np.diff(below.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    if starts.size == 0:
+        return []
     branch = _branch_fn(trace)
-    n = len(T)
-    i = 0
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        interior_negative = float(np.min(branch(T[i:j + 1]))) < -0.5 * zero_threshold
-        if j - i + 1 >= MIN_RUN_POINTS and interior_negative:
-            refined = True
-            if i > 0:
-                t_start = _bisect_root(branch, T[i - 1], T[i + (j - i) // 2])
-            else:
-                t_start, refined = T[0], False
-            if j < n - 1:
-                # bisect with reversed orientation: branch < 0 inside the run
-                t_mid = T[i + (j - i) // 2]
-                t_end = _bisect_root(lambda t: -branch(t), t_mid, T[j + 1])
-            else:
-                t_end, refined = T[-1], False
-            intervals.append(DeathInterval(float(t_start), float(t_end), refined))
-        i = j + 1
-    return intervals
+    lengths = ends - starts + 1
+    run_min = np.minimum.reduceat(branch(T[below]), np.cumsum(lengths) - lengths)
+    keep = (lengths >= MIN_RUN_POINTS) & (run_min < -0.5 * zero_threshold)
+    starts, ends = starts[keep], ends[keep]
+
+    # the branch is positive before a window opens and negative inside it,
+    # so a closing edge is bisected on -branch
+    left, right = starts > 0, ends < T.size - 1
+    n_left = np.count_nonzero(left)
+    t_mid = T[(starts + ends) // 2]
+    roots = _bisect_roots(branch, np.concatenate([T[starts[left] - 1], t_mid[right]]),
+                          np.concatenate([t_mid[left], T[ends[right] + 1]]),
+                          np.repeat([1.0, -1.0], [n_left, np.count_nonzero(right)]))
+    t_start, t_end = T[starts], T[ends]
+    t_start[left], t_end[right] = roots[:n_left], roots[n_left:]
+    return [DeathInterval(a, b, r) for a, b, r in
+            zip(t_start.tolist(), t_end.tolist(), (left & right).tolist())]
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

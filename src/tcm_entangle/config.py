@@ -12,11 +12,11 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .analysis import DEFAULT_ZERO_THRESHOLD
 from .model import Family
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
-DEFAULT_ZERO_THRESHOLD = 1e-9
 
 _PI_RE = re.compile(r"^(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
 

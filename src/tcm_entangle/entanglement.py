@@ -82,8 +82,7 @@ def pure_concurrence(psi: np.ndarray, basis: Basis) -> float:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state norm {norm} differs from 1")
     B = psi.reshape(4, (basis.n_max + 1) ** 2)
-    roots = np.linalg.svd(B.T @ _SPIN_FLIP @ B, compute_uv=False)
-    roots = np.sort(roots)[::-1]
+    roots = np.linalg.svd(B.T @ _SPIN_FLIP @ B, compute_uv=False)   # descending
     return max(0.0, float(roots[0] - roots[1:].sum()))
 
 

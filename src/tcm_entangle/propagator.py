@@ -101,11 +101,9 @@ def spectral_decompose(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V)
 
 
-def decompose_model(params: ModelParams, basis: Basis,
-                    pair_amplitude: str = "unit") -> SpectralDecomposition:
+def decompose_model(params: ModelParams, basis: Basis) -> SpectralDecomposition:
     """Decompose H/g so that :func:`evolve` takes dimensionless time."""
-    H = build_hamiltonian(params, basis, pair_amplitude=pair_amplitude)
-    return spectral_decompose(H / params.g)
+    return spectral_decompose(build_hamiltonian(params, basis) / params.g)
 
 
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:

@@ -44,9 +44,25 @@ def _families_and_params():
             yield family, ModelParams.from_dimensionless(epsilon=eps)
 
 
+def _evolutions(alphas=(math.pi / 8,), T_grid=_T_GRID):
+    """(spec, params, basis, H/g, states on T_grid) for both families and each
+    alpha, with H/g decomposed once per epsilon."""
+    for eps in _EPSILONS:
+        params = ModelParams.from_dimensionless(epsilon=eps)
+        basis = Basis(params.n_max)
+        H = build_hamiltonian(params, basis) / params.g
+        decomp = propagator.spectral_decompose(H)
+        for family in (Family.PSI, Family.PHI):
+            for alpha in alphas:
+                spec = InitialStateSpec(family, alpha)
+                psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
+                yield spec, params, basis, H, psis
+
+
 def suite_hermiticity() -> SuiteResult:
     worst = 0.0
-    for _, params in _families_and_params():
+    for eps in _EPSILONS:
+        params = ModelParams.from_dimensionless(epsilon=eps)
         for conv in ("unit", "bosonic"):
             H = build_hamiltonian(params, Basis(params.n_max), pair_amplitude=conv)
             worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
@@ -71,24 +87,14 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
 
 def suite_unitarity() -> SuiteResult:
     worst = 0.0
-    for family, params in _families_and_params():
-        basis = Basis(params.n_max)
-        decomp = propagator.decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
-        psis = propagator.evolve_grid(psi0, decomp, _T_GRID)
-        norms = np.linalg.norm(psis, axis=1)
-        worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+    for *_, psis in _evolutions():
+        worst = max(worst, float(np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0))))
     return SuiteResult("unitarity", worst, 1e-12)
 
 
 def suite_energy_conservation() -> SuiteResult:
     worst = 0.0
-    for family, params in _families_and_params():
-        basis = Basis(params.n_max)
-        H = build_hamiltonian(params, basis) / params.g
-        decomp = propagator.spectral_decompose(H)
-        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
-        psis = propagator.evolve_grid(psi0, decomp, _T_GRID)
+    for *_, H, psis in _evolutions():
         energies = np.real(np.einsum("ti,ij,tj->t", psis.conj(), H, psis))
         scale = float(np.max(np.abs(H)))
         worst = max(worst, float(np.max(np.abs(energies - energies[0]))) / scale)
@@ -97,12 +103,8 @@ def suite_energy_conservation() -> SuiteResult:
 
 def suite_sector_confinement() -> SuiteResult:
     worst = 0.0
-    for family, params in _families_and_params():
-        basis = Basis(params.n_max)
-        decomp = propagator.decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
-        psis = propagator.evolve_grid(psi0, decomp, _T_GRID)
-        sectors = {2} if family is Family.PSI else {0, 4}
+    for spec, _, basis, _, psis in _evolutions():
+        sectors = {2} if spec.family is Family.PSI else {0, 4}
         outside = np.array([n not in sectors for n in basis.excitations])
         worst = max(worst, float(np.max(np.abs(psis[:, outside]))))
     return SuiteResult("sector_confinement", worst, 1e-12)
@@ -111,15 +113,10 @@ def suite_sector_confinement() -> SuiteResult:
 def suite_fidelity() -> SuiteResult:
     """Oracle equivalence: closed-form state vs propagated state."""
     worst = 0.0
-    for family, params in _families_and_params():
-        basis = Basis(params.n_max)
-        decomp = propagator.decompose_model(params, basis)
-        for alpha in _ALPHAS:
-            spec = InitialStateSpec(family, alpha)
-            psis = propagator.evolve_grid(initial_state(spec, basis), decomp, _T_GRID)
-            analytic_states = analytic.closed_form_states(spec, params, basis, _T_GRID)
-            fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
-            worst = max(worst, float(np.max(1.0 - fid)))
+    for spec, params, basis, _, psis in _evolutions(_ALPHAS):
+        analytic_states = analytic.closed_form_states(spec, params, basis, _T_GRID)
+        fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
+        worst = max(worst, float(np.max(1.0 - fid)))
     return SuiteResult("fidelity", worst, 1e-9)
 
 
@@ -137,11 +134,8 @@ def suite_trace_agreement() -> SuiteResult:
 def suite_density_matrix() -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state."""
     worst = 0.0
-    for family, params in _families_and_params():
-        basis = Basis(params.n_max)
-        decomp = propagator.decompose_model(params, basis)
-        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
-        for psi in propagator.evolve_grid(psi0, decomp, _T_GRID[::10]):
+    for _, _, basis, _, psis in _evolutions(T_grid=_T_GRID[::10]):
+        for psi in psis:
             rho = entanglement.reduce_to_atoms(psi, basis)
             worst = max(worst,
                         float(np.max(np.abs(rho - rho.conj().T))),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tcm_entangle.analysis import (ConcurrenceTrace, TracePath,
-                                   analytic_concurrence, concurrence_trace,
+from tcm_entangle.analysis import (MIN_RUN_POINTS, ConcurrenceTrace, DeathInterval,
+                                   TracePath, analytic_concurrence, concurrence_trace,
                                    detect_death_intervals, estimate_period,
                                    max_concurrence)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
@@ -112,6 +112,37 @@ class TestDeathIntervals:
         assert len(ivs) == 1
         assert not ivs[0].refined
         assert ivs[0].T_start == 1.0
+
+    def test_right_boundary_run_unrefined(self):
+        # end the grid inside the first window: the right endpoint stays on it
+        t = _trace(Family.PHI, math.pi / 6, 0.0, T_max=2.0, n=1000)
+        ivs = detect_death_intervals(t)
+        assert len(ivs) == 1
+        assert not ivs[0].refined
+        assert ivs[0].T_end == t.T_grid[-1]
+        lo = math.asin(math.sqrt(math.tan(math.pi / 6)))
+        assert ivs[0].T_start == pytest.approx(lo, abs=1e-9)
+
+    def test_grid_inside_one_window(self):
+        # window (0.863, 2.278): both edges of the grid lie inside it
+        spec = InitialStateSpec(Family.PHI, math.pi / 6)
+        params = ModelParams.from_dimensionless()
+        t = concurrence_trace(spec, params, np.linspace(1.0, 2.0, 500))
+        assert detect_death_intervals(t) == [DeathInterval(1.0, 2.0, False)]
+
+    def test_short_run_dropped(self):
+        # window (0.863, 2.278): two grid points inside it are not enough, a
+        # third makes it a window
+        spec = InitialStateSpec(Family.PHI, math.pi / 6)
+        params = ModelParams.from_dimensionless()
+        two = concurrence_trace(spec, params, np.array([0.5, 1.2, 2.0, 2.6]))
+        assert np.count_nonzero(two.C < 1e-9) == 2 < MIN_RUN_POINTS
+        assert detect_death_intervals(two) == []
+        three = concurrence_trace(spec, params, np.array([0.5, 1.2, 1.6, 2.0, 2.6]))
+        ivs = detect_death_intervals(three)
+        assert len(ivs) == 1 and ivs[0].refined
+        assert ivs[0].T_start == pytest.approx(
+            math.asin(math.sqrt(math.tan(math.pi / 6))), abs=1e-9)
 
 
 class TestMaxConcurrence:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcm_entangle import cli, figures
 from tcm_entangle.config import ConfigError, RunConfig, parse_angle, parse_config
@@ -226,3 +230,72 @@ class TestCliVerify:
         rows = path.read_text().splitlines()
         assert len(rows) == 36
         assert all(len(r.split(",")) == 36 for r in rows)
+
+
+#: number text as a user might type it: plain, huge, non-finite, negative
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "0.5", "3", "1e10", "1e200", "1e300", "1e308",
+                     "inf", "-inf", "nan", "-1"]),
+    st.floats(min_value=0.0, max_value=1e308).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_ANGLE_TEXT = st.one_of(st.sampled_from(["0", "pi/24", "pi/8", "pi/6", "pi/4", "pi/2"]),
+                        _NUMBER_TEXT)
+_LIST_TEXT = lambda items: st.lists(items, min_size=1, max_size=2).map(",".join)
+
+
+def _finite_output_or_exit_2(argv, out: Path):
+    """Either every CSV value written is finite and the exit status is 0, or
+    nothing but an `error:` line explains exit status 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        return
+    assert code == 0
+    for path in out.glob("*.csv"):
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        values = [float(v) for line in lines for v in line.split(",")]
+        assert np.all(np.isfinite(values)), path.name
+
+
+class TestAnyInputGivesFiniteOutputOrExit2:
+    # overflowing phases (epsilon * T beyond 1.8e308, or epsilon**2 beyond
+    # it) used to write `nan` rows and exit 0
+    @pytest.mark.parametrize("family,alpha,epsilon,tmax", [
+        ("PSI", "pi/4", "1e200", "10"),
+        ("PHI", "pi/8", "1e10", "1e300"),
+        ("PSI", "pi/8", "3", "1e308"),
+    ])
+    def test_overflow_exits_2(self, tmp_path, capsys, family, alpha, epsilon, tmax):
+        assert _run(["sweep", "--family", family, "--alpha", alpha, "--epsilon", epsilon,
+                     "--tmax", tmax, "--points", "10", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
+        assert f"epsilon = {float(epsilon):.15g}" in err and "T = " in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.sampled_from(["PSI", "PHI"]), alpha=_LIST_TEXT(_ANGLE_TEXT),
+           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=st.integers(0, 50))
+    def test_sweep(self, family, alpha, epsilon, tmax, points):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            _finite_output_or_exit_2(
+                ["sweep", f"--family={family}", f"--alpha={alpha}", f"--epsilon={epsilon}",
+                 f"--tmax={tmax}", f"--points={points}", f"--out={out}"], out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.sampled_from(["PSI", "PHI"]), alpha=_LIST_TEXT(_ANGLE_TEXT),
+           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=st.integers(0, 50),
+           path=st.sampled_from(["ANALYTIC", "ORACLE", "BOTH"]),
+           threshold=st.one_of(st.just("1e-9"), _NUMBER_TEXT))
+    def test_config(self, family, alpha, epsilon, tmax, points, path, threshold):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            cfg = Path(tmp) / "cfg.txt"
+            cfg.write_text(f"family = {family}\nalpha = {alpha}\nepsilon = {epsilon}\n"
+                           f"T_max = {tmax}\nn_points = {points}\npath = {path}\n"
+                           f"zero_threshold = {threshold}\n", encoding="utf-8")
+            command = "fig1" if family == "PSI" else "fig2"
+            _finite_output_or_exit_2([command, "--config", str(cfg), "--out", str(out)], out)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tcm_entangle.hamiltonian import build_hamiltonian, restrict_to_sector
+from tcm_entangle.hamiltonian import build_hamiltonian
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import (SpectralDecomposition, decompose_model,
                                      evolve, evolve_grid, jacobi_eigh,
