@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tcm_entangle.analysis import (MIN_RUN_POINTS, ConcurrenceTrace, DeathInterval,
-                                   TracePath, analytic_concurrence, concurrence_trace,
+from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TracePath,
+                                   _branch_fn, analytic_concurrence, concurrence_trace,
                                    detect_death_intervals, estimate_period,
                                    max_concurrence)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
@@ -143,6 +144,57 @@ class TestDeathIntervals:
         assert len(ivs) == 1 and ivs[0].refined
         assert ivs[0].T_start == pytest.approx(
             math.asin(math.sqrt(math.tan(math.pi / 6))), abs=1e-9)
+
+
+def _reference_bisect(fn, lo, hi):
+    flo = float(fn(lo))
+    for _ in range(200):
+        if hi - lo <= 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = float(fn(mid))
+        if (flo > 0) == (fmid > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_death_intervals(trace, zero_threshold):
+    """Scalar run scanner with one bisection per endpoint: the loop form the
+    array version replaced, kept as its bit-for-bit reference."""
+    T, below, branch = trace.T_grid, trace.C < zero_threshold, _branch_fn(trace)
+    intervals, i, n = [], 0, len(T)
+    while i < n:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and below[j + 1]:
+            j += 1
+        if (j - i + 1 >= MIN_RUN_POINTS
+                and float(np.min(branch(T[i:j + 1]))) < -0.5 * zero_threshold):
+            t_mid = T[i + (j - i) // 2]
+            t_start = _reference_bisect(branch, T[i - 1], t_mid) if i > 0 else T[0]
+            t_end = (_reference_bisect(lambda t: -branch(t), t_mid, T[j + 1])
+                     if j < n - 1 else T[-1])
+            intervals.append(DeathInterval(float(t_start), float(t_end), 0 < i and j < n - 1))
+        i = j + 1
+    return intervals
+
+
+class TestDeathIntervalsMatchScalarReference:
+    @settings(max_examples=40, deadline=None)
+    # alpha above pi/4 gives PHI no windows; the range keeps both cases
+    @given(family=st.sampled_from(Family), alpha=st.floats(0, math.pi / 3),
+           eps=st.floats(0, 3), t0=st.floats(0, 5), span=st.floats(2, 60),
+           n=st.integers(200, 1500), threshold=st.sampled_from([1e-9, 1e-3]))
+    def test_bit_identical(self, family, alpha, eps, t0, span, n, threshold):
+        spec = InitialStateSpec(family, alpha)
+        params = ModelParams.from_dimensionless(epsilon=eps)
+        t = concurrence_trace(spec, params, np.linspace(t0, t0 + span, n))
+        assert (detect_death_intervals(t, threshold)
+                == _reference_death_intervals(t, threshold))
 
 
 class TestMaxConcurrence:
