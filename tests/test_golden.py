@@ -3,7 +3,9 @@ commands emit is pinned, so a refactor of the emission path must reproduce
 the frozen CSV/SVG surface byte for byte, not merely be deterministic.
 
 The PHI sweep pin holds 330 death windows (6 of them touching the grid
-edge), so it also freezes every refined window endpoint to 15 digits."""
+edge), so it also freezes every refined window endpoint to 15 digits.  The
+two ``path = ORACLE`` pins freeze the propagated route: the oracle C and
+signed_C columns of PSI, and oracle C with 96 death windows for PHI."""
 
 import hashlib
 
@@ -69,17 +71,42 @@ GOLDEN = {
         "intervals.csv": "f069d4cefd40a6680e8fdcb4731885445d6acb86962096c76b43409002e1ed1d",
         "run_metadata.txt": "c0629f5f1f6c049b1cc45b1799e29c8a9c32f40c9b550f87aa75bee7bce3d9b9",
     }),
+    "fig1_oracle": (["fig1", "--config", "{config}"], {
+        "fig1_alpha0p261799387799149_eps0.csv": "deebc4fa82ae7f59b48a4f1e5f3e05222e05a198d287c9e339d62210b7e82076",
+        "fig1_alpha0p261799387799149_eps2.csv": "ea125ed3f836eb359ec4e84a5676430fa57c2f7ca4af9eb0d1d07eed08a69842",
+        "fig1_alpha0p392699081698724_eps0.csv": "a5d30d78a2bd20e1822972eea1f646278088a6becdc20de6ed78c50acb8e5804",
+        "fig1_alpha0p392699081698724_eps2.csv": "8fcd3c1cb986383d3ad52cc0a81f5cf5f7937f204912faf219956bd5f71e8b91",
+        "fig1_alpha0p785398163397448_eps0.csv": "9f9d6e4a645742d16432159e9067b80db3b9b387ea286510e0b305fc209eebc6",
+        "fig1_alpha0p785398163397448_eps2.csv": "9737eca05c0a8d1932e25f4175fe38b39f25323c92866ef2aa91b636c897d161",
+        "run_metadata.txt": "04932e8279f4eb056bfebcaed7e66ccf35a3bab74e071948e7f6c0d81be5dd88",
+    }),
+    "fig2_oracle": (["fig2", "--config", "{config}"], {
+        "fig2_alpha0p130899693899575_eps0.csv": "e3c972b0482c5da1232f0ee19a5280e5e8b2e35d4f5ce812eb991d983c9b9a4b",
+        "fig2_alpha0p130899693899575_eps1p5.csv": "2e30e682fd93b4ef2db9d22405c74c1d02a6457e7123ca7a82cb638894e2eee2",
+        "fig2_alpha0p392699081698724_eps0.csv": "c14d56912a82673ae5226c9b666addd1527a6549fb55befe1f2d2c6fe6b87705",
+        "fig2_alpha0p392699081698724_eps1p5.csv": "9d4611950a3930550b88d8062f15f6f716b8b09715959c16706633e2a16d24c6",
+        "fig2_alpha0p523598775598299_eps0.csv": "6f0e3dd518f7f465b34897c61118a9775b019a54be01620e5252b75e0da63225",
+        "fig2_alpha0p523598775598299_eps1p5.csv": "45d6bbba531681c835267067723dfed8e9d393c38a648ae740af49147ec7c9c1",
+        "intervals.csv": "e576dadc6b6b11cd85f114d1e5a961c15a7b8ebffda30c45ce15a371468379bc",
+        "run_metadata.txt": "3c6c2b7392d00c6a762ad619d7c5ed33b9e433dc50db4dfe7f2027fae12025c5",
+    }),
 }
 
-#: the default figure grid, cross-checked on both trace paths
-BOTH_CONFIG = "family = PHI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\npath = BOTH\n"
+#: config text of each ``--config`` run; fig2_both is the default figure
+#: grid, cross-checked on both trace paths
+CONFIGS = {
+    "fig2_both": "family = PHI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\npath = BOTH\n",
+    "fig1_oracle": "family = PSI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\npath = ORACLE\n",
+    "fig2_oracle": ("family = PHI\nalpha = pi/24, pi/8, pi/6\nepsilon = 0, 1.5\n"
+                    "T_max = 40\nn_points = 3000\npath = ORACLE\n"),
+}
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN))
 def test_emitted_bytes_match_pinned_digests(run, tmp_path):
     argv, expected = GOLDEN[run]
-    config = tmp_path / "both.txt"
-    config.write_text(BOTH_CONFIG, encoding="utf-8")
+    config = tmp_path / "config.txt"
+    config.write_text(CONFIGS.get(run, ""), encoding="utf-8")
     out = tmp_path / "out"
     argv = [a.format(config=config) for a in argv] + ["--out", str(out)]
     assert cli.main(argv) == 0
