@@ -88,26 +88,27 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
 
     alpha, eps, lam = spec.alpha, params.epsilon, params.lam
     psi_family = spec.family is Family.PSI
-    if path is TracePath.ANALYTIC:
-        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        if path is TracePath.ANALYTIC:
             xs = analytic.amplitudes(spec.family, alpha, eps, lam, T_grid)
             C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
             abs_amps = np.abs(np.stack(xs, axis=-1))
-    else:
-        basis = Basis(params.n_max)
-        decomp = propagator.decompose_model(params, basis)
-        psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
-        C = np.array([entanglement.pure_concurrence(psi, basis) for psi in psis])
-        signed = np.array([
-            entanglement.signed_cross_term(entanglement.reduce_to_atoms(psi, basis))
-            for psi in psis]) if psi_family else None
-        abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
-    finite = np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1)
+            finite = np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1)
+        else:
+            basis = Basis(params.n_max)
+            decomp = propagator.decompose_model(params, basis)
+            psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
+            finite = np.all(np.isfinite(psis), axis=-1)
     if not np.all(finite):
         raise ValueError(f"concurrence trace is not finite at alpha = {alpha:.15g}, "
                          f"epsilon = {eps:.15g}, T = {T_grid[np.argmin(finite)]:.15g}: "
                          "epsilon or T is too large for double precision")
+    if path is TracePath.ORACLE:   # one batched pass per trace, finite states only
+        C = entanglement.pure_concurrence(psis, basis)
+        signed = (2.0 * entanglement.reduce_to_atoms(psis, basis)[:, 1, 2].real
+                  if psi_family else None)
+        abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
 
     return ConcurrenceTrace(family=spec.family, alpha=alpha, epsilon=eps, lam=lam,
                             T_grid=T_grid, C=np.atleast_1d(C),

@@ -25,10 +25,12 @@ def reduce_to_atoms(psi: np.ndarray, basis: Basis) -> np.ndarray:
     """Partial trace over both cavity modes, returning the 4x4 atomic state.
 
     rho[(A,B),(A',B')] = sum_{na,nb} psi(A,B,na,nb) conj(psi(A',B',na,nb)).
+    A stack of states of shape (..., basis.size) gives a stack of shape
+    (..., 4, 4).
     """
-    block = np.asarray(psi, dtype=complex).reshape(4, (basis.n_max + 1) ** 2)
-    rho = block @ block.conj().T
-    return rho
+    psi = np.asarray(psi, dtype=complex)
+    block = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
+    return block @ block.conj().swapaxes(-1, -2)
 
 
 def _validate_density_matrix(rho: np.ndarray):
@@ -46,8 +48,8 @@ def _validate_density_matrix(rho: np.ndarray):
 def wootters_concurrence(rho: np.ndarray) -> float:
     """C = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)).
 
-    mu_i are the descending eigenvalues of rho (Y x Y) rho* (Y x Y).  They
-    The sqrt(mu_i) are evaluated as the singular values of
+    mu_i are the descending eigenvalues of rho (Y x Y) rho* (Y x Y).  The
+    sqrt(mu_i) are evaluated as the singular values of
     M = sqrt(rho) (Y x Y) conj(sqrt(rho)), for which M M^dag equals the
     Hermitian similar matrix sqrt(rho) rho_tilde sqrt(rho): the SVD
     resolves vanishing roots to machine epsilon instead of its square
@@ -65,7 +67,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def pure_concurrence(psi: np.ndarray, basis: Basis) -> float:
+def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
     """Atom-atom concurrence of a pure atoms-plus-field state.
 
     With B the 4 x (n_max+1)^2 coefficient matrix (so the reduced state is
@@ -73,17 +75,21 @@ def pure_concurrence(psi: np.ndarray, basis: Basis) -> float:
     of the complex symmetric matrix N = B^T (Y x Y) B: the similarity
     eig(rho rho_tilde) = eig(conj(N) N) holds because conj(B)^T = B^dag.
     This route never forms sqrt(rho), so it keeps machine accuracy even
-    when the reduced state is nearly rank-deficient.
+    when the reduced state is nearly rank-deficient.  A stack of states of
+    shape (..., basis.size) gives an array of shape (...), every state
+    checked for unit norm.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (basis.size,):
+    if psi.shape[-1:] != (basis.size,):
         raise ValueError(f"state length {psi.shape} does not match basis size {basis.size}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state norm {norm} differs from 1")
-    B = psi.reshape(4, (basis.n_max + 1) ** 2)
-    roots = np.linalg.svd(B.T @ _SPIN_FLIP @ B, compute_uv=False)   # descending
-    return max(0.0, float(roots[0] - roots[1:].sum()))
+    norm = np.linalg.norm(psi, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-10
+    if np.any(off):
+        raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
+    B = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
+    roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
+    C = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
+    return float(C) if psi.ndim == 1 else C
 
 
 def is_x_state(rho: np.ndarray, tol: float = X_SHAPE_TOL) -> bool:
@@ -116,12 +122,3 @@ def xstate_concurrence(rho: np.ndarray) -> float:
         raise ValueError("density matrix is not X-shaped; use wootters_concurrence")
     d = np.clip(np.diag(rho).real, 0.0, None)
     return 2.0 * max(0.0, float(xstate_branch(d, rho[1, 2], rho[0, 3])))
-
-
-def signed_cross_term(rho: np.ndarray) -> float:
-    """2 Re(rho_eg,ge), the signed quantity behind the X-state concurrence.
-
-    For PSI-family states this equals the real cross term 2 x1 x2*; it can
-    dip below zero where the concurrence itself is clipped at zero.
-    """
-    return 2.0 * rho[1, 2].real

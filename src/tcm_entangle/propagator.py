@@ -45,7 +45,9 @@ def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
 
     where phi = arg(A[p,q]) and theta = atan2(2|A[p,q]|, A[p,p]-A[q,q]) / 2.
     Sweeps continue until the off-diagonal Frobenius norm drops below
-    ``tol * ||H||_F``.  Convergence is unconditional for Hermitian input.
+    ``tol * ||H||_F``; an H whose norm overflows or is not finite is rejected,
+    as that threshold would end the sweep before any rotation.  Convergence
+    is unconditional for Hermitian input.
 
     Returns (eigenvalues ascending, eigenvector columns).
     """
@@ -58,7 +60,11 @@ def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
         raise ValueError("matrix is not Hermitian")
 
     V = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):   # reported below
+        norm = float(np.linalg.norm(A))
+    if not np.isfinite(norm):
+        raise ValueError(f"Frobenius norm of H is not finite (largest |H_ij| = {scale:.3e}): "
+                         "too large for double precision")
     if norm == 0.0 or n < 2:
         return np.real(np.diag(A)), V
 
@@ -126,4 +132,5 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     V = decomp.eigenvectors
     c = V.conj().T @ psi0
     phases = np.exp(-1j * np.outer(T_grid, decomp.eigenvalues))
-    return (phases * c) @ V.T
+    phases *= c   # in place: one (points x dim) temporary less at peak memory
+    return phases @ V.T

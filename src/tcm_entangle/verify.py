@@ -38,12 +38,6 @@ class SuiteResult:
         return f"{self.name},{self.max_residual:.3e},{self.threshold:.1e},{status}"
 
 
-def _families_and_params():
-    for family in (Family.PSI, Family.PHI):
-        for eps in _EPSILONS:
-            yield family, ModelParams.from_dimensionless(epsilon=eps)
-
-
 def _evolutions(alphas=(math.pi / 8,), T_grid=_T_GRID):
     """(spec, params, basis, H/g, states on T_grid) for both families and each
     alpha, with H/g decomposed once per epsilon."""
@@ -121,13 +115,12 @@ def suite_fidelity() -> SuiteResult:
 
 
 def suite_trace_agreement() -> SuiteResult:
+    """Closed-form C(T) vs the pure-state concurrence of propagated states."""
     worst = 0.0
-    for family, params in _families_and_params():
-        for alpha in _ALPHAS:
-            spec = InitialStateSpec(family, alpha)
-            t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
-            t_o = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ORACLE)
-            worst = max(worst, float(np.max(np.abs(t_a.C - t_o.C))))
+    for spec, params, basis, _, psis in _evolutions(_ALPHAS):
+        t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
+        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis, basis))
+        worst = max(worst, float(np.max(gap)))
     return SuiteResult("trace_agreement", worst, 1e-9)
 
 
@@ -135,12 +128,11 @@ def suite_density_matrix() -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state."""
     worst = 0.0
     for _, _, basis, _, psis in _evolutions(T_grid=_T_GRID[::10]):
-        for psi in psis:
-            rho = entanglement.reduce_to_atoms(psi, basis)
-            worst = max(worst,
-                        float(np.max(np.abs(rho - rho.conj().T))),
-                        abs(float(np.trace(rho).real) - 1.0),
-                        max(0.0, -float(np.linalg.eigvalsh(rho).min())))
+        rho = entanglement.reduce_to_atoms(psis, basis)
+        worst = max(worst,
+                    float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
+                    float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))),
+                    max(0.0, -float(np.linalg.eigvalsh(rho).min())))
     return SuiteResult("density_matrix", worst, 1e-10)
 
 

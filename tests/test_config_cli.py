@@ -246,18 +246,27 @@ _LIST_TEXT = lambda items: st.lists(items, min_size=1, max_size=2).map(",".join)
 
 def _finite_output_or_exit_2(argv, out: Path):
     """Either every CSV value written is finite and the exit status is 0, or
-    nothing but an `error:` line explains exit status 2."""
+    nothing but an `error:` line explains exit status 2; returns the status."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if code == 2:
         assert err.getvalue().startswith("error:")
-        return
+        return code
     assert code == 0
     for path in out.glob("*.csv"):
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         values = [float(v) for line in lines for v in line.split(",")]
         assert np.all(np.isfinite(values)), path.name
+    return code
+
+
+def _oracle_argv(tmp_path, family, epsilon, tmax):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"family = {family}\nalpha = pi/8\nepsilon = {epsilon}\n"
+                   f"T_max = {tmax}\nn_points = 50\npath = ORACLE\n")
+    command = "fig1" if family == "PSI" else "fig2"
+    return [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
 
 
 class TestAnyInputGivesFiniteOutputOrExit2:
@@ -274,6 +283,28 @@ class TestAnyInputGivesFiniteOutputOrExit2:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err
         assert f"epsilon = {float(epsilon):.15g}" in err and "T = " in err
+
+    # with path ORACLE, epsilon = 1e200 overflowed ||H||_F so Jacobi ran no
+    # rotation and wrong C was written with exit 0, and T_max = 1e308 ended
+    # in `SVD did not converge` after RuntimeWarnings from the propagator
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["PSI", "PHI"])
+    @pytest.mark.parametrize("epsilon,tmax,message", [
+        ("1e200", "10", "norm of H is not finite"),
+        ("2", "1e308", "concurrence trace is not finite at alpha = 0.392699081698724, "
+                       "epsilon = 2, T = "),
+    ], ids=["epsilon-1e200", "T_max-1e308"])
+    def test_oracle_overflow_exits_2(self, tmp_path, capsys, family, epsilon, tmax, message):
+        assert _run(_oracle_argv(tmp_path, family, epsilon, tmax)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["PSI", "PHI"])
+    def test_oracle_largest_epsilon_runs(self, tmp_path, family):
+        # ||H||_F stays finite at epsilon = 1e153
+        argv = _oracle_argv(tmp_path, family, "1e153", "10")
+        assert _finite_output_or_exit_2(argv, tmp_path / "o") == 0
 
     @settings(max_examples=80, deadline=None)
     @given(family=st.sampled_from(["PSI", "PHI"]), alpha=_LIST_TEXT(_ANGLE_TEXT),

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tcm_entangle.entanglement import (is_x_state, pure_concurrence,
-                                       reduce_to_atoms, signed_cross_term,
-                                       wootters_concurrence, xstate_concurrence)
+from tcm_entangle.analysis import TracePath, concurrence_trace
+from tcm_entangle.entanglement import (_SPIN_FLIP, is_x_state, pure_concurrence,
+                                       reduce_to_atoms, wootters_concurrence,
+                                       xstate_concurrence)
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import decompose_model, evolve
 
@@ -209,14 +211,79 @@ class TestPureConcurrence:
 
 
 class TestSignedCrossTerm:
-    def test_equals_cross_term_for_psi(self):
-        rho = _pure_atomic_rho(0, 0.6, -0.8, 0)
-        assert signed_cross_term(rho) == pytest.approx(2 * 0.6 * -0.8, abs=1e-12)
+    """2 Re(rho_eg,ge) of the propagated state is the signed_C column of an
+    ORACLE PSI trace; for PSI it equals the real cross term 2 Re(x1 x2*)."""
 
-    def test_sign_not_visible_in_concurrence(self):
+    @pytest.fixture(scope="class")
+    def traces(self):
+        spec = InitialStateSpec(Family.PSI, math.pi / 12)
+        params = ModelParams.from_dimensionless(epsilon=0.0)
+        grid = np.linspace(0.0, 20.0, 400)
+        return (concurrence_trace(spec, params, grid, TracePath.ORACLE),
+                concurrence_trace(spec, params, grid, TracePath.ANALYTIC))
+
+    def test_equals_cross_term_for_psi(self, traces):
+        oracle, analytic = traces
+        assert oracle.signed_C[0] == pytest.approx(math.sin(math.pi / 6), abs=1e-12)
+        np.testing.assert_allclose(oracle.signed_C, analytic.signed_C, rtol=0, atol=1e-10)
+
+    def test_sign_not_visible_in_concurrence(self, traces):
         # the concurrence uses |rho_23|, so the signed term carries the
         # extra phase information
-        rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
-        rho[1, 2] = rho[2, 1] = -0.3
-        assert signed_cross_term(rho) < 0
-        assert wootters_concurrence(rho) == pytest.approx(0.6, abs=1e-12)
+        oracle, _ = traces
+        assert oracle.signed_C.min() < -0.2
+        assert np.all(oracle.C >= 0.0)
+        assert np.all(oracle.C >= np.abs(oracle.signed_C) - 1e-12)
+
+
+def _reference_pure_concurrence(psi, basis):
+    """One state at a time, as pure_concurrence computed it before it took
+    stacks: the reference for the batched path."""
+    B = np.asarray(psi, dtype=complex).reshape(4, (basis.n_max + 1) ** 2)
+    roots = np.linalg.svd(B.T @ _SPIN_FLIP @ B, compute_uv=False)
+    return max(0.0, float(roots[0] - roots[1:].sum()))
+
+
+def _reference_reduce_to_atoms(psi, basis):
+    block = np.asarray(psi, dtype=complex).reshape(4, (basis.n_max + 1) ** 2)
+    return block @ block.conj().T
+
+
+@st.composite
+def _state_stacks(draw):
+    """Normalised states for n_max 2-4, stacked, with sparse supports."""
+    basis = Basis(draw(st.integers(2, 4)))
+    shape = (draw(st.integers(1, 6)), basis.size)
+    parts = draw(hnp.arrays(float, shape + (2,), elements=st.floats(-1, 1, width=32)))
+    support = draw(hnp.arrays(bool, shape))
+    psis = (parts[..., 0] + 1j * parts[..., 1]) * support
+    small = np.linalg.norm(psis, axis=-1) < 1e-3
+    psis[small, draw(st.integers(0, basis.size - 1))] = 1.0
+    return basis, psis / np.linalg.norm(psis, axis=-1, keepdims=True)
+
+
+class TestStackedStates:
+    @settings(max_examples=60, deadline=None)
+    @given(_state_stacks())
+    def test_stack_equals_per_row(self, drawn):
+        basis, psis = drawn
+        C, rho = pure_concurrence(psis, basis), reduce_to_atoms(psis, basis)
+        assert C.shape == psis.shape[:1] and rho.shape == psis.shape[:1] + (4, 4)
+        for psi, c, r in zip(psis, C, rho):
+            assert c == _reference_pure_concurrence(psi, basis) == pure_concurrence(psi, basis)
+            assert np.array_equal(r, _reference_reduce_to_atoms(psi, basis))
+            assert np.array_equal(r, reduce_to_atoms(psi, basis))
+
+    def test_one_off_norm_row_rejected(self):
+        basis = Basis(2)
+        psis = np.stack([initial_state(InitialStateSpec(Family.PSI, a), basis)
+                         for a in np.linspace(0, math.pi / 2, 5)])
+        psis[3] *= 1.01
+        with pytest.raises(ValueError, match="norm"):
+            pure_concurrence(psis, basis)
+
+    def test_single_state_gives_float(self):
+        basis = Basis(2)
+        psi = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
+        assert type(pure_concurrence(psi, basis)) is float
+        assert reduce_to_atoms(psi, basis).shape == (4, 4)

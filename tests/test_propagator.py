@@ -67,6 +67,27 @@ class TestJacobiEigh:
         np.testing.assert_allclose(w, 0.0)
         np.testing.assert_allclose(V, np.eye(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_rejected(self):
+        # every entry is finite, but ||H||_F overflows: an infinite threshold
+        # would stop the sweep before its first rotation
+        with pytest.raises(ValueError, match="norm of H is not finite"):
+            jacobi_eigh(np.array([[0.0, 1e200], [1e200, 1e200]]))
+        with pytest.raises(ValueError, match="norm of H is not finite"):
+            jacobi_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epsilon,ok", [(1e153, True), (1e160, False), (1e200, False)])
+    def test_model_hamiltonian_near_overflow(self, epsilon, ok):
+        params = ModelParams.from_dimensionless(epsilon=epsilon)
+        H = build_hamiltonian(params, Basis(params.n_max)) / params.g
+        if not ok:
+            with pytest.raises(ValueError, match="norm of H is not finite"):
+                jacobi_eigh(H)
+            return
+        w, V = jacobi_eigh(H)
+        assert np.max(np.abs(H - (V * w) @ V.conj().T)) <= 1e-14 * epsilon
+
 
 class TestModelDecomposition:
     def test_full_hamiltonian_decomposition(self):
