@@ -83,7 +83,7 @@ def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
     if psi.shape[-1:] != (basis.size,):
         raise ValueError(f"state length {psi.shape} does not match basis size {basis.size}")
     norm = np.linalg.norm(psi, axis=-1)
-    off = np.abs(norm - 1.0) > 1e-10
+    off = ~(np.abs(norm - 1.0) <= 1e-10)   # a NaN norm is off too
     if np.any(off):
         raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
     B = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))

@@ -63,8 +63,7 @@ def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
     with np.errstate(over="ignore"):   # reported below
         norm = float(np.linalg.norm(A))
     if not np.isfinite(norm):
-        raise ValueError(f"Frobenius norm of H is not finite (largest |H_ij| = {scale:.3e}): "
-                         "too large for double precision")
+        raise ValueError(f"Frobenius norm of H is not finite (largest |H_ij| = {scale:.3e})")
     if norm == 0.0 or n < 2:
         return np.real(np.diag(A)), V
 

@@ -281,6 +281,9 @@ class TestStackedStates:
         psis[3] *= 1.01
         with pytest.raises(ValueError, match="norm"):
             pure_concurrence(psis, basis)
+        psis[3] = np.nan
+        with pytest.raises(ValueError, match="norm nan"):
+            pure_concurrence(psis, basis)
 
     def test_single_state_gives_float(self):
         basis = Basis(2)
