@@ -5,13 +5,20 @@ the frozen CSV/SVG surface byte for byte, not merely be deterministic.
 The PHI sweep pin holds 330 death windows (6 of them touching the grid
 edge), so it also freezes every refined window endpoint to 15 digits.  The
 two ``path = ORACLE`` pins freeze the propagated route: the oracle C and
-signed_C columns of PSI, and oracle C with 96 death windows for PHI."""
+signed_C columns of PSI, and oracle C with 96 death windows for PHI.  The
+PSI sweep pin is the benchmark's SVG workload at fixed inputs.
+
+``line_chart`` is also compared string for string with the scalar renderer
+it replaced (two closure calls and one f-string per point), kept below as
+the reference."""
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tcm_entangle import cli
+from tcm_entangle import cli, svgplot
 
 _FIG2_CURVES = {
     "fig2_alpha0p261799387799149_eps0.csv": "f182d56be2d99c991cccfadfcec159c8a950f5a6d7344ab1f0b9b89cc15adb22",
@@ -71,6 +78,25 @@ GOLDEN = {
         "intervals.csv": "f069d4cefd40a6680e8fdcb4731885445d6acb86962096c76b43409002e1ed1d",
         "run_metadata.txt": "c0629f5f1f6c049b1cc45b1799e29c8a9c32f40c9b550f87aa75bee7bce3d9b9",
     }),
+    "sweep_psi_svg": (["sweep", "--family", "PSI", "--alpha", "pi/12,pi/6,pi/3,5*pi/12",
+                       "--epsilon", "0.5,1.5,2.5", "--tmax", "40", "--points", "4000", "--svg"], {
+        "fig1_alpha0p261799387799149_eps0p5.csv": "eed509f84d6b022bdef5625567b9f598df5647d9ced56f4b3c95616b4378e549",
+        "fig1_alpha0p261799387799149_eps1p5.csv": "723479a7546b15eec73809fa4589b85986359889198dcc6b157211c13d9545f4",
+        "fig1_alpha0p261799387799149_eps2p5.csv": "669109e9c286f0c1fb81f07fe7798d0fddefbfd3d410618643a175606953520f",
+        "fig1_alpha0p523598775598299_eps0p5.csv": "f80dcb642d1df2936a86379fe15f692bb20b434b8d4cc63ee93a6c645e9f024e",
+        "fig1_alpha0p523598775598299_eps1p5.csv": "d33e7112994b856be9995cdc29982b77e4b6bcdedde72ef187e0a1388216a7fc",
+        "fig1_alpha0p523598775598299_eps2p5.csv": "3ee9ab2e79703ba7601414bb09eb01df0565e9c7570f5aa6a1ca2fcafb3240d5",
+        "fig1_alpha1p0471975511966_eps0p5.csv": "2a63536e95fd68d7b940f5220bda21bda44e610928512181f468e3b1454d98ff",
+        "fig1_alpha1p0471975511966_eps1p5.csv": "3dfe3958f4070eff15312438c439ffd109bafe23bba8929ce160d3c0bf507a63",
+        "fig1_alpha1p0471975511966_eps2p5.csv": "7443f30007852fc5f16fed7c91f536fc24071edf661b8726d73e983fff719456",
+        "fig1_alpha1p30899693899575_eps0p5.csv": "ac5371072ef539c762e917f0edf6e6deebe016192d1ab8cdfa1655cc2c72804e",
+        "fig1_alpha1p30899693899575_eps1p5.csv": "f6d6a6d25e2524c3a9daea0330f4425685d0f8aab25346f188e7c88ed8475b47",
+        "fig1_alpha1p30899693899575_eps2p5.csv": "fbc0859c1c365903e681481f47b2bca718591d7726d8ee81566e98e88dff495a",
+        "fig1_eps0p5.svg": "8431239efdfd69d30ad45a7e36e711402f0174ba77ae0db2f169a82181a5347e",
+        "fig1_eps1p5.svg": "7b72fe1314949f8374e962b6987cbad14ed2d810f80f6a8d154223bf1bd534d1",
+        "fig1_eps2p5.svg": "564017910db6472b4cfc2eb3a43619cbb8dc76c2efbc502a874ca9abc38930c3",
+        "run_metadata.txt": "51f9d1e414e63231681e158e722ce30c95e0cd5960483440ef2d5ce3580c59ab",
+    }),
     "fig1_oracle": (["fig1", "--config", "{config}"], {
         "fig1_alpha0p261799387799149_eps0.csv": "deebc4fa82ae7f59b48a4f1e5f3e05222e05a198d287c9e339d62210b7e82076",
         "fig1_alpha0p261799387799149_eps2.csv": "ea125ed3f836eb359ec4e84a5676430fa57c2f7ca4af9eb0d1d07eed08a69842",
@@ -112,3 +138,96 @@ def test_emitted_bytes_match_pinned_digests(run, tmp_path):
     assert cli.main(argv) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == expected
+
+
+def _scalar_line_chart(curves, title="", xlabel="", ylabel=""):
+    """Reference renderer: the per-point scalar ``line_chart``."""
+    W, H = svgplot.WIDTH, svgplot.HEIGHT
+    ML, MR, MT, MB = svgplot.MARGIN_L, svgplot.MARGIN_R, svgplot.MARGIN_T, svgplot.MARGIN_B
+    xs_all = [x for _, xs, _ in curves for x in xs]
+    ys_all = [y for _, _, ys in curves for y in ys]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(0.0, min(ys_all)), max(1.0, max(ys_all))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+
+    plot_w = W - ML - MR
+    plot_h = H - MT - MB
+
+    def px(x):
+        return ML + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return MT + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+    ]
+    parts.append(f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H - MB}" stroke="black"/>')
+    parts.append(f'<line x1="{ML}" y1="{H - MB}" x2="{W - MR}" y2="{H - MB}" stroke="black"/>')
+    for t in svgplot._nice_ticks(x_lo, x_hi):
+        x = px(t)
+        parts.append(f'<line x1="{x:.2f}" y1="{H - MB}" x2="{x:.2f}" '
+                     f'y2="{H - MB + 5}" stroke="black"/>')
+        parts.append(f'<text x="{x:.2f}" y="{H - MB + 20}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="12">{t:g}</text>')
+    for t in svgplot._nice_ticks(y_lo, y_hi):
+        y = py(t)
+        parts.append(f'<line x1="{ML - 5}" y1="{y:.2f}" x2="{ML}" '
+                     f'y2="{y:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{ML - 9}" y="{y + 4:.2f}" text-anchor="end" '
+                     f'font-family="sans-serif" font-size="12">{t:g}</text>')
+    parts.append(f'<text x="{ML + plot_w / 2:.1f}" y="{H - 10}" '
+                 f'text-anchor="middle" font-family="sans-serif" font-size="14">{xlabel}</text>')
+    parts.append(f'<text x="18" y="{MT + plot_h / 2:.1f}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="14" '
+                 f'transform="rotate(-90 18 {MT + plot_h / 2:.1f})">{ylabel}</text>')
+
+    for k, (label, xs, ys) in enumerate(curves):
+        color = svgplot._PALETTE[k % len(svgplot._PALETTE)]
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                     f'points="{points}"/>')
+        ly = MT + 16 + 18 * k
+        lx = W - MR - 180
+        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
+                     f'font-size="12">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@st.composite
+def _curve(draw):
+    """One (label, xs, ys) curve on its own grid: 2-5000 points, a grid that
+    may start away from 0 (or be a single repeated x), y values that may dip
+    below 0 and rise above 1, and sometimes an irregular grid."""
+    n = draw(st.integers(2, 5000))
+    start = draw(st.floats(-50.0, 50.0))
+    span = draw(st.sampled_from([0.0, 1e-3, 1.0, 40.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = start + span * (np.sort(rng.random(n)) if draw(st.booleans())
+                         else np.linspace(0.0, 1.0, n))
+    y_lo = draw(st.floats(-2.0, 0.5))
+    y_hi = draw(st.floats(0.5, 3.0))
+    ys = y_lo + (y_hi - y_lo) * rng.random(n)
+    return (f"alpha = {draw(st.floats(0.0, 1.6)):.4f}", xs, ys)
+
+
+class TestLineChartMatchesScalarReference:
+    @settings(max_examples=60, deadline=None)
+    @given(curves=st.lists(_curve(), min_size=1, max_size=7))
+    def test_identical_svg(self, curves):
+        kwargs = dict(title="Atom-atom concurrence, eps = 1.5", xlabel="T = g t", ylabel="C")
+        assert svgplot.line_chart(curves, **kwargs) == _scalar_line_chart(curves, **kwargs)
+
+    def test_figure_curves(self):
+        grid = np.linspace(0.0, 40.0, 4000)
+        curves = [(f"alpha = {a:.4f}", grid, np.abs(np.sin(2 * a) * np.cos(grid)))
+                  for a in (0.2, 0.5, 1.1)]
+        assert svgplot.line_chart(curves) == _scalar_line_chart(curves)
