@@ -25,6 +25,12 @@ class ConfigError(ValueError):
     """Malformed, unknown or out-of-range configuration input."""
 
 
+def file_tag(value: float) -> str:
+    """``value`` at 15 significant digits as it appears in output file
+    names, with ``-`` written ``m`` and ``.`` written ``p``."""
+    return format(float(value), ".15g").replace("-", "m").replace(".", "p")
+
+
 def parse_angle(token: str) -> float:
     """Parse a decimal or a pi-expression like `pi/8` or `3*pi/16`."""
     token = token.strip()
@@ -71,6 +77,14 @@ class RunConfig:
                 raise ConfigError(f"epsilon value {e} must be finite")
             if e < 0:
                 raise ConfigError(f"epsilon value {e} must be >= 0")
+        for name in ("alpha_list", "epsilon_list"):
+            seen: dict[str, float] = {}
+            for value in getattr(self, name):
+                tag = file_tag(value)
+                if tag in seen:
+                    raise ConfigError(f"{name} values {seen[tag]!r} and {value!r} share the "
+                                      f"file tag {tag!r}, so their output files would collide")
+                seen[tag] = value
 
 
 def _parse_bool(value: str, key: str, lineno: int) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, svgplot
 from .analysis import TracePath
-from .config import RunConfig
+from .config import RunConfig, file_tag
 from .model import Family, InitialStateSpec, ModelParams
 
 #: alpha values plotted by default; chosen here, not prescribed upstream
@@ -29,28 +29,36 @@ def fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def _tag(value: float) -> str:
-    return fmt(value).replace("-", "m").replace(".", "p")
+def format_column(values) -> list[str]:
+    """The 15-significant-digit text of each value.  A column that several
+    files share is formatted once and handed to `write_csv` as text."""
+    return ["%.15g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    """Header row, then one row per index of the equal-length ``columns``."""
-    row_format = ",".join(["%.15g"] * len(columns))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    lines = [",".join(header)] + [row_format % row for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_csv(path: Path, header: list[str], columns: list):
+    """Header row, then one row per index of the equal-length ``columns``.
+
+    A column is numbers, written at 15 significant digits, or the strings
+    of `format_column`.  The whole body is formatted in one %-call."""
+    n, k = len(columns[0]), len(columns)
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    cells = [None] * (n * k)
+    for j, column in enumerate(columns):
+        cells[j::k] = column if text[j] else np.asarray(column, dtype=float).tolist()
+    row = ",".join(["%s" if t else "%.15g" for t in text]) + "\n"
+    body = row * n % tuple(cells)
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 
 
 class TraceDisagreement(ValueError):
     """The analytic and oracle traces of a BOTH run differ beyond tolerance."""
 
 
-def _traces(config: RunConfig, alpha: float, epsilon: float):
+def _traces(config: RunConfig, alpha: float, epsilon: float, grid: np.ndarray):
     """Trace on the config grid; with path BOTH the two paths are checked
     against each other and the analytic result is emitted."""
     spec = InitialStateSpec(family=config.family, alpha=alpha)
     params = ModelParams.from_dimensionless(epsilon=epsilon)
-    grid = np.linspace(0.0, config.T_max, config.n_points)
     if config.path == "ORACLE":
         return analysis.concurrence_trace(spec, params, grid, TracePath.ORACLE)
     trace = analysis.concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
@@ -94,14 +102,16 @@ def run(config: RunConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     interval_rows = []
+    grid = np.linspace(0.0, config.T_max, config.n_points)
+    T_text = format_column(grid)
     for eps in config.epsilon_list:
         curves = []
         for alpha in config.alpha_list:
-            trace = _traces(config, alpha, eps)
+            trace = _traces(config, alpha, eps, grid)
             amps = list(trace.abs_amplitudes.T)
             if psi_family:
                 header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
-                columns = [trace.T_grid, trace.C, trace.signed_C, *amps]
+                columns = [T_text, trace.C, trace.signed_C, *amps]
             else:
                 in_window = np.zeros(trace.T_grid.size)
                 for iv in analysis.detect_death_intervals(trace, config.zero_threshold):
@@ -110,15 +120,15 @@ def run(config: RunConfig) -> list[Path]:
                                           iv.length, float(iv.refined)))
                 header = ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",
                           "in_death_window"]
-                columns = [trace.T_grid, trace.C, *amps[:3], amps[4], in_window]
-            path = out / f"{prefix}_alpha{_tag(alpha)}_eps{_tag(eps)}.csv"
+                columns = [T_text, trace.C, *amps[:3], amps[4], in_window]
+            path = out / f"{prefix}_alpha{file_tag(alpha)}_eps{file_tag(eps)}.csv"
             write_csv(path, header, columns)
             written.append(path)
             curves.append((f"alpha = {alpha:.4f}", trace.T_grid, trace.C))
         if config.emit_svg:
             svg = svgplot.line_chart(curves, title=f"Atom-atom concurrence, eps = {eps:g}",
                                      xlabel="T = g t", ylabel="C")
-            svg_path = out / f"{prefix}_eps{_tag(eps)}.svg"
+            svg_path = out / f"{prefix}_eps{file_tag(eps)}.svg"
             svg_path.write_text(svg, encoding="utf-8")
             written.append(svg_path)
 

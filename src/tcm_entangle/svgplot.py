@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line charts.
+"""Minimal SVG line charts, written as text with no plotting library.
 
 Fixed 800x500 viewport, linear axes, one polyline per curve and a text
 legend.  This is a viewing convenience; all regression surfaces are CSV.
@@ -7,6 +7,8 @@ legend.  This is a viewing convenience; all regression surfaces are CSV.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -34,16 +36,19 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
 
 def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render curves [(label, xs, ys), ...] into an SVG document string."""
-    xs_all = [x for _, xs, _ in curves for x in xs]
-    ys_all = [y for _, _, ys in curves for y in ys]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(0.0, min(ys_all)), max(1.0, max(ys_all))
+    curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in curves]
+    xs_all = np.concatenate([xs for _, xs, _ in curves])
+    ys_all = np.concatenate([ys for _, _, ys in curves])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = min(0.0, float(ys_all.min())), max(1.0, float(ys_all.max()))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # pixel coordinates of a scalar tick or of a whole curve
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
@@ -86,7 +91,8 @@ def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> s
 
     for k, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        pixels = np.column_stack((px(xs), py(ys))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         ly = MARGIN_T + 16 + 18 * k

@@ -38,14 +38,23 @@ class SuiteResult:
         return f"{self.name},{self.max_residual:.3e},{self.threshold:.1e},{status}"
 
 
-def _evolutions(alphas=(math.pi / 8,), T_grid=_T_GRID):
-    """(spec, params, basis, H/g, states on T_grid) for both families and each
-    alpha, with H/g decomposed once per epsilon."""
-    for eps in _EPSILONS:
+def _models(epsilons=_EPSILONS):
+    """{epsilon: (params, basis, H/g, decomposition of H/g)}.  ``run_all``
+    builds this once and hands it to every suite that evolves states, so
+    each H/g is decomposed once per run; a suite called alone builds its own."""
+    models = {}
+    for eps in epsilons:
         params = ModelParams.from_dimensionless(epsilon=eps)
         basis = Basis(params.n_max)
         H = build_hamiltonian(params, basis) / params.g
-        decomp = propagator.spectral_decompose(H)
+        models[eps] = (params, basis, H, propagator.spectral_decompose(H))
+    return models
+
+
+def _evolutions(models=None, alphas=(math.pi / 8,), T_grid=_T_GRID):
+    """(spec, params, basis, H/g, states on T_grid) for each model, both
+    families and each alpha."""
+    for params, basis, H, decomp in (models or _models()).values():
         for family in (Family.PSI, Family.PHI):
             for alpha in alphas:
                 spec = InitialStateSpec(family, alpha)
@@ -79,55 +88,55 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
     return SuiteResult("conservation", worst, 0.0)
 
 
-def suite_unitarity() -> SuiteResult:
+def suite_unitarity(models=None) -> SuiteResult:
     worst = 0.0
-    for *_, psis in _evolutions():
+    for *_, psis in _evolutions(models):
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0))))
     return SuiteResult("unitarity", worst, 1e-12)
 
 
-def suite_energy_conservation() -> SuiteResult:
+def suite_energy_conservation(models=None) -> SuiteResult:
     worst = 0.0
-    for *_, H, psis in _evolutions():
+    for *_, H, psis in _evolutions(models):
         energies = np.real(np.einsum("ti,ij,tj->t", psis.conj(), H, psis))
         scale = float(np.max(np.abs(H)))
         worst = max(worst, float(np.max(np.abs(energies - energies[0]))) / scale)
     return SuiteResult("energy_conservation", worst, 1e-10)
 
 
-def suite_sector_confinement() -> SuiteResult:
+def suite_sector_confinement(models=None) -> SuiteResult:
     worst = 0.0
-    for spec, _, basis, _, psis in _evolutions():
+    for spec, _, basis, _, psis in _evolutions(models):
         sectors = {2} if spec.family is Family.PSI else {0, 4}
         outside = np.array([n not in sectors for n in basis.excitations])
         worst = max(worst, float(np.max(np.abs(psis[:, outside]))))
     return SuiteResult("sector_confinement", worst, 1e-12)
 
 
-def suite_fidelity() -> SuiteResult:
+def suite_fidelity(models=None) -> SuiteResult:
     """Oracle equivalence: closed-form state vs propagated state."""
     worst = 0.0
-    for spec, params, basis, _, psis in _evolutions(_ALPHAS):
+    for spec, params, basis, _, psis in _evolutions(models, _ALPHAS):
         analytic_states = analytic.closed_form_states(spec, params, basis, _T_GRID)
         fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
         worst = max(worst, float(np.max(1.0 - fid)))
     return SuiteResult("fidelity", worst, 1e-9)
 
 
-def suite_trace_agreement() -> SuiteResult:
+def suite_trace_agreement(models=None) -> SuiteResult:
     """Closed-form C(T) vs the pure-state concurrence of propagated states."""
     worst = 0.0
-    for spec, params, basis, _, psis in _evolutions(_ALPHAS):
+    for spec, params, basis, _, psis in _evolutions(models, _ALPHAS):
         t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
         gap = np.abs(t_a.C - entanglement.pure_concurrence(psis, basis))
         worst = max(worst, float(np.max(gap)))
     return SuiteResult("trace_agreement", worst, 1e-9)
 
 
-def suite_density_matrix() -> SuiteResult:
+def suite_density_matrix(models=None) -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state."""
     worst = 0.0
-    for _, _, basis, _, psis in _evolutions(T_grid=_T_GRID[::10]):
+    for _, _, basis, _, psis in _evolutions(models, T_grid=_T_GRID[::10]):
         rho = entanglement.reduce_to_atoms(psis, basis)
         worst = max(worst,
                     float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
@@ -136,11 +145,9 @@ def suite_density_matrix() -> SuiteResult:
     return SuiteResult("density_matrix", worst, 1e-10)
 
 
-def suite_local_unitary_invariance(n_unitaries: int = 20) -> SuiteResult:
+def suite_local_unitary_invariance(n_unitaries: int = 20, models=None) -> SuiteResult:
     rng = np.random.default_rng(20260823)
-    params = ModelParams.from_dimensionless(epsilon=2.0)
-    basis = Basis(params.n_max)
-    decomp = propagator.decompose_model(params, basis)
+    _, basis, _, decomp = (models or _models((2.0,)))[2.0]
     worst = 0.0
     for family in (Family.PSI, Family.PHI):
         psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
@@ -161,14 +168,15 @@ def _haar_unitary(rng, dim: int = 2) -> np.ndarray:
 
 
 def run_all(inject_fault: bool = False) -> list[SuiteResult]:
+    models = _models()
     return [
         suite_hermiticity(),
         suite_conservation(inject_fault=inject_fault),
-        suite_unitarity(),
-        suite_energy_conservation(),
-        suite_sector_confinement(),
-        suite_fidelity(),
-        suite_trace_agreement(),
-        suite_density_matrix(),
-        suite_local_unitary_invariance(),
+        suite_unitarity(models),
+        suite_energy_conservation(models),
+        suite_sector_confinement(models),
+        suite_fidelity(models),
+        suite_trace_agreement(models),
+        suite_density_matrix(models),
+        suite_local_unitary_invariance(models=models),
     ]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle import cli, figures
+from tcm_entangle import cli, figures, propagator, verify
 from tcm_entangle.config import ConfigError, RunConfig, parse_angle, parse_config
 from tcm_entangle.model import Family
 
@@ -77,6 +77,7 @@ class TestParseConfig:
         dict(zero_threshold=0.0),
         dict(T_max=math.nan), dict(T_max=math.inf), dict(zero_threshold=math.nan),
         dict(epsilon_list=(math.inf,)), dict(epsilon_list=(0.0, math.nan)),
+        dict(alpha_list=(0.3, 0.30000000000000004)), dict(epsilon_list=(1.0, 1.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -107,6 +108,23 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 300), k=st.integers(1, 7))
+    def test_matches_row_at_a_time_writer(self, data, n, k):
+        # reference: the writer that made one %-call per row
+        values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        cols = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+                for _ in range(k)]
+        row = ",".join(["%.15g"] * k)
+        expected = "\n".join([",".join(f"c{j}" for j in range(k))]
+                             + [row % r for r in zip(*(c.tolist() for c in cols))]) + "\n"
+        shared = data.draw(st.booleans())   # first column preformatted, as in run()
+        columns = [figures.format_column(cols[0]) if shared else cols[0], *cols[1:]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            figures.write_csv(path, [f"c{j}" for j in range(k)], columns)
+            assert path.read_text(encoding="utf-8") == expected
 
 
 def _run(argv):
@@ -184,6 +202,21 @@ class TestCliFigures:
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "o").exists()
 
+    # values equal to 15 digits share a file name: the second CSV used to
+    # overwrite the first while intervals.csv kept rows of both, exit 0
+    @pytest.mark.parametrize("flags,field", [
+        (["--alpha", "0.3,0.30000000000000004", "--epsilon", "0"], "alpha_list"),
+        (["--alpha", "pi/8,pi/8", "--epsilon", "0"], "alpha_list"),
+        (["--alpha", "pi/8", "--epsilon", "0.5,0.5000000000000001"], "epsilon_list"),
+    ])
+    def test_sweep_rejects_colliding_file_tags(self, tmp_path, capsys, flags, field):
+        argv = ["sweep", "--family", "PHI", "--tmax", "10", "--points", "200",
+                "--out", str(tmp_path / "o")]
+        assert _run(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "file tag" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line,field", [
         ("zero_threshold = nan", "zero_threshold"),
         ("T_max = inf", "T_max"),
@@ -222,6 +255,17 @@ class TestCliVerify:
         assert _run(["verify", "--inject-fault"]) == 1
         out = capsys.readouterr().out
         assert any(l.endswith("FAIL") for l in out.splitlines())
+
+    def test_decomposes_each_model_once(self, capsys, monkeypatch):
+        # one Jacobi decomposition per epsilon of the suites, shared by all
+        calls = []
+        jacobi_eigh = propagator.jacobi_eigh
+        monkeypatch.setattr(propagator, "jacobi_eigh",
+                            lambda A: calls.append(A.shape) or jacobi_eigh(A))
+        assert _run(["verify"]) == 0
+        assert len(calls) == len(verify._EPSILONS) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 
     def test_dump_hamiltonian(self, tmp_path, capsys):
         path = tmp_path / "H.csv"

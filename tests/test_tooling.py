@@ -1,6 +1,8 @@
 """The traced benchmark rebinds package functions by name, so every
 ``(module, attr)`` it lists must exist: a rename or deletion in the package
-would otherwise break every ``--trace 1`` run with ``AttributeError``."""
+would otherwise break every ``--trace 1`` run with ``AttributeError``.  Its
+emission counts read the arguments and results of ``write_csv`` and
+``line_chart``, so they are checked against the files a real run writes."""
 
 import functools
 import importlib
@@ -8,6 +10,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from tcm_entangle import cli, figures  # noqa: F401  (cli loads every traced module)
+from tcm_entangle.config import RunConfig
+from tcm_entangle.model import Family
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -23,3 +29,25 @@ def _load_tracer():
 def test_traced_layer_resolves(module, attr):
     owner = importlib.import_module(f"tcm_entangle.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), owner))
+
+
+def test_emission_counts_match_written_files(tmp_path):
+    # figures.csv_rows reads len(columns[0]) and figures.csv_bytes the file
+    # written; svgplot.svg_bytes the length of the returned document
+    tracer = _load_tracer().Tracer()
+    config = RunConfig(family=Family.PHI, alpha_list=(0.3, 0.5), epsilon_list=(0.0, 2.0),
+                       T_max=20.0, n_points=300, output_dir=str(tmp_path), emit_svg=True)
+    tracer.install()
+    try:
+        tracer.command("fig2", lambda: figures.run(config))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[0]
+    csvs = list(tmp_path.glob("*.csv"))
+    svgs = list(tmp_path.glob("*.svg"))
+    assert len(csvs) == 5 and len(svgs) == 2
+    rows = sum(len(p.read_text(encoding="utf-8").splitlines()) - 1 for p in csvs)
+    assert rows > 4 * 300
+    assert counts["figures.csv_rows"] == rows
+    assert counts["figures.csv_bytes"] == sum(p.stat().st_size for p in csvs)
+    assert counts["svgplot.svg_bytes"] == sum(p.stat().st_size for p in svgs)
