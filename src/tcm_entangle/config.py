@@ -25,10 +25,19 @@ class ConfigError(ValueError):
     """Malformed, unknown or out-of-range configuration input."""
 
 
+#: how every number is written to an output file or file name
+NUMBER_FORMAT = "%.15g"
+
+
+def fmt(value: float) -> str:
+    """Decimal text at 15 significant digits."""
+    return NUMBER_FORMAT % float(value)
+
+
 def file_tag(value: float) -> str:
-    """``value`` at 15 significant digits as it appears in output file
-    names, with ``-`` written ``m`` and ``.`` written ``p``."""
-    return format(float(value), ".15g").replace("-", "m").replace(".", "p")
+    """``fmt(value)`` as it appears in output file names, with ``-``
+    written ``m`` and ``.`` written ``p``."""
+    return fmt(value).replace("-", "m").replace(".", "p")
 
 
 def parse_angle(token: str) -> float:

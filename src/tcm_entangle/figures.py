@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, svgplot
 from .analysis import TracePath
-from .config import RunConfig, file_tag
+from .config import NUMBER_FORMAT, RunConfig, file_tag, fmt
 from .model import Family, InitialStateSpec, ModelParams
 
 #: alpha values plotted by default; chosen here, not prescribed upstream
@@ -24,28 +24,23 @@ FIGURE_EPSILONS = (0.0, 2.0)
 TRACE_AGREEMENT_TOL = 1e-9
 
 
-def fmt(value: float) -> str:
-    """Decimal text at 15 significant digits."""
-    return format(float(value), ".15g")
-
-
 def format_column(values) -> list[str]:
-    """The 15-significant-digit text of each value.  A column that several
+    """`fmt` of each value, in one pass.  A column that several
     files share is formatted once and handed to `write_csv` as text."""
-    return ["%.15g" % v for v in np.asarray(values, dtype=float).tolist()]
+    return [NUMBER_FORMAT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
 def write_csv(path: Path, header: list[str], columns: list):
     """Header row, then one row per index of the equal-length ``columns``.
 
-    A column is numbers, written at 15 significant digits, or the strings
+    A column is numbers, written as `fmt` writes them, or the strings
     of `format_column`.  The whole body is formatted in one %-call."""
     n, k = len(columns[0]), len(columns)
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
     cells = [None] * (n * k)
     for j, column in enumerate(columns):
         cells[j::k] = column if text[j] else np.asarray(column, dtype=float).tolist()
-    row = ",".join(["%s" if t else "%.15g" for t in text]) + "\n"
+    row = ",".join(["%s" if t else NUMBER_FORMAT for t in text]) + "\n"
     body = row * n % tuple(cells)
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 

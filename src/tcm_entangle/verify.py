@@ -38,12 +38,12 @@ class SuiteResult:
         return f"{self.name},{self.max_residual:.3e},{self.threshold:.1e},{status}"
 
 
-def _models(epsilons=_EPSILONS):
-    """{epsilon: (params, basis, H/g, decomposition of H/g)}.  ``run_all``
-    builds this once and hands it to every suite that evolves states, so
-    each H/g is decomposed once per run; a suite called alone builds its own."""
+def _models():
+    """{epsilon: (params, basis, H/g, decomposition of H/g)} for each of
+    ``_EPSILONS``.  ``run_all`` builds this once and hands it to every suite
+    that evolves states, so each H/g is decomposed once per run."""
     models = {}
-    for eps in epsilons:
+    for eps in _EPSILONS:
         params = ModelParams.from_dimensionless(epsilon=eps)
         basis = Basis(params.n_max)
         H = build_hamiltonian(params, basis) / params.g
@@ -51,10 +51,10 @@ def _models(epsilons=_EPSILONS):
     return models
 
 
-def _evolutions(models=None, alphas=(math.pi / 8,), T_grid=_T_GRID):
+def _evolutions(models, alphas=(math.pi / 8,), T_grid=_T_GRID):
     """(spec, params, basis, H/g, states on T_grid) for each model, both
     families and each alpha."""
-    for params, basis, H, decomp in (models or _models()).values():
+    for params, basis, H, decomp in models.values():
         for family in (Family.PSI, Family.PHI):
             for alpha in alphas:
                 spec = InitialStateSpec(family, alpha)
@@ -88,14 +88,14 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
     return SuiteResult("conservation", worst, 0.0)
 
 
-def suite_unitarity(models=None) -> SuiteResult:
+def suite_unitarity(models) -> SuiteResult:
     worst = 0.0
     for *_, psis in _evolutions(models):
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0))))
     return SuiteResult("unitarity", worst, 1e-12)
 
 
-def suite_energy_conservation(models=None) -> SuiteResult:
+def suite_energy_conservation(models) -> SuiteResult:
     worst = 0.0
     for *_, H, psis in _evolutions(models):
         energies = np.real(np.einsum("ti,ij,tj->t", psis.conj(), H, psis))
@@ -104,7 +104,7 @@ def suite_energy_conservation(models=None) -> SuiteResult:
     return SuiteResult("energy_conservation", worst, 1e-10)
 
 
-def suite_sector_confinement(models=None) -> SuiteResult:
+def suite_sector_confinement(models) -> SuiteResult:
     worst = 0.0
     for spec, _, basis, _, psis in _evolutions(models):
         sectors = {2} if spec.family is Family.PSI else {0, 4}
@@ -113,7 +113,7 @@ def suite_sector_confinement(models=None) -> SuiteResult:
     return SuiteResult("sector_confinement", worst, 1e-12)
 
 
-def suite_fidelity(models=None) -> SuiteResult:
+def suite_fidelity(models) -> SuiteResult:
     """Oracle equivalence: closed-form state vs propagated state."""
     worst = 0.0
     for spec, params, basis, _, psis in _evolutions(models, _ALPHAS):
@@ -123,7 +123,7 @@ def suite_fidelity(models=None) -> SuiteResult:
     return SuiteResult("fidelity", worst, 1e-9)
 
 
-def suite_trace_agreement(models=None) -> SuiteResult:
+def suite_trace_agreement(models) -> SuiteResult:
     """Closed-form C(T) vs the pure-state concurrence of propagated states."""
     worst = 0.0
     for spec, params, basis, _, psis in _evolutions(models, _ALPHAS):
@@ -133,7 +133,7 @@ def suite_trace_agreement(models=None) -> SuiteResult:
     return SuiteResult("trace_agreement", worst, 1e-9)
 
 
-def suite_density_matrix(models=None) -> SuiteResult:
+def suite_density_matrix(models) -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state."""
     worst = 0.0
     for _, _, basis, _, psis in _evolutions(models, T_grid=_T_GRID[::10]):
@@ -145,9 +145,9 @@ def suite_density_matrix(models=None) -> SuiteResult:
     return SuiteResult("density_matrix", worst, 1e-10)
 
 
-def suite_local_unitary_invariance(n_unitaries: int = 20, models=None) -> SuiteResult:
+def suite_local_unitary_invariance(models, n_unitaries: int = 20) -> SuiteResult:
     rng = np.random.default_rng(20260823)
-    _, basis, _, decomp = (models or _models((2.0,)))[2.0]
+    _, basis, _, decomp = models[2.0]  # 2.0 is one of _EPSILONS
     worst = 0.0
     for family in (Family.PSI, Family.PHI):
         psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
@@ -178,5 +178,5 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
         suite_fidelity(models),
         suite_trace_agreement(models),
         suite_density_matrix(models),
-        suite_local_unitary_invariance(models=models),
+        suite_local_unitary_invariance(models),
     ]
