@@ -17,6 +17,11 @@ from .model import Family
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
+#: largest accepted n_points.  An ORACLE or BOTH trace holds, per grid
+#: point, a 9 x 9 complex Wootters matrix and a 36-entry complex state at
+#: n_max 2, (81 + 36) x 16 B = 1.9 kB (2.6 kB measured with temporaries),
+#: so a trace at the cap peaks near 2-3 GB.
+MAX_N_POINTS = 10**6
 
 _PI_RE = re.compile(r"^(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
 
@@ -67,11 +72,15 @@ class RunConfig:
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
+        for name in ("alpha_list", "epsilon_list"):
+            # -0.0 + 0.0 is +0.0: a signed zero would be a second file tag
+            # ("m0") for the same physics
+            object.__setattr__(self, name, tuple(v + 0.0 for v in getattr(self, name)))
         for name in ("T_max", "zero_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_points < 2:
-            raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_N_POINTS:
+            raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
         if self.T_max <= 0:
             raise ConfigError(f"T_max must be positive, got {self.T_max}")
         if self.path not in ("ANALYTIC", "ORACLE", "BOTH"):

@@ -16,6 +16,7 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 X_SHAPE_TOL = 1e-12
 RANK_CUT = 1e-12
+NORM_TOL = 1e-10
 
 # sigma_y (x) sigma_y has a single anti-diagonal (-1, 1, 1, -1)
 _SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
@@ -67,6 +68,15 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
+def require_unit_norm(psi: np.ndarray):
+    """Reject a stack of states (last axis) unless every norm lies within
+    ``NORM_TOL`` of 1; a NaN norm fails the check too."""
+    norm = np.linalg.norm(psi, axis=-1)
+    off = ~(np.abs(norm - 1.0) <= NORM_TOL)
+    if np.any(off):
+        raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
+
+
 def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
     """Atom-atom concurrence of a pure atoms-plus-field state.
 
@@ -82,14 +92,31 @@ def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (basis.size,):
         raise ValueError(f"state length {psi.shape} does not match basis size {basis.size}")
-    norm = np.linalg.norm(psi, axis=-1)
-    off = ~(np.abs(norm - 1.0) <= 1e-10)   # a NaN norm is off too
-    if np.any(off):
-        raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
+    require_unit_norm(psi)
     B = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
     roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
     C = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
     return float(C) if psi.ndim == 1 else C
+
+
+def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndarray:
+    """Upper bound on |C(a) - C(o)| for two stacks of pure states, pairwise.
+
+    C is blind to a global phase, so ``o`` is first turned by
+    phi = <o|a> / |<o|a>| (phi = 1 where the overlap is 0), the phase that
+    makes e = ||a - phi o|| smallest.  With D = B_a - B_o' the coefficient
+    matrices' difference, N_a - N_o' = D^T (Y x Y) B_a + B_o'^T (Y x Y) D,
+    so ||N_a - N_o'||_2 <= e (||a|| + ||o||).  No singular value of N moves
+    by more than that (Weyl; Golub & Van Loan, Matrix Computations,
+    Cor. 8.6.2), and C is the largest of the (n_max+1)^2 of them minus the
+    rest, so |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||).
+    """
+    overlap = np.einsum("...i,...i->...", o.conj(), a)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    e = np.linalg.norm(a - phase[..., None] * o, axis=-1)
+    m = (basis.n_max + 1) ** 2
+    return m * e * (np.linalg.norm(a, axis=-1) + np.linalg.norm(o, axis=-1))
 
 
 def is_x_state(rho: np.ndarray, tol: float = X_SHAPE_TOL) -> bool:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle import cli, figures, propagator, verify
-from tcm_entangle.config import ConfigError, RunConfig, parse_angle, parse_config
-from tcm_entangle.model import Family
+from tcm_entangle import cli, entanglement, figures, propagator, verify
+from tcm_entangle.analysis import TracePath, concurrence_trace
+from tcm_entangle.config import (MAX_N_POINTS, ConfigError, RunConfig, fmt, parse_angle,
+                                 parse_config)
+from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 
 class TestParseAngle:
@@ -78,10 +80,17 @@ class TestParseConfig:
         dict(T_max=math.nan), dict(T_max=math.inf), dict(zero_threshold=math.nan),
         dict(epsilon_list=(math.inf,)), dict(epsilon_list=(0.0, math.nan)),
         dict(alpha_list=(0.3, 0.30000000000000004)), dict(epsilon_list=(1.0, 1.0)),
+        dict(n_points=MAX_N_POINTS + 1), dict(n_points=10**15),
+        dict(epsilon_list=(0.0, -0.0)), dict(alpha_list=(-0.0, 0.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    def test_signed_zeros_read_as_zero(self):
+        cfg = RunConfig(alpha_list=(-0.0, 0.5), epsilon_list=(-0.0,), n_points=MAX_N_POINTS)
+        assert [math.copysign(1.0, v) for v in cfg.alpha_list + cfg.epsilon_list] == [1.0] * 3
+        assert cfg.alpha_list == (0.0, 0.5)
 
 
 def _read_csv(path: Path):
@@ -208,6 +217,8 @@ class TestCliFigures:
         (["--alpha", "0.3,0.30000000000000004", "--epsilon", "0"], "alpha_list"),
         (["--alpha", "pi/8,pi/8", "--epsilon", "0"], "alpha_list"),
         (["--alpha", "pi/8", "--epsilon", "0.5,0.5000000000000001"], "epsilon_list"),
+        (["--alpha", "pi/8", "--epsilon", "0,-0"], "epsilon_list"),
+        (["--alpha=-0,0", "--epsilon", "0"], "alpha_list"),
     ])
     def test_sweep_rejects_colliding_file_tags(self, tmp_path, capsys, flags, field):
         argv = ["sweep", "--family", "PHI", "--tmax", "10", "--points", "200",
@@ -216,6 +227,32 @@ class TestCliFigures:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "file tag" in err
         assert not (tmp_path / "o").exists()
+
+    def test_signed_zero_written_as_zero(self, tmp_path):
+        # --alpha -0 used to write fig2_alpham0_eps0.csv
+        out = tmp_path / "o"
+        assert _run(["sweep", "--family", "PHI", "--alpha", "-0", "--epsilon", "-0.0",
+                     "--tmax", "5", "--points", "50", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "fig2_alpha0_eps0.csv", "intervals.csv"]
+
+    # sizes that fail before any array is allocated; 10**15 points used to
+    # end in a numpy allocation traceback and exit 1
+    @pytest.mark.parametrize("points", [MAX_N_POINTS + 1, 10**15, 10**30])
+    def test_sweep_rejects_oversized_points(self, tmp_path, capsys, points):
+        argv = ["sweep", "--family", "PHI", "--alpha", "pi/8", "--epsilon", "0",
+                "--points", str(points), "--out", str(tmp_path / "o")]
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_points" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def run(config):
+            raise MemoryError("Unable to allocate 7.1 PiB for an array")
+        monkeypatch.setattr(figures, "run", run)
+        assert _run(["fig2", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
 
     @pytest.mark.parametrize("line,field", [
         ("zero_threshold = nan", "zero_threshold"),
@@ -240,6 +277,84 @@ class TestCliFigures:
         assert err.startswith("error: analytic/oracle traces disagree")
         assert "alpha = 0.392699081698724" in err and "epsilon = 2" in err
         assert "T = " in err
+
+
+_FIG2_DEFAULTS = "family = PHI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\n"
+
+
+def _all_points_disagreement(config: RunConfig):
+    """The BOTH gate as it was before certification: the oracle C at every
+    point, compared with the analytic C; returns the error text or None."""
+    grid = np.linspace(0.0, config.T_max, config.n_points)
+    for eps in config.epsilon_list:
+        params = ModelParams.from_dimensionless(epsilon=eps)
+        for alpha in config.alpha_list:
+            spec = InitialStateSpec(config.family, alpha)
+            gaps = np.abs(concurrence_trace(spec, params, grid).C
+                          - concurrence_trace(spec, params, grid, TracePath.ORACLE).C)
+            worst = int(np.argmax(gaps))
+            if gaps[worst] > figures.TRACE_AGREEMENT_TOL:
+                return (f"analytic/oracle traces disagree by {gaps[worst]:.3e} "
+                        f"(tolerance 1e-09) at alpha = {fmt(alpha)}, "
+                        f"epsilon = {fmt(eps)}, T = {fmt(grid[worst])}")
+    return None
+
+
+class TestBothGate:
+    @pytest.mark.parametrize("path,states", [("BOTH", 0), ("ORACLE", 6 * 2000)])
+    def test_decomposes_each_epsilon_once(self, tmp_path, monkeypatch, path, states):
+        # one Jacobi decomposition per epsilon, shared by its three alphas;
+        # at the default lambda = 2 BOTH certifies every point without the
+        # oracle's concurrence
+        calls, concurrence_states = [], []
+        jacobi_eigh, pure_concurrence = propagator.jacobi_eigh, entanglement.pure_concurrence
+        monkeypatch.setattr(propagator, "jacobi_eigh",
+                            lambda A: calls.append(A.shape) or jacobi_eigh(A))
+        monkeypatch.setattr(entanglement, "pure_concurrence", lambda psi, basis: (
+            concurrence_states.append(len(psi)) or pure_concurrence(psi, basis)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(_FIG2_DEFAULTS + f"path = {path}\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(36, 36)] * 2
+        assert sum(concurrence_states) == states
+
+    @pytest.mark.parametrize("defect,message", [
+        (lambda psis: psis * (1.0 + 1e-9), "state norm"),
+        (lambda psis: np.where(np.arange(len(psis))[:, None] == 7, np.nan, psis),
+         "concurrence trace is not finite at alpha = 0.261799387799149, epsilon = 0, T = "),
+    ], ids=["norm", "finite"])
+    def test_every_state_checked(self, tmp_path, capsys, monkeypatch, defect, message):
+        evolve_grid = propagator.evolve_grid
+        monkeypatch.setattr(propagator, "evolve_grid",
+                            lambda *args: defect(evolve_grid(*args)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(_FIG2_DEFAULTS + "path = BOTH\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(list(Family)),
+           alphas=st.lists(st.sampled_from(["0", "pi/12", "pi/8", "pi/4", "pi/2"]),
+                           min_size=1, max_size=2, unique=True),
+           epsilons=st.lists(st.sampled_from([0.0, 0.5, 2.0, 4.5]), min_size=1, max_size=2,
+                             unique=True),
+           log_tmax=st.floats(0.0, 9.0), points=st.integers(2, 300))
+    def test_same_verdict_as_all_points_gate(self, family, alphas, epsilons, log_tmax, points):
+        # at large T the oracle phases drift, so the runs with T_max beyond
+        # about 1e6 fail; certification must fail the same runs with the
+        # same gap at the same alpha, epsilon and T
+        with tempfile.TemporaryDirectory() as tmp:
+            config = RunConfig(family=family, alpha_list=tuple(map(parse_angle, alphas)),
+                               epsilon_list=tuple(epsilons), T_max=10.0 ** log_tmax,
+                               n_points=points, path="BOTH", output_dir=tmp)
+            expected = _all_points_disagreement(config)
+            try:
+                figures.run(config)
+                got = None
+            except figures.TraceDisagreement as exc:
+                got = str(exc)
+        assert got == expected
 
 
 class TestCliVerify:
@@ -278,7 +393,7 @@ class TestCliVerify:
 
 #: number text as a user might type it: plain, huge, non-finite, negative
 _NUMBER_TEXT = st.one_of(
-    st.sampled_from(["0", "0.5", "3", "1e10", "1e200", "1e300", "1e308",
+    st.sampled_from(["0", "-0", "-0.0", "0.5", "3", "1e10", "1e200", "1e300", "1e308",
                      "inf", "-inf", "nan", "-1"]),
     st.floats(min_value=0.0, max_value=1e308).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -286,6 +401,8 @@ _NUMBER_TEXT = st.one_of(
 _ANGLE_TEXT = st.one_of(st.sampled_from(["0", "pi/24", "pi/8", "pi/6", "pi/4", "pi/2"]),
                         _NUMBER_TEXT)
 _LIST_TEXT = lambda items: st.lists(items, min_size=1, max_size=2).map(",".join)
+#: point counts: small, or above the cap, which fails before any allocation
+_POINTS = st.one_of(st.integers(0, 50), st.integers(MAX_N_POINTS + 1, 10**18))
 
 
 def _finite_output_or_exit_2(argv, out: Path):
@@ -298,6 +415,7 @@ def _finite_output_or_exit_2(argv, out: Path):
         assert err.getvalue().startswith("error:")
         return code
     assert code == 0
+    assert not [p.name for p in out.iterdir() if "alpham" in p.name or "epsm" in p.name]
     for path in out.glob("*.csv"):
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         values = [float(v) for line in lines for v in line.split(",")]
@@ -352,17 +470,18 @@ class TestAnyInputGivesFiniteOutputOrExit2:
 
     @settings(max_examples=80, deadline=None)
     @given(family=st.sampled_from(["PSI", "PHI"]), alpha=_LIST_TEXT(_ANGLE_TEXT),
-           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=st.integers(0, 50))
+           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=_POINTS)
     def test_sweep(self, family, alpha, epsilon, tmax, points):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "o"
-            _finite_output_or_exit_2(
+            code = _finite_output_or_exit_2(
                 ["sweep", f"--family={family}", f"--alpha={alpha}", f"--epsilon={epsilon}",
                  f"--tmax={tmax}", f"--points={points}", f"--out={out}"], out)
+            assert code == 2 or points <= MAX_N_POINTS
 
     @settings(max_examples=80, deadline=None)
     @given(family=st.sampled_from(["PSI", "PHI"]), alpha=_LIST_TEXT(_ANGLE_TEXT),
-           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=st.integers(0, 50),
+           epsilon=_LIST_TEXT(_NUMBER_TEXT), tmax=_NUMBER_TEXT, points=_POINTS,
            path=st.sampled_from(["ANALYTIC", "ORACLE", "BOTH"]),
            threshold=st.one_of(st.just("1e-9"), _NUMBER_TEXT))
     def test_config(self, family, alpha, epsilon, tmax, points, path, threshold):
@@ -373,4 +492,6 @@ class TestAnyInputGivesFiniteOutputOrExit2:
                            f"T_max = {tmax}\nn_points = {points}\npath = {path}\n"
                            f"zero_threshold = {threshold}\n", encoding="utf-8")
             command = "fig1" if family == "PSI" else "fig2"
-            _finite_output_or_exit_2([command, "--config", str(cfg), "--out", str(out)], out)
+            code = _finite_output_or_exit_2([command, "--config", str(cfg), "--out", str(out)],
+                                            out)
+            assert code == 2 or points <= MAX_N_POINTS

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tcm_entangle.analysis import TracePath, concurrence_trace
-from tcm_entangle.entanglement import (_SPIN_FLIP, is_x_state, pure_concurrence,
-                                       reduce_to_atoms, wootters_concurrence,
-                                       xstate_concurrence)
+from tcm_entangle.analysis import TracePath, concurrence_trace, oracle_model, oracle_states
+from tcm_entangle.analytic import closed_form_states
+from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_state,
+                                       pure_concurrence, reduce_to_atoms,
+                                       wootters_concurrence, xstate_concurrence)
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import decompose_model, evolve
 
@@ -290,3 +291,42 @@ class TestStackedStates:
         psi = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         assert type(pure_concurrence(psi, basis)) is float
         assert reduce_to_atoms(psi, basis).shape == (4, 4)
+
+
+#: the computed gap carries the rounding of two computed C, each within a
+#: few ulps of 1; the BOTH gate certifies at 1e-10, far above this
+_GAP_ROUNDING = 1e-14
+
+
+class TestConcurrenceGapBound:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(list(Family)), alpha=st.floats(0.0, math.pi / 2),
+           epsilon=st.floats(0.0, 5.0), T_max=st.floats(1e-3, 40.0),
+           log_lam=st.floats(0.0, 6.0))
+    def test_bounds_the_gap(self, family, alpha, epsilon, T_max, log_lam):
+        # lambda enters the oracle eigenproblem only, so at large lambda the
+        # oracle drifts from the closed form and the bound must follow it
+        spec = InitialStateSpec(family, alpha)
+        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=10.0 ** log_lam)
+        grid = np.linspace(0.0, T_max, 80)
+        model = oracle_model(params)
+        basis = model[0]
+        o = oracle_states(spec, params, grid, model)
+        a = closed_form_states(spec, params, basis, grid)
+        gap = np.abs(concurrence_trace(spec, params, grid).C - pure_concurrence(o, basis))
+        assert np.all(gap <= concurrence_gap_bound(a, o, basis) + _GAP_ROUNDING)
+
+    def test_global_phase_costs_nothing(self):
+        basis = Basis(2)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        o = a * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(5, 1)))
+        assert np.all(concurrence_gap_bound(a, o, basis) <= 1e-14)
+
+    def test_orthogonal_states_keep_phase_one(self):
+        basis = Basis(2)
+        a, o = np.zeros((2, basis.size), dtype=complex)
+        a[0], o[1] = 1.0, 1j
+        # no overlap: phi = 1, e = |a - o| = sqrt(2), both norms 1
+        assert concurrence_gap_bound(a, o, basis) == pytest.approx(9 * math.sqrt(2) * 2)
