@@ -53,19 +53,18 @@ def _traces(config: RunConfig, alpha: float, params: ModelParams, grid: np.ndarr
     """Trace on the config grid; with path BOTH the analytic trace is
     checked against the oracle and emitted.
 
-    ORACLE and BOTH propagate on ``model``, the ``analysis.oracle_model``
-    of ``params`` that every alpha of an epsilon shares.  BOTH certifies
-    most points without the oracle's concurrence: for the closed-form state
-    a and the propagated state o of a point,
-    ``entanglement.concurrence_gap_bound`` gives |C(a) - C(o)| <=
-    (n_max+1)^2 e (||a|| + ||o||), e the distance between a and o once
-    their global phases are aligned.  A point whose bound is at most
-    TRACE_AGREEMENT_TOL / 10 agrees by that margin, which leaves room for
-    the rounding in both computed C; every other point gets its oracle C
-    from ``entanglement.pure_concurrence`` and is compared as before.  A
-    point whose gap is above the tolerance is never certified, so a failing
-    run fails at the same alpha, epsilon and T with the same gap.  Every
-    propagated state is checked finite and of unit norm (``oracle_states``).
+    ORACLE and BOTH propagate on ``model``, the ``analysis.oracle_model`` of
+    ``params`` that every alpha of an epsilon shares.  BOTH bounds the gap
+    of each point by ``entanglement.concurrence_gap_bound``,
+    |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||) for the closed-form state
+    a and the propagated state o at distance e once their global phases are
+    aligned.  A point whose bound is at most TRACE_AGREEMENT_TOL / 10 is
+    certified (the margin covers the rounding of both computed C); only the
+    other points get the oracle C from ``pure_concurrence`` and are compared
+    as before.  A point whose gap exceeds the tolerance cannot be certified,
+    so a failing run fails at the same alpha, epsilon and T with the same
+    gap.  Every propagated state is checked finite and of unit norm
+    (``analysis.oracle_states``).
     """
     spec = InitialStateSpec(family=config.family, alpha=alpha)
     if config.path == "ORACLE":

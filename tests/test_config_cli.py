@@ -341,9 +341,9 @@ class TestBothGate:
                              unique=True),
            log_tmax=st.floats(0.0, 9.0), points=st.integers(2, 300))
     def test_same_verdict_as_all_points_gate(self, family, alphas, epsilons, log_tmax, points):
-        # at large T the oracle phases drift, so the runs with T_max beyond
-        # about 1e6 fail; certification must fail the same runs with the
-        # same gap at the same alpha, epsilon and T
+        # the oracle phases drift as T grows, so runs with a large T_max
+        # fail; certification must fail the same runs with the same gap at
+        # the same alpha, epsilon and T
         with tempfile.TemporaryDirectory() as tmp:
             config = RunConfig(family=family, alpha_list=tuple(map(parse_angle, alphas)),
                                epsilon_list=tuple(epsilons), T_max=10.0 ** log_tmax,
