@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -49,6 +50,16 @@ def _cmd_fig(args, family: Family) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _flag(name: str):
+    """Re-raise a ``ValueError`` from reading a flag's value as an error
+    that names the flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _cmd_verify(args) -> int:
     if args.dump_hamiltonian:
         _dump_hamiltonian(Path(args.dump_hamiltonian), args.epsilon)
@@ -62,7 +73,8 @@ def _cmd_verify(args) -> int:
 
 def _dump_hamiltonian(path: Path, epsilon: float):
     """Debug CSV of the full matrix, complex entries as `re+imi` pairs."""
-    params = ModelParams.from_dimensionless(epsilon=epsilon)
+    with _flag("--epsilon"):
+        params = ModelParams.from_dimensionless(epsilon=epsilon)
     basis = Basis(params.n_max)
     H = build_hamiltonian(params, basis)
     rows = []
@@ -74,10 +86,14 @@ def _dump_hamiltonian(path: Path, epsilon: float):
 
 
 def _cmd_sweep(args) -> int:
+    with _flag("--alpha"):
+        alphas = tuple(parse_angle(t) for t in args.alpha.split(","))
+    with _flag("--epsilon"):
+        epsilons = tuple(float(t) for t in args.epsilon.split(","))
     cfg = RunConfig(
         family=Family(args.family.upper()),
-        alpha_list=tuple(parse_angle(t) for t in args.alpha.split(",")),
-        epsilon_list=tuple(float(t) for t in args.epsilon.split(",")),
+        alpha_list=alphas,
+        epsilon_list=epsilons,
         T_max=args.tmax,
         n_points=args.points,
         output_dir=args.out,

@@ -110,7 +110,18 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
     by more than that (Weyl; Golub & Van Loan, Matrix Computations,
     Cor. 8.6.2), and C is the largest of the (n_max+1)^2 of them minus the
     rest, so |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||).
+
+    Basis entries that are zero in every state of both stacks add nothing
+    to the overlap or the norms and are dropped first; for states
+    propagated by :func:`propagator.evolve_grid` these are the exact zeros
+    outside the occupied eigenspace.  Dropping them changes only the
+    summation order, a rounding of the bound, never its validity.  ``a`` and
+    ``o`` may be single states or stacks of any leading shape.
     """
+    a, o = np.asarray(a), np.asarray(o)
+    used = (np.any(a.reshape(-1, a.shape[-1]), axis=0)
+            | np.any(o.reshape(-1, o.shape[-1]), axis=0))
+    a, o = np.compress(used, a, axis=-1), np.compress(used, o, axis=-1)
     overlap = np.einsum("...i,...i->...", o.conj(), a)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)

@@ -211,6 +211,25 @@ class TestCliFigures:
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "o").exists()
 
+    # these used to print the reader's message without the flag it came from
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--family", "PSI", "--alpha", "pi/8", "--epsilon", "1,x"],
+         "--epsilon: could not convert string to float: 'x'"),
+        (["sweep", "--family", "PSI", "--alpha", ",", "--epsilon", "0"],
+         "--alpha: cannot parse angle ''"),
+        (["verify", "--dump-hamiltonian", "H.csv", "--epsilon", "-1"],
+         "--epsilon: dipole-dipole coupling Omega must be >= 0"),
+        (["verify", "--dump-hamiltonian", "H.csv", "--epsilon", "nan"],
+         "--epsilon: Omega must be finite, got nan"),
+    ])
+    def test_flag_errors_name_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "sweep":
+            argv = argv + ["--out", "o"]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     # values equal to 15 digits share a file name: the second CSV used to
     # overwrite the first while intervals.csv kept rows of both, exit 0
     @pytest.mark.parametrize("flags,field", [
@@ -460,6 +479,17 @@ class TestAnyInputGivesFiniteOutputOrExit2:
         assert _run(_oracle_argv(tmp_path, family, epsilon, tmax)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    # at epsilon = 0 the PSI phases stay finite up to T = 1e308; only phases
+    # of sectors PSI does not occupy overflow, and they still end the run
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oracle_unoccupied_overflow_exits_2(self, tmp_path, capsys):
+        assert _run(_oracle_argv(tmp_path, "PSI", "0", "1e308")) == 2
+        assert capsys.readouterr().err == (
+            "error: concurrence trace is not finite at alpha = 0.392699081698724, "
+            "epsilon = 0, T = 3.06122448979592e+307: "
+            "epsilon or T is too large for double precision\n")
+        assert not (tmp_path / "o").exists() or not list((tmp_path / "o").glob("*.csv"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family", ["PSI", "PHI"])

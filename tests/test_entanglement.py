@@ -298,6 +298,28 @@ class TestStackedStates:
 _GAP_ROUNDING = 1e-14
 
 
+def _full_gap_bound(a, o, basis):
+    """`concurrence_gap_bound` over every basis entry, zero or not."""
+    overlap = np.einsum("...i,...i->...", o.conj(), a)
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    e = np.linalg.norm(a - phase[..., None] * o, axis=-1)
+    m = (basis.n_max + 1) ** 2
+    return m * e * (np.linalg.norm(a, axis=-1) + np.linalg.norm(o, axis=-1))
+
+
+def _propagated_pair(family, n_points):
+    """Closed-form and propagated states at eps = 2, lambda = 1e4, where they
+    differ well above rounding; both are zero outside the occupied sectors."""
+    params = ModelParams.from_dimensionless(epsilon=2.0, lam=1e4)
+    model = oracle_model(params)
+    spec = InitialStateSpec(family, math.pi / 8)
+    grid = np.linspace(0.0, 20.0, n_points)
+    basis = model[0]
+    return (closed_form_states(spec, params, basis, grid),
+            oracle_states(spec, params, grid, model), basis)
+
+
 class TestConcurrenceGapBound:
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(list(Family)), alpha=st.floats(0.0, math.pi / 2),
@@ -330,3 +352,40 @@ class TestConcurrenceGapBound:
         a[0], o[1] = 1.0, 1j
         # no overlap: phi = 1, e = |a - o| = sqrt(2), both norms 1
         assert concurrence_gap_bound(a, o, basis) == pytest.approx(9 * math.sqrt(2) * 2)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_zero_entries_dropped_to_rounding(self, family):
+        # the occupied-eigenspace states are zero on most of the basis;
+        # skipping those entries reorders the sums and nothing else
+        a, o, basis = _propagated_pair(family, 300)
+        assert np.any(np.all(a == 0, axis=0) & np.all(o == 0, axis=0))
+        bound = concurrence_gap_bound(a, o, basis)
+        assert np.all(bound > 0)
+        np.testing.assert_allclose(bound, _full_gap_bound(a, o, basis), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_single_states(self, family):
+        a, o, basis = _propagated_pair(family, 7)
+        for i in range(7):
+            bound = concurrence_gap_bound(a[i], o[i], basis)
+            assert np.shape(bound) == ()
+            assert bound == concurrence_gap_bound(a[i:i + 1], o[i:i + 1], basis)[0]
+            assert bound == pytest.approx(_full_gap_bound(a[i], o[i], basis), rel=1e-15)
+
+    def test_any_leading_shape(self):
+        a, o, basis = _propagated_pair(Family.PHI, 12)
+        bound = concurrence_gap_bound(a.reshape(2, 3, 2, -1), o.reshape(2, 3, 2, -1), basis)
+        assert bound.shape == (2, 3, 2)
+        np.testing.assert_array_equal(bound.ravel(), concurrence_gap_bound(a, o, basis))
+
+    def test_no_zero_column_is_the_full_formula(self):
+        # nothing to drop: the same sums in the same order
+        basis = Basis(2)
+        rng = np.random.default_rng(11)
+        a, o = rng.normal(size=(2, 6, basis.size)) + 1j * rng.normal(size=(2, 6, basis.size))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        o /= np.linalg.norm(o, axis=-1, keepdims=True)
+        bound = concurrence_gap_bound(a, o, basis)
+        assert bound.shape == (6,) and np.all(bound > 1)
+        np.testing.assert_array_equal(bound, _full_gap_bound(a, o, basis))
+        assert concurrence_gap_bound(a[0], o[0], basis) == _full_gap_bound(a[0], o[0], basis)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcm_entangle.hamiltonian import build_hamiltonian
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
@@ -175,3 +176,81 @@ class TestSpectralDecompose:
         d = spectral_decompose(np.diag([1.0, 2.0]))
         assert isinstance(d, SpectralDecomposition)
         np.testing.assert_allclose(d.eigenvalues, [1.0, 2.0])
+
+
+def _full_product(psi0, decomp, T_grid):
+    """`evolve_grid` as it was before it kept only the occupied eigenspace:
+    every eigenphase of every grid time, times the whole eigenvector matrix."""
+    V = decomp.eigenvectors
+    c = V.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(T_grid, decomp.eigenvalues))
+    phases *= c
+    return phases @ V.T
+
+
+class TestEvolveGridOccupiedEigenspace:
+    """Only the occupied eigenspace is propagated; the other components have
+    c_k exactly 0, so the states must equal the full product byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(2, 4), family=st.sampled_from(list(Family)),
+           alpha=st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)),
+           epsilon=st.floats(0.0, 5.0), log_lam=st.floats(0.0, 6.0),
+           log_tmax=st.floats(-3.0, 4.0), points=st.integers(2, 3000))
+    def test_bytes_match_full_product(self, n_max, family, alpha, epsilon, log_lam,
+                                      log_tmax, points):
+        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=10.0 ** log_lam,
+                                                n_max=n_max)
+        basis = Basis(n_max)
+        d = decompose_model(params, basis)
+        psi0 = initial_state(InitialStateSpec(family, alpha), basis)
+        grid = np.linspace(0.0, 10.0 ** log_tmax, points + 1)[1:]
+        states = evolve_grid(psi0, d, grid)
+        assert states.shape == (points, basis.size)
+        assert states.tobytes() == _full_product(psi0, d, grid).tobytes()
+
+    @pytest.fixture
+    def phi_model(self):
+        params = ModelParams.from_dimensionless(epsilon=2.0)
+        return Basis(2), decompose_model(params, Basis(2))
+
+    def test_dense_state_occupies_everything(self, phi_model):
+        basis, d = phi_model
+        rng = np.random.default_rng(3)
+        psi0 = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        psi0 /= np.linalg.norm(psi0)
+        assert np.all(d.eigenvectors.conj().T @ psi0 != 0)
+        grid = np.linspace(0.0, 20.0, 400)
+        assert evolve_grid(psi0, d, grid).tobytes() == _full_product(psi0, d, grid).tobytes()
+
+    def test_one_point_grid(self, phi_model):
+        # numpy evaluates a one-row product as a matrix-vector product, whose
+        # summation order depends on the vector length: there the full
+        # product itself differs in the last bit from its own row for the
+        # same T in a longer grid, so one point agrees to rounding only
+        basis, d = phi_model
+        psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
+        grid = np.array([2.5])
+        states = evolve_grid(psi0, d, grid)
+        assert states.shape == (1, basis.size)
+        np.testing.assert_allclose(states, _full_product(psi0, d, grid), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(states[0], evolve(psi0, d, 2.5), rtol=0, atol=1e-15)
+        assert np.all(states[0, basis.excitations % 4 != 0] == 0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_overflow_of_unoccupied_phases_still_gives_nan(self, family):
+        # near T = 1e308 the phases of the highest sectors overflow first;
+        # PSI and PHI do not occupy the highest, yet those rows are NaN as
+        # they are in the full product
+        basis = Basis(2)
+        d = decompose_model(ModelParams.from_dimensionless(epsilon=0.0), basis)
+        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
+        grid = np.linspace(0.0, 1e308, 50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = evolve_grid(psi0, d, grid)
+            full = _full_product(psi0, d, grid)
+            occupied = np.flatnonzero(d.eigenvectors.conj().T @ psi0)
+            kept_finite = np.isfinite(np.outer(grid, d.eigenvalues[occupied])).all(axis=1)
+        bad = ~np.isfinite(full).all(axis=1)
+        assert np.any(bad & kept_finite)
+        np.testing.assert_array_equal(~np.isfinite(states), ~np.isfinite(full))

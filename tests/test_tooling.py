@@ -51,3 +51,19 @@ def test_emission_counts_match_written_files(tmp_path):
     assert counts["figures.csv_rows"] == rows
     assert counts["figures.csv_bytes"] == sum(p.stat().st_size for p in csvs)
     assert counts["svgplot.svg_bytes"] == sum(p.stat().st_size for p in svgs)
+
+
+@pytest.mark.parametrize("path", ["ORACLE", "BOTH"])
+def test_evolve_points_count_every_grid_point(tmp_path, path):
+    # propagator.evolve_points reads the size of evolve_grid's third
+    # argument, so propagating fewer components must not change the count
+    tracer = _load_tracer().Tracer()
+    config = RunConfig(family=Family.PHI, alpha_list=(0.3, 0.5, 0.7), epsilon_list=(0.0, 2.0),
+                       T_max=20.0, n_points=250, path=path, output_dir=str(tmp_path))
+    tracer.install()
+    try:
+        tracer.command("fig2", lambda: figures.run(config))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[0]
+    assert counts["propagator.evolve_points"] == 250 * 3 * 2
