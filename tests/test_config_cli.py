@@ -467,29 +467,23 @@ class TestAnyInputGivesFiniteOutputOrExit2:
 
     # with path ORACLE, epsilon = 1e200 overflowed ||H||_F so Jacobi ran no
     # rotation and wrong C was written with exit 0, and T_max = 1e308 ended
-    # in `SVD did not converge` after RuntimeWarnings from the propagator
+    # in `SVD did not converge` after RuntimeWarnings from the propagator.
+    # At epsilon = 0 the PSI phases stay finite up to T = 1e308 and only the
+    # phases of sectors PSI does not occupy overflow; they still end the run
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family", ["PSI", "PHI"])
     @pytest.mark.parametrize("epsilon,tmax,message", [
         ("1e200", "10", "norm of H is not finite"),
         ("2", "1e308", "concurrence trace is not finite at alpha = 0.392699081698724, "
                        "epsilon = 2, T = "),
-    ], ids=["epsilon-1e200", "T_max-1e308"])
+        ("0", "1e308", "error: concurrence trace is not finite at alpha = 0.392699081698724, "
+                       "epsilon = 0, T = 3.06122448979592e+307: epsilon or T is too large "
+                       "for double precision\n"),
+    ], ids=["epsilon-1e200", "T_max-1e308", "unoccupied-T_max-1e308"])
     def test_oracle_overflow_exits_2(self, tmp_path, capsys, family, epsilon, tmax, message):
         assert _run(_oracle_argv(tmp_path, family, epsilon, tmax)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-
-    # at epsilon = 0 the PSI phases stay finite up to T = 1e308; only phases
-    # of sectors PSI does not occupy overflow, and they still end the run
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_oracle_unoccupied_overflow_exits_2(self, tmp_path, capsys):
-        assert _run(_oracle_argv(tmp_path, "PSI", "0", "1e308")) == 2
-        assert capsys.readouterr().err == (
-            "error: concurrence trace is not finite at alpha = 0.392699081698724, "
-            "epsilon = 0, T = 3.06122448979592e+307: "
-            "epsilon or T is too large for double precision\n")
-        assert not (tmp_path / "o").exists() or not list((tmp_path / "o").glob("*.csv"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family", ["PSI", "PHI"])
