@@ -190,7 +190,8 @@ def _full_product(psi0, decomp, T_grid):
 
 class TestEvolveGridOccupiedEigenspace:
     """Only the occupied eigenspace is propagated; the other components have
-    c_k exactly 0, so the states must equal the full product byte for byte."""
+    c_k exactly 0, so on grids of two or more points the states must equal
+    the full product byte for byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_max=st.integers(2, 4), family=st.sampled_from(list(Family)),
@@ -211,8 +212,8 @@ class TestEvolveGridOccupiedEigenspace:
 
     @pytest.fixture
     def phi_model(self):
-        params = ModelParams.from_dimensionless(epsilon=2.0)
-        return Basis(2), decompose_model(params, Basis(2))
+        basis = Basis(2)
+        return basis, decompose_model(ModelParams.from_dimensionless(epsilon=2.0), basis)
 
     def test_dense_state_occupies_everything(self, phi_model):
         basis, d = phi_model
