@@ -100,12 +100,17 @@ def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelPar
 def oracle_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
                   model) -> np.ndarray:
     """States propagated from the initial state of ``spec`` over ``T_grid`` on
-    ``model`` (from :func:`oracle_model`), each checked finite and of unit norm."""
+    ``model`` (from :func:`oracle_model`), each checked finite and of unit norm.
+
+    Both checks read the row norms: an entry of a propagated state is
+    bounded by the basis size, so a norm is non-finite exactly when some
+    entry of its row is."""
     basis, decomp = model
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
-    _require_finite(np.all(np.isfinite(psis), axis=-1), spec, params, T_grid)
-    entanglement.require_unit_norm(psis)
+        norm = np.linalg.norm(psis, axis=-1)
+    _require_finite(np.isfinite(norm), spec, params, T_grid)
+    entanglement.require_unit_norms(norm)
     return psis
 
 

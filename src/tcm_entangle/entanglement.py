@@ -71,7 +71,11 @@ def wootters_concurrence(rho: np.ndarray) -> float:
 def require_unit_norm(psi: np.ndarray):
     """Reject a stack of states (last axis) unless every norm lies within
     ``NORM_TOL`` of 1; a NaN norm fails the check too."""
-    norm = np.linalg.norm(psi, axis=-1)
+    require_unit_norms(np.linalg.norm(psi, axis=-1))
+
+
+def require_unit_norms(norm: np.ndarray):
+    """The check of `require_unit_norm` on norms already computed."""
     off = ~(np.abs(norm - 1.0) <= NORM_TOL)
     if np.any(off):
         raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")

@@ -89,10 +89,15 @@ def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> s
                  f'font-family="sans-serif" font-size="14" '
                  f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
 
+    x_text = {}   # x pixels as text, once per distinct x column (curves share T)
     for k, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
-        pixels = np.column_stack((px(xs), py(ys))).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels)
+        key = xs.tobytes()
+        if key not in x_text:
+            x_text[key] = ("%.2f " * len(xs) % tuple(px(xs).tolist())).split()
+        cells = [None] * (2 * len(xs))
+        cells[0::2], cells[1::2] = x_text[key], py(ys).tolist()
+        points = " ".join(["%s,%.2f"] * len(xs)) % tuple(cells)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         ly = MARGIN_T + 16 + 18 * k

@@ -2,16 +2,17 @@ import contextlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcm_entangle import cli, entanglement, figures, propagator, verify
 from tcm_entangle.analysis import TracePath, concurrence_trace
-from tcm_entangle.config import (MAX_N_POINTS, ConfigError, RunConfig, fmt, parse_angle,
-                                 parse_config)
+from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
+                                 parse_angle, parse_config)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 
@@ -101,6 +102,59 @@ def _read_csv(path: Path):
     return header, [data[:, j] for j in range(data.shape[1])]
 
 
+def _one_call_writer(path: Path, header: list[str], columns: list):
+    """Reference: the writer that formatted every number with NUMBER_FORMAT
+    in one %-call, before numbers in (0, 1) were written from integers."""
+    n, k = len(columns[0]), len(columns)
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    cells = [None] * (n * k)
+    for j, column in enumerate(columns):
+        cells[j::k] = column if text[j] else np.asarray(column, dtype=float).tolist()
+    row = ",".join(["%s" if t else NUMBER_FORMAT for t in text]) + "\n"
+    body = row * n % tuple(cells)
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+
+
+def _near(values):
+    """``values`` or a neighbouring double, of either sign."""
+    return st.builds(lambda v, to, sign: sign * (float(np.nextafter(v, to * math.inf)) if to
+                                                 else v),
+                     values, st.sampled_from([-1, 0, 1]), st.sampled_from([-1.0, 1.0]))
+
+
+def _decimal(suffix=""):
+    """A random 15-digit significand (then ``suffix``) at 10^-1 .. 10^-4."""
+    return st.builds(lambda d, zeros: float(f"0.{'0' * zeros}{d}{suffix}"),
+                     st.integers(10**14, 10**15 - 1), st.integers(0, 3))
+
+
+# the numbers where digit-exact output is hardest: ties of the 15th digit,
+# exact (N / 2^16, N odd) or not (16-digit decimals ending in 5, whose
+# product with 10^(14 - X) can round onto the tie), decimal neighbours,
+# decade edges, zeros, trailing zeros and numbers outside [1e-4, 1)
+_CELL = st.one_of(
+    _near(st.integers(0, 2**15 - 1).map(lambda m: (2 * m + 1) / 2**16)),
+    _near(_decimal()),
+    _near(_decimal("5")),
+    _near(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0])),
+    st.sampled_from([0.0, -0.0]),
+    _near(st.sampled_from([0.5, 0.25, 0.125])
+          | st.builds(round, st.floats(-1.0, 1.0), st.integers(1, 15))),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([5e-324, -5e-324, 1e300, -1e300, 0, 1]),
+)
+
+
+@st.composite
+def _mixed_columns(draw):
+    n, k = draw(st.integers(0, 300)), draw(st.integers(1, 7))
+    columns = []
+    for _ in range(k):   # rows cycle through a drawn pool: drawing each cell is slow
+        values = (draw(st.lists(_CELL, min_size=1, max_size=40)) * n)[:n]
+        columns.append(figures.format_column(values) if draw(st.booleans()) else values)
+    return columns
+
+
 class TestCsvRoundTrip:
     def test_values_survive(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -134,6 +188,26 @@ class TestCsvRoundTrip:
             path = Path(tmp) / "t.csv"
             figures.write_csv(path, [f"c{j}" for j in range(k)], columns)
             assert path.read_text(encoding="utf-8") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=_mixed_columns())
+    @example(columns=[[], figures.format_column([]), []])
+    def test_matches_one_call_writer(self, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "t.csv", Path(tmp) / "reference.csv"
+            figures.write_csv(path, header, columns)
+            _one_call_writer(reference, header, columns)
+            assert path.read_bytes() == reference.read_bytes()
+
+    def test_no_runtime_warning(self, tmp_path):
+        # the significand arithmetic must not run on numbers out of range
+        column = np.array([5e-324, 1e308, -1e308, -0.0, 1e-5, math.inf, -math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            figures.write_csv(tmp_path / "t.csv", ["a"], [column])
+        _one_call_writer(tmp_path / "reference.csv", ["a"], [column])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def _run(argv):
