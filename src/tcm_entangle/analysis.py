@@ -124,6 +124,8 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise ValueError("T_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(T_grid)):
+        raise ValueError("T_grid must be finite")
     if T_grid.size > 1 and np.any(np.diff(T_grid) <= 0):
         raise ValueError("T_grid must be strictly ascending")
 
@@ -219,46 +221,39 @@ def detect_death_intervals(trace: ConcurrenceTrace,
             zip(t_start.tolist(), t_end.tolist(), (left & right).tolist())]
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximization on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = float(fn(c)), float(fn(d))
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = float(fn(d))
-    t = 0.5 * (a + b)
-    return float(fn(t)), t
+#: points per refinement pass of :func:`max_concurrence`; a pass narrows its
+#: bracket to two of its 32 steps, 16x
+_ZOOM_POINTS = 33
+_MAX_TOL = 1e-12
 
 
 def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
-    """(C_max, T_at_max): grid argmax refined by golden section.
+    """(C_max, T_at_max): grid argmax refined on the closed-form concurrence.
 
-    Refinement runs on the closed-form concurrence within the grid cell
-    bracketing the argmax.
+    The bracket is the two grid cells around the argmax.  Each pass
+    evaluates C at ``_ZOOM_POINTS`` evenly spaced points of the bracket in
+    one array call and narrows it to the two steps around the best point.
+    Passes stop once the bracket is at most 1e-12 wide or a pass no longer
+    narrows it (adjacent doubles above T = 8192 are wider than 1e-12).
+    Returns the best point evaluated, or the grid argmax if none beats it.
     """
     if trace.T_grid.size == 0:
         raise ValueError("empty trace")
+    T = trace.T_grid
     k = int(np.argmax(trace.C))
-    lo = trace.T_grid[max(k - 1, 0)]
-    hi = trace.T_grid[min(k + 1, len(trace.T_grid) - 1)]
-    if hi <= lo:
-        return float(trace.C[k]), float(trace.T_grid[k])
-    fn = lambda t: analytic_concurrence(trace, t)
-    c_ref, t_ref = _golden_max(fn, float(lo), float(hi))
-    if c_ref >= trace.C[k]:
-        return c_ref, t_ref
-    return float(trace.C[k]), float(trace.T_grid[k])
+    lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
+    c_best, t_best = float(trace.C[k]), float(T[k])
+    while hi - lo > _MAX_TOL:
+        t = np.linspace(lo, hi, _ZOOM_POINTS)
+        c = analytic_concurrence(trace, t)
+        j = int(np.argmax(c))
+        if c[j] >= c_best:
+            c_best, t_best = float(c[j]), float(t[j])
+        lo_next, hi_next = float(t[max(j - 1, 0)]), float(t[min(j + 1, _ZOOM_POINTS - 1)])
+        if hi_next - lo_next >= hi - lo:
+            break
+        lo, hi = lo_next, hi_next
+    return c_best, t_best
 
 
 def estimate_period(trace: ConcurrenceTrace) -> float:

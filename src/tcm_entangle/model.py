@@ -146,9 +146,6 @@ class BasisState:
     n_a: int
     n_b: int
 
-    def label(self) -> str:
-        return f"{self.atom_a}{self.atom_b}{self.n_a}{self.n_b}"
-
 
 def excitation_number(s: BasisState) -> int:
     """Conserved charge N = n_a + n_b + 2 * (number of excited atoms)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcm_entangle import analysis
 from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TracePath,
                                    _branch_fn, analytic_concurrence, concurrence_trace,
                                    detect_death_intervals, estimate_period,
@@ -58,6 +59,18 @@ class TestConcurrenceTrace:
             concurrence_trace(spec, params, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             concurrence_trace(spec, params, np.array([]))
+
+    @pytest.mark.parametrize("path", [TracePath.ANALYTIC, TracePath.ORACLE])
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 2.0], [math.nan], [0.0, math.inf],
+                                      [-math.inf, 0.0]],
+                             ids=["nan-inside", "nan", "inf", "minus-inf"])
+    def test_rejects_non_finite_grid(self, grid, path):
+        # NaN passes the ascending check and inf overflows the phases; both
+        # used to be reported as an epsilon too large for double precision
+        spec = InitialStateSpec(Family.PHI, 0.3)
+        params = ModelParams.from_dimensionless()
+        with pytest.raises(ValueError, match="^T_grid must be finite$"):
+            concurrence_trace(spec, params, np.array(grid), path)
 
 
 class TestDeathIntervals:
@@ -225,6 +238,105 @@ class TestMaxConcurrence:
         c, T_at = max_concurrence(t)
         assert c >= float(np.max(t.C))
         assert c == pytest.approx(analytic_concurrence(t, T_at), abs=1e-12)
+
+
+    def test_all_zero_trace(self):
+        # PHI at alpha = pi/2 stays in |gg> x field: C is 0 to rounding at
+        # every point, so every pass ties and the first cell is kept
+        t = _trace(Family.PHI, math.pi / 2, 1.0, T_max=40.0, n=4000)
+        assert float(np.max(t.C)) < 1e-15
+        c, T_at = max_concurrence(t)
+        assert c == pytest.approx(0.0, abs=1e-15)
+        assert t.T_grid[0] <= T_at <= t.T_grid[1]
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("grid", [np.linspace(8200, 8220, 2000),
+                                      np.linspace(0, 10000, 20000),
+                                      np.linspace(1e9, 1e9 + 20, 2000),
+                                      np.array([0.0, 1e15])],
+                             ids=["8200", "10000", "1e9", "two-points-1e15"])
+    def test_ends_where_doubles_are_wider_than_tolerance(self, monkeypatch, family, grid):
+        # above T = 8192 adjacent doubles are 1.8e-12 apart, more than the
+        # 1e-12 tolerance, so a loop that waits for the bracket to shrink
+        # below it never ends; the counter turns such a hang into a failure
+        calls = []
+
+        def counted(trace, T):
+            calls.append(T)
+            if len(calls) > 300:
+                raise RuntimeError("max_concurrence does not converge")
+            return analytic_concurrence(trace, T)
+
+        monkeypatch.setattr(analysis, "analytic_concurrence", counted)
+        spec = InitialStateSpec(family, 0.3)
+        t = concurrence_trace(spec, ModelParams.from_dimensionless(epsilon=1.0), grid)
+        c, T_at = max_concurrence(t)
+        k = int(np.argmax(t.C))
+        assert c >= float(np.max(t.C))
+        assert t.T_grid[max(k - 1, 0)] <= T_at <= t.T_grid[min(k + 1, grid.size - 1)]
+        assert c == pytest.approx(float(analytic_concurrence(t, T_at)), abs=1e-15)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, lo, hi, tol=1e-12):
+    """Golden-section maximization on [lo, hi]: the scalar refinement the
+    array passes of ``max_concurrence`` replaced (it never ends once the
+    bracket lies above T = 8192, where doubles are wider than ``tol``)."""
+    a, b = lo, hi
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = float(fn(c)), float(fn(d))
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = float(fn(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = float(fn(d))
+    t = 0.5 * (a + b)
+    return float(fn(t)), t
+
+
+def _reference_max_concurrence(trace):
+    T, k = trace.T_grid, int(np.argmax(trace.C))
+    lo, hi = T[max(k - 1, 0)], T[min(k + 1, T.size - 1)]
+    if hi <= lo:
+        return float(trace.C[k]), float(T[k])
+    c, t = _golden_max(lambda x: analytic_concurrence(trace, x), float(lo), float(hi))
+    return (c, t) if c >= trace.C[k] else (float(trace.C[k]), float(T[k]))
+
+
+def _peak_count(trace, lo, hi, n=20001):
+    """Rises followed by falls of C on a dense sampling of [lo, hi]; steps
+    below 1e-12 (rounding on a flat top) count as level."""
+    d = np.diff(analytic_concurrence(trace, np.linspace(lo, hi, n)))
+    signs = np.sign(d[np.abs(d) > 1e-12])
+    return int(np.count_nonzero((signs[:-1] > 0) & (signs[1:] < 0)))
+
+
+class TestMaxConcurrenceMatchesGoldenSection:
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(Family), alpha=st.floats(0, math.pi / 2),
+           eps=st.floats(0, 5), log_t_max=st.floats(-1, 2.5), n=st.integers(2, 3000))
+    def test_never_below_golden_section(self, family, alpha, eps, log_t_max, n):
+        t = _trace(family, alpha, eps, T_max=10.0 ** log_t_max, n=n)
+        c, T_at = max_concurrence(t)
+        c_golden, _ = _reference_max_concurrence(t)
+        k = int(np.argmax(t.C))
+        lo, hi = t.T_grid[max(k - 1, 0)], t.T_grid[min(k + 1, n - 1)]
+        assert c >= float(np.max(t.C))
+        # both refinements climb one peak; on a grid too coarse for C, the
+        # bracket holds several and each may climb a different one
+        if _peak_count(t, lo, hi) <= 1:
+            assert c >= c_golden - 1e-15
+        assert lo <= T_at <= hi
+        # a scalar evaluation differs from the same T inside an array by up
+        # to 5.6e-16 (numpy's array and scalar complex multiplies)
+        assert c == pytest.approx(float(analytic_concurrence(t, T_at)), abs=1e-15)
 
 
 class TestEstimatePeriod:

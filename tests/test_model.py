@@ -60,10 +60,14 @@ class TestDerivedConstants:
         assert d.L_plus == 1.0 and d.L_minus == -1.0
 
 
+def _label(state):
+    return f"{state.atom_a}{state.atom_b}{state.n_a}{state.n_b}"
+
+
 class TestBasis:
     def test_n_max_zero_enumeration(self):
         b = Basis(0)
-        assert [s.label() for s in b.states] == ["ee00", "eg00", "ge00", "gg00"]
+        assert [_label(s) for s in b.states] == ["ee00", "eg00", "ge00", "gg00"]
 
     def test_size(self):
         assert Basis(2).size == 36
@@ -72,10 +76,10 @@ class TestBasis:
     def test_documented_ordering(self):
         # atom A slowest, then atom B, then n_a, then n_b
         b = Basis(2)
-        assert b.states[0].label() == "ee00"
-        assert b.states[1].label() == "ee01"
-        assert b.states[3].label() == "ee10"
-        assert b.states[9].label() == "eg00"
+        assert _label(b.states[0]) == "ee00"
+        assert _label(b.states[1]) == "ee01"
+        assert _label(b.states[3]) == "ee10"
+        assert _label(b.states[9]) == "eg00"
         assert b.index("g", "g", 1, 1) == 3 * 9 + 3 + 1
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))

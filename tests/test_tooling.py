@@ -9,11 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tcm_entangle import cli, figures  # noqa: F401  (cli loads every traced module)
+from tcm_entangle import analysis, cli, figures  # noqa: F401  (cli loads every traced module)
 from tcm_entangle.config import RunConfig
-from tcm_entangle.model import Family
+from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -67,3 +68,19 @@ def test_evolve_points_count_every_grid_point(tmp_path, path):
         tracer.uninstall()
     counts = tracer.counts[0]
     assert counts["propagator.evolve_points"] == 250 * 3 * 2
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_max_concurrence_evaluations(family):
+    # analysis.max_evals counts the closed-form calls under max_concurrence:
+    # a few 33-point passes, where golden section made 52 scalar calls
+    trace = analysis.concurrence_trace(InitialStateSpec(family, 0.3),
+                                       ModelParams.from_dimensionless(epsilon=1.0),
+                                       np.linspace(0.0, 40.0, 4000))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.command("scan", lambda: analysis.max_concurrence(trace))
+    finally:
+        tracer.uninstall()
+    assert 1 <= tracer.per_command_metrics()[0]["analysis.max_evals"] <= 12
