@@ -239,10 +239,9 @@ class TestMaxConcurrence:
         assert c >= float(np.max(t.C))
         assert c == pytest.approx(analytic_concurrence(t, T_at), abs=1e-12)
 
-
     def test_all_zero_trace(self):
-        # PHI at alpha = pi/2 stays in |gg> x field: C is 0 to rounding at
-        # every point, so every pass ties and the first cell is kept
+        # PHI at alpha = pi/2 is the stationary |g, g, 0, 0>: C is 0 up to
+        # cos(pi/2) = 6e-17 rounding at every point, so no pass finds a peak
         t = _trace(Family.PHI, math.pi / 2, 1.0, T_max=40.0, n=4000)
         assert float(np.max(t.C)) < 1e-15
         c, T_at = max_concurrence(t)
