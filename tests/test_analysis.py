@@ -281,8 +281,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _golden_max(fn, lo, hi, tol=1e-12):
     """Golden-section maximization on [lo, hi]: the scalar refinement the
-    array passes of ``max_concurrence`` replaced (it never ends once the
-    bracket lies above T = 8192, where doubles are wider than ``tol``)."""
+    array passes of ``max_concurrence`` replaced (it can loop forever once
+    the bracket lies above T = 8192, where doubles are wider than ``tol``)."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
