@@ -11,7 +11,7 @@ from .analysis import (ConcurrenceTrace, DeathInterval, TracePath,
 from .analytic import closed_form_states, phi_amplitudes, psi_amplitudes
 from .entanglement import (pure_concurrence, reduce_to_atoms,
                            wootters_concurrence, xstate_concurrence)
-from .hamiltonian import build_hamiltonian, check_conservation, restrict_to_sector
+from .hamiltonian import build_hamiltonian, check_conservation
 from .model import (Basis, BasisState, DerivedConstants, Family,
                     InitialStateSpec, ModelParams, SUPPORT_KETS,
                     derive_constants, excitation_number, initial_state)
@@ -29,7 +29,6 @@ __all__ = [
     "detect_death_intervals", "estimate_period", "evolve", "evolve_grid",
     "excitation_number", "initial_state", "max_concurrence",
     "phi_amplitudes", "psi_amplitudes", "pure_concurrence",
-    "reduce_to_atoms",
-    "restrict_to_sector", "spectral_decompose", "wootters_concurrence",
+    "reduce_to_atoms", "spectral_decompose", "wootters_concurrence",
     "xstate_concurrence",
 ]

@@ -236,6 +236,10 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     Passes stop once the bracket is at most 1e-12 wide or a pass no longer
     narrows it (adjacent doubles above T = 8192 are wider than 1e-12).
     Returns the best point evaluated, or the grid argmax if none beats it.
+
+    Only the argmax's bracket is searched, so on a grid coarser than C(T)'s
+    oscillation a lower local peak may be returned, with no warning: PSI,
+    alpha = 0, eps = 2 on ``linspace(0, 100, 3)`` gives 0.99427, not 0.999996.
     """
     if trace.T_grid.size == 0:
         raise ValueError("empty trace")

@@ -43,6 +43,8 @@ from .model import Basis, Family, InitialStateSpec, ModelParams, derive_constant
 def _check_domain(alpha: float, epsilon: float):
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
@@ -66,6 +68,8 @@ def psi_amplitudes(alpha: float, epsilon: float, T):
 def phi_amplitudes(alpha: float, epsilon: float, lam: float, T):
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     _check_domain(alpha, epsilon)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     T = np.asarray(T, dtype=float)
     eta = derive_constants(epsilon, alpha).eta
     gam = math.cos(alpha) * np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)

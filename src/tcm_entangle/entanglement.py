@@ -68,14 +68,9 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def require_unit_norm(psi: np.ndarray):
-    """Reject a stack of states (last axis) unless every norm lies within
-    ``NORM_TOL`` of 1; a NaN norm fails the check too."""
-    require_unit_norms(np.linalg.norm(psi, axis=-1))
-
-
 def require_unit_norms(norm: np.ndarray):
-    """The check of `require_unit_norm` on norms already computed."""
+    """Reject a stack of state norms unless every one lies within
+    ``NORM_TOL`` of 1; a NaN norm fails the check too."""
     off = ~(np.abs(norm - 1.0) <= NORM_TOL)
     if np.any(off):
         raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
@@ -96,7 +91,7 @@ def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (basis.size,):
         raise ValueError(f"state length {psi.shape} does not match basis size {basis.size}")
-    require_unit_norm(psi)
+    require_unit_norms(np.linalg.norm(psi, axis=-1))
     B = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
     roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
     C = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
@@ -134,10 +129,10 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
     return m * e * (np.linalg.norm(a, axis=-1) + np.linalg.norm(o, axis=-1))
 
 
-def is_x_state(rho: np.ndarray, tol: float = X_SHAPE_TOL) -> bool:
-    """True iff all entries off the diagonal and anti-diagonal are <= tol."""
+def is_x_state(rho: np.ndarray) -> bool:
+    """True iff all entries off the diagonal and anti-diagonal are <= X_SHAPE_TOL."""
     mask = np.fliplr(np.eye(4, dtype=bool)) | np.eye(4, dtype=bool)
-    return bool(np.max(np.abs(rho[~mask])) <= tol)
+    return bool(np.max(np.abs(rho[~mask])) <= X_SHAPE_TOL)
 
 
 def xstate_branch(diag, rho_23, rho_14):

@@ -1,4 +1,4 @@
-"""Dense Hamiltonian on the truncated basis and excitation-sector tools.
+"""Dense Hamiltonian on the truncated basis and its excitation-sector check.
 
 The Hamiltonian is
 
@@ -6,19 +6,11 @@ The Hamiltonian is
         + g * sum_l (P+ sigma_l^- + P- sigma_l^+)
         + Omega (sigma_A^+ sigma_B^- + sigma_B^+ sigma_A^-)
 
-where P+ raises the photon number of *both* modes by one.  Two conventions
-are supported for the pair-transition matrix element
-<n_a+1, n_b+1| P+ |n_a, n_b>:
-
-* ``"unit"`` (default): the element is 1 for every (n_a, n_b).  This is the
-  convention under which the closed-form solutions in :mod:`.analytic` are
-  exact, with four-excitation Rabi splitting sqrt(16 + eps^2).
-* ``"bosonic"``: the element is sqrt((n_a+1)(n_b+1)), i.e. the product of
-  standard single-mode ladder elements <n+1|a^dag|n> = sqrt(n+1).
-
-The two conventions coincide on every sector reachable from the supported
-initial states except the four-excitation sector (the |eg11> <-> |gg22>
-channel, element 1 vs 2).
+where P+ raises the photon number of *both* modes by one.  The
+pair-transition matrix element <n_a+1, n_b+1| P+ |n_a, n_b> is 1 for every
+(n_a, n_b): this is the convention under which the closed-form solutions in
+:mod:`.analytic` are exact, with four-excitation Rabi splitting
+sqrt(16 + eps^2).
 
 Raising transitions that would exceed the truncation contribute zero; this
 is exact for any excitation sector lying fully inside the truncation.
@@ -26,24 +18,17 @@ is exact for any excitation sector lying fully inside the truncation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import Basis, ModelParams
 
-PAIR_AMPLITUDES = ("unit", "bosonic")
 
-
-def build_hamiltonian(params: ModelParams, basis: Basis,
-                      pair_amplitude: str = "unit") -> np.ndarray:
+def build_hamiltonian(params: ModelParams, basis: Basis) -> np.ndarray:
     """Dense Hermitian matrix of H in basis order, in physical units."""
     if params.n_max != basis.n_max:
         raise ValueError(
             f"params.n_max={params.n_max} does not match basis.n_max={basis.n_max}"
         )
-    if pair_amplitude not in PAIR_AMPLITUDES:
-        raise ValueError(f"pair_amplitude must be one of {PAIR_AMPLITUDES}")
 
     d = basis.size
     H = np.zeros((d, d), dtype=complex)
@@ -53,22 +38,12 @@ def build_hamiltonian(params: ModelParams, basis: Basis,
                    + 0.5 * params.omega_0 * sz)
 
         # photon-pair emission: atom l decays, both modes gain one photon
-        for atom in ("A", "B"):
-            level = s.atom_a if atom == "A" else s.atom_b
-            if level != "e":
-                continue
-            if s.n_a + 1 > basis.n_max or s.n_b + 1 > basis.n_max:
-                continue  # truncated; zero by policy
-            if pair_amplitude == "bosonic":
-                amp = params.g * math.sqrt((s.n_a + 1) * (s.n_b + 1))
-            else:
-                amp = params.g
-            if atom == "A":
-                j = basis.index("g", s.atom_b, s.n_a + 1, s.n_b + 1)
-            else:
-                j = basis.index(s.atom_a, "g", s.n_a + 1, s.n_b + 1)
-            H[j, i] += amp
-            H[i, j] += amp
+        if s.n_a < basis.n_max and s.n_b < basis.n_max:  # else truncated; zero by policy
+            for level, atoms_after in ((s.atom_a, ("g", s.atom_b)), (s.atom_b, (s.atom_a, "g"))):
+                if level == "e":
+                    j = basis.index(*atoms_after, s.n_a + 1, s.n_b + 1)
+                    H[j, i] += params.g
+                    H[i, j] += params.g
 
         # dipole-dipole flip-flop, added once per (eg) -> (ge) pair
         if s.atom_a == "e" and s.atom_b == "g" and params.Omega != 0.0:
@@ -84,14 +59,3 @@ def check_conservation(H: np.ndarray, basis: Basis) -> bool:
     off_sector = n[:, None] != n[None, :]
     return not np.any(H[off_sector] != 0)
 
-
-def restrict_to_sector(H: np.ndarray, basis: Basis, N: int):
-    """Submatrix on the excitation-N sector plus the global index map.
-
-    Requires H to be excitation-conserving.  An empty sector yields an
-    empty matrix.
-    """
-    if not check_conservation(H, basis):
-        raise ValueError("H has matrix elements between excitation sectors")
-    idx = np.flatnonzero(basis.excitations == N)
-    return H[np.ix_(idx, idx)], idx

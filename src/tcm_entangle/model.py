@@ -192,9 +192,6 @@ class Basis:
         """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order."""
         return np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])
 
-    def __len__(self) -> int:
-        return self.size
-
 
 def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
     """Normalized amplitude vector of the chosen initial state.

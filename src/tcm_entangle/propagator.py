@@ -35,8 +35,7 @@ def _offdiag_frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
-                max_sweeps: int = _JACOBI_MAX_SWEEPS):
+def jacobi_eigh(H: np.ndarray):
     """Cyclic Jacobi eigensolver for a complex Hermitian matrix.
 
     Each rotation zeroes one off-diagonal pair (p, q) with the unitary
@@ -45,7 +44,7 @@ def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
 
     where phi = arg(A[p,q]) and theta = atan2(2|A[p,q]|, A[p,p]-A[q,q]) / 2.
     Sweeps continue until the off-diagonal Frobenius norm drops below
-    ``tol * ||H||_F``; an H whose norm overflows or is not finite is rejected,
+    ``_JACOBI_TOL * ||H||_F``; an H whose norm overflows or is not finite is rejected,
     as that threshold would end the sweep before any rotation.  Convergence
     is unconditional for Hermitian input.
 
@@ -67,8 +66,8 @@ def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL,
     if norm == 0.0 or n < 2:
         return np.real(np.diag(A)), V
 
-    threshold = tol * norm
-    for _ in range(max_sweeps):
+    threshold = _JACOBI_TOL * norm
+    for _ in range(_JACOBI_MAX_SWEEPS):
         if _offdiag_frobenius(A) <= threshold:
             break
         for p in range(n - 1):

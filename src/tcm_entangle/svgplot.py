@@ -16,10 +16,10 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

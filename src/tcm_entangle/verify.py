@@ -62,13 +62,10 @@ def _evolutions(models, alphas=(math.pi / 8,), T_grid=_T_GRID):
                 yield spec, params, basis, H, psis
 
 
-def suite_hermiticity() -> SuiteResult:
+def suite_hermiticity(models) -> SuiteResult:
     worst = 0.0
-    for eps in _EPSILONS:
-        params = ModelParams.from_dimensionless(epsilon=eps)
-        for conv in ("unit", "bosonic"):
-            H = build_hamiltonian(params, Basis(params.n_max), pair_amplitude=conv)
-            worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
+    for _, _, H, _ in models.values():
+        worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
     return SuiteResult("hermiticity", worst, 0.0)
 
 
@@ -145,7 +142,7 @@ def suite_density_matrix(models) -> SuiteResult:
     return SuiteResult("density_matrix", worst, 1e-10)
 
 
-def suite_local_unitary_invariance(models, n_unitaries: int = 20) -> SuiteResult:
+def suite_local_unitary_invariance(models) -> SuiteResult:
     rng = np.random.default_rng(20260823)
     _, basis, _, decomp = models[2.0]  # 2.0 is one of _EPSILONS
     worst = 0.0
@@ -154,15 +151,15 @@ def suite_local_unitary_invariance(models, n_unitaries: int = 20) -> SuiteResult
         psi = propagator.evolve(psi0, decomp, 1.3)
         rho = entanglement.reduce_to_atoms(psi, basis)
         c0 = entanglement.wootters_concurrence(rho)
-        for _ in range(n_unitaries):
+        for _ in range(20):
             u = np.kron(_haar_unitary(rng), _haar_unitary(rng))
             c1 = entanglement.wootters_concurrence(u @ rho @ u.conj().T)
             worst = max(worst, abs(c1 - c0))
     return SuiteResult("local_unitary_invariance", worst, 1e-10)
 
 
-def _haar_unitary(rng, dim: int = 2) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _haar_unitary(rng) -> np.ndarray:
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -170,7 +167,7 @@ def _haar_unitary(rng, dim: int = 2) -> np.ndarray:
 def run_all(inject_fault: bool = False) -> list[SuiteResult]:
     models = _models()
     return [
-        suite_hermiticity(),
+        suite_hermiticity(models),
         suite_conservation(inject_fault=inject_fault),
         suite_unitarity(models),
         suite_energy_conservation(models),

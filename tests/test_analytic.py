@@ -74,6 +74,24 @@ class TestPsiAmplitudes:
             psi_amplitudes(0.3, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteInputRejected:
+    """A non-finite epsilon or lam is rejected by name, not turned into NaN
+    amplitudes."""
+
+    def test_psi_epsilon(self, bad):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite, got {bad}$"):
+            psi_amplitudes(0.3, bad, 1.0)
+
+    def test_phi_epsilon(self, bad):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite, got {bad}$"):
+            phi_amplitudes(0.3, bad, 2.0, 1.0)
+
+    def test_phi_lam(self, bad):
+        with pytest.raises(ValueError, match=f"^lam must be finite, got {bad}$"):
+            phi_amplitudes(0.3, 1.0, bad, 1.0)
+
+
 class TestPhiAmplitudes:
     def test_time_zero(self):
         for a in ALPHAS:

@@ -136,7 +136,7 @@ class TestReduceToAtoms:
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 8), basis)
         for T in (0.7, 2.2, 5.9):
             rho = reduce_to_atoms(evolve(psi0, decomp, T), basis)
-            assert is_x_state(rho, tol=1e-12)
+            assert is_x_state(rho)
             assert rho[0, 0] == pytest.approx(0.0, abs=1e-12)
             assert abs(rho[0, 3]) == pytest.approx(0.0, abs=1e-12)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -149,7 +149,7 @@ class TestReduceToAtoms:
         psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         psi = evolve(psi0, decomp, 1.3)
         rho = reduce_to_atoms(psi, basis)
-        assert is_x_state(rho, tol=1e-12)
+        assert is_x_state(rho)
         x4 = psi[basis.index("e", "g", 1, 1)]
         x3 = psi[basis.index("g", "e", 1, 1)]
         x2 = psi[basis.index("g", "g", 0, 0)]

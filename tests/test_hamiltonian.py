@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tcm_entangle.hamiltonian import (build_hamiltonian, check_conservation,
-                                      restrict_to_sector)
+from tcm_entangle.hamiltonian import build_hamiltonian, check_conservation
 from tcm_entangle.model import Basis, ModelParams
 
 
-def kron_hamiltonian(params, n_max, pair_amplitude="bosonic"):
+def kron_hamiltonian(params, n_max):
     """Independent operator-composition construction of the same matrix.
 
     Built from explicit Kronecker products in the order atom A, atom B,
@@ -20,10 +19,7 @@ def kron_hamiltonian(params, n_max, pair_amplitude="bosonic"):
     sm = np.zeros((2, 2)); sm[1, 0] = 1.0   # |g><e|
     sp = sm.T
     a = np.diag(np.sqrt(np.arange(1, m)), k=1)       # <n|a|n+1> = sqrt(n+1)
-    if pair_amplitude == "bosonic":
-        raise_op = a.T
-    else:
-        raise_op = np.diag(np.ones(m - 1), k=-1)     # unit ladder
+    raise_op = np.diag(np.ones(m - 1), k=-1)         # unit ladder
     n_op = a.T @ a
 
     def kron4(pa, pb, ma, mb):
@@ -57,14 +53,12 @@ class TestMatrixElements:
         j = basis.index("g", "g", 1, 1)
         assert H[j, i] == pytest.approx(params.g)
 
-    def test_bosonic_enhancement_on_double_pair(self, basis, params):
-        # <gg22|H|eg11> carries sqrt(2)*sqrt(2) under the bosonic convention
+    def test_double_pair_element_is_g(self, basis, params):
+        # every pair step has amplitude g, also out of |eg11> (no bosonic
+        # sqrt((n_a+1)(n_b+1)) factor); the closed forms rely on this
         i = basis.index("e", "g", 1, 1)
         j = basis.index("g", "g", 2, 2)
-        Hb = build_hamiltonian(params, basis, pair_amplitude="bosonic")
-        assert Hb[j, i] == pytest.approx(2.0 * params.g)
-        Hu = build_hamiltonian(params, basis, pair_amplitude="unit")
-        assert Hu[j, i] == pytest.approx(params.g)
+        assert build_hamiltonian(params, basis)[j, i] == pytest.approx(params.g)
 
     def test_dipole_flip_flop_element(self, basis, params):
         H = build_hamiltonian(params, basis)
@@ -80,16 +74,14 @@ class TestMatrixElements:
         assert H[j, j] == pytest.approx(-params.omega_0)
 
     def test_hermitian_by_construction(self, basis, params):
-        for conv in ("unit", "bosonic"):
-            H = build_hamiltonian(params, basis, pair_amplitude=conv)
-            assert np.array_equal(H, H.conj().T)
+        H = build_hamiltonian(params, basis)
+        assert np.array_equal(H, H.conj().T)
 
-    @pytest.mark.parametrize("conv", ["unit", "bosonic"])
     @pytest.mark.parametrize("n_max", [2, 3])
-    def test_matches_operator_composition_oracle(self, conv, n_max):
+    def test_matches_operator_composition_oracle(self, n_max):
         p = ModelParams.from_dimensionless(epsilon=1.3, lam=2.0, n_max=n_max)
-        H = build_hamiltonian(p, Basis(n_max), pair_amplitude=conv)
-        np.testing.assert_allclose(H, kron_hamiltonian(p, n_max, conv), atol=1e-14)
+        H = build_hamiltonian(p, Basis(n_max))
+        np.testing.assert_allclose(H, kron_hamiltonian(p, n_max), atol=1e-14)
 
     def test_basis_mismatch_rejected(self, params):
         with pytest.raises(ValueError, match="n_max"):
@@ -118,6 +110,12 @@ def _label(state):
     return f"{state.atom_a}{state.atom_b}{state.n_a}{state.n_b}"
 
 
+def _sector(H, basis, N):
+    """Submatrix of H on the excitation-N sector plus its basis indices."""
+    idx = np.flatnonzero(basis.excitations == N)
+    return H[np.ix_(idx, idx)], idx
+
+
 def _sub_block(H_sector, idx, basis, labels):
     """Rows/columns of the sector matrix for the named basis labels, plus
     the coupling between that set and the rest of the sector."""
@@ -136,7 +134,7 @@ class TestSectorRestriction:
         # conserved); the connected block is the documented 3x3 matrix
         eps = 2.0
         p = ModelParams.from_dimensionless(epsilon=eps)
-        H2, idx = restrict_to_sector(build_hamiltonian(p, basis) / p.g, basis, 2)
+        H2, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 2)
         block, cross = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         np.testing.assert_allclose(
             block, np.array([[0, eps, 1], [eps, 0, 1], [1, 1, 0]]), atol=1e-14)
@@ -145,7 +143,7 @@ class TestSectorRestriction:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.0])
     def test_two_excitation_spectrum(self, basis, eps):
         p = ModelParams.from_dimensionless(epsilon=eps)
-        H2, idx = restrict_to_sector(build_hamiltonian(p, basis) / p.g, basis, 2)
+        H2, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 2)
         block, _ = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         kappa = math.sqrt(8 + eps**2)
         expected = sorted([-eps, (eps + kappa) / 2, (eps - kappa) / 2])
@@ -155,7 +153,7 @@ class TestSectorRestriction:
     def test_four_excitation_spectrum(self, basis, eps):
         # spectrum of the connected block, above the sector's common diagonal
         p = ModelParams.from_dimensionless(epsilon=eps)
-        H4, idx = restrict_to_sector(build_hamiltonian(p, basis) / p.g, basis, 4)
+        H4, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 4)
         block, cross = _sub_block(H4, idx, basis, ["ee00", "eg11", "ge11", "gg22"])
         np.testing.assert_allclose(cross, 0.0, atol=1e-15)
         eta = math.sqrt(16 + eps**2)
@@ -165,18 +163,6 @@ class TestSectorRestriction:
 
     def test_zero_excitation_sector(self, basis):
         p = ModelParams.from_dimensionless()
-        H0, idx = restrict_to_sector(build_hamiltonian(p, basis), basis, 0)
+        H0, idx = _sector(build_hamiltonian(p, basis), basis, 0)
         assert [_label(basis.states[i]) for i in idx] == ["gg00"]
         assert H0[0, 0] == pytest.approx(-p.omega_0)
-
-    def test_empty_sector(self, basis):
-        p = ModelParams.from_dimensionless()
-        H_empty, idx = restrict_to_sector(build_hamiltonian(p, basis), basis, 99)
-        assert H_empty.shape == (0, 0) and idx.size == 0
-
-    def test_nonconserving_input_rejected(self, basis):
-        p = ModelParams.from_dimensionless()
-        H = build_hamiltonian(p, basis)
-        H[0, 1] += 1.0
-        with pytest.raises(ValueError):
-            restrict_to_sector(H, basis, 2)
