@@ -120,7 +120,11 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     """Sample the atom-atom concurrence over an ascending time grid.
 
     The ORACLE path propagates on ``model`` (:func:`oracle_model` of
-    ``params``), built here when not given."""
+    ``params``), built here when not given.  ``path`` must be a
+    ``TracePath`` member; text such as ``"ANALYTIC"`` raises ``TypeError``
+    (read text with ``TracePath(text)``)."""
+    if not isinstance(path, TracePath):
+        raise TypeError(f"path must be a TracePath member, got {path!r}")
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise ValueError("T_grid must be a non-empty 1-d array")
@@ -194,7 +198,10 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     refined on the closed-form branch expression to 1e-10 in T, between the
     outside neighbour and the run's middle point; a run touching the grid
     boundary keeps the boundary point and is marked unrefined.
+    ``zero_threshold`` must be positive and finite.
     """
+    if not 0.0 < zero_threshold < math.inf:
+        raise ValueError(f"zero_threshold must be positive and finite, got {zero_threshold}")
     T = trace.T_grid
     below = trace.C < zero_threshold
     edges = np.diff(below.astype(np.int8), prepend=0, append=0)

@@ -37,7 +37,8 @@ import math
 
 import numpy as np
 
-from .model import Basis, Family, InitialStateSpec, ModelParams, derive_constants
+from .model import (Basis, Family, InitialStateSpec, ModelParams, derive_constants,
+                    require_family)
 
 
 def _check_domain(alpha: float, epsilon: float):
@@ -87,8 +88,10 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T):
 def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T):
     """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
-    ``lam`` enters PHI phases only; T may be a scalar or array.
+    ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
+    must be a ``Family`` member; text raises ``TypeError``.
     """
+    require_family(family)
     if family is Family.PSI:
         return psi_amplitudes(alpha, epsilon, T)
     return phi_amplitudes(alpha, epsilon, lam, T)

@@ -46,12 +46,16 @@ def file_tag(value: float) -> str:
 
 
 def parse_angle(token: str) -> float:
-    """Parse a decimal or a pi-expression like `pi/8` or `3*pi/16`."""
+    """Parse a decimal or a pi-expression like `pi/8` or `3*pi/16`.
+
+    A pi-expression with a zero denominator raises ``ConfigError``."""
     token = token.strip()
     m = _PI_RE.match(token)
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ConfigError(f"angle {token!r} divides by zero")
         return num * math.pi / den
     try:
         return float(token)
@@ -105,13 +109,27 @@ class RunConfig:
                 seen[tag] = value
 
 
-def _parse_bool(value: str, key: str, lineno: int) -> bool:
+def _parse_bool(value: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "yes", "1"):
         return True
     if v in ("false", "no", "0"):
         return False
-    raise ConfigError(f"line {lineno}: key {key!r} expects a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+#: config key -> (RunConfig field, parser of the value text)
+_PARSERS = {
+    "family": ("family", lambda v: Family(v.upper())),
+    "alpha": ("alpha_list", lambda v: tuple(parse_angle(t) for t in v.split(","))),
+    "epsilon": ("epsilon_list", lambda v: tuple(float(t) for t in v.split(","))),
+    "T_max": ("T_max", float),
+    "n_points": ("n_points", int),
+    "path": ("path", str.upper),
+    "output_dir": ("output_dir", str),
+    "emit_svg": ("emit_svg", _parse_bool),
+    "zero_threshold": ("zero_threshold", float),
+}
 
 
 def parse_config(text: str, **overrides) -> RunConfig:
@@ -129,29 +147,11 @@ def parse_config(text: str, **overrides) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, parse = _PARSERS[key]
         try:
-            if key == "family":
-                values["family"] = Family(value.upper())
-            elif key == "alpha":
-                values["alpha_list"] = tuple(parse_angle(t) for t in value.split(","))
-            elif key == "epsilon":
-                values["epsilon_list"] = tuple(float(t) for t in value.split(","))
-            elif key == "T_max":
-                values["T_max"] = float(value)
-            elif key == "n_points":
-                values["n_points"] = int(value)
-            elif key == "path":
-                values["path"] = value.upper()
-            elif key == "output_dir":
-                values["output_dir"] = value
-            elif key == "emit_svg":
-                values["emit_svg"] = _parse_bool(value, key, lineno)
-            elif key == "zero_threshold":
-                values["zero_threshold"] = float(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for key {key!r}: {exc}") from None
     values.update(overrides)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,28 @@ LEVELS = ("e", "g")
 
 #: tolerance used to enforce the two-mode resonance condition
 _RESONANCE_RTOL = 1e-12
+#: largest accepted photon cutoff.  The basis holds 4 (n_max+1)^2 states and
+#: H/g and its eigenvectors are dense, so at the cap each is a 1,156 x 1,156
+#: complex matrix of 21 MB; building and decomposing it took 0.45 s and
+#: peaked at 138 MB RSS (2-core x86-64, numpy 2.4).  A larger value is an
+#: error, not a hang.
+MAX_N_MAX = 16
+
+
+def _check_n_max(n_max, least: int):
+    """Raise naming ``n_max`` unless it is an int in [least, MAX_N_MAX]."""
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise TypeError(f"n_max must be an integer, got {n_max!r}")
+    if not least <= n_max <= MAX_N_MAX:
+        raise ValueError(f"n_max must lie in [{least}, {MAX_N_MAX}], got {n_max}")
 
 
 class Family(enum.Enum):
-    """Which pair of Bell states the atoms start in."""
+    """Which pair of Bell states the atoms start in.
+
+    Functions that take a family take a member, never its text, and raise
+    ``TypeError`` naming the argument otherwise: read text with
+    ``Family(text)``."""
 
     PSI = "PSI"  # cos(a)|eg> + sin(a)|ge>
     PHI = "PHI"  # cos(a)|ee> + sin(a)|gg>
@@ -42,12 +61,18 @@ SUPPORT_KETS = {
 }
 
 
+def require_family(family):
+    """Raise ``TypeError`` naming ``family`` unless it is a ``Family`` member."""
+    if not isinstance(family, Family):
+        raise TypeError(f"family must be a Family member, got {family!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the cavity-atom system.
 
     ``epsilon`` and ``lam`` are always recomputed from the stored couplings
-    so they can never go stale.
+    so they can never go stale.  ``n_max`` is an int in [2, ``MAX_N_MAX``].
     """
 
     omega_a: float
@@ -65,8 +90,7 @@ class ModelParams:
             raise ValueError("coupling g must be positive")
         if self.Omega < 0:
             raise ValueError("dipole-dipole coupling Omega must be >= 0")
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
+        _check_n_max(self.n_max, 2)
         scale = max(abs(self.omega_a), abs(self.omega_b), abs(self.omega_0), 1.0)
         if abs(self.omega_0 - (self.omega_a + self.omega_b)) > _RESONANCE_RTOL * scale:
             raise ValueError(
@@ -126,13 +150,15 @@ class InitialStateSpec:
     """Initial Bell-state mixture: family plus mixing angle alpha in [0, pi/2].
 
     Either family starts with atom-atom concurrence sin(2*alpha); the cavity
-    modes start in the two-mode vacuum.
+    modes start in the two-mode vacuum.  ``family`` must be a ``Family``
+    member; text such as ``"PSI"`` raises ``TypeError``.
     """
 
     family: Family
     alpha: float
 
     def __post_init__(self):
+        require_family(self.family)
         if not 0.0 <= self.alpha <= math.pi / 2:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 
@@ -166,8 +192,7 @@ class Basis:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        _check_n_max(n_max, 0)
         self.n_max = n_max
         self.states: list[BasisState] = [
             BasisState(a, b, na, nb)

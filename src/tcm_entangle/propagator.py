@@ -35,6 +35,27 @@ def _offdiag_frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
+def _blocks(A: np.ndarray) -> np.ndarray:
+    """Connected blocks of A's nonzero pattern with two or more states, as
+    rows of ascending indices padded with ``len(A)``, shape (blocks, width)."""
+    n = A.shape[0]
+    nonzero = A != 0
+    linked = nonzero | nonzero.T
+    np.fill_diagonal(linked, True)
+    label = np.arange(n)
+    while True:   # each state takes the least label in reach, one link a pass
+        nearest = np.where(linked, label, n).min(axis=1)
+        if np.array_equal(nearest, label):
+            break
+        label = nearest
+    roots, sizes = np.unique(label, return_counts=True)
+    roots, sizes = roots[sizes > 1], sizes[sizes > 1]
+    idx = np.full((roots.size, sizes.max(initial=0)), n)
+    for row, root, size in zip(idx, roots, sizes):
+        row[:size] = np.flatnonzero(label == root)
+    return idx
+
+
 def jacobi_eigh(H: np.ndarray):
     """Cyclic Jacobi eigensolver for a complex Hermitian matrix.
 
@@ -47,6 +68,20 @@ def jacobi_eigh(H: np.ndarray):
     ``_JACOBI_TOL * ||H||_F``; an H whose norm overflows or is not finite is rejected,
     as that threshold would end the sweep before any rotation.  Convergence
     is unconditional for Hermitian input.
+
+    The sweep is the cyclic one over all pairs p < q in lexicographic order,
+    run on the connected blocks of H's nonzero pattern (2-4 states each for
+    a Hamiltonian that conserves the excitation number).  A rotation
+    changes only rows and columns p and q, so an entry between two blocks
+    stays exactly 0 and rotations in different blocks touch disjoint
+    entries: they commute exactly.  Each block's A and V entries are
+    therefore stacked, and each local pair is rotated in every block where
+    |A[p,q]| is not negligible at once, by the same elementwise numpy
+    expressions the pair-by-pair loop applies.  The result is the same to
+    the bit as that loop, and the sweep count is the same, as the
+    convergence test still reads the dense A after each sweep.  Keep the
+    updates numpy array operations: numpy's complex array product may fuse
+    multiply and add, so CPython scalar arithmetic would round differently.
 
     Returns (eigenvalues ascending, eigenvector columns).
     """
@@ -67,33 +102,48 @@ def jacobi_eigh(H: np.ndarray):
         return np.real(np.diag(A)), V
 
     threshold = _JACOBI_TOL * norm
+    idx = _blocks(A)
+    width = idx.shape[1]
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    # one padding row and column at index n: padded entries of A stay 0
+    A_pad = np.zeros((n + 1, n + 1), dtype=complex)
+    A_pad[:n, :n] = A
+    A = A_pad[:n, :n]
+    V_pad = np.eye(n + 1, dtype=complex)
+    # each block's A entries above its V entries: a column update is the
+    # same expression for both
+    AV = np.concatenate([A_pad[rows, cols], V_pad[rows, cols]], axis=1)
     for _ in range(_JACOBI_MAX_SWEEPS):
         if _offdiag_frobenius(A) <= threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
+        for p in range(width - 1):
+            for q in range(p + 1, width):
+                apq = AV[:, p, q]
+                # hypot rounds as abs() of one complex scalar does; np.abs of
+                # a complex array may round differently
+                r = np.hypot(apq.real, apq.imag)
                 # entries negligible against the convergence threshold are
                 # skipped; this also keeps apq / r away from subnormal range
-                if r <= 0.01 * threshold:
+                on = np.flatnonzero(r > 0.01 * threshold)
+                if on.size == 0:
                     continue
-                phase = apq / r
-                theta = 0.5 * np.arctan2(2.0 * r, (A[p, p] - A[q, q]).real)
+                av, r = AV[on], r[on, None]
+                phase = apq[on, None] / r
+                theta = 0.5 * np.arctan2(2.0 * r, (av[:, p, p, None] - av[:, q, q, None]).real)
                 c, s = np.cos(theta), np.sin(theta)
 
-                # column update: B = A J, then row update: A' = J^dag B
-                col_p = A[:, p] * c + A[:, q] * (s * np.conj(phase))
-                col_q = A[:, p] * (-s * phase) + A[:, q] * c
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = A[p, :] * c + A[q, :] * (s * phase)
-                row_q = A[p, :] * (-s * np.conj(phase)) + A[q, :] * c
-                A[p, :], A[q, :] = row_p, row_q
+                # column update of A and V: B = A J, then row update: A' = J^dag B
+                col_p = av[:, :, p] * c + av[:, :, q] * (s * np.conj(phase))
+                col_q = av[:, :, p] * (-s * phase) + av[:, :, q] * c
+                av[:, :, p], av[:, :, q] = col_p, col_q
+                row_p = av[:, p, :] * c + av[:, q, :] * (s * phase)
+                row_q = av[:, p, :] * (-s * np.conj(phase)) + av[:, q, :] * c
+                av[:, p, :], av[:, q, :] = row_p, row_q
+                AV[on] = av
+        A_pad[rows, cols] = AV[:, :width]
 
-                vcol_p = V[:, p] * c + V[:, q] * (s * np.conj(phase))
-                vcol_q = V[:, p] * (-s * phase) + V[:, q] * c
-                V[:, p], V[:, q] = vcol_p, vcol_q
-
+    V_pad[rows, cols] = AV[:, width:]
+    V = V_pad[:n, :n]
     eigenvalues = np.real(np.diag(A))
     order = np.argsort(eigenvalues, kind="stable")
     return eigenvalues[order], V[:, order]
@@ -135,11 +185,13 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     one-point grid as a matrix-vector product, whose summation order
     depends on the length, so there the two agree to rounding.)  A row
     where an eigenphase w T overflows, occupied or not, is NaN, as it is in
-    the full product.
+    the full product.  A non-finite grid time raises ``ValueError``.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or (len(T_grid) > 1 and np.any(np.diff(T_grid) <= 0)):
         raise ValueError("T_grid must be a 1-d ascending array")
+    if not np.all(np.isfinite(T_grid)):
+        raise ValueError("T_grid must be finite")
     V = decomp.eigenvectors
     c = V.conj().T @ psi0
     keep = np.flatnonzero(c)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import math
@@ -475,6 +476,20 @@ class TestCliVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 
+    def test_propagates_each_state_once(self, capsys, monkeypatch):
+        # the _T_GRID states are propagated once and shared by five suites;
+        # density_matrix propagates its own on _T_GRID[::10]
+        sizes = []
+        evolve_grid = propagator.evolve_grid
+        monkeypatch.setattr(propagator, "evolve_grid",
+                            lambda psi0, decomp, T: sizes.append(len(T))
+                            or evolve_grid(psi0, decomp, T))
+        assert _run(["verify"]) == 0
+        assert collections.Counter(sizes) == {len(verify._T_GRID): 30,
+                                              len(verify._T_GRID[::10]): 6}
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
+
     def test_dump_hamiltonian(self, tmp_path, capsys):
         path = tmp_path / "H.csv"
         assert _run(["verify", "--dump-hamiltonian", str(path),
@@ -491,8 +506,14 @@ _NUMBER_TEXT = st.one_of(
     st.floats(min_value=0.0, max_value=1e308).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
-_ANGLE_TEXT = st.one_of(st.sampled_from(["0", "pi/24", "pi/8", "pi/6", "pi/4", "pi/2"]),
-                        _NUMBER_TEXT)
+#: `N*pi/D` as a user might type it, D = 0 and 0.0 included
+_PI_TEXT = st.builds("{}*pi/{}".format,
+                     st.sampled_from(["0", "1", "3", "0.5", "2.0"]) | st.integers(0, 99).map(str),
+                     st.sampled_from(["0", "0.0", "00", "8", "16", "2.5"])
+                     | st.integers(0, 99).map(str))
+_ANGLE_TEXT = st.one_of(st.sampled_from(["0", "pi/24", "pi/8", "pi/6", "pi/4", "pi/2",
+                                         "pi/0", "pi/0.0", "0*pi/0"]),
+                        _PI_TEXT, _NUMBER_TEXT)
 _LIST_TEXT = lambda items: st.lists(items, min_size=1, max_size=2).map(",".join)
 #: point counts: small, or above the cap, which fails before any allocation
 _POINTS = st.one_of(st.integers(0, 50), st.integers(MAX_N_POINTS + 1, 10**18))

@@ -1,4 +1,11 @@
+import math
+
+import numpy as np
+import pytest
+
 import tcm_entangle
+from tcm_entangle import analytic, config, model
+from tcm_entangle.config import ConfigError
 
 
 def test_every_export_resolves():
@@ -10,3 +17,56 @@ def test_star_import():
     namespace = {}
     exec("from tcm_entangle import *", namespace)
     assert set(tcm_entangle.__all__) <= set(namespace)
+
+
+def _trace():
+    spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3)
+    params = tcm_entangle.ModelParams.from_dimensionless()
+    return tcm_entangle.concurrence_trace(spec, params, np.linspace(0.0, 10.0, 101))
+
+
+def _phi_model():
+    params = tcm_entangle.ModelParams.from_dimensionless()
+    basis = tcm_entangle.Basis(params.n_max)
+    spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PHI, 0.3)
+    return tcm_entangle.initial_state(spec, basis), tcm_entangle.decompose_model(params, basis)
+
+
+#: (call, exception, text the message must hold): a bad value at a public
+#: boundary raises and names the argument, where it used to compute on
+_BAD_INPUT = {
+    "angle pi/0": (lambda: config.parse_angle("pi/0"), ConfigError, "'pi/0'"),
+    "angle pi/0.0": (lambda: config.parse_angle("pi/0.0"), ConfigError, "'pi/0.0'"),
+    "angle 0*pi/0": (lambda: config.parse_angle("0*pi/0"), ConfigError, "'0\\*pi/0'"),
+    "family text in spec": (lambda: tcm_entangle.InitialStateSpec("PSI", 0.3),
+                            TypeError, "family"),
+    "family text in amplitudes": (lambda: analytic.amplitudes("PSI", 0.3, 0.0, 2.0, [1.0]),
+                                  TypeError, "family"),
+    "path text": (lambda: tcm_entangle.concurrence_trace(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3),
+        tcm_entangle.ModelParams.from_dimensionless(), [1.0, 2.0], "ANALYTIC"),
+        TypeError, "path"),
+    "n_max 2.5": (lambda: tcm_entangle.ModelParams.from_dimensionless(n_max=2.5),
+                  TypeError, "n_max"),
+    "n_max True": (lambda: tcm_entangle.Basis(True), TypeError, "n_max"),
+    "n_max above cap": (lambda: tcm_entangle.ModelParams.from_dimensionless(
+        n_max=model.MAX_N_MAX + 1), ValueError, "n_max"),
+    "basis above cap": (lambda: tcm_entangle.Basis(model.MAX_N_MAX + 1), ValueError, "n_max"),
+    "grid nan": (lambda: tcm_entangle.evolve_grid(*_phi_model(), [0.0, math.nan]),
+                 ValueError, "T_grid"),
+    "grid inf": (lambda: tcm_entangle.evolve_grid(*_phi_model(), [0.0, math.inf]),
+                 ValueError, "T_grid"),
+    "threshold nan": (lambda: tcm_entangle.detect_death_intervals(_trace(), math.nan),
+                      ValueError, "zero_threshold"),
+    "threshold -1": (lambda: tcm_entangle.detect_death_intervals(_trace(), -1.0),
+                     ValueError, "zero_threshold"),
+    "threshold inf": (lambda: tcm_entangle.detect_death_intervals(_trace(), math.inf),
+                      ValueError, "zero_threshold"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_bad_input_is_rejected_by_name(case):
+    call, error, name = _BAD_INPUT[case]
+    with pytest.raises(error, match=name):
+        call()

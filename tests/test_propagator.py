@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcm_entangle import figures, propagator, verify
 from tcm_entangle.hamiltonian import build_hamiltonian
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import (SpectralDecomposition, decompose_model,
@@ -88,6 +89,93 @@ class TestJacobiEigh:
             return
         w, V = jacobi_eigh(H)
         assert np.max(np.abs(H - (V * w) @ V.conj().T)) <= 1e-14 * epsilon
+
+
+def _pair_by_pair_jacobi_eigh(H):
+    """The cyclic Jacobi loop that rotates one pair (p, q) of the whole
+    matrix at a time: the reference :func:`jacobi_eigh` must match to the
+    bit."""
+    A = np.array(H, dtype=complex)
+    n = A.shape[0]
+    V = np.eye(n, dtype=complex)
+    norm = float(np.linalg.norm(A))
+    if norm == 0.0 or n < 2:
+        return np.real(np.diag(A)), V
+    threshold = propagator._JACOBI_TOL * norm
+    for _ in range(propagator._JACOBI_MAX_SWEEPS):
+        if propagator._offdiag_frobenius(A) <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                r = abs(apq)
+                if r <= 0.01 * threshold:
+                    continue
+                phase = apq / r
+                theta = 0.5 * np.arctan2(2.0 * r, (A[p, p] - A[q, q]).real)
+                c, s = np.cos(theta), np.sin(theta)
+                col_p = A[:, p] * c + A[:, q] * (s * np.conj(phase))
+                col_q = A[:, p] * (-s * phase) + A[:, q] * c
+                A[:, p], A[:, q] = col_p, col_q
+                row_p = A[p, :] * c + A[q, :] * (s * phase)
+                row_q = A[p, :] * (-s * np.conj(phase)) + A[q, :] * c
+                A[p, :], A[q, :] = row_p, row_q
+                vcol_p = V[:, p] * c + V[:, q] * (s * np.conj(phase))
+                vcol_q = V[:, p] * (-s * phase) + V[:, q] * c
+                V[:, p], V[:, q] = vcol_p, vcol_q
+    eigenvalues = np.real(np.diag(A))
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], V[:, order]
+
+
+def _assert_same_bits(H):
+    w_ref, V_ref = _pair_by_pair_jacobi_eigh(H)
+    w, V = jacobi_eigh(H)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(V, V_ref)
+
+
+def _random_hermitian(rng, n):
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return X + X.conj().T
+
+
+class TestBlockJacobiMatchesPairByPair:
+    """The block-stacked sweep gives the pair-by-pair loop's bits."""
+
+    #: every model that ``verify`` and the figure commands decompose
+    CLI_EPSILONS = sorted(set(verify._EPSILONS) | set(figures.FIGURE_EPSILONS))
+
+    @pytest.mark.parametrize("epsilon", CLI_EPSILONS)
+    def test_models_verify_and_cli_decompose(self, epsilon):
+        params = ModelParams.from_dimensionless(epsilon=epsilon)
+        _assert_same_bits(build_hamiltonian(params, Basis(params.n_max)) / params.g)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.3, 2.0])
+    @pytest.mark.parametrize("lam", [2.0, 3.7])
+    def test_model_grid(self, n_max, epsilon, lam):
+        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=lam, n_max=n_max)
+        _assert_same_bits(build_hamiltonian(params, Basis(n_max)) / params.g)
+
+    @pytest.mark.parametrize("seed", range(45))
+    def test_random_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        _assert_same_bits(_random_hermitian(rng, int(rng.integers(1, 25))))
+
+    @pytest.mark.parametrize("seed", range(45))
+    def test_random_permuted_blocks(self, seed):
+        # blocks of 1-5 states in a random order: pads blocks of unequal size
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(1, 30))
+        H = np.zeros((n, n), dtype=complex)
+        start = 0
+        while start < n:
+            m = min(int(rng.integers(1, 6)), n - start)
+            H[start:start + m, start:start + m] = _random_hermitian(rng, m)
+            start += m
+        order = rng.permutation(n)
+        _assert_same_bits(H[order][:, order])
 
 
 class TestModelDecomposition:
