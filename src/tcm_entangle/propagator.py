@@ -69,19 +69,16 @@ def jacobi_eigh(H: np.ndarray):
     as that threshold would end the sweep before any rotation.  Convergence
     is unconditional for Hermitian input.
 
-    The sweep is the cyclic one over all pairs p < q in lexicographic order,
-    run on the connected blocks of H's nonzero pattern (2-4 states each for
-    a Hamiltonian that conserves the excitation number).  A rotation
-    changes only rows and columns p and q, so an entry between two blocks
-    stays exactly 0 and rotations in different blocks touch disjoint
-    entries: they commute exactly.  Each block's A and V entries are
-    therefore stacked, and each local pair is rotated in every block where
-    |A[p,q]| is not negligible at once, by the same elementwise numpy
-    expressions the pair-by-pair loop applies.  The result is the same to
-    the bit as that loop, and the sweep count is the same, as the
-    convergence test still reads the dense A after each sweep.  Keep the
-    updates numpy array operations: numpy's complex array product may fuse
-    multiply and add, so CPython scalar arithmetic would round differently.
+    The sweep visits the pairs p < q in lexicographic order within each
+    connected block of H's nonzero pattern (2-4 states for a Hamiltonian
+    that conserves the excitation number).  Rotations in different blocks
+    touch disjoint entries and leave the entries between blocks exactly 0,
+    so they commute: each local pair is rotated in every block at once, on
+    stacked A and V entries, by the elementwise numpy expressions of the
+    pair-by-pair loop.  Eigenpairs and sweep count are that loop's to the
+    bit (the convergence test reads the dense A after each sweep).  Keep
+    the updates numpy array operations: CPython scalar complex arithmetic
+    rounds differently.
 
     Returns (eigenvalues ascending, eigenvector columns).
     """
@@ -93,13 +90,12 @@ def jacobi_eigh(H: np.ndarray):
     if scale and float(np.max(np.abs(A - A.conj().T))) > _HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian")
 
-    V = np.eye(n, dtype=complex)
     with np.errstate(over="ignore"):   # reported below
         norm = float(np.linalg.norm(A))
     if not np.isfinite(norm):
         raise ValueError(f"Frobenius norm of H is not finite (largest |H_ij| = {scale:.3e})")
     if norm == 0.0 or n < 2:
-        return np.real(np.diag(A)), V
+        return np.real(np.diag(A)), np.eye(n, dtype=complex)
 
     threshold = _JACOBI_TOL * norm
     idx = _blocks(A)
