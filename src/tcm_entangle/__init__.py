@@ -12,23 +12,18 @@ from .analytic import closed_form_states, phi_amplitudes, psi_amplitudes
 from .entanglement import (pure_concurrence, reduce_to_atoms,
                            wootters_concurrence, xstate_concurrence)
 from .hamiltonian import build_hamiltonian, check_conservation
-from .model import (Basis, BasisState, DerivedConstants, Family,
-                    InitialStateSpec, ModelParams, SUPPORT_KETS,
-                    derive_constants, excitation_number, initial_state)
-from .propagator import (SpectralDecomposition, decompose_model, evolve,
-                         evolve_grid, spectral_decompose)
+from .model import (Basis, Family, InitialStateSpec, ModelParams, SUPPORT_KETS,
+                    initial_state)
+from .propagator import SpectralDecomposition, decompose_model, evolve, evolve_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis", "BasisState", "ConcurrenceTrace", "DeathInterval",
-    "DerivedConstants", "Family", "InitialStateSpec", "ModelParams",
-    "SUPPORT_KETS", "SpectralDecomposition", "TracePath",
+    "Basis", "ConcurrenceTrace", "DeathInterval", "Family", "InitialStateSpec",
+    "ModelParams", "SUPPORT_KETS", "SpectralDecomposition", "TracePath",
     "build_hamiltonian", "check_conservation", "closed_form_states",
-    "concurrence_trace", "decompose_model", "derive_constants",
-    "detect_death_intervals", "estimate_period", "evolve", "evolve_grid",
-    "excitation_number", "initial_state", "max_concurrence",
-    "phi_amplitudes", "psi_amplitudes", "pure_concurrence",
-    "reduce_to_atoms", "spectral_decompose", "wootters_concurrence",
-    "xstate_concurrence",
+    "concurrence_trace", "decompose_model", "detect_death_intervals",
+    "estimate_period", "evolve", "evolve_grid", "initial_state", "max_concurrence",
+    "phi_amplitudes", "psi_amplitudes", "pure_concurrence", "reduce_to_atoms",
+    "wootters_concurrence", "xstate_concurrence",
 ]

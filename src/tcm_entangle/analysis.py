@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, propagator
-from .model import Basis, Family, InitialStateSpec, ModelParams, derive_constants, initial_state
+from .model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 #: a sub-threshold run must span at least this many grid points to count
@@ -277,7 +277,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     spanning at least three nominal periods 2*pi/kappa.
     """
     T, C = trace.T_grid, trace.C
-    kappa = derive_constants(trace.epsilon, trace.alpha).kappa
+    kappa = math.sqrt(8.0 + trace.epsilon * trace.epsilon)
     nominal = 2.0 * math.pi / kappa
     if T[-1] - T[0] < 3.0 * nominal:
         raise ValueError("trace too short: need at least three nominal periods")

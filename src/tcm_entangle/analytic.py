@@ -37,8 +37,7 @@ import math
 
 import numpy as np
 
-from .model import (Basis, Family, InitialStateSpec, ModelParams, derive_constants,
-                    require_family)
+from .model import Basis, Family, InitialStateSpec, ModelParams, require_family
 
 
 def _check_domain(alpha: float, epsilon: float):
@@ -54,15 +53,18 @@ def psi_amplitudes(alpha: float, epsilon: float, T):
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
     _check_domain(alpha, epsilon)
     T = np.asarray(T, dtype=float)
-    d = derive_constants(epsilon, alpha)
-    k = d.kappa
-    lam_phase = np.exp(-0.5j * k * d.L_plus * T)
-    xi = np.exp(0.5j * (3.0 * d.L_plus - 2.0) * k * T)
+    k = math.sqrt(8.0 + epsilon * epsilon)
+    L_plus = epsilon / k + 1.0
+    L_minus = epsilon / k - 1.0
+    theta_plus = math.cos(alpha) + math.sin(alpha)
+    theta_minus = math.cos(alpha) - math.sin(alpha)
+    lam_phase = np.exp(-0.5j * k * L_plus * T)
+    xi = np.exp(0.5j * (3.0 * L_plus - 2.0) * k * T)
     eikt = np.exp(1j * k * T)
-    core = d.theta_plus * (d.L_plus - d.L_minus * eikt)
-    x1 = lam_phase / 4.0 * (core + 2.0 * xi * d.theta_minus)
-    x2 = lam_phase / 4.0 * (core - 2.0 * xi * d.theta_minus)
-    x3 = lam_phase * d.theta_plus / k * (1.0 - eikt)
+    core = theta_plus * (L_plus - L_minus * eikt)
+    x1 = lam_phase / 4.0 * (core + 2.0 * xi * theta_minus)
+    x2 = lam_phase / 4.0 * (core - 2.0 * xi * theta_minus)
+    x3 = lam_phase * theta_plus / k * (1.0 - eikt)
     return x1, x2, x3
 
 
@@ -72,7 +74,7 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T):
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     T = np.asarray(T, dtype=float)
-    eta = derive_constants(epsilon, alpha).eta
+    eta = math.sqrt(16.0 + epsilon * epsilon)
     gam = math.cos(alpha) * np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)
     eieta = np.exp(1j * eta * T)
     m_plus, m_minus = 1.0 + eieta, 1.0 - eieta

@@ -9,6 +9,7 @@ pi/8 carry no decimal drift.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -77,12 +78,16 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("alpha_list", "epsilon_list"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must hold at least one value")
             # -0.0 + 0.0 is +0.0: a signed zero would be a second file tag
             # ("m0") for the same physics
             object.__setattr__(self, name, tuple(v + 0.0 for v in getattr(self, name)))
         for name in ("T_max", "zero_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise TypeError(f"n_points must be an integer, got {self.n_points!r}")
         if not 2 <= self.n_points <= MAX_N_POINTS:
             raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
         if self.T_max <= 0:

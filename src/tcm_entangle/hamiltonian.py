@@ -31,25 +31,25 @@ def build_hamiltonian(params: ModelParams, basis: Basis) -> np.ndarray:
         )
 
     d = basis.size
+    ea, eb, na, nb = basis.excited_a, basis.excited_b, basis.n_a, basis.n_b
     H = np.zeros((d, d), dtype=complex)
-    for i, s in enumerate(basis.states):
-        sz = (1 if s.atom_a == "e" else -1) + (1 if s.atom_b == "e" else -1)
-        H[i, i] = (params.omega_a * s.n_a + params.omega_b * s.n_b
-                   + 0.5 * params.omega_0 * sz)
+    sz = 2 * (ea + eb) - 2   # sigma_z^A + sigma_z^B
+    np.fill_diagonal(H, params.omega_a * na + params.omega_b * nb + 0.5 * params.omega_0 * sz)
 
-        # photon-pair emission: atom l decays, both modes gain one photon
-        if s.n_a < basis.n_max and s.n_b < basis.n_max:  # else truncated; zero by policy
-            for level, atoms_after in ((s.atom_a, ("g", s.atom_b)), (s.atom_b, (s.atom_a, "g"))):
-                if level == "e":
-                    j = basis.index(*atoms_after, s.n_a + 1, s.n_b + 1)
-                    H[j, i] += params.g
-                    H[i, j] += params.g
+    # photon-pair emission: atom l decays, both modes gain one photon
+    room = (na < basis.n_max) & (nb < basis.n_max)   # else truncated; zero by policy
+    for da, db in ((1, 0), (0, 1)):   # atom A decays, then atom B; it must be excited
+        i = np.flatnonzero(room & (ea >= da) & (eb >= db))
+        j = basis.position(ea[i] - da, eb[i] - db, na[i] + 1, nb[i] + 1)
+        H[j, i] = params.g
+        H[i, j] = params.g
 
-        # dipole-dipole flip-flop, added once per (eg) -> (ge) pair
-        if s.atom_a == "e" and s.atom_b == "g" and params.Omega != 0.0:
-            j = basis.index("g", "e", s.n_a, s.n_b)
-            H[j, i] += params.Omega
-            H[i, j] += params.Omega
+    # dipole-dipole flip-flop between each (eg) and (ge) pair
+    if params.Omega != 0.0:
+        i = np.flatnonzero((ea == 1) & (eb == 0))
+        j = basis.position(0, 1, na[i], nb[i])
+        H[j, i] = params.Omega
+        H[i, j] = params.Omega
     return H
 
 

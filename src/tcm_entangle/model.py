@@ -7,6 +7,8 @@ so the conserved excitation number is N = n_a + n_b + 2 * (# excited atoms).
 Basis ordering is frozen for file-format stability: atom A slowest, then
 atom B, then n_a, then n_b, with atomic levels ordered (e, g).  The reduced
 two-atom basis is therefore {|ee>, |eg>, |ge>, |gg>} in that order.
+``Basis`` holds the states as integer arrays in this order, one entry per
+state, and ``Basis.position`` is the one map from entries to an index.
 
 All public time arguments are dimensionless, T = g*t.
 """
@@ -122,30 +124,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
-    """Dimensionless constants appearing in the closed-form solutions."""
-
-    kappa: float        # sqrt(8 + eps^2), two-excitation Rabi splitting
-    eta: float          # sqrt(16 + eps^2), four-excitation Rabi splitting
-    L_plus: float       # eps/kappa + 1
-    L_minus: float      # eps/kappa - 1
-    theta_plus: float   # cos(alpha) + sin(alpha)
-    theta_minus: float  # cos(alpha) - sin(alpha)
-
-
-def derive_constants(epsilon: float, alpha: float) -> DerivedConstants:
-    kappa = math.sqrt(8.0 + epsilon * epsilon)
-    return DerivedConstants(
-        kappa=kappa,
-        eta=math.sqrt(16.0 + epsilon * epsilon),
-        L_plus=epsilon / kappa + 1.0,
-        L_minus=epsilon / kappa - 1.0,
-        theta_plus=math.cos(alpha) + math.sin(alpha),
-        theta_minus=math.cos(alpha) - math.sin(alpha),
-    )
-
-
-@dataclass(frozen=True)
 class InitialStateSpec:
     """Initial Bell-state mixture: family plus mixing angle alpha in [0, pi/2].
 
@@ -163,55 +141,36 @@ class InitialStateSpec:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """One labeled product ket |atom_A, atom_B, n_a, n_b>."""
-
-    atom_a: str
-    atom_b: str
-    n_a: int
-    n_b: int
-
-
-def excitation_number(s: BasisState) -> int:
-    """Conserved charge N = n_a + n_b + 2 * (number of excited atoms)."""
-    n = s.n_a + s.n_b
-    if s.atom_a == "e":
-        n += 2
-    if s.atom_b == "e":
-        n += 2
-    return n
-
-
 class Basis:
     """Ordered truncated product basis with index lookup.
 
     Enumeration order: atom A outer, then atom B, then n_a, then n_b
     (levels in (e, g) order, photon numbers ascending).  Size is
-    4 * (n_max + 1)**2.
+    4 * (n_max + 1)**2.  State k is held as entry k of the integer arrays
+    ``excited_a``, ``excited_b`` (1 for e, 0 for g), ``n_a``, ``n_b`` and
+    ``excitations`` (the conserved N).
     """
 
     def __init__(self, n_max: int):
         _check_n_max(n_max, 0)
         self.n_max = n_max
-        self.states: list[BasisState] = [
-            BasisState(a, b, na, nb)
-            for a in LEVELS
-            for b in LEVELS
-            for na in range(n_max + 1)
-            for nb in range(n_max + 1)
-        ]
-        self.size = len(self.states)
-        self.excitations = np.array([excitation_number(s) for s in self.states])
+        m = n_max + 1
+        level_a, level_b, self.n_a, self.n_b = np.indices((2, 2, m, m)).reshape(4, -1)
+        self.excited_a, self.excited_b = 1 - level_a, 1 - level_b   # LEVELS is (e, g)
+        self.size = self.n_a.size
+        self.excitations = self.n_a + self.n_b + 2 * (self.excited_a + self.excited_b)
+
+    def position(self, excited_a, excited_b, n_a, n_b):
+        """Basis index of the state(s) with these entries; takes arrays."""
+        m = self.n_max + 1
+        return (((1 - excited_a) * 2 + (1 - excited_b)) * m + n_a) * m + n_b
 
     def index(self, atom_a: str, atom_b: str, n_a: int, n_b: int) -> int:
         if atom_a not in LEVELS or atom_b not in LEVELS:
             raise ValueError(f"unknown atomic level in ({atom_a}, {atom_b})")
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
             raise ValueError(f"photon numbers ({n_a}, {n_b}) outside [0, n_max={self.n_max}]")
-        m = self.n_max + 1
-        ia, ib = LEVELS.index(atom_a), LEVELS.index(atom_b)
-        return ((ia * 2 + ib) * m + n_a) * m + n_b
+        return self.position(int(atom_a == "e"), int(atom_b == "e"), n_a, n_b)
 
     def support_indices(self, family: Family) -> np.ndarray:
         """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order."""

@@ -5,12 +5,12 @@ the (dimensionless) Hamiltonian with a cyclic Jacobi sweep and applying
 exact phase factors, so there is no step-to-step error accumulation.
 
 Evolution convention: U(T) = exp(-i * M * T) where M is the matrix handed
-to :func:`spectral_decompose` (use H/g for dimensionless time T = g*t).
+to :func:`jacobi_eigh` (use H/g for dimensionless time T = g*t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ _JACOBI_TOL = 1e-14   # off-diagonal Frobenius norm, relative to ||H||_F
 _JACOBI_MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (ascending) and unitary eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -56,7 +55,7 @@ def _blocks(A: np.ndarray) -> np.ndarray:
     return idx
 
 
-def jacobi_eigh(H: np.ndarray):
+def jacobi_eigh(H: np.ndarray) -> SpectralDecomposition:
     """Cyclic Jacobi eigensolver for a complex Hermitian matrix.
 
     Each rotation zeroes one off-diagonal pair (p, q) with the unitary
@@ -80,7 +79,7 @@ def jacobi_eigh(H: np.ndarray):
     the updates numpy array operations: CPython scalar complex arithmetic
     rounds differently.
 
-    Returns (eigenvalues ascending, eigenvector columns).
+    Returns a ``SpectralDecomposition``, which unpacks as ``w, V``.
     """
     A = np.array(H, dtype=complex)
     n = A.shape[0]
@@ -95,7 +94,7 @@ def jacobi_eigh(H: np.ndarray):
     if not np.isfinite(norm):
         raise ValueError(f"Frobenius norm of H is not finite (largest |H_ij| = {scale:.3e})")
     if norm == 0.0 or n < 2:
-        return np.real(np.diag(A)), np.eye(n, dtype=complex)
+        return SpectralDecomposition(np.real(np.diag(A)), np.eye(n, dtype=complex))
 
     threshold = _JACOBI_TOL * norm
     idx = _blocks(A)
@@ -142,18 +141,12 @@ def jacobi_eigh(H: np.ndarray):
     V = V_pad[:n, :n]
     eigenvalues = np.real(np.diag(A))
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], V[:, order]
-
-
-def spectral_decompose(H: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    w, V = jacobi_eigh(H)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V)
+    return SpectralDecomposition(eigenvalues[order], V[:, order])
 
 
 def decompose_model(params: ModelParams, basis: Basis) -> SpectralDecomposition:
     """Decompose H/g so that :func:`evolve` takes dimensionless time."""
-    return spectral_decompose(build_hamiltonian(params, basis) / params.g)
+    return jacobi_eigh(build_hamiltonian(params, basis) / params.g)
 
 
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,64 @@ from tcm_entangle.propagator import decompose_model, evolve
 
 ALPHAS = [0.0, math.pi / 12, math.pi / 8, math.pi / 4, math.pi / 3, math.pi / 2]
 EPSILONS = [0.0, 0.5, 2.0, 5.0]
+
+
+def _derive_constants(epsilon, alpha):
+    """The closed forms' constants, held together as they were before each
+    amplitude function wrote out the ones it reads."""
+    kappa = math.sqrt(8.0 + epsilon * epsilon)
+    return types.SimpleNamespace(
+        kappa=kappa,
+        eta=math.sqrt(16.0 + epsilon * epsilon),
+        L_plus=epsilon / kappa + 1.0,
+        L_minus=epsilon / kappa - 1.0,
+        theta_plus=math.cos(alpha) + math.sin(alpha),
+        theta_minus=math.cos(alpha) - math.sin(alpha),
+    )
+
+
+def _reference_psi_amplitudes(alpha, epsilon, T):
+    T = np.asarray(T, dtype=float)
+    d = _derive_constants(epsilon, alpha)
+    k = d.kappa
+    lam_phase = np.exp(-0.5j * k * d.L_plus * T)
+    xi = np.exp(0.5j * (3.0 * d.L_plus - 2.0) * k * T)
+    eikt = np.exp(1j * k * T)
+    core = d.theta_plus * (d.L_plus - d.L_minus * eikt)
+    x1 = lam_phase / 4.0 * (core + 2.0 * xi * d.theta_minus)
+    x2 = lam_phase / 4.0 * (core - 2.0 * xi * d.theta_minus)
+    x3 = lam_phase * d.theta_plus / k * (1.0 - eikt)
+    return x1, x2, x3
+
+
+def _reference_phi_amplitudes(alpha, epsilon, lam, T):
+    T = np.asarray(T, dtype=float)
+    eta = _derive_constants(epsilon, alpha).eta
+    gam = math.cos(alpha) * np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)
+    eieta = np.exp(1j * eta * T)
+    m_plus, m_minus = 1.0 + eieta, 1.0 - eieta
+    half_split = np.exp(0.5j * (epsilon + eta) * T)
+    sym = m_plus - (epsilon / eta) * m_minus
+    x1 = gam / 4.0 * (sym + 2.0 * half_split)
+    x2 = np.exp(1j * lam * T) * math.sin(alpha)
+    x3 = gam * m_minus / eta
+    x5 = gam / 4.0 * (sym - 2.0 * half_split)
+    return x1, x2, x3, x3, x5
+
+
+class TestAmplitudesMatchDerivedConstants:
+    """The amplitudes equal the derived-constants reference to the byte."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_same_bytes(self, alpha):
+        T = np.linspace(0.0, 200.0, 20001)
+        for eps in (0.0, 0.5, 1.0, 1.3, 2.0, 3.7, 5.0, 7.77, 100.0):
+            pairs = list(zip(psi_amplitudes(alpha, eps, T),
+                             _reference_psi_amplitudes(alpha, eps, T)))
+            for lam in (2.0, 3.7, 1e6):
+                pairs += zip(phi_amplitudes(alpha, eps, lam, T),
+                             _reference_phi_amplitudes(alpha, eps, lam, T))
+            assert all(got.tobytes() == want.tobytes() for got, want in pairs), eps
 
 
 class TestPsiAmplitudes:

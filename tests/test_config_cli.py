@@ -477,16 +477,14 @@ class TestCliVerify:
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 
     def test_propagates_each_state_once(self, capsys, monkeypatch):
-        # the _T_GRID states are propagated once and shared by five suites;
-        # density_matrix propagates its own on _T_GRID[::10]
+        # the _T_GRID states are propagated once and shared by six suites
         sizes = []
         evolve_grid = propagator.evolve_grid
         monkeypatch.setattr(propagator, "evolve_grid",
                             lambda psi0, decomp, T: sizes.append(len(T))
                             or evolve_grid(psi0, decomp, T))
         assert _run(["verify"]) == 0
-        assert collections.Counter(sizes) == {len(verify._T_GRID): 30,
-                                              len(verify._T_GRID[::10]): 6}
+        assert collections.Counter(sizes) == {len(verify._T_GRID): 30}
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 

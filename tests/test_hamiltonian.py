@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tcm_entangle.hamiltonian import build_hamiltonian, check_conservation
-from tcm_entangle.model import Basis, ModelParams
+from tcm_entangle.model import LEVELS, Basis, ModelParams
 
 
 def kron_hamiltonian(params, n_max):
@@ -88,6 +89,51 @@ class TestMatrixElements:
             build_hamiltonian(params, Basis(3))
 
 
+def per_state_hamiltonian(params, n_max):
+    """``build_hamiltonian`` as the loop over basis states it was before the
+    basis became index arrays: the reference for its bytes."""
+    m = n_max + 1
+    kets = list(itertools.product(LEVELS, LEVELS, range(m), range(m)))
+    index = {ket: i for i, ket in enumerate(kets)}
+    H = np.zeros((len(kets), len(kets)), dtype=complex)
+    for i, (atom_a, atom_b, n_a, n_b) in enumerate(kets):
+        sz = (1 if atom_a == "e" else -1) + (1 if atom_b == "e" else -1)
+        H[i, i] = (params.omega_a * n_a + params.omega_b * n_b
+                   + 0.5 * params.omega_0 * sz)
+        if n_a < n_max and n_b < n_max:
+            for level, atoms_after in ((atom_a, ("g", atom_b)), (atom_b, (atom_a, "g"))):
+                if level == "e":
+                    j = index[(*atoms_after, n_a + 1, n_b + 1)]
+                    H[j, i] += params.g
+                    H[i, j] += params.g
+        if atom_a == "e" and atom_b == "g" and params.Omega != 0.0:
+            j = index[("g", "e", n_a, n_b)]
+            H[j, i] += params.Omega
+            H[i, j] += params.Omega
+    return H
+
+
+class TestArrayBuildMatchesPerStateLoop:
+    # -0.0 is a valid Omega that the loop leaves out, so its entries stay +0.0
+    @pytest.mark.parametrize("n_max", range(2, 9))
+    def test_same_bytes(self, n_max):
+        basis = Basis(n_max)
+        for eps, lam, g in itertools.product((0.0, -0.0, 0.5, 1.3, 2.0, 7.77),
+                                             (2.0, 3.7, 1e6), (1.0, 1.7, 0.3)):
+            p = ModelParams.from_dimensionless(epsilon=eps, lam=lam, g=g, n_max=n_max)
+            assert build_hamiltonian(p, basis).tobytes() == \
+                per_state_hamiltonian(p, n_max).tobytes(), (eps, lam, g)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    def test_excitations_match_kets(self, n_max):
+        # N = n_a + n_b + 2 * (number of excited atoms), in basis order
+        m = n_max + 1
+        expected = [n_a + n_b + 2 * (atom_a == "e") + 2 * (atom_b == "e")
+                    for atom_a, atom_b, n_a, n_b
+                    in itertools.product(LEVELS, LEVELS, range(m), range(m))]
+        assert Basis(n_max).excitations.tolist() == expected
+
+
 class TestConservation:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n_max", [2, 3, 4])
@@ -105,9 +151,10 @@ class TestConservation:
         assert check_conservation(np.zeros((basis.size, basis.size)), basis)
 
 
-def _label(state):
-    """``ge01``-style name of a basis ket: atom A, atom B, n_a, n_b."""
-    return f"{state.atom_a}{state.atom_b}{state.n_a}{state.n_b}"
+def _label(basis, i):
+    """``ge01``-style name of basis state i: atom A, atom B, n_a, n_b."""
+    return (f"{'ge'[basis.excited_a[i]]}{'ge'[basis.excited_b[i]]}"
+            f"{basis.n_a[i]}{basis.n_b[i]}")
 
 
 def _sector(H, basis, N):
@@ -119,7 +166,7 @@ def _sector(H, basis, N):
 def _sub_block(H_sector, idx, basis, labels):
     """Rows/columns of the sector matrix for the named basis labels, plus
     the coupling between that set and the rest of the sector."""
-    sector_labels = [_label(basis.states[i]) for i in idx]
+    sector_labels = [_label(basis, i) for i in idx]
     pos = [sector_labels.index(lb) for lb in labels]
     rest = [k for k in range(len(idx)) if k not in pos]
     block = H_sector[np.ix_(pos, pos)]
@@ -164,5 +211,5 @@ class TestSectorRestriction:
     def test_zero_excitation_sector(self, basis):
         p = ModelParams.from_dimensionless()
         H0, idx = _sector(build_hamiltonian(p, basis), basis, 0)
-        assert [_label(basis.states[i]) for i in idx] == ["gg00"]
+        assert [_label(basis, i) for i in idx] == ["gg00"]
         assert H0[0, 0] == pytest.approx(-p.omega_0)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tcm_entangle.model import (Basis, BasisState, Family, InitialStateSpec,
-                                ModelParams, derive_constants,
-                                excitation_number, initial_state)
+from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 
 
 class TestModelParams:
@@ -43,31 +41,16 @@ class TestModelParams:
             ModelParams.from_dimensionless(**kwargs)
 
 
-class TestDerivedConstants:
-    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.0])
-    @pytest.mark.parametrize("alpha", [0.0, math.pi / 8, math.pi / 4, math.pi / 2])
-    def test_invariants(self, eps, alpha):
-        d = derive_constants(eps, alpha)
-        assert d.kappa >= math.sqrt(8) - 1e-15
-        assert d.eta >= 4.0 - 1e-15
-        assert d.L_plus - d.L_minus == pytest.approx(2.0, abs=1e-15)
-        assert d.theta_plus**2 + d.theta_minus**2 == pytest.approx(2.0, abs=1e-14)
-
-    def test_values_at_eps_zero(self):
-        d = derive_constants(0.0, math.pi / 4)
-        assert d.kappa == pytest.approx(math.sqrt(8))
-        assert d.eta == pytest.approx(4.0)
-        assert d.L_plus == 1.0 and d.L_minus == -1.0
-
-
-def _label(state):
-    return f"{state.atom_a}{state.atom_b}{state.n_a}{state.n_b}"
+def _label(basis, i):
+    """``ge01``-style name of basis state i: atom A, atom B, n_a, n_b."""
+    return (f"{'ge'[basis.excited_a[i]]}{'ge'[basis.excited_b[i]]}"
+            f"{basis.n_a[i]}{basis.n_b[i]}")
 
 
 class TestBasis:
     def test_n_max_zero_enumeration(self):
         b = Basis(0)
-        assert [_label(s) for s in b.states] == ["ee00", "eg00", "ge00", "gg00"]
+        assert [_label(b, i) for i in range(b.size)] == ["ee00", "eg00", "ge00", "gg00"]
 
     def test_size(self):
         assert Basis(2).size == 36
@@ -76,17 +59,17 @@ class TestBasis:
     def test_documented_ordering(self):
         # atom A slowest, then atom B, then n_a, then n_b
         b = Basis(2)
-        assert _label(b.states[0]) == "ee00"
-        assert _label(b.states[1]) == "ee01"
-        assert _label(b.states[3]) == "ee10"
-        assert _label(b.states[9]) == "eg00"
+        assert _label(b, 0) == "ee00"
+        assert _label(b, 1) == "ee01"
+        assert _label(b, 3) == "ee10"
+        assert _label(b, 9) == "eg00"
         assert b.index("g", "g", 1, 1) == 3 * 9 + 3 + 1
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
     def test_index_state_round_trip(self, n_a, n_b, ia, ib):
         b = Basis(3)
-        s = BasisState("eg"[ia], "eg"[ib], n_a, n_b)
-        assert b.states[b.index(s.atom_a, s.atom_b, s.n_a, s.n_b)] == s
+        s = ("eg"[ia], "eg"[ib], n_a, n_b)
+        assert _label(b, b.index(*s)) == "".join(map(str, s))
 
     def test_out_of_range_index_rejected(self):
         b = Basis(2)
@@ -105,7 +88,8 @@ class TestExcitationNumber:
         (("g", "g", 0, 0), 0),
     ])
     def test_examples(self, label, expected):
-        assert excitation_number(BasisState(*label)) == expected
+        b = Basis(2)
+        assert b.excitations[b.index(*label)] == expected
 
 
 class TestInitialState:

@@ -1,16 +1,29 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tcm_entangle
 from tcm_entangle import analytic, config, model
-from tcm_entangle.config import ConfigError
+from tcm_entangle.config import ConfigError, RunConfig
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_export_resolves():
     assert len(set(tcm_entangle.__all__)) == len(tcm_entangle.__all__)
     assert [n for n in tcm_entangle.__all__ if not hasattr(tcm_entangle, n)] == []
+
+
+def test_readme_entry_points_resolve():
+    # the paragraph from "Key entry points:" to the next blank line
+    text = _README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Key entry points:"):].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert len(names) > 10
+    assert [n for n in names if not hasattr(tcm_entangle, n)] == []
 
 
 def test_star_import():
@@ -62,6 +75,10 @@ _BAD_INPUT = {
                      ValueError, "zero_threshold"),
     "threshold inf": (lambda: tcm_entangle.detect_death_intervals(_trace(), math.inf),
                       ValueError, "zero_threshold"),
+    "n_points 300.0": (lambda: RunConfig(n_points=300.0), TypeError, "n_points"),
+    "n_points True": (lambda: RunConfig(n_points=True), TypeError, "n_points"),
+    "empty alpha_list": (lambda: RunConfig(alpha_list=()), ConfigError, "alpha_list"),
+    "empty epsilon_list": (lambda: RunConfig(epsilon_list=()), ConfigError, "epsilon_list"),
 }
 
 

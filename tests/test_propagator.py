@@ -8,8 +8,7 @@ from tcm_entangle import figures, propagator, verify
 from tcm_entangle.hamiltonian import build_hamiltonian
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import (SpectralDecomposition, decompose_model,
-                                     evolve, evolve_grid, jacobi_eigh,
-                                     spectral_decompose)
+                                     evolve, evolve_grid, jacobi_eigh)
 
 
 class TestJacobiEigh:
@@ -17,6 +16,12 @@ class TestJacobiEigh:
         w, V = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(2), atol=1e-14)
+
+    def test_returns_spectral_decomposition(self):
+        d = jacobi_eigh(np.diag([1.0, 2.0]))
+        assert isinstance(d, SpectralDecomposition)
+        np.testing.assert_allclose(d.eigenvalues, [1.0, 2.0])
+        assert isinstance(jacobi_eigh(np.zeros((2, 2))), SpectralDecomposition)
 
     def test_identity(self):
         w, V = jacobi_eigh(np.eye(3))
@@ -257,13 +262,6 @@ class TestEvolve:
         psi = evolve(psi0, d, 3.3)
         outside = basis.excitations != 2
         assert np.max(np.abs(psi[outside])) < 1e-12
-
-
-class TestSpectralDecompose:
-    def test_returns_dataclass(self):
-        d = spectral_decompose(np.diag([1.0, 2.0]))
-        assert isinstance(d, SpectralDecomposition)
-        np.testing.assert_allclose(d.eigenvalues, [1.0, 2.0])
 
 
 def _full_product(psi0, decomp, T_grid):
