@@ -17,12 +17,6 @@ class TestJacobiEigh:
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(2), atol=1e-14)
 
-    def test_returns_spectral_decomposition(self):
-        d = jacobi_eigh(np.diag([1.0, 2.0]))
-        assert isinstance(d, SpectralDecomposition)
-        np.testing.assert_allclose(d.eigenvalues, [1.0, 2.0])
-        assert isinstance(jacobi_eigh(np.zeros((2, 2))), SpectralDecomposition)
-
     def test_identity(self):
         w, V = jacobi_eigh(np.eye(3))
         np.testing.assert_allclose(w, np.ones(3))
@@ -181,6 +175,14 @@ class TestBlockJacobiMatchesPairByPair:
             start += m
         order = rng.permutation(n)
         _assert_same_bits(H[order][:, order])
+
+
+class TestSpectralDecompose:
+    def test_returns_dataclass(self):
+        d = jacobi_eigh(np.diag([1.0, 2.0]))
+        assert isinstance(d, SpectralDecomposition)
+        np.testing.assert_allclose(d.eigenvalues, [1.0, 2.0])
+        assert isinstance(jacobi_eigh(np.zeros((2, 2))), SpectralDecomposition)
 
 
 class TestModelDecomposition:
