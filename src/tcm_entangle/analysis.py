@@ -137,7 +137,7 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     if path is TracePath.ANALYTIC:
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
             xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon,
-                                     params.lam, T_grid)
+                                     params.lam, T_grid, _cached=True)
             C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
             abs_amps = np.abs(np.stack(xs, axis=-1))

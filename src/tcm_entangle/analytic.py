@@ -29,11 +29,33 @@ Gam = cos(a) e^{-i (2 lam + eps + eta) T / 2}.
 
 Both sets agree with exact propagation to machine precision for every
 (alpha, eps, T); see the oracle-equivalence tests.
+
+Only cos(a) and sin(a) depend on alpha.  A scan over alpha at fixed eps
+(and lam) on one grid therefore reuses everything else: whole-grid
+evaluations (``analysis.concurrence_trace`` on the ANALYTIC path and
+``closed_form_states``) take the exponentials and the alpha-free products
+built from them (``_psi_terms``, ``_phi_terms``) from a cache keyed by the
+function, the bits of eps (and lam) and the grid's shape and exact bytes.
+The cache holds at most 8 MiB (least recently used evicted first; an entry
+larger than that is not stored), i.e. at most 16 B x 4 (PSI) or 5 (PHI)
+arrays per grid point per entry.  Refinement calls on a few points never
+touch it.  The amplitudes keep their bytes: every expression after the
+terms is the one written without the cache, in the same order.  numpy
+computes an operation on a temporary operand of 256 KiB or more (16,384
+complex points) in place in that temporary, and a complex product
+computed in its right operand may round differently from one computed in
+its left or out of place.  So the amplitude bits depend on the grid
+length with or without the cache, and a cached array that stood as the
+only temporary operand of a product is copied before the product, so
+that it is computed where it was.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -49,45 +71,104 @@ def _check_domain(alpha: float, epsilon: float):
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
 
-def psi_amplitudes(alpha: float, epsilon: float, T):
+class _GridCache:
+    """Alpha-free terms of whole-grid evaluations, the least recently used
+    evicted first, never more than ``limit`` bytes in all.
+
+    An entry is keyed by the function that computes it, the bits of its
+    scalar arguments and the grid's shape and exact bytes.  Its arrays are
+    read-only; an entry larger than ``limit`` is computed and not stored."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def terms(self, compute, args: tuple, T: np.ndarray) -> tuple:
+        """``compute(*args, T)``, stored or reused."""
+        key = (compute, struct.pack(f"{len(args)}d", *args), T.shape, T.tobytes())
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+                return found
+        found = compute(*args, T)
+        size = sum(a.nbytes for a in found)
+        for a in found:
+            a.flags.writeable = False
+        if size <= self.limit:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = found
+                    self.nbytes += size
+                while self.nbytes > self.limit:
+                    _, evicted = self._entries.popitem(last=False)
+                    self.nbytes -= sum(a.nbytes for a in evicted)
+        return found
+
+
+#: 8 MiB holds six PHI entries of 20,001 points
+_GRID_CACHE = _GridCache(8 * 2**20)
+
+
+def _psi_terms(epsilon: float, T: np.ndarray) -> tuple:
+    k = math.sqrt(8.0 + epsilon * epsilon)
+    L_plus = epsilon / k + 1.0
+    L_minus = epsilon / k - 1.0
+    lam_phase = np.exp(-0.5j * k * L_plus * T)
+    xi = np.exp(0.5j * (3.0 * L_plus - 2.0) * k * T)
+    eikt = np.exp(1j * k * T)
+    return lam_phase, L_plus - L_minus * eikt, 2.0 * xi, 1.0 - eikt
+
+
+def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False):
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
     _check_domain(alpha, epsilon)
     T = np.asarray(T, dtype=float)
     k = math.sqrt(8.0 + epsilon * epsilon)
-    L_plus = epsilon / k + 1.0
-    L_minus = epsilon / k - 1.0
     theta_plus = math.cos(alpha) + math.sin(alpha)
     theta_minus = math.cos(alpha) - math.sin(alpha)
-    lam_phase = np.exp(-0.5j * k * L_plus * T)
-    xi = np.exp(0.5j * (3.0 * L_plus - 2.0) * k * T)
-    eikt = np.exp(1j * k * T)
-    core = theta_plus * (L_plus - L_minus * eikt)
-    x1 = lam_phase / 4.0 * (core + 2.0 * xi * theta_minus)
-    x2 = lam_phase / 4.0 * (core - 2.0 * xi * theta_minus)
-    x3 = lam_phase * theta_plus / k * (1.0 - eikt)
+    lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon,), T)
+                                        if _cached else _psi_terms(epsilon, T))
+    core = theta_plus * split.copy()   # a temporary, as before the cache
+    x1 = lam_phase / 4.0 * (core + xi2 * theta_minus)
+    x2 = lam_phase / 4.0 * (core - xi2 * theta_minus)
+    x3 = lam_phase * theta_plus / k * one_minus
     return x1, x2, x3
 
 
-def phi_amplitudes(alpha: float, epsilon: float, lam: float, T):
+def _phi_terms(epsilon: float, lam: float, T: np.ndarray) -> tuple:
+    eta = math.sqrt(16.0 + epsilon * epsilon)
+    gam_phase = np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)
+    eieta = np.exp(1j * eta * T)
+    m_plus, m_minus = 1.0 + eieta, 1.0 - eieta
+    half_split = np.exp(0.5j * (epsilon + eta) * T)
+    sym = m_plus - (epsilon / eta) * m_minus
+    return (gam_phase, np.exp(1j * lam * T), m_minus,
+            sym + 2.0 * half_split, sym - 2.0 * half_split)
+
+
+def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool = False):
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     _check_domain(alpha, epsilon)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     T = np.asarray(T, dtype=float)
     eta = math.sqrt(16.0 + epsilon * epsilon)
-    gam = math.cos(alpha) * np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)
-    eieta = np.exp(1j * eta * T)
-    m_plus, m_minus = 1.0 + eieta, 1.0 - eieta
-    half_split = np.exp(0.5j * (epsilon + eta) * T)
-    sym = m_plus - (epsilon / eta) * m_minus
-    x1 = gam / 4.0 * (sym + 2.0 * half_split)
-    x2 = np.exp(1j * lam * T) * math.sin(alpha)
+    gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
+        _GRID_CACHE.terms(_phi_terms, (epsilon, lam), T) if _cached
+        else _phi_terms(epsilon, lam, T))
+    gam = math.cos(alpha) * gam_phase.copy()   # temporaries, as before the cache
+    x1 = gam / 4.0 * sym_plus
+    x2 = lam_phase.copy() * math.sin(alpha)
     x3 = gam * m_minus / eta
-    x5 = gam / 4.0 * (sym - 2.0 * half_split)
+    x5 = gam / 4.0 * sym_minus
     return x1, x2, x3, x3, x5
 
 
-def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T):
+def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
+               _cached: bool = False):
     """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
     ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
@@ -95,8 +176,8 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T):
     """
     require_family(family)
     if family is Family.PSI:
-        return psi_amplitudes(alpha, epsilon, T)
-    return phi_amplitudes(alpha, epsilon, lam, T)
+        return psi_amplitudes(alpha, epsilon, T, _cached=_cached)
+    return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached)
 
 
 def closed_form_states(spec: InitialStateSpec, params: ModelParams, basis: Basis,
@@ -110,5 +191,5 @@ def closed_form_states(spec: InitialStateSpec, params: ModelParams, basis: Basis
     idx = basis.support_indices(spec.family)
     states = np.zeros((T_grid.size, basis.size), dtype=complex)
     states[:, idx] = np.stack(amplitudes(spec.family, spec.alpha, params.epsilon,
-                                         params.lam, T_grid), axis=-1)
+                                         params.lam, T_grid, _cached=True), axis=-1)
     return states

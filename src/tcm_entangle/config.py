@@ -84,8 +84,11 @@ class RunConfig:
             # ("m0") for the same physics
             object.__setattr__(self, name, tuple(v + 0.0 for v in getattr(self, name)))
         for name in ("T_max", "zero_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
             raise TypeError(f"n_points must be an integer, got {self.n_points!r}")
         if not 2 <= self.n_points <= MAX_N_POINTS:

@@ -166,8 +166,12 @@ class Basis:
         return (((1 - excited_a) * 2 + (1 - excited_b)) * m + n_a) * m + n_b
 
     def index(self, atom_a: str, atom_b: str, n_a: int, n_b: int) -> int:
+        """Basis index of |atom_a, atom_b, n_a, n_b>; photon numbers are ints."""
         if atom_a not in LEVELS or atom_b not in LEVELS:
             raise ValueError(f"unknown atomic level in ({atom_a}, {atom_b})")
+        for name, n in (("n_a", n_a), ("n_b", n_b)):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise TypeError(f"photon number {name} must be an integer, got {n!r}")
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
             raise ValueError(f"photon numbers ({n_a}, {n_b}) outside [0, n_max={self.n_max}]")
         return self.position(int(atom_a == "e"), int(atom_b == "e"), n_a, n_b)

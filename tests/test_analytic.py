@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle.analytic import (closed_form_states, phi_amplitudes,
+from tcm_entangle import analytic
+from tcm_entangle.analysis import (concurrence_trace, detect_death_intervals,
+                                   max_concurrence)
+from tcm_entangle.analytic import (amplitudes, closed_form_states, phi_amplitudes,
                                    psi_amplitudes)
 from tcm_entangle.model import (Basis, Family, InitialStateSpec, ModelParams,
                                 initial_state)
@@ -58,19 +61,107 @@ def _reference_phi_amplitudes(alpha, epsilon, lam, T):
     return x1, x2, x3, x3, x5
 
 
+#: grid lengths on both sides of numpy's temporary elision, which computes
+#: an operation on a temporary of 256 KiB (16,384 complex points) or more
+#: in place, and an in-place complex product may round differently
+GRID_LENGTHS = (4000, 16383, 16384, 20001)
+
+
+def _same_bytes(got, want) -> bool:
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def _cached_arrays(cache):
+    return [a for entry in cache._entries.values() for a in entry]
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """An empty grid cache of the package's bound, in place of the shared one."""
+    fresh = analytic._GridCache(analytic._GRID_CACHE.limit)
+    monkeypatch.setattr(analytic, "_GRID_CACHE", fresh)
+    return fresh
+
+
 class TestAmplitudesMatchDerivedConstants:
-    """The amplitudes equal the derived-constants reference to the byte."""
+    """The amplitudes equal the derived-constants reference to the byte, by
+    the plain call and by the grid cache's miss and hit."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_same_bytes(self, alpha):
-        T = np.linspace(0.0, 200.0, 20001)
-        for eps in (0.0, 0.5, 1.0, 1.3, 2.0, 3.7, 5.0, 7.77, 100.0):
-            pairs = list(zip(psi_amplitudes(alpha, eps, T),
-                             _reference_psi_amplitudes(alpha, eps, T)))
-            for lam in (2.0, 3.7, 1e6):
-                pairs += zip(phi_amplitudes(alpha, eps, lam, T),
-                             _reference_phi_amplitudes(alpha, eps, lam, T))
-            assert all(got.tobytes() == want.tobytes() for got, want in pairs), eps
+    def test_same_bytes(self, cache, alpha):
+        for n in GRID_LENGTHS:
+            T = np.linspace(0.0, 200.0, n)
+            for eps in (0.0, 0.5, 1.0, 1.3, 2.0, 3.7, 5.0, 7.77, 100.0):
+                want = _reference_psi_amplitudes(alpha, eps, T)
+                for cached in (False, True, True):
+                    assert _same_bytes(psi_amplitudes(alpha, eps, T, _cached=cached),
+                                       want), (n, eps)
+                for lam in (2.0, 3.7, 1e6):
+                    want = _reference_phi_amplitudes(alpha, eps, lam, T)
+                    for cached in (False, True, True):
+                        assert _same_bytes(phi_amplitudes(alpha, eps, lam, T,
+                                                          _cached=cached),
+                                           want), (n, eps, lam)
+
+
+class TestGridCache:
+    """Whole-grid evaluations reuse their alpha-free arrays and change no byte."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [2000, 16384])
+    def test_second_alpha_same_bytes(self, cache, family, n):
+        T = np.linspace(0.0, 40.0, n)
+        amplitudes(family, 0.3, 1.3, 2.0, T, _cached=True)
+        assert len(cache._entries) == 1
+        got = amplitudes(family, 1.1, 1.3, 2.0, T, _cached=True)
+        assert len(cache._entries) == 1
+        assert _same_bytes(got, amplitudes(family, 1.1, 1.3, 2.0, T))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_entry_is_keyed_by_grid_bytes(self, cache, family):
+        # grids of one length but different values never share an entry
+        for T_max in (40.0, 41.0, np.nextafter(41.0, 42.0)):
+            T = np.linspace(0.0, T_max, 300)
+            assert _same_bytes(amplitudes(family, 0.3, 1.3, 2.0, T, _cached=True),
+                               amplitudes(family, 0.3, 1.3, 2.0, T))
+        assert len(cache._entries) == 3
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 2])
+    def test_returned_arrays_are_writable_and_unshared(self, cache, family, alpha):
+        T = np.linspace(0.0, 40.0, 500)
+        for _ in range(2):   # a miss, then a hit
+            xs = amplitudes(family, alpha, 0.5, 2.0, T, _cached=True)
+            for x in xs:
+                assert x.flags.writeable
+                assert not any(np.shares_memory(x, a) for a in _cached_arrays(cache))
+        assert _cached_arrays(cache)
+        assert not any(a.flags.writeable for a in _cached_arrays(cache))
+
+    def test_refinement_calls_leave_the_cache_alone(self, cache):
+        T = np.linspace(0.0, 40.0, 4000)
+        for family in Family:
+            trace = concurrence_trace(InitialStateSpec(family, 0.3),
+                                      ModelParams.from_dimensionless(epsilon=0.5), T)
+            keys = list(cache._entries)
+            assert detect_death_intervals(trace) or family is Family.PSI
+            max_concurrence(trace)
+            for eps in np.linspace(0.0, 5.0, 50):
+                amplitudes(family, 0.3, eps, 2.0, T[:33])
+            assert list(cache._entries) == keys
+
+    def test_never_holds_more_than_its_bound(self, cache):
+        T = np.linspace(0.0, 40.0, 20001)
+        for k, eps in enumerate(np.linspace(0.0, 3.0, 12)):
+            family = Family.PSI if k % 3 else Family.PHI
+            concurrence_trace(InitialStateSpec(family, 0.3),
+                              ModelParams.from_dimensionless(epsilon=eps), T)
+            assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
+        assert len(cache._entries) < 12   # the least recently used were evicted
+        before = list(cache._entries)
+        huge = np.linspace(0.0, 40.0, cache.limit // (5 * 16) + 1)
+        phi_amplitudes(0.3, 1.0, 2.0, huge, _cached=True)   # larger than the bound
+        assert list(cache._entries) == before
 
 
 class TestPsiAmplitudes:

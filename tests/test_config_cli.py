@@ -488,6 +488,17 @@ class TestCliVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 
+    def test_energies_match_the_full_sum(self):
+        # the energy suite sums over the entries nonzero somewhere in each
+        # evolution; the bytes are those of the sum over all 36 entries
+        models = verify._models()
+        rows = list(verify._evolutions(models))
+        assert len(rows) == 30
+        for *_, H, psis in rows:
+            assert np.count_nonzero(np.any(psis, axis=0)) < psis.shape[1]
+            full = np.real(np.einsum("ti,ij,tj->t", psis.conj(), H, psis))
+            assert verify._energies(H, psis).tobytes() == full.tobytes()
+
     def test_dump_hamiltonian(self, tmp_path, capsys):
         path = tmp_path / "H.csv"
         assert _run(["verify", "--dump-hamiltonian", str(path),

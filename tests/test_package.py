@@ -79,6 +79,15 @@ _BAD_INPUT = {
     "n_points True": (lambda: RunConfig(n_points=True), TypeError, "n_points"),
     "empty alpha_list": (lambda: RunConfig(alpha_list=()), ConfigError, "alpha_list"),
     "empty epsilon_list": (lambda: RunConfig(epsilon_list=()), ConfigError, "epsilon_list"),
+    "photon number 0.5": (lambda: tcm_entangle.Basis(2).index("e", "g", 0.5, 0),
+                          TypeError, "n_a"),
+    "photon number True": (lambda: tcm_entangle.Basis(2).index("e", "g", True, 0),
+                           TypeError, "n_a"),
+    "photon number 1.0": (lambda: tcm_entangle.Basis(2).index("e", "g", 0, 1.0),
+                          TypeError, "n_b"),
+    "T_max True": (lambda: RunConfig(T_max=True), TypeError, "T_max"),
+    "zero_threshold True": (lambda: RunConfig(zero_threshold=True), TypeError,
+                            "zero_threshold"),
 }
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcm_entangle import analysis, cli, figures  # noqa: F401  (cli loads every traced module)
+from tcm_entangle import analysis, analytic, cli, figures  # noqa: F401  (cli loads every traced module)
 from tcm_entangle.config import RunConfig
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
@@ -84,3 +84,36 @@ def test_max_concurrence_evaluations(family):
     finally:
         tracer.uninstall()
     assert 1 <= tracer.per_command_metrics()[0]["analysis.max_evals"] <= 12
+
+
+def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
+    # the grid cache must not change what analytic.amplitude_calls and
+    # analytic.amplitude_points count: every trace still calls the
+    # amplitudes on its whole grid, cold cache or warm (the counts are
+    # those of the same scan before the cache existed)
+    grid = np.linspace(0.0, 40.0, 400)
+
+    def scan():
+        for family in Family:
+            for alpha in (0.3, 0.7, 1.1):
+                for eps in (0.5, 2.5):
+                    trace = analysis.concurrence_trace(
+                        InitialStateSpec(family, alpha),
+                        ModelParams.from_dimensionless(epsilon=eps), grid)
+                    analysis.detect_death_intervals(trace)
+                    analysis.max_concurrence(trace)
+                    analysis.estimate_period(trace)
+
+    monkeypatch.setattr(analytic, "_GRID_CACHE",
+                        analytic._GridCache(analytic._GRID_CACHE.limit))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.command("scan", scan)
+        tracer.command("scan", scan)
+    finally:
+        tracer.uninstall()
+    for metrics in tracer.per_command_metrics():
+        assert metrics["analysis.trace_calls"] == 12
+        assert metrics["analytic.amplitude_calls"] == 226
+        assert metrics["analytic.amplitude_points"] == 11374
