@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import types
 
 import numpy as np
@@ -162,6 +164,39 @@ class TestGridCache:
         huge = np.linspace(0.0, 40.0, cache.limit // (5 * 16) + 1)
         phi_amplitudes(0.3, 1.0, 2.0, huge, _cached=True)   # larger than the bound
         assert list(cache._entries) == before
+
+
+    def test_threads_share_it_without_losing_count(self, monkeypatch):
+        # a cache of three small entries, hammered by more threads than
+        # cores, keeps its byte count and its answers exact
+        T = np.linspace(0.0, 40.0, 100)
+        cache = analytic._GridCache(3 * 5 * 16 * T.size)
+        monkeypatch.setattr(analytic, "_GRID_CACHE", cache)
+        want = {eps: amplitudes(Family.PHI, 0.3, eps, 2.0, T) for eps in range(5)}
+        errors = []
+
+        def work(seed):
+            try:
+                for eps in np.random.default_rng(seed).integers(0, 5, 300).tolist():
+                    got = amplitudes(Family.PHI, 0.3, eps, 2.0, T, _cached=True)
+                    if not _same_bytes(got, want[eps]):
+                        errors.append(eps)
+            except Exception as exc:   # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
 
 
 class TestPsiAmplitudes:
