@@ -1,9 +1,9 @@
 """Closed-form time-dependent amplitudes for both initial-state families.
 
 This is the second, independent computation path; it never touches the
-numerical propagator.  All formulas are exact on resonance
-(omega_0 = omega_a + omega_b) with dimensionless time T = g*t and
-lam = omega_0/g entering phases only.
+numerical propagator.  The formulas solve H/g of :mod:`.hamiltonian`
+exactly, in eps = Omega/g and lam = omega_0/g over dimensionless time
+T = g*t.  lam enters the PHI phases only, never the concurrence.
 
 Each family's amplitudes sit on its kets in ``model.SUPPORT_KETS``, in order.
 

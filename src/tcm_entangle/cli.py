@@ -74,7 +74,7 @@ def _cmd_verify(args) -> int:
 def _dump_hamiltonian(path: Path, epsilon: float):
     """Debug CSV of the full matrix, complex entries as `re+imi` pairs."""
     with _flag("--epsilon"):
-        params = ModelParams.from_dimensionless(epsilon=epsilon)
+        params = ModelParams(epsilon=epsilon)
     basis = Basis(params.n_max)
     H = build_hamiltonian(params, basis)
     rows = []

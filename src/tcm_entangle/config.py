@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .analysis import DEFAULT_ZERO_THRESHOLD
-from .model import Family
+from .model import Family, require_family, require_real
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
@@ -77,18 +77,28 @@ class RunConfig:
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
+        require_family(self.family)
         for name in ("alpha_list", "epsilon_list"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            try:
+                values = tuple(values)
+            except TypeError:
+                raise TypeError(f"{name} must be a sequence of real numbers, "
+                                f"got {values!r}") from None
+            for value in values:
+                require_real(f"{name} value", value)
+            if not values:
                 raise ConfigError(f"{name} must hold at least one value")
             # -0.0 + 0.0 is +0.0: a signed zero would be a second file tag
             # ("m0") for the same physics
-            object.__setattr__(self, name, tuple(v + 0.0 for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(v + 0.0 for v in values))
         for name in ("T_max", "zero_threshold"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+            require_real(name, value)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if not isinstance(self.emit_svg, bool):
+            raise TypeError(f"emit_svg must be a bool, got {self.emit_svg!r}")
         if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
             raise TypeError(f"n_points must be an integer, got {self.n_points!r}")
         if not 2 <= self.n_points <= MAX_N_POINTS:

@@ -178,7 +178,7 @@ def run(config: RunConfig) -> list[Path]:
     grid = np.linspace(0.0, config.T_max, config.n_points)
     T_text = format_column(grid)
     for eps in config.epsilon_list:
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         model = None if config.path == "ANALYTIC" else analysis.oracle_model(params)
         curves = []
         for alpha in config.alpha_list:

@@ -1,4 +1,4 @@
-"""Physical parameters, truncated product basis and initial states.
+"""Dimensionless model parameters, truncated product basis and initial states.
 
 The system is two identical two-level atoms (A, B) in a two-mode cavity.
 Each atomic transition exchanges a photon *pair*, one photon in each mode,
@@ -24,8 +24,6 @@ import numpy as np
 
 LEVELS = ("e", "g")
 
-#: tolerance used to enforce the two-mode resonance condition
-_RESONANCE_RTOL = 1e-12
 #: largest accepted photon cutoff.  The basis holds 4 (n_max+1)^2 states and
 #: H/g and its eigenvectors are dense, so at the cap each is a 1,156 x 1,156
 #: complex matrix of 21 MB; building and decomposing it took 0.45 s and
@@ -63,6 +61,13 @@ SUPPORT_KETS = {
 }
 
 
+def require_real(name: str, value):
+    """Raise ``TypeError`` naming ``name`` unless ``value`` is a real number
+    other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def require_family(family):
     """Raise ``TypeError`` naming ``family`` unless it is a ``Family`` member."""
     if not isinstance(family, Family):
@@ -71,56 +76,34 @@ def require_family(family):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants of the cavity-atom system.
+    """The model in the units it is solved in: H/g over time T = g*t.
 
-    ``epsilon`` and ``lam`` are always recomputed from the stored couplings
-    so they can never go stale.  ``n_max`` is an int in [2, ``MAX_N_MAX``].
+    ``epsilon`` = Omega/g is the dipole-dipole strength (finite, >= 0),
+    ``lam`` = omega_0/g the atomic frequency (finite), and ``n_max`` the
+    photon cutoff, an int in [2, ``MAX_N_MAX``].  ``lam`` enters the PHI
+    phases only, never the concurrence.
     """
 
-    omega_a: float
-    omega_b: float
-    omega_0: float
-    g: float = 1.0
-    Omega: float = 0.0
+    epsilon: float = 0.0
+    lam: float = 2.0
     n_max: int = 2
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_b", "omega_0", "g", "Omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
-        if self.Omega < 0:
-            raise ValueError("dipole-dipole coupling Omega must be >= 0")
+        for name in ("epsilon", "lam"):
+            value = getattr(self, name)
+            require_real(name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         _check_n_max(self.n_max, 2)
-        scale = max(abs(self.omega_a), abs(self.omega_b), abs(self.omega_0), 1.0)
-        if abs(self.omega_0 - (self.omega_a + self.omega_b)) > _RESONANCE_RTOL * scale:
-            raise ValueError(
-                "resonance omega_0 = omega_a + omega_b is required "
-                f"(got omega_0={self.omega_0}, omega_a+omega_b={self.omega_a + self.omega_b})"
-            )
-
-    @property
-    def epsilon(self) -> float:
-        """Dimensionless dipole-dipole strength Omega/g."""
-        return self.Omega / self.g
-
-    @property
-    def lam(self) -> float:
-        """Dimensionless atomic frequency omega_0/g."""
-        return self.omega_0 / self.g
 
     @classmethod
     def from_dimensionless(cls, epsilon: float = 0.0, lam: float = 2.0,
-                           g: float = 1.0, n_max: int = 2) -> "ModelParams":
-        """Build resonant parameters from the two dimensionless ratios.
-
-        The mode frequencies are split evenly; only their sum enters any
-        observable quantity.
-        """
-        omega_0 = lam * g
-        return cls(omega_a=omega_0 / 2, omega_b=omega_0 / 2, omega_0=omega_0,
-                   g=g, Omega=epsilon * g, n_max=n_max)
+                           n_max: int = 2) -> "ModelParams":
+        """``ModelParams(epsilon, lam, n_max)``, under its older name."""
+        return cls(epsilon, lam, n_max)
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def jacobi_eigh(H: np.ndarray) -> SpectralDecomposition:
 
 def decompose_model(params: ModelParams, basis: Basis) -> SpectralDecomposition:
     """Decompose H/g so that :func:`evolve` takes dimensionless time."""
-    return jacobi_eigh(build_hamiltonian(params, basis) / params.g)
+    return jacobi_eigh(build_hamiltonian(params, basis))
 
 
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:

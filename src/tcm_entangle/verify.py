@@ -44,9 +44,9 @@ def _models():
     that evolves states, so each H/g is decomposed once per run."""
     models = {}
     for eps in _EPSILONS:
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         basis = Basis(params.n_max)
-        H = build_hamiltonian(params, basis) / params.g
+        H = build_hamiltonian(params, basis)
         models[eps] = (params, basis, H, propagator.jacobi_eigh(H))
     return models
 
@@ -75,7 +75,7 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
     worst = 0.0
     for eps in _EPSILONS:
         for n_max in (2, 3, 4):
-            params = ModelParams.from_dimensionless(epsilon=eps, n_max=n_max)
+            params = ModelParams(epsilon=eps, n_max=n_max)
             basis = Basis(n_max)
             H = build_hamiltonian(params, basis)
             if inject_fault:

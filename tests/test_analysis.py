@@ -14,7 +14,7 @@ from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 def _trace(family, alpha, eps, T_max=20.0, n=2000, path=TracePath.ANALYTIC):
     spec = InitialStateSpec(family, alpha)
-    params = ModelParams.from_dimensionless(epsilon=eps)
+    params = ModelParams(epsilon=eps)
     return concurrence_trace(spec, params, np.linspace(0, T_max, n), path)
 
 
@@ -54,7 +54,7 @@ class TestConcurrenceTrace:
 
     def test_rejects_bad_grid(self):
         spec = InitialStateSpec(Family.PSI, 0.3)
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         with pytest.raises(ValueError):
             concurrence_trace(spec, params, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestConcurrenceTrace:
         # NaN passes the ascending check and inf overflows the phases; both
         # used to be reported as an epsilon too large for double precision
         spec = InitialStateSpec(Family.PHI, 0.3)
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         with pytest.raises(ValueError, match="^T_grid must be finite$"):
             concurrence_trace(spec, params, np.array(grid), path)
 
@@ -120,7 +120,7 @@ class TestDeathIntervals:
     def test_boundary_run_unrefined(self):
         # start the grid inside a window: the left endpoint stays on the grid
         spec = InitialStateSpec(Family.PHI, math.pi / 6)
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         t = concurrence_trace(spec, params, np.linspace(1.0, 4.0, 2000))
         ivs = detect_death_intervals(t)
         assert len(ivs) == 1
@@ -140,7 +140,7 @@ class TestDeathIntervals:
     def test_grid_inside_one_window(self):
         # window (0.863, 2.278): both edges of the grid lie inside it
         spec = InitialStateSpec(Family.PHI, math.pi / 6)
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         t = concurrence_trace(spec, params, np.linspace(1.0, 2.0, 500))
         assert detect_death_intervals(t) == [DeathInterval(1.0, 2.0, False)]
 
@@ -148,7 +148,7 @@ class TestDeathIntervals:
         # window (0.863, 2.278): two grid points inside it are not enough, a
         # third makes it a window
         spec = InitialStateSpec(Family.PHI, math.pi / 6)
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         two = concurrence_trace(spec, params, np.array([0.5, 1.2, 2.0, 2.6]))
         assert np.count_nonzero(two.C < 1e-9) == 2 < MIN_RUN_POINTS
         assert detect_death_intervals(two) == []
@@ -204,7 +204,7 @@ class TestDeathIntervalsMatchScalarReference:
            n=st.integers(200, 1500), threshold=st.sampled_from([1e-9, 1e-3]))
     def test_bit_identical(self, family, alpha, eps, t0, span, n, threshold):
         spec = InitialStateSpec(family, alpha)
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         t = concurrence_trace(spec, params, np.linspace(t0, t0 + span, n))
         assert (detect_death_intervals(t, threshold)
                 == _reference_death_intervals(t, threshold))
@@ -268,7 +268,7 @@ class TestMaxConcurrence:
 
         monkeypatch.setattr(analysis, "analytic_concurrence", counted)
         spec = InitialStateSpec(family, 0.3)
-        t = concurrence_trace(spec, ModelParams.from_dimensionless(epsilon=1.0), grid)
+        t = concurrence_trace(spec, ModelParams(epsilon=1.0), grid)
         c, T_at = max_concurrence(t)
         k = int(np.argmax(t.C))
         assert c >= float(np.max(t.C))
@@ -356,7 +356,7 @@ class TestEstimatePeriod:
         grid = np.concatenate([np.linspace(0, 10, 3000, endpoint=False),
                                np.linspace(10, 40, 1000)])
         t = concurrence_trace(InitialStateSpec(Family.PSI, math.pi / 8),
-                              ModelParams.from_dimensionless(epsilon=0.0), grid)
+                              ModelParams(epsilon=0.0), grid)
         with pytest.raises(ValueError, match="T_grid"):
             estimate_period(t)
 

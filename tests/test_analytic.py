@@ -144,7 +144,7 @@ class TestGridCache:
         T = np.linspace(0.0, 40.0, 4000)
         for family in Family:
             trace = concurrence_trace(InitialStateSpec(family, 0.3),
-                                      ModelParams.from_dimensionless(epsilon=0.5), T)
+                                      ModelParams(epsilon=0.5), T)
             keys = list(cache._entries)
             assert detect_death_intervals(trace) or family is Family.PSI
             max_concurrence(trace)
@@ -157,7 +157,7 @@ class TestGridCache:
         for k, eps in enumerate(np.linspace(0.0, 3.0, 12)):
             family = Family.PSI if k % 3 else Family.PHI
             concurrence_trace(InitialStateSpec(family, 0.3),
-                              ModelParams.from_dimensionless(epsilon=eps), T)
+                              ModelParams(epsilon=eps), T)
             assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
         assert len(cache._entries) < 12   # the least recently used were evicted
         before = list(cache._entries)
@@ -327,7 +327,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     @pytest.mark.parametrize("alpha", [math.pi / 8, math.pi / 4, math.pi / 3])
     def test_psi_states_match_propagation(self, alpha, eps):
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
         spec = InitialStateSpec(Family.PSI, alpha)
@@ -339,7 +339,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     @pytest.mark.parametrize("alpha", [math.pi / 8, math.pi / 4, math.pi / 3])
     def test_phi_states_match_propagation(self, alpha, eps):
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
         spec = InitialStateSpec(Family.PHI, alpha)
@@ -351,7 +351,7 @@ class TestOracleEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(0, math.pi / 2), eps=st.floats(0, 5), T=st.floats(0, 30))
     def test_psi_fidelity_property(self, alpha, eps, T):
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         basis = Basis(params.n_max)
         decomp = decompose_model(params, basis)
         spec = InitialStateSpec(Family.PSI, alpha)
@@ -364,7 +364,7 @@ class TestClosedFormStates:
     def test_psi_placement(self):
         basis = Basis(2)
         spec = InitialStateSpec(Family.PSI, math.pi / 8)
-        (psi,) = closed_form_states(spec, ModelParams.from_dimensionless(), basis, [0.0])
+        (psi,) = closed_form_states(spec, ModelParams(), basis, [0.0])
         assert psi[basis.index("e", "g", 0, 0)] == pytest.approx(math.cos(math.pi / 8))
         assert psi[basis.index("g", "e", 0, 0)] == pytest.approx(math.sin(math.pi / 8))
         assert np.count_nonzero(psi) == 2
@@ -372,4 +372,4 @@ class TestClosedFormStates:
     def test_phi_requires_two_photon_truncation(self):
         spec = InitialStateSpec(Family.PHI, 0.3)
         with pytest.raises(ValueError, match="n_max"):
-            closed_form_states(spec, ModelParams.from_dimensionless(), Basis(1), [1.0])
+            closed_form_states(spec, ModelParams(), Basis(1), [1.0])

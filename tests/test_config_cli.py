@@ -94,6 +94,11 @@ class TestParseConfig:
         assert [math.copysign(1.0, v) for v in cfg.alpha_list + cfg.epsilon_list] == [1.0] * 3
         assert cfg.alpha_list == (0.0, 0.5)
 
+    def test_lists_take_any_iterable_of_reals(self):
+        # a numpy array used to fail the emptiness test as an ambiguous truth value
+        cfg = RunConfig(alpha_list=np.array([0.1, 0.2]), epsilon_list=iter([0, 2]))
+        assert cfg.alpha_list == (0.1, 0.2) and cfg.epsilon_list == (0.0, 2.0)
+
 
 def _read_csv(path: Path):
     """Parse one of the emitted CSVs back into (header, columns of floats)."""
@@ -293,9 +298,9 @@ class TestCliFigures:
         (["sweep", "--family", "PSI", "--alpha", ",", "--epsilon", "0"],
          "--alpha: cannot parse angle ''"),
         (["verify", "--dump-hamiltonian", "H.csv", "--epsilon", "-1"],
-         "--epsilon: dipole-dipole coupling Omega must be >= 0"),
+         "--epsilon: epsilon must be >= 0, got -1.0"),
         (["verify", "--dump-hamiltonian", "H.csv", "--epsilon", "nan"],
-         "--epsilon: Omega must be finite, got nan"),
+         "--epsilon: epsilon must be finite, got nan"),
     ])
     def test_flag_errors_name_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -381,7 +386,7 @@ def _all_points_disagreement(config: RunConfig):
     point, compared with the analytic C; returns the error text or None."""
     grid = np.linspace(0.0, config.T_max, config.n_points)
     for eps in config.epsilon_list:
-        params = ModelParams.from_dimensionless(epsilon=eps)
+        params = ModelParams(epsilon=eps)
         for alpha in config.alpha_list:
             spec = InitialStateSpec(config.family, alpha)
             gaps = np.abs(concurrence_trace(spec, params, grid).C

@@ -131,7 +131,7 @@ class TestReduceToAtoms:
 
     def test_evolved_psi_is_x_shaped(self, basis):
         # |x1|^2, |x2|^2, |x3|^2 on the diagonal, x1 x2* the only coherence
-        params = ModelParams.from_dimensionless(epsilon=0.8)
+        params = ModelParams(epsilon=0.8)
         decomp = decompose_model(params, basis)
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 8), basis)
         for T in (0.7, 2.2, 5.9):
@@ -144,7 +144,7 @@ class TestReduceToAtoms:
     def test_evolved_phi_diagonal_structure(self, basis):
         # rho_gg collects both |gg00> and |gg22|; only the ee/gg coherence
         # survives the partial trace
-        params = ModelParams.from_dimensionless(epsilon=0.8)
+        params = ModelParams(epsilon=0.8)
         decomp = decompose_model(params, basis)
         psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         psi = evolve(psi0, decomp, 1.3)
@@ -160,7 +160,7 @@ class TestReduceToAtoms:
         assert rho[1, 2] == pytest.approx(x4 * np.conj(x3), abs=1e-12)
 
     def test_routes_agree_along_trajectory(self, basis):
-        params = ModelParams.from_dimensionless(epsilon=2.0)
+        params = ModelParams(epsilon=2.0)
         decomp = decompose_model(params, basis)
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 6), basis)
@@ -176,7 +176,7 @@ class TestPureConcurrence:
         return Basis(2)
 
     def test_matches_general_route_on_trajectories(self, basis):
-        params = ModelParams.from_dimensionless(epsilon=1.3)
+        params = ModelParams(epsilon=1.3)
         decomp = decompose_model(params, basis)
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 5), basis)
@@ -190,7 +190,7 @@ class TestPureConcurrence:
         # the uncoupled-atom start has C identically zero, including at the
         # point where one reduced eigenvalue sits near 1e-13 and a
         # truncation-based route would leak a ~1e-6 artifact
-        params = ModelParams.from_dimensionless()
+        params = ModelParams()
         decomp = decompose_model(params, basis)
         psi0 = initial_state(InitialStateSpec(Family.PHI, 0.0), basis)
         for T in np.linspace(4.70, 4.72, 9):
@@ -218,7 +218,7 @@ class TestSignedCrossTerm:
     @pytest.fixture(scope="class")
     def traces(self):
         spec = InitialStateSpec(Family.PSI, math.pi / 12)
-        params = ModelParams.from_dimensionless(epsilon=0.0)
+        params = ModelParams(epsilon=0.0)
         grid = np.linspace(0.0, 20.0, 400)
         return (concurrence_trace(spec, params, grid, TracePath.ORACLE),
                 concurrence_trace(spec, params, grid, TracePath.ANALYTIC))
@@ -311,7 +311,7 @@ def _full_gap_bound(a, o, basis):
 def _propagated_pair(family, n_points):
     """Closed-form and propagated states at eps = 2, lambda = 1e4, where they
     differ well above rounding; both are zero outside the occupied sectors."""
-    params = ModelParams.from_dimensionless(epsilon=2.0, lam=1e4)
+    params = ModelParams(epsilon=2.0, lam=1e4)
     model = oracle_model(params)
     spec = InitialStateSpec(family, math.pi / 8)
     grid = np.linspace(0.0, 20.0, n_points)
@@ -329,7 +329,7 @@ class TestConcurrenceGapBound:
         # lambda enters the oracle eigenproblem only, so at large lambda the
         # oracle drifts from the closed form and the bound must follow it
         spec = InitialStateSpec(family, alpha)
-        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=10.0 ** log_lam)
+        params = ModelParams(epsilon=epsilon, lam=10.0 ** log_lam)
         grid = np.linspace(0.0, T_max, 80)
         model = oracle_model(params)
         basis = model[0]

@@ -26,14 +26,13 @@ def kron_hamiltonian(params, n_max):
     def kron4(pa, pb, ma, mb):
         return np.kron(np.kron(np.kron(pa, pb), ma), mb)
 
-    H = (params.omega_a * kron4(id2, id2, n_op, idm)
-         + params.omega_b * kron4(id2, id2, idm, n_op)
-         + 0.5 * params.omega_0 * (kron4(sz, id2, idm, idm) + kron4(id2, sz, idm, idm)))
+    H = 0.5 * params.lam * (kron4(id2, id2, n_op, idm) + kron4(id2, id2, idm, n_op)
+                            + kron4(sz, id2, idm, idm) + kron4(id2, sz, idm, idm))
     pair_raise = np.kron(raise_op, raise_op)
     for atom_sm in (kron4(sm, id2, idm, idm), kron4(id2, sm, idm, idm)):
-        term = params.g * np.kron(np.eye(4), pair_raise) @ atom_sm
+        term = np.kron(np.eye(4), pair_raise) @ atom_sm
         H = H + term + term.conj().T
-    flip = params.Omega * kron4(sp, sm, idm, idm)
+    flip = params.epsilon * kron4(sp, sm, idm, idm)
     return H + flip + flip.conj().T
 
 
@@ -44,7 +43,7 @@ def basis():
 
 @pytest.fixture
 def params():
-    return ModelParams.from_dimensionless(epsilon=0.7, lam=2.0)
+    return ModelParams(epsilon=0.7, lam=2.0)
 
 
 class TestMatrixElements:
@@ -52,27 +51,27 @@ class TestMatrixElements:
         H = build_hamiltonian(params, basis)
         i = basis.index("e", "g", 0, 0)
         j = basis.index("g", "g", 1, 1)
-        assert H[j, i] == pytest.approx(params.g)
+        assert H[j, i] == 1.0
 
     def test_double_pair_element_is_g(self, basis, params):
-        # every pair step has amplitude g, also out of |eg11> (no bosonic
-        # sqrt((n_a+1)(n_b+1)) factor); the closed forms rely on this
+        # every pair step has amplitude g (1 in H/g), also out of |eg11> (no
+        # bosonic sqrt((n_a+1)(n_b+1)) factor); the closed forms rely on this
         i = basis.index("e", "g", 1, 1)
         j = basis.index("g", "g", 2, 2)
-        assert build_hamiltonian(params, basis)[j, i] == pytest.approx(params.g)
+        assert build_hamiltonian(params, basis)[j, i] == 1.0
 
     def test_dipole_flip_flop_element(self, basis, params):
         H = build_hamiltonian(params, basis)
         i = basis.index("e", "g", 0, 0)
         j = basis.index("g", "e", 0, 0)
-        assert H[j, i] == pytest.approx(params.Omega)
+        assert H[j, i] == params.epsilon
 
     def test_resonant_diagonal_matches_sector(self, basis, params):
         H = build_hamiltonian(params, basis)
         i = basis.index("g", "g", 1, 1)
         assert H[i, i] == pytest.approx(0.0, abs=1e-15)
         j = basis.index("g", "g", 0, 0)
-        assert H[j, j] == pytest.approx(-params.omega_0)
+        assert H[j, j] == pytest.approx(-params.lam)
 
     def test_hermitian_by_construction(self, basis, params):
         H = build_hamiltonian(params, basis)
@@ -80,7 +79,7 @@ class TestMatrixElements:
 
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_matches_operator_composition_oracle(self, n_max):
-        p = ModelParams.from_dimensionless(epsilon=1.3, lam=2.0, n_max=n_max)
+        p = ModelParams(epsilon=1.3, lam=2.0, n_max=n_max)
         H = build_hamiltonian(p, Basis(n_max))
         np.testing.assert_allclose(H, kron_hamiltonian(p, n_max), atol=1e-14)
 
@@ -98,31 +97,55 @@ def per_state_hamiltonian(params, n_max):
     H = np.zeros((len(kets), len(kets)), dtype=complex)
     for i, (atom_a, atom_b, n_a, n_b) in enumerate(kets):
         sz = (1 if atom_a == "e" else -1) + (1 if atom_b == "e" else -1)
-        H[i, i] = (params.omega_a * n_a + params.omega_b * n_b
-                   + 0.5 * params.omega_0 * sz)
+        half = 0.5 * params.lam
+        H[i, i] = half * n_a + half * n_b + half * sz
         if n_a < n_max and n_b < n_max:
             for level, atoms_after in ((atom_a, ("g", atom_b)), (atom_b, (atom_a, "g"))):
                 if level == "e":
                     j = index[(*atoms_after, n_a + 1, n_b + 1)]
-                    H[j, i] += params.g
-                    H[i, j] += params.g
-        if atom_a == "e" and atom_b == "g" and params.Omega != 0.0:
+                    H[j, i] += 1.0
+                    H[i, j] += 1.0
+        if atom_a == "e" and atom_b == "g" and params.epsilon != 0.0:
             j = index[("g", "e", n_a, n_b)]
-            H[j, i] += params.Omega
-            H[i, j] += params.Omega
+            H[j, i] += params.epsilon
+            H[i, j] += params.epsilon
     return H
 
 
+def physical_hamiltonian(omega_a, omega_b, omega_0, g, Omega, basis):
+    """H in physical units, as ``build_hamiltonian`` built it before the
+    model became (eps, lam, n_max): the reference for the bytes of H/g."""
+    d = basis.size
+    ea, eb, na, nb = basis.excited_a, basis.excited_b, basis.n_a, basis.n_b
+    H = np.zeros((d, d), dtype=complex)
+    sz = 2 * (ea + eb) - 2
+    np.fill_diagonal(H, omega_a * na + omega_b * nb + 0.5 * omega_0 * sz)
+    room = (na < basis.n_max) & (nb < basis.n_max)
+    for da, db in ((1, 0), (0, 1)):
+        i = np.flatnonzero(room & (ea >= da) & (eb >= db))
+        j = basis.position(ea[i] - da, eb[i] - db, na[i] + 1, nb[i] + 1)
+        H[j, i] = g
+        H[i, j] = g
+    if Omega != 0.0:
+        i = np.flatnonzero((ea == 1) & (eb == 0))
+        j = basis.position(0, 1, na[i], nb[i])
+        H[j, i] = Omega
+        H[i, j] = Omega
+    return H
+
+
+_MODEL_GRID = list(itertools.product((0.0, -0.0, 0.5, 1.3, 2.0, 7.77), (2.0, 3.7, 1e6)))
+
+
 class TestArrayBuildMatchesPerStateLoop:
-    # -0.0 is a valid Omega that the loop leaves out, so its entries stay +0.0
+    # -0.0 is a valid epsilon that the loop leaves out, so its entries stay +0.0
     @pytest.mark.parametrize("n_max", range(2, 9))
     def test_same_bytes(self, n_max):
         basis = Basis(n_max)
-        for eps, lam, g in itertools.product((0.0, -0.0, 0.5, 1.3, 2.0, 7.77),
-                                             (2.0, 3.7, 1e6), (1.0, 1.7, 0.3)):
-            p = ModelParams.from_dimensionless(epsilon=eps, lam=lam, g=g, n_max=n_max)
+        for eps, lam in _MODEL_GRID:
+            p = ModelParams(epsilon=eps, lam=lam, n_max=n_max)
             assert build_hamiltonian(p, basis).tobytes() == \
-                per_state_hamiltonian(p, n_max).tobytes(), (eps, lam, g)
+                per_state_hamiltonian(p, n_max).tobytes(), (eps, lam)
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
     def test_excitations_match_kets(self, n_max):
@@ -134,11 +157,24 @@ class TestArrayBuildMatchesPerStateLoop:
         assert Basis(n_max).excitations.tolist() == expected
 
 
+class TestDimensionlessBuildMatchesPhysicalUnits:
+    # H/g at unit g with the even mode split, omega_0 = lam * g and
+    # Omega = eps * g, as the physical constants were derived from eps, lam
+    @pytest.mark.parametrize("n_max", range(2, 9))
+    def test_same_bytes_at_unit_g(self, n_max):
+        basis, g = Basis(n_max), 1.0
+        for eps, lam in _MODEL_GRID:
+            omega_0 = lam * g
+            H = physical_hamiltonian(omega_0 / 2, omega_0 / 2, omega_0, g, eps * g, basis)
+            p = ModelParams(epsilon=eps, lam=lam, n_max=n_max)
+            assert build_hamiltonian(p, basis).tobytes() == H.tobytes(), (eps, lam)
+
+
 class TestConservation:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n_max", [2, 3, 4])
     def test_built_hamiltonian_conserves(self, eps, n_max):
-        p = ModelParams.from_dimensionless(epsilon=eps, n_max=n_max)
+        p = ModelParams(epsilon=eps, n_max=n_max)
         b = Basis(n_max)
         assert check_conservation(build_hamiltonian(p, b), b)
 
@@ -180,8 +216,8 @@ class TestSectorRestriction:
         # pair-interaction dynamics (n_a + e and n_b + e are separately
         # conserved); the connected block is the documented 3x3 matrix
         eps = 2.0
-        p = ModelParams.from_dimensionless(epsilon=eps)
-        H2, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 2)
+        p = ModelParams(epsilon=eps)
+        H2, idx = _sector(build_hamiltonian(p, basis), basis, 2)
         block, cross = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         np.testing.assert_allclose(
             block, np.array([[0, eps, 1], [eps, 0, 1], [1, 1, 0]]), atol=1e-14)
@@ -189,8 +225,8 @@ class TestSectorRestriction:
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.0])
     def test_two_excitation_spectrum(self, basis, eps):
-        p = ModelParams.from_dimensionless(epsilon=eps)
-        H2, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 2)
+        p = ModelParams(epsilon=eps)
+        H2, idx = _sector(build_hamiltonian(p, basis), basis, 2)
         block, _ = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         kappa = math.sqrt(8 + eps**2)
         expected = sorted([-eps, (eps + kappa) / 2, (eps - kappa) / 2])
@@ -199,8 +235,8 @@ class TestSectorRestriction:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
     def test_four_excitation_spectrum(self, basis, eps):
         # spectrum of the connected block, above the sector's common diagonal
-        p = ModelParams.from_dimensionless(epsilon=eps)
-        H4, idx = _sector(build_hamiltonian(p, basis) / p.g, basis, 4)
+        p = ModelParams(epsilon=eps)
+        H4, idx = _sector(build_hamiltonian(p, basis), basis, 4)
         block, cross = _sub_block(H4, idx, basis, ["ee00", "eg11", "ge11", "gg22"])
         np.testing.assert_allclose(cross, 0.0, atol=1e-15)
         eta = math.sqrt(16 + eps**2)
@@ -209,7 +245,7 @@ class TestSectorRestriction:
         np.testing.assert_allclose(shifted, expected, atol=1e-10)
 
     def test_zero_excitation_sector(self, basis):
-        p = ModelParams.from_dimensionless()
+        p = ModelParams()
         H0, idx = _sector(build_hamiltonian(p, basis), basis, 0)
         assert [_label(basis, i) for i in idx] == ["gg00"]
-        assert H0[0, 0] == pytest.approx(-p.omega_0)
+        assert H0[0, 0] == pytest.approx(-p.lam)

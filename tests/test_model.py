@@ -8,37 +8,34 @@ from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, ini
 
 
 class TestModelParams:
-    def test_resonance_enforced(self):
-        with pytest.raises(ValueError, match="resonance"):
-            ModelParams(omega_a=1.0, omega_b=1.0, omega_0=2.5)
-
-    def test_dimensionless_ratios_recomputed(self):
-        p = ModelParams(omega_a=1.5, omega_b=0.5, omega_0=2.0, g=0.5, Omega=1.0)
-        assert p.epsilon == 2.0
-        assert p.lam == 4.0
-
     def test_from_dimensionless_round_trip(self):
-        p = ModelParams.from_dimensionless(epsilon=2.0, lam=3.0, g=2.0)
+        p = ModelParams.from_dimensionless(epsilon=2.0, lam=3.0)
         assert p.epsilon == 2.0
         assert p.lam == 3.0
-        assert p.omega_0 == p.omega_a + p.omega_b
+        assert p == ModelParams(2.0, 3.0)
+
+    # the floats stored a different ratio when they went through g = 3
+    @pytest.mark.parametrize("epsilon,lam", [(0.1, 2.0), (0.3, 0.7), (2, 3)])
+    def test_ratios_stored_as_given(self, epsilon, lam):
+        p = ModelParams(epsilon=epsilon, lam=lam)
+        assert (p.epsilon, p.lam) == (epsilon, lam)
+        assert type(p.epsilon) is float and type(p.lam) is float
 
     @pytest.mark.parametrize("kwargs", [
-        dict(g=0.0), dict(g=-1.0), dict(Omega=-0.1), dict(n_max=1),
-        dict(g=math.inf), dict(Omega=math.nan), dict(omega_a=math.nan, omega_0=math.nan),
+        dict(epsilon=-0.1), dict(epsilon=-math.inf), dict(n_max=1), dict(lam=math.inf),
+        dict(epsilon=math.nan), dict(lam=-math.inf), dict(lam=math.nan),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
-        base = dict(omega_a=1.0, omega_b=1.0, omega_0=2.0)
         with pytest.raises(ValueError):
-            ModelParams(**{**base, **kwargs})
+            ModelParams(**kwargs)
 
     @pytest.mark.parametrize("kwargs,field", [
-        (dict(epsilon=math.nan), "Omega"), (dict(epsilon=math.inf), "Omega"),
-        (dict(lam=math.nan), "omega_a"),
+        (dict(epsilon=math.nan), "epsilon"), (dict(epsilon=math.inf), "epsilon"),
+        (dict(lam=math.nan), "lam"),
     ])
-    def test_from_dimensionless_rejects_non_finite(self, kwargs, field):
+    def test_rejects_non_finite(self, kwargs, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            ModelParams.from_dimensionless(**kwargs)
+            ModelParams(**kwargs)
 
 
 def _label(basis, i):

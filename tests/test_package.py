@@ -26,6 +26,14 @@ def test_readme_entry_points_resolve():
     assert [n for n in names if not hasattr(tcm_entangle, n)] == []
 
 
+def test_readme_library_example_runs(capsys):
+    # the python block of the "## Library" section, run as written
+    text = _README.read_text(encoding="utf-8")
+    block = text[text.index("## Library"):].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out.startswith("[DeathInterval(T_start=")
+
+
 def test_star_import():
     namespace = {}
     exec("from tcm_entangle import *", namespace)
@@ -34,12 +42,12 @@ def test_star_import():
 
 def _trace():
     spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3)
-    params = tcm_entangle.ModelParams.from_dimensionless()
+    params = tcm_entangle.ModelParams()
     return tcm_entangle.concurrence_trace(spec, params, np.linspace(0.0, 10.0, 101))
 
 
 def _phi_model():
-    params = tcm_entangle.ModelParams.from_dimensionless()
+    params = tcm_entangle.ModelParams()
     basis = tcm_entangle.Basis(params.n_max)
     spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PHI, 0.3)
     return tcm_entangle.initial_state(spec, basis), tcm_entangle.decompose_model(params, basis)
@@ -57,13 +65,12 @@ _BAD_INPUT = {
                                   TypeError, "family"),
     "path text": (lambda: tcm_entangle.concurrence_trace(
         tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3),
-        tcm_entangle.ModelParams.from_dimensionless(), [1.0, 2.0], "ANALYTIC"),
+        tcm_entangle.ModelParams(), [1.0, 2.0], "ANALYTIC"),
         TypeError, "path"),
-    "n_max 2.5": (lambda: tcm_entangle.ModelParams.from_dimensionless(n_max=2.5),
-                  TypeError, "n_max"),
+    "n_max 2.5": (lambda: tcm_entangle.ModelParams(n_max=2.5), TypeError, "n_max"),
     "n_max True": (lambda: tcm_entangle.Basis(True), TypeError, "n_max"),
-    "n_max above cap": (lambda: tcm_entangle.ModelParams.from_dimensionless(
-        n_max=model.MAX_N_MAX + 1), ValueError, "n_max"),
+    "n_max above cap": (lambda: tcm_entangle.ModelParams(n_max=model.MAX_N_MAX + 1),
+                        ValueError, "n_max"),
     "basis above cap": (lambda: tcm_entangle.Basis(model.MAX_N_MAX + 1), ValueError, "n_max"),
     "grid nan": (lambda: tcm_entangle.evolve_grid(*_phi_model(), [0.0, math.nan]),
                  ValueError, "T_grid"),
@@ -88,6 +95,17 @@ _BAD_INPUT = {
     "T_max True": (lambda: RunConfig(T_max=True), TypeError, "T_max"),
     "zero_threshold True": (lambda: RunConfig(zero_threshold=True), TypeError,
                             "zero_threshold"),
+    "epsilon True": (lambda: tcm_entangle.ModelParams.from_dimensionless(epsilon=True),
+                     TypeError, "epsilon"),
+    "epsilon text": (lambda: tcm_entangle.ModelParams.from_dimensionless(epsilon="1"),
+                     TypeError, "epsilon"),
+    "lam text": (lambda: tcm_entangle.ModelParams.from_dimensionless(lam="2"),
+                 TypeError, "lam"),
+    "family text in config": (lambda: RunConfig(family="PSI"), TypeError, "family"),
+    "emit_svg text": (lambda: RunConfig(emit_svg="no"), TypeError, "emit_svg"),
+    "alpha_list number": (lambda: RunConfig(alpha_list=0.3), TypeError, "alpha_list"),
+    "epsilon_list number": (lambda: RunConfig(epsilon_list=2.0), TypeError, "epsilon_list"),
+    "alpha_list text": (lambda: RunConfig(alpha_list="0.3"), TypeError, "alpha_list"),
 }
 
 

@@ -80,8 +80,8 @@ class TestJacobiEigh:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("epsilon,ok", [(1e153, True), (1e160, False), (1e200, False)])
     def test_model_hamiltonian_near_overflow(self, epsilon, ok):
-        params = ModelParams.from_dimensionless(epsilon=epsilon)
-        H = build_hamiltonian(params, Basis(params.n_max)) / params.g
+        params = ModelParams(epsilon=epsilon)
+        H = build_hamiltonian(params, Basis(params.n_max))
         if not ok:
             with pytest.raises(ValueError, match="norm of H is not finite"):
                 jacobi_eigh(H)
@@ -147,15 +147,15 @@ class TestBlockJacobiMatchesPairByPair:
 
     @pytest.mark.parametrize("epsilon", CLI_EPSILONS)
     def test_models_verify_and_cli_decompose(self, epsilon):
-        params = ModelParams.from_dimensionless(epsilon=epsilon)
-        _assert_same_bits(build_hamiltonian(params, Basis(params.n_max)) / params.g)
+        params = ModelParams(epsilon=epsilon)
+        _assert_same_bits(build_hamiltonian(params, Basis(params.n_max)))
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.3, 2.0])
     @pytest.mark.parametrize("lam", [2.0, 3.7])
     def test_model_grid(self, n_max, epsilon, lam):
-        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=lam, n_max=n_max)
-        _assert_same_bits(build_hamiltonian(params, Basis(n_max)) / params.g)
+        params = ModelParams(epsilon=epsilon, lam=lam, n_max=n_max)
+        _assert_same_bits(build_hamiltonian(params, Basis(n_max)))
 
     @pytest.mark.parametrize("seed", range(45))
     def test_random_dense(self, seed):
@@ -187,17 +187,17 @@ class TestSpectralDecompose:
 
 class TestModelDecomposition:
     def test_full_hamiltonian_decomposition(self):
-        p = ModelParams.from_dimensionless(epsilon=0.7)
+        p = ModelParams(epsilon=0.7)
         basis = Basis(2)
         d = decompose_model(p, basis)
-        H = build_hamiltonian(p, basis) / p.g
+        H = build_hamiltonian(p, basis)
         np.testing.assert_allclose(
             d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.conj().T,
             H, atol=1e-11)
 
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     def test_contains_sector_eigenvalues(self, eps):
-        p = ModelParams.from_dimensionless(epsilon=eps)
+        p = ModelParams(epsilon=eps)
         d = decompose_model(p, Basis(2))
         kappa = math.sqrt(8 + eps**2)
         for expected in (-eps, (eps + kappa) / 2, (eps - kappa) / 2):
@@ -207,7 +207,7 @@ class TestModelDecomposition:
 class TestEvolve:
     @pytest.fixture
     def setup(self):
-        p = ModelParams.from_dimensionless(epsilon=0.0)
+        p = ModelParams(epsilon=0.0)
         basis = Basis(2)
         d = decompose_model(p, basis)
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 4), basis)
@@ -288,7 +288,7 @@ class TestEvolveGridOccupiedEigenspace:
            log_tmax=st.floats(-3.0, 4.0), points=st.integers(2, 3000))
     def test_bytes_match_full_product(self, n_max, family, alpha, epsilon, log_lam,
                                       log_tmax, points):
-        params = ModelParams.from_dimensionless(epsilon=epsilon, lam=10.0 ** log_lam,
+        params = ModelParams(epsilon=epsilon, lam=10.0 ** log_lam,
                                                 n_max=n_max)
         basis = Basis(n_max)
         d = decompose_model(params, basis)
@@ -301,7 +301,7 @@ class TestEvolveGridOccupiedEigenspace:
     @pytest.fixture
     def phi_model(self):
         basis = Basis(2)
-        return basis, decompose_model(ModelParams.from_dimensionless(epsilon=2.0), basis)
+        return basis, decompose_model(ModelParams(epsilon=2.0), basis)
 
     def test_dense_state_occupies_everything(self, phi_model):
         basis, d = phi_model
@@ -332,7 +332,7 @@ class TestEvolveGridOccupiedEigenspace:
         # PSI and PHI do not occupy the highest, yet those rows are NaN as
         # they are in the full product
         basis = Basis(2)
-        d = decompose_model(ModelParams.from_dimensionless(epsilon=0.0), basis)
+        d = decompose_model(ModelParams(epsilon=0.0), basis)
         psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
         grid = np.linspace(0.0, 1e308, 50)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -75,7 +75,7 @@ def test_max_concurrence_evaluations(family):
     # analysis.max_evals counts the closed-form calls under max_concurrence:
     # a few 33-point passes, where golden section made 52 scalar calls
     trace = analysis.concurrence_trace(InitialStateSpec(family, 0.3),
-                                       ModelParams.from_dimensionless(epsilon=1.0),
+                                       ModelParams(epsilon=1.0),
                                        np.linspace(0.0, 40.0, 4000))
     tracer = _load_tracer().Tracer()
     tracer.install()
@@ -99,7 +99,7 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
                 for eps in (0.5, 2.5):
                     trace = analysis.concurrence_trace(
                         InitialStateSpec(family, alpha),
-                        ModelParams.from_dimensionless(epsilon=eps), grid)
+                        ModelParams(epsilon=eps), grid)
                     analysis.detect_death_intervals(trace)
                     analysis.max_concurrence(trace)
                     analysis.estimate_period(trace)
