@@ -95,9 +95,9 @@ def per_state_hamiltonian(params, n_max):
     kets = list(itertools.product(LEVELS, LEVELS, range(m), range(m)))
     index = {ket: i for i, ket in enumerate(kets)}
     H = np.zeros((len(kets), len(kets)), dtype=complex)
+    half = 0.5 * params.lam
     for i, (atom_a, atom_b, n_a, n_b) in enumerate(kets):
         sz = (1 if atom_a == "e" else -1) + (1 if atom_b == "e" else -1)
-        half = 0.5 * params.lam
         H[i, i] = half * n_a + half * n_b + half * sz
         if n_a < n_max and n_b < n_max:
             for level, atoms_after in ((atom_a, ("g", atom_b)), (atom_b, (atom_a, "g"))):
