@@ -97,21 +97,35 @@ def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelPar
                          "epsilon or T is too large for double precision")
 
 
-def oracle_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
-                  model) -> np.ndarray:
+def occupied_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
+                    model) -> tuple[np.ndarray, np.ndarray]:
     """States propagated from the initial state of ``spec`` over ``T_grid`` on
-    ``model`` (from :func:`oracle_model`), each checked finite and of unit norm.
+    ``model`` (from :func:`oracle_model`), each checked finite and of unit
+    norm, and the ascending indices of their used columns.
 
-    Both checks read the row norms: an entry of a propagated state is
-    bounded by the basis size, so a norm is non-finite exactly when some
-    entry of its row is."""
+    The used columns are those nonzero in some state, joined with the
+    family's ``SUPPORT_KETS``.  They are read from the states, not from the
+    decomposition, so amplitude that leaks outside the occupied eigenspace
+    is seen.  Both checks read the row norms over these columns: every
+    other entry is an exact zero, so each norm is the whole row's up to
+    summation order.  An entry of a propagated state is bounded by the
+    basis size, so a norm is non-finite exactly when some entry of its row
+    is (a NaN entry counts as nonzero, so its column is used)."""
     basis, decomp = model
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
-        norm = np.linalg.norm(psis, axis=-1)
+        columns = np.union1d(np.flatnonzero(np.any(psis, axis=0)),
+                             basis.support_indices(spec.family))
+        norm = np.linalg.norm(psis[:, columns], axis=-1)
     _require_finite(np.isfinite(norm), spec, params, T_grid)
     entanglement.require_unit_norms(norm)
-    return psis
+    return psis, columns
+
+
+def oracle_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
+                  model) -> np.ndarray:
+    """The states of :func:`occupied_states`, checked the same way."""
+    return occupied_states(spec, params, T_grid, model)[0]
 
 
 def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
@@ -141,8 +155,9 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
             C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
             abs_amps = np.abs(np.stack(xs, axis=-1))
-        _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
-                        spec, params, T_grid)
+        if not (np.isfinite(C).all() and np.isfinite(abs_amps).all()):   # find the first T
+            _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
+                            spec, params, T_grid)
     else:   # one batched pass per trace
         if model is None:
             model = oracle_model(params)

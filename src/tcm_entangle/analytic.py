@@ -59,10 +59,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .model import Basis, Family, InitialStateSpec, ModelParams, require_family
+from .model import Basis, Family, InitialStateSpec, ModelParams, require_family, require_real
 
 
 def _check_domain(alpha: float, epsilon: float):
+    require_real("epsilon", epsilon)
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
     if not math.isfinite(epsilon):
@@ -152,6 +153,7 @@ def _phi_terms(epsilon: float, lam: float, T: np.ndarray) -> tuple:
 def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool = False):
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     _check_domain(alpha, epsilon)
+    require_real("lam", lam)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     T = np.asarray(T, dtype=float)
@@ -172,9 +174,11 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
     """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
     ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
-    must be a ``Family`` member; text raises ``TypeError``.
+    must be a ``Family`` member; text raises ``TypeError``, as does an
+    ``epsilon`` or ``lam`` that is a bool or not a real number.
     """
     require_family(family)
+    require_real("lam", lam)
     if family is Family.PSI:
         return psi_amplitudes(alpha, epsilon, T, _cached=_cached)
     return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached)

@@ -111,16 +111,19 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
     rest, so |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||).
 
     Basis entries that are zero in every state of both stacks add nothing
-    to the overlap or the norms and are dropped first; for states
-    propagated by :func:`propagator.evolve_grid` these are the exact zeros
-    outside the occupied eigenspace.  Dropping them changes only the
-    summation order, a rounding of the bound, never its validity.  ``a`` and
-    ``o`` may be single states or stacks of any leading shape.
+    to the overlap or the norms, so ``a`` and ``o`` may hold any common
+    subset of the basis columns that keeps every nonzero entry: path BOTH
+    of the figures passes only the columns of
+    ``analysis.occupied_states``.  Columns still zero in both stacks are
+    dropped first.  Dropping zeros changes only the summation order, a
+    rounding of the bound, never its validity.  ``a`` and ``o`` may be
+    single states or stacks of any leading shape.
     """
     a, o = np.asarray(a), np.asarray(o)
     used = (np.any(a.reshape(-1, a.shape[-1]), axis=0)
             | np.any(o.reshape(-1, o.shape[-1]), axis=0))
-    a, o = np.compress(used, a, axis=-1), np.compress(used, o, axis=-1)
+    if not used.all():
+        a, o = np.compress(used, a, axis=-1), np.compress(used, o, axis=-1)
     overlap = np.einsum("...i,...i->...", o.conj(), a)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)

@@ -119,13 +119,17 @@ def _traces(config: RunConfig, alpha: float, params: ModelParams, grid: np.ndarr
     of each point by ``entanglement.concurrence_gap_bound``,
     |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||) for the closed-form state
     a and the propagated state o at distance e once their global phases are
-    aligned.  A point whose bound is at most TRACE_AGREEMENT_TOL / 10 is
-    certified (the margin covers the rounding of both computed C); only the
-    other points get the oracle C from ``pure_concurrence`` and are compared
-    as before.  A point whose gap exceeds the tolerance cannot be certified,
-    so a failing run fails at the same alpha, epsilon and T with the same
-    gap.  Every propagated state is checked finite and of unit norm
-    (``analysis.oracle_states``).
+    aligned.  Both states are read on the used columns of
+    ``analysis.occupied_states`` only (those nonzero somewhere in the
+    evolution, and the family's support kets): every other entry of both is
+    an exact zero, so the closed-form block is built there straight from
+    the amplitudes.  A point whose bound is at most TRACE_AGREEMENT_TOL / 10
+    is certified (the margin covers the rounding of both computed C); only
+    the other points, if any, get the oracle C from ``pure_concurrence`` on
+    their whole rows and are compared as before.  A point whose gap exceeds
+    the tolerance cannot be certified, so a failing run fails at the same
+    alpha, epsilon and T with the same gap.  Every propagated state is
+    checked finite and of unit norm (``analysis.occupied_states``).
     """
     spec = InitialStateSpec(family=config.family, alpha=alpha)
     if config.path == "ORACLE":
@@ -133,10 +137,15 @@ def _traces(config: RunConfig, alpha: float, params: ModelParams, grid: np.ndarr
     trace = analysis.concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
     if config.path == "BOTH":
         basis = model[0]
-        psis = analysis.oracle_states(spec, params, grid, model)
-        bound = entanglement.concurrence_gap_bound(
-            analytic.closed_form_states(spec, params, basis, grid), psis, basis)
+        psis, columns = analysis.occupied_states(spec, params, grid, model)
+        closed = np.zeros((grid.size, columns.size), dtype=complex)
+        closed[:, np.searchsorted(columns, basis.support_indices(spec.family))] = np.stack(
+            analytic.amplitudes(spec.family, alpha, params.epsilon, params.lam, grid,
+                                _cached=True), axis=-1)
+        bound = entanglement.concurrence_gap_bound(closed, psis[:, columns], basis)
         check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
+        if check.size == 0:
+            return trace
         gaps = np.abs(trace.C[check] - entanglement.pure_concurrence(psis[check], basis))
         if np.any(gaps > TRACE_AGREEMENT_TOL):
             worst = np.argmax(gaps)

@@ -432,6 +432,25 @@ class TestBothGate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_leak_outside_the_occupied_rows_is_seen(self, tmp_path, capsys, monkeypatch):
+        # the certificate reads the columns nonzero in the states, so amplitude
+        # that a defective evolve_grid puts outside the occupied eigenspace
+        # still reaches the norm check: 1e-4 on |e e 0 1>, which no PHI state
+        # occupies, makes that norm 1 + 5e-9 (a leak of 1e-6 stays inside
+        # NORM_TOL, and its C agrees to 1e-9)
+        evolve_grid = propagator.evolve_grid
+
+        def leaky(*args):
+            psis = evolve_grid(*args)
+            psis[5, 1] += 1e-4
+            return psis
+
+        monkeypatch.setattr(propagator, "evolve_grid", leaky)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(_FIG2_DEFAULTS + "path = BOTH\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: state norm ")
+
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(list(Family)),
            alphas=st.lists(st.sampled_from(["0", "pi/12", "pi/8", "pi/4", "pi/2"]),

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tcm_entangle import entanglement, figures
 from tcm_entangle.analysis import TracePath, concurrence_trace, oracle_model, oracle_states
 from tcm_entangle.analytic import closed_form_states
 from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_state,
                                        pure_concurrence, reduce_to_atoms,
                                        wootters_concurrence, xstate_concurrence)
+from tcm_entangle.config import parse_config
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import decompose_model, evolve
 
@@ -389,3 +391,27 @@ class TestConcurrenceGapBound:
         assert bound.shape == (6,) and np.all(bound > 1)
         np.testing.assert_array_equal(bound, _full_gap_bound(a, o, basis))
         assert concurrence_gap_bound(a[0], o[0], basis) == _full_gap_bound(a[0], o[0], basis)
+
+    def test_figure_certificate_is_the_full_bound(self, tmp_path, monkeypatch):
+        # path BOTH bounds the (points x used columns) blocks of the golden
+        # fig2_both run; each bound is the one over all 36 entries
+        calls = []
+        bound_of = entanglement.concurrence_gap_bound
+        monkeypatch.setattr(entanglement, "concurrence_gap_bound", lambda a, o, basis: (
+            calls.append((a.shape, o.shape, bound_of(a, o, basis))) or calls[-1][2]))
+        config = parse_config("family = PHI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\n"
+                              f"path = BOTH\noutput_dir = {tmp_path}\n")
+        figures.run(config)
+        grid = np.linspace(0.0, config.T_max, config.n_points)
+        runs = [(eps, alpha) for eps in config.epsilon_list for alpha in config.alpha_list]
+        assert len(calls) == len(runs) == 6
+        for (eps, alpha), (a_shape, o_shape, bound) in zip(runs, calls):
+            params = ModelParams(epsilon=eps)
+            model = oracle_model(params)
+            basis = model[0]
+            spec = InitialStateSpec(Family.PHI, alpha)
+            assert a_shape == o_shape and a_shape[0] == grid.size
+            assert 5 <= a_shape[1] < basis.size
+            full = _full_gap_bound(closed_form_states(spec, params, basis, grid),
+                                   oracle_states(spec, params, grid, model), basis)
+            np.testing.assert_allclose(bound, full, rtol=1e-12, atol=0)

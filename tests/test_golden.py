@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle import cli, svgplot
+from tcm_entangle import analytic, cli, svgplot
 
 _FIG2_CURVES = {
     "fig2_alpha0p261799387799149_eps0.csv": "f182d56be2d99c991cccfadfcec159c8a950f5a6d7344ab1f0b9b89cc15adb22",
@@ -138,6 +138,16 @@ def test_emitted_bytes_match_pinned_digests(run, tmp_path):
     assert cli.main(argv) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == expected
+
+
+def test_both_pin_without_whole_basis_closed_form_states(tmp_path, monkeypatch):
+    # path BOTH certifies on the used columns only: the closed-form block is
+    # built from the amplitudes, never as (points x basis.size) states
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed_form_states called on the BOTH path")
+
+    monkeypatch.setattr(analytic, "closed_form_states", refuse)
+    test_emitted_bytes_match_pinned_digests("fig2_both", tmp_path)
 
 
 def _scalar_line_chart(curves, title="", xlabel="", ylabel=""):

@@ -106,6 +106,17 @@ _BAD_INPUT = {
     "alpha_list number": (lambda: RunConfig(alpha_list=0.3), TypeError, "alpha_list"),
     "epsilon_list number": (lambda: RunConfig(epsilon_list=2.0), TypeError, "epsilon_list"),
     "alpha_list text": (lambda: RunConfig(alpha_list="0.3"), TypeError, "alpha_list"),
+    "amplitudes epsilon True": (lambda: analytic.psi_amplitudes(0.3, True, [1.0]),
+                                TypeError, "epsilon"),
+    "amplitudes epsilon text": (lambda: analytic.phi_amplitudes(0.3, "1", 2.0, [1.0]),
+                                TypeError, "epsilon"),
+    "amplitudes epsilon complex": (lambda: analytic.psi_amplitudes(0.3, 1j, [1.0]),
+                                   TypeError, "epsilon"),
+    "amplitudes lam True": (lambda: analytic.phi_amplitudes(0.3, 1.0, True, [1.0]),
+                            TypeError, "lam"),
+    "amplitudes lam text": (lambda: analytic.amplitudes(tcm_entangle.Family.PSI, 0.3, 0.0,
+                                                        "2", [1.0]),
+                            TypeError, "lam"),
 }
 
 
