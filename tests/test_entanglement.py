@@ -8,10 +8,10 @@ from hypothesis.extra import numpy as hnp
 from tcm_entangle import entanglement, figures
 from tcm_entangle.analysis import TracePath, concurrence_trace, oracle_model, oracle_states
 from tcm_entangle.analytic import closed_form_states
+from tcm_entangle.config import parse_config
 from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_state,
                                        pure_concurrence, reduce_to_atoms,
                                        wootters_concurrence, xstate_concurrence)
-from tcm_entangle.config import parse_config
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
 from tcm_entangle.propagator import decompose_model, evolve
 
@@ -397,8 +397,12 @@ class TestConcurrenceGapBound:
         # fig2_both run; each bound is the one over all 36 entries
         calls = []
         bound_of = entanglement.concurrence_gap_bound
-        monkeypatch.setattr(entanglement, "concurrence_gap_bound", lambda a, o, basis: (
-            calls.append((a.shape, o.shape, bound_of(a, o, basis))) or calls[-1][2]))
+
+        def recorded(a, o, basis):
+            calls.append((a.shape, o.shape, bound_of(a, o, basis)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(entanglement, "concurrence_gap_bound", recorded)
         config = parse_config("family = PHI\nalpha = pi/12, pi/8, pi/4\nepsilon = 0, 2\n"
                               f"path = BOTH\noutput_dir = {tmp_path}\n")
         figures.run(config)
