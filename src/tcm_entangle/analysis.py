@@ -1,15 +1,16 @@
 """Concurrence traces, sudden-death windows, period and maximum estimation.
 
-A trace samples C(T) on an ascending grid by one of two paths:
+A trace samples C(T) on an ascending grid by one of three paths:
 
 * ``ANALYTIC`` — closed-form amplitudes plus the X-state concurrence;
 * ``ORACLE`` — numerical propagation, partial trace and the general
-  eigenvalue concurrence.
+  eigenvalue concurrence;
+* ``BOTH`` — the ANALYTIC trace, certified point by point to agree with
+  propagation within ``TRACE_AGREEMENT_TOL``.
 
-The two paths agree to within 2e-14 at the CLI's lambda = 2 on its default
-grids.  The ``trace_agreement`` verify suite compares them at every point
-against 1e-9, and path ``BOTH`` of the figures certifies 1e-9 point by
-point (``figures._traces``).  Propagation drifts from the closed forms as
+ANALYTIC and ORACLE agree to within 2e-14 at the CLI's lambda = 2 on its
+default grids.  The ``trace_agreement`` verify suite compares them at every
+point against 1e-9.  Propagation drifts from the closed forms as
 lambda (which enters only its eigenproblem) or T grows.
 Window endpoints, maxima and periods are always refined on the analytic
 expressions, which are smooth between grid points.
@@ -33,11 +34,18 @@ MIN_RUN_POINTS = 3
 _BISECT_TOL = 1e-10
 #: largest relative step deviation for which a grid counts as uniform
 _UNIFORM_RTOL = 1e-6
+#: largest |C(analytic) - C(oracle)| a BOTH trace accepts at any point
+TRACE_AGREEMENT_TOL = 1e-9
 
 
 class TracePath(enum.Enum):
     ANALYTIC = "ANALYTIC"
     ORACLE = "ORACLE"
+    BOTH = "BOTH"
+
+
+class TraceDisagreement(ValueError):
+    """The analytic and oracle traces of a BOTH trace differ beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,25 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndar
     return psis, columns
 
 
-def oracle_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
-                  model) -> np.ndarray:
-    """The states of :func:`occupied_states`, checked the same way."""
-    return occupied_states(spec, params, T_grid, model)[0]
+def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
+             C: np.ndarray, amps: np.ndarray, model):
+    """Raise ``TraceDisagreement`` unless the closed-form C, from amplitudes
+    ``amps`` (one row per point), agrees with propagation on ``model``."""
+    basis = model[0]
+    psis, columns = occupied_states(spec, params, T_grid, model)
+    closed = np.zeros((T_grid.size, columns.size), dtype=complex)
+    closed[:, np.searchsorted(columns, basis.support_indices(spec.family))] = amps
+    bound = entanglement.concurrence_gap_bound(closed, psis[:, columns], basis)
+    check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
+    if check.size == 0:
+        return
+    gaps = np.abs(C[check] - entanglement.pure_concurrence(psis[check], basis))
+    if np.any(gaps > TRACE_AGREEMENT_TOL):
+        worst = np.argmax(gaps)
+        raise TraceDisagreement(
+            f"analytic/oracle traces disagree by {gaps[worst]:.3e} "
+            f"(tolerance {TRACE_AGREEMENT_TOL:.0e}) at alpha = {spec.alpha:.15g}, "
+            f"epsilon = {params.epsilon:.15g}, T = {T_grid[check[worst]]:.15g}")
 
 
 def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
@@ -133,10 +156,29 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
                       model=None) -> ConcurrenceTrace:
     """Sample the atom-atom concurrence over an ascending time grid.
 
-    The ORACLE path propagates on ``model`` (:func:`oracle_model` of
-    ``params``), built here when not given.  ``path`` must be a
+    The ORACLE and BOTH paths propagate on ``model`` (:func:`oracle_model`
+    of ``params``), built here when not given.  ``path`` must be a
     ``TracePath`` member; text such as ``"ANALYTIC"`` raises ``TypeError``
-    (read text with ``TracePath(text)``)."""
+    (read text with ``TracePath(text)``).
+
+    BOTH returns the ANALYTIC trace once it is certified against
+    propagation, and raises ``TraceDisagreement`` otherwise.  Each point's
+    gap is bounded by ``entanglement.concurrence_gap_bound``,
+    |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||) for the closed-form state
+    a and the propagated state o at distance e once their global phases are
+    aligned.  Both states are read on the used columns of
+    :func:`occupied_states` only (those nonzero somewhere in the evolution,
+    and the family's support kets): every other entry of both is an exact
+    zero, so the closed-form block is built there straight from the
+    trace's amplitudes.  A point whose bound is at most
+    TRACE_AGREEMENT_TOL / 10 is certified (the margin covers the rounding
+    of both computed C); only the other points, if any, get the oracle C
+    from ``pure_concurrence`` (W. K. Wootters, PRL 80, 2245, 1998) on their
+    whole rows and are compared with the tolerance.  A point whose gap
+    exceeds the tolerance cannot be certified, so a failing trace fails at
+    the same alpha, epsilon and T with the same gap as a comparison at
+    every point.  Every propagated state is checked finite and of unit
+    norm (:func:`occupied_states`)."""
     if not isinstance(path, TracePath):
         raise TypeError(f"path must be a TracePath member, got {path!r}")
     T_grid = np.asarray(T_grid, dtype=float)
@@ -148,21 +190,24 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         raise ValueError("T_grid must be strictly ascending")
 
     psi_family = spec.family is Family.PSI
-    if path is TracePath.ANALYTIC:
+    if path is not TracePath.ANALYTIC and model is None:
+        model = oracle_model(params)
+    if path is not TracePath.ORACLE:
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
             xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon,
                                      params.lam, T_grid, _cached=True)
             C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
-            abs_amps = np.abs(np.stack(xs, axis=-1))
+            amps = np.stack(xs, axis=-1)
+            abs_amps = np.abs(amps)
         if not (np.isfinite(C).all() and np.isfinite(abs_amps).all()):   # find the first T
             _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
                             spec, params, T_grid)
+        if path is TracePath.BOTH:
+            _certify(spec, params, T_grid, C, amps, model)
     else:   # one batched pass per trace
-        if model is None:
-            model = oracle_model(params)
         basis = model[0]
-        psis = oracle_states(spec, params, T_grid, model)
+        psis = occupied_states(spec, params, T_grid, model)[0]
         C = entanglement.pure_concurrence(psis, basis)
         signed = (2.0 * entanglement.reduce_to_atoms(psis, basis)[:, 1, 2].real
                   if psi_family else None)

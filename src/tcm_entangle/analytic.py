@@ -63,6 +63,7 @@ from .model import Basis, Family, InitialStateSpec, ModelParams, require_family,
 
 
 def _check_domain(alpha: float, epsilon: float):
+    require_real("alpha", alpha)
     require_real("epsilon", epsilon)
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
@@ -175,7 +176,7 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
 
     ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
     must be a ``Family`` member; text raises ``TypeError``, as does an
-    ``epsilon`` or ``lam`` that is a bool or not a real number.
+    ``alpha``, ``epsilon`` or ``lam`` that is a bool or not a real number.
     """
     require_family(family)
     require_real("lam", lam)

@@ -13,7 +13,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 
-from .analysis import DEFAULT_ZERO_THRESHOLD
+from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath
 from .model import Family, require_family, require_real
 
 DEFAULT_T_MAX = 20.0
@@ -71,7 +71,7 @@ class RunConfig:
     epsilon_list: tuple[float, ...] = (0.0,)
     T_max: float = DEFAULT_T_MAX
     n_points: int = DEFAULT_N_POINTS
-    path: str = "ANALYTIC"   # ANALYTIC | ORACLE | BOTH
+    path: TracePath = TracePath.ANALYTIC
     output_dir: str = "out"
     emit_svg: bool = False
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
@@ -105,8 +105,8 @@ class RunConfig:
             raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
         if self.T_max <= 0:
             raise ConfigError(f"T_max must be positive, got {self.T_max}")
-        if self.path not in ("ANALYTIC", "ORACLE", "BOTH"):
-            raise ConfigError(f"path must be ANALYTIC, ORACLE or BOTH, got {self.path!r}")
+        if not isinstance(self.path, TracePath):
+            raise TypeError(f"path must be a TracePath member, got {self.path!r}")
         if self.zero_threshold <= 0:
             raise ConfigError("zero_threshold must be positive")
         for a in self.alpha_list:
@@ -143,7 +143,7 @@ _PARSERS = {
     "epsilon": ("epsilon_list", lambda v: tuple(float(t) for t in v.split(","))),
     "T_max": ("T_max", float),
     "n_points": ("n_points", int),
-    "path": ("path", str.upper),
+    "path": ("path", lambda v: TracePath(v.upper())),
     "output_dir": ("output_dir", str),
     "emit_svg": ("emit_svg", _parse_bool),
     "zero_threshold": ("zero_threshold", float),

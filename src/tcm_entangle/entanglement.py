@@ -113,7 +113,7 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
     Basis entries that are zero in every state of both stacks add nothing
     to the overlap or the norms, so ``a`` and ``o`` may hold any common
     subset of the basis columns that keeps every nonzero entry: path BOTH
-    of the figures passes only the columns of
+    of ``analysis.concurrence_trace`` passes only the columns of
     ``analysis.occupied_states``.  Columns still zero in both stacks are
     dropped first.  Dropping zeros changes only the summation order, a
     rounding of the bound, never its validity.  ``a`` and ``o`` may be

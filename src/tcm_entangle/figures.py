@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, analytic, entanglement, svgplot
+from . import analysis, svgplot
 from .analysis import TracePath
 from .config import NUMBER_FORMAT, RunConfig, file_tag, fmt
 from .model import Family, InitialStateSpec, ModelParams
@@ -20,8 +20,6 @@ from .model import Family, InitialStateSpec, ModelParams
 #: alpha values plotted by default; chosen here, not prescribed upstream
 FIGURE_ALPHAS = (math.pi / 12, math.pi / 8, math.pi / 4)
 FIGURE_EPSILONS = (0.0, 2.0)
-
-TRACE_AGREEMENT_TOL = 1e-9
 
 
 def format_column(values) -> list[str]:
@@ -106,56 +104,6 @@ def write_csv(path: Path, header: list[str], columns: list):
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 
 
-class TraceDisagreement(ValueError):
-    """The analytic and oracle traces of a BOTH run differ beyond tolerance."""
-
-
-def _traces(config: RunConfig, alpha: float, params: ModelParams, grid: np.ndarray, model):
-    """Trace on the config grid; with path BOTH the analytic trace is
-    checked against the oracle and emitted.
-
-    ORACLE and BOTH propagate on ``model``, the ``analysis.oracle_model`` of
-    ``params`` that every alpha of an epsilon shares.  BOTH bounds the gap
-    of each point by ``entanglement.concurrence_gap_bound``,
-    |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||) for the closed-form state
-    a and the propagated state o at distance e once their global phases are
-    aligned.  Both states are read on the used columns of
-    ``analysis.occupied_states`` only (those nonzero somewhere in the
-    evolution, and the family's support kets): every other entry of both is
-    an exact zero, so the closed-form block is built there straight from
-    the amplitudes.  A point whose bound is at most TRACE_AGREEMENT_TOL / 10
-    is certified (the margin covers the rounding of both computed C); only
-    the other points, if any, get the oracle C from ``pure_concurrence`` on
-    their whole rows and are compared as before.  A point whose gap exceeds
-    the tolerance cannot be certified, so a failing run fails at the same
-    alpha, epsilon and T with the same gap.  Every propagated state is
-    checked finite and of unit norm (``analysis.occupied_states``).
-    """
-    spec = InitialStateSpec(family=config.family, alpha=alpha)
-    if config.path == "ORACLE":
-        return analysis.concurrence_trace(spec, params, grid, TracePath.ORACLE, model)
-    trace = analysis.concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
-    if config.path == "BOTH":
-        basis = model[0]
-        psis, columns = analysis.occupied_states(spec, params, grid, model)
-        closed = np.zeros((grid.size, columns.size), dtype=complex)
-        closed[:, np.searchsorted(columns, basis.support_indices(spec.family))] = np.stack(
-            analytic.amplitudes(spec.family, alpha, params.epsilon, params.lam, grid,
-                                _cached=True), axis=-1)
-        bound = entanglement.concurrence_gap_bound(closed, psis[:, columns], basis)
-        check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
-        if check.size == 0:
-            return trace
-        gaps = np.abs(trace.C[check] - entanglement.pure_concurrence(psis[check], basis))
-        if np.any(gaps > TRACE_AGREEMENT_TOL):
-            worst = np.argmax(gaps)
-            raise TraceDisagreement(
-                f"analytic/oracle traces disagree by {gaps[worst]:.3e} "
-                f"(tolerance {TRACE_AGREEMENT_TOL:.0e}) at alpha = {fmt(alpha)}, "
-                f"epsilon = {fmt(params.epsilon)}, T = {fmt(grid[check[worst]])}")
-    return trace
-
-
 def _write_metadata(out: Path, config: RunConfig, note: str):
     lines = [
         note,
@@ -164,7 +112,7 @@ def _write_metadata(out: Path, config: RunConfig, note: str):
         "epsilon_list = " + ", ".join(fmt(e) for e in config.epsilon_list),
         f"T_max = {fmt(config.T_max)}",
         f"n_points = {config.n_points}",
-        f"path = {config.path}",
+        f"path = {config.path.value}",
         f"zero_threshold = {fmt(config.zero_threshold)}",
     ]
     (out / "run_metadata.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -188,10 +136,11 @@ def run(config: RunConfig) -> list[Path]:
     T_text = format_column(grid)
     for eps in config.epsilon_list:
         params = ModelParams(epsilon=eps)
-        model = None if config.path == "ANALYTIC" else analysis.oracle_model(params)
+        model = None if config.path is TracePath.ANALYTIC else analysis.oracle_model(params)
         curves = []
         for alpha in config.alpha_list:
-            trace = _traces(config, alpha, params, grid, model)
+            trace = analysis.concurrence_trace(InitialStateSpec(config.family, alpha), params,
+                                               grid, config.path, model)
             amps = list(trace.abs_amplitudes.T)
             if psi_family:
                 header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]

@@ -112,7 +112,8 @@ class InitialStateSpec:
 
     Either family starts with atom-atom concurrence sin(2*alpha); the cavity
     modes start in the two-mode vacuum.  ``family`` must be a ``Family``
-    member; text such as ``"PSI"`` raises ``TypeError``.
+    member; text such as ``"PSI"`` raises ``TypeError``, as does an
+    ``alpha`` that is a bool or not a real number.
     """
 
     family: Family
@@ -120,6 +121,7 @@ class InitialStateSpec:
 
     def __post_init__(self):
         require_family(self.family)
+        require_real("alpha", self.alpha)
         if not 0.0 <= self.alpha <= math.pi / 2:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcm_entangle import analysis
-from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TracePath,
-                                   _branch_fn, analytic_concurrence, concurrence_trace,
-                                   detect_death_intervals, estimate_period,
-                                   max_concurrence)
+from tcm_entangle import analysis, analytic
+from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TraceDisagreement,
+                                   TracePath, _branch_fn, analytic_concurrence,
+                                   concurrence_trace, detect_death_intervals,
+                                   estimate_period, max_concurrence, oracle_model)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 
@@ -71,6 +71,38 @@ class TestConcurrenceTrace:
         params = ModelParams()
         with pytest.raises(ValueError, match="^T_grid must be finite$"):
             concurrence_trace(spec, params, np.array(grid), path)
+
+
+class TestBothPath:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_returns_the_analytic_trace(self, family, monkeypatch):
+        # the certificate reuses the trace's own amplitudes: one whole-grid
+        # closed-form call per BOTH trace
+        spec, params = InitialStateSpec(family, math.pi / 8), ModelParams(epsilon=2.0)
+        grid = np.linspace(0.0, 20.0, 500)
+        analytic_trace = concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
+        calls = []
+        amplitudes = analytic.amplitudes
+        monkeypatch.setattr(analytic, "amplitudes",
+                            lambda *a, **k: calls.append(a) or amplitudes(*a, **k))
+        both = concurrence_trace(spec, params, grid, TracePath.BOTH)
+        assert len(calls) == 1
+        assert both.C.tobytes() == analytic_trace.C.tobytes()
+        assert both.abs_amplitudes.tobytes() == analytic_trace.abs_amplitudes.tobytes()
+        if family is Family.PSI:
+            assert both.signed_C.tobytes() == analytic_trace.signed_C.tobytes()
+        else:
+            assert both.signed_C is None and analytic_trace.signed_C is None
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_disagreement_names_the_point(self, family):
+        # propagating on the model of another epsilon must fail the certificate
+        spec, params = InitialStateSpec(family, math.pi / 8), ModelParams(epsilon=2.0)
+        with pytest.raises(TraceDisagreement, match=(
+                r"^analytic/oracle traces disagree by \S+ \(tolerance 1e-09\) at "
+                r"alpha = 0\.392699081698724, epsilon = 2, T = \S+$")):
+            concurrence_trace(spec, params, np.linspace(0.0, 20.0, 200), TracePath.BOTH,
+                              oracle_model(ModelParams(epsilon=0.0)))
 
 
 class TestDeathIntervals:

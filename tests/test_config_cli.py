@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import cli, entanglement, figures, propagator, verify
+from tcm_entangle import analysis, cli, entanglement, figures, propagator, verify
 from tcm_entangle.analysis import TracePath, concurrence_trace
 from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
                                  parse_angle, parse_config)
@@ -53,7 +53,7 @@ class TestParseConfig:
         assert cfg.alpha_list == (math.pi / 12, math.pi / 8)
         assert cfg.epsilon_list == (0.0, 2.0)
         assert cfg.T_max == 12.5 and cfg.n_points == 500
-        assert cfg.path == "BOTH" and cfg.output_dir == "results"
+        assert cfg.path is TracePath.BOTH and cfg.output_dir == "results"
         assert cfg.emit_svg and cfg.zero_threshold == 1e-8
 
     def test_empty_text_gives_defaults(self):
@@ -70,13 +70,14 @@ class TestParseConfig:
         ("\nn_points = many", "line 2"),
         ("alpha = pi/0.. ", "angle"),
         ("emit_svg = maybe", "boolean"),
+        ("path = sideways", "line 1"),
     ])
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n_points=1), dict(T_max=0.0), dict(path="SIDEWAYS"),
+        dict(n_points=1), dict(T_max=0.0),
         dict(alpha_list=(2.0,)), dict(epsilon_list=(-1.0,)),
         dict(zero_threshold=0.0),
         dict(T_max=math.nan), dict(T_max=math.inf), dict(zero_threshold=math.nan),
@@ -392,7 +393,7 @@ def _all_points_disagreement(config: RunConfig):
             gaps = np.abs(concurrence_trace(spec, params, grid).C
                           - concurrence_trace(spec, params, grid, TracePath.ORACLE).C)
             worst = int(np.argmax(gaps))
-            if gaps[worst] > figures.TRACE_AGREEMENT_TOL:
+            if gaps[worst] > analysis.TRACE_AGREEMENT_TOL:
                 return (f"analytic/oracle traces disagree by {gaps[worst]:.3e} "
                         f"(tolerance 1e-09) at alpha = {fmt(alpha)}, "
                         f"epsilon = {fmt(eps)}, T = {fmt(grid[worst])}")
@@ -465,12 +466,12 @@ class TestBothGate:
         with tempfile.TemporaryDirectory() as tmp:
             config = RunConfig(family=family, alpha_list=tuple(map(parse_angle, alphas)),
                                epsilon_list=tuple(epsilons), T_max=10.0 ** log_tmax,
-                               n_points=points, path="BOTH", output_dir=tmp)
+                               n_points=points, path=TracePath.BOTH, output_dir=tmp)
             expected = _all_points_disagreement(config)
             try:
                 figures.run(config)
                 got = None
-            except figures.TraceDisagreement as exc:
+            except analysis.TraceDisagreement as exc:
                 got = str(exc)
         assert got == expected
 

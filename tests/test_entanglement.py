@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tcm_entangle import entanglement, figures
-from tcm_entangle.analysis import TracePath, concurrence_trace, oracle_model, oracle_states
+from tcm_entangle.analysis import (TracePath, concurrence_trace, occupied_states,
+                                   oracle_model)
 from tcm_entangle.analytic import closed_form_states
 from tcm_entangle.config import parse_config
 from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_state,
@@ -319,7 +320,7 @@ def _propagated_pair(family, n_points):
     grid = np.linspace(0.0, 20.0, n_points)
     basis = model[0]
     return (closed_form_states(spec, params, basis, grid),
-            oracle_states(spec, params, grid, model), basis)
+            occupied_states(spec, params, grid, model)[0], basis)
 
 
 class TestConcurrenceGapBound:
@@ -335,7 +336,7 @@ class TestConcurrenceGapBound:
         grid = np.linspace(0.0, T_max, 80)
         model = oracle_model(params)
         basis = model[0]
-        o = oracle_states(spec, params, grid, model)
+        o = occupied_states(spec, params, grid, model)[0]
         a = closed_form_states(spec, params, basis, grid)
         gap = np.abs(concurrence_trace(spec, params, grid).C - pure_concurrence(o, basis))
         assert np.all(gap <= concurrence_gap_bound(a, o, basis) + _GAP_ROUNDING)
@@ -417,5 +418,5 @@ class TestConcurrenceGapBound:
             assert a_shape == o_shape and a_shape[0] == grid.size
             assert 5 <= a_shape[1] < basis.size
             full = _full_gap_bound(closed_form_states(spec, params, basis, grid),
-                                   oracle_states(spec, params, grid, model), basis)
+                                   occupied_states(spec, params, grid, model)[0], basis)
             np.testing.assert_allclose(bound, full, rtol=1e-12, atol=0)

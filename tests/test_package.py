@@ -63,6 +63,13 @@ _BAD_INPUT = {
                             TypeError, "family"),
     "family text in amplitudes": (lambda: analytic.amplitudes("PSI", 0.3, 0.0, 2.0, [1.0]),
                                   TypeError, "family"),
+    "alpha True in spec": (lambda: tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, True),
+                           TypeError, "alpha"),
+    "alpha text in spec": (lambda: tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, "0.3"),
+                           TypeError, "alpha"),
+    "amplitudes alpha complex": (lambda: analytic.psi_amplitudes(1j, 0.0, [1.0]),
+                                 TypeError, "alpha"),
+    "path text in config": (lambda: RunConfig(path="BOTH"), TypeError, "path"),
     "path text": (lambda: tcm_entangle.concurrence_trace(
         tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3),
         tcm_entangle.ModelParams(), [1.0, 2.0], "ANALYTIC"),
@@ -125,3 +132,12 @@ def test_bad_input_is_rejected_by_name(case):
     call, error, name = _BAD_INPUT[case]
     with pytest.raises(error, match=name):
         call()
+
+
+@pytest.mark.parametrize("alpha", [np.float64(0.3), np.float32(0.3)],
+                         ids=lambda a: type(a).__name__)
+def test_numpy_real_alpha_accepted(alpha):
+    spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, alpha)
+    assert spec.alpha == alpha
+    np.testing.assert_array_equal(analytic.psi_amplitudes(alpha, 0.0, [1.0]),
+                                  analytic.psi_amplitudes(float(alpha), 0.0, [1.0]))

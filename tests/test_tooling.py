@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tcm_entangle import analysis, analytic, cli, figures  # noqa: F401  (cli loads every traced module)
+from tcm_entangle.analysis import TracePath
 from tcm_entangle.config import RunConfig
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
@@ -54,7 +55,7 @@ def test_emission_counts_match_written_files(tmp_path):
     assert counts["svgplot.svg_bytes"] == sum(p.stat().st_size for p in svgs)
 
 
-@pytest.mark.parametrize("path", ["ORACLE", "BOTH"])
+@pytest.mark.parametrize("path", [TracePath.ORACLE, TracePath.BOTH], ids=lambda p: p.value)
 def test_evolve_points_count_every_grid_point(tmp_path, path):
     # propagator.evolve_points reads the size of evolve_grid's third
     # argument, so propagating fewer components must not change the count
@@ -68,6 +69,24 @@ def test_evolve_points_count_every_grid_point(tmp_path, path):
         tracer.uninstall()
     counts = tracer.counts[0]
     assert counts["propagator.evolve_points"] == 250 * 3 * 2
+
+
+def test_both_certificate_is_booked_to_its_trace(tmp_path):
+    # the BOTH certificate runs inside analysis.concurrence_trace, so its
+    # propagation is timed under the trace span, not as the command's own time
+    tracer = _load_tracer().Tracer()
+    config = RunConfig(family=Family.PHI, alpha_list=(0.3, 0.5), epsilon_list=(0.0, 2.0),
+                       T_max=20.0, n_points=250, path=TracePath.BOTH,
+                       output_dir=str(tmp_path))
+    tracer.install()
+    try:
+        tracer.command("fig2", lambda: figures.run(config))
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, name, *_ in tracer.spans}
+    parents = [names[parent] for _, name, _, _, parent, _ in tracer.spans
+               if name == "propagator.evolve"]
+    assert parents == ["analysis.trace"] * 4
 
 
 @pytest.mark.parametrize("family", list(Family))
