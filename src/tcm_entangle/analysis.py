@@ -294,26 +294,11 @@ _ZOOM_POINTS = 33
 _MAX_TOL = 1e-12
 
 
-def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
-    """(C_max, T_at_max): grid argmax refined on the closed-form concurrence.
-
-    The bracket is the two grid cells around the argmax.  Each pass
-    evaluates C at ``_ZOOM_POINTS`` evenly spaced points of the bracket in
-    one array call and narrows it to the two steps around the best point.
-    Passes stop once the bracket is at most 1e-12 wide or a pass no longer
-    narrows it (adjacent doubles above T = 8192 are wider than 1e-12).
-    Returns the best point evaluated, or the grid argmax if none beats it.
-
-    Only the argmax's bracket is searched, so on a grid coarser than C(T)'s
-    oscillation a lower local peak may be returned, with no warning: PSI,
-    alpha = 0, eps = 2 on ``linspace(0, 100, 3)`` gives 0.99427, not 0.999996.
-    """
-    if trace.T_grid.size == 0:
-        raise ValueError("empty trace")
-    T = trace.T_grid
-    k = int(np.argmax(trace.C))
-    lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
-    c_best, t_best = float(trace.C[k]), float(T[k])
+def _zoom(trace: ConcurrenceTrace, lo: float, hi: float, c_best: float,
+          t_best: float) -> tuple[float, float]:
+    """Follow the argmax of ``_ZOOM_POINTS`` samples of [lo, hi] down to a
+    bracket at most ``_MAX_TOL`` wide, or until a pass no longer narrows it;
+    the best of (c_best, t_best) and every point evaluated."""
     while hi - lo > _MAX_TOL:
         t = np.linspace(lo, hi, _ZOOM_POINTS)
         c = analytic_concurrence(trace, t)
@@ -324,6 +309,42 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
         if hi_next - lo_next >= hi - lo:
             break
         lo, hi = lo_next, hi_next
+    return c_best, t_best
+
+
+def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
+    """(C_max, T_at_max): grid argmax refined on the closed-form concurrence.
+
+    The bracket is the two grid cells around the argmax.  A first pass
+    evaluates C at ``_ZOOM_POINTS`` evenly spaced points of it in one array
+    call; every local maximum of these samples, ends included, then gets
+    its own two-step bracket (a run of equal samples counts once, at its
+    first), so a peak that lies between two samples is still climbed when
+    an end of the bracket samples higher.  Each bracket is narrowed by
+    :func:`_zoom` (adjacent doubles above T = 8192 are wider than its 1e-12
+    tolerance, so it also stops once a pass no longer narrows).  Returns the
+    best point evaluated, or the grid argmax if none beats it.
+
+    Only the argmax's bracket is searched, so on a grid coarser than C(T)'s
+    oscillation a lower local peak may be returned, with no warning: PSI,
+    alpha = 0, eps = 2 on ``linspace(0, 100, 6)`` gives 0.98526, not 0.999996.
+    """
+    if trace.T_grid.size == 0:
+        raise ValueError("empty trace")
+    T = trace.T_grid
+    k = int(np.argmax(trace.C))
+    lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
+    c_best, t_best = float(trace.C[k]), float(T[k])
+    if hi - lo <= _MAX_TOL:
+        return c_best, t_best
+    t = np.linspace(lo, hi, _ZOOM_POINTS)
+    c = analytic_concurrence(trace, t)
+    edged = np.concatenate(([-np.inf], c, [-np.inf]))
+    for j in np.flatnonzero((c > edged[:-2]) & (c >= edged[2:])).tolist():
+        if c[j] >= c_best:
+            c_best, t_best = float(c[j]), float(t[j])
+        c_best, t_best = _zoom(trace, float(t[max(j - 1, 0)]),
+                               float(t[min(j + 1, _ZOOM_POINTS - 1)]), c_best, t_best)
     return c_best, t_best
 
 

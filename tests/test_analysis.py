@@ -271,6 +271,16 @@ class TestMaxConcurrence:
         assert c >= float(np.max(t.C))
         assert c == pytest.approx(analytic_concurrence(t, T_at), abs=1e-12)
 
+    def test_interior_peak_beside_a_higher_end_sample(self):
+        # the grid argmax is T = 0 (C = sin 1.5); the 33 samples of its
+        # bracket [0, 3.51] are highest there, but the peak 0.99890 at
+        # T = 1.81 lies between two samples and must still be climbed
+        t = _trace(Family.PSI, 0.75, 2.0, T_max=10.0 ** 1.5, n=10)
+        assert int(np.argmax(t.C)) == 0
+        c, T_at = max_concurrence(t)
+        assert c == pytest.approx(0.9989015981872499, abs=1e-12)
+        assert T_at == pytest.approx(1.8113136, abs=1e-6)
+
     def test_all_zero_trace(self):
         # PHI at alpha = pi/2 is the stationary |g, g, 0, 0>: C is 0 up to
         # cos(pi/2) = 6e-17 rounding at every point, so no pass finds a peak
