@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, propagator
-from .model import Basis, Family, InitialStateSpec, ModelParams, initial_state
+from .model import Basis, Family, InitialStateSpec, ModelParams, initial_state, require_real
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 #: a sub-threshold run must span at least this many grid points to count
@@ -214,9 +214,8 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
 
     return ConcurrenceTrace(family=spec.family, alpha=spec.alpha, epsilon=params.epsilon,
-                            lam=params.lam, T_grid=T_grid, C=np.atleast_1d(C),
-                            signed_C=None if signed is None else np.atleast_1d(signed),
-                            abs_amplitudes=np.atleast_2d(abs_amps))
+                            lam=params.lam, T_grid=T_grid, C=C, signed_C=signed,
+                            abs_amplitudes=abs_amps)
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,9 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     refined on the closed-form branch expression to 1e-10 in T, between the
     outside neighbour and the run's middle point; a run touching the grid
     boundary keeps the boundary point and is marked unrefined.
-    ``zero_threshold`` must be positive and finite.
+    ``zero_threshold`` must be a real number, positive and finite.
     """
+    require_real("zero_threshold", zero_threshold)
     if not 0.0 < zero_threshold < math.inf:
         raise ValueError(f"zero_threshold must be positive and finite, got {zero_threshold}")
     T = trace.T_grid

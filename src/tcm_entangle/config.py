@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -72,7 +73,7 @@ class RunConfig:
     T_max: float = DEFAULT_T_MAX
     n_points: int = DEFAULT_N_POINTS
     path: TracePath = TracePath.ANALYTIC
-    output_dir: str = "out"
+    output_dir: str | os.PathLike = "out"
     emit_svg: bool = False
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
@@ -97,6 +98,8 @@ class RunConfig:
             require_real(name, value)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise TypeError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         if not isinstance(self.emit_svg, bool):
             raise TypeError(f"emit_svg must be a bool, got {self.emit_svg!r}")
         if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):

@@ -1,8 +1,8 @@
 """Reduction to the two-atom subsystem and concurrence.
 
 The atomic basis is fixed as {|ee>, |eg>, |ge>, |gg>}; the spin flip in the
-Wootters construction conjugates in this basis.  Two independent routes are
-provided: the general eigenvalue route and the X-state closed form.
+Wootters construction conjugates in this basis.  The commands and ``verify``
+run ``pure_concurrence`` and ``xstate_branch``, never the mixed-state routes.
 """
 
 from __future__ import annotations
@@ -110,20 +110,14 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
     Cor. 8.6.2), and C is the largest of the (n_max+1)^2 of them minus the
     rest, so |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||).
 
-    Basis entries that are zero in every state of both stacks add nothing
-    to the overlap or the norms, so ``a`` and ``o`` may hold any common
-    subset of the basis columns that keeps every nonzero entry: path BOTH
-    of ``analysis.concurrence_trace`` passes only the columns of
-    ``analysis.occupied_states``.  Columns still zero in both stacks are
-    dropped first.  Dropping zeros changes only the summation order, a
-    rounding of the bound, never its validity.  ``a`` and ``o`` may be
-    single states or stacks of any leading shape.
+    The caller passes the columns: ``a`` and ``o`` may hold any common
+    subset of the basis columns that keeps every nonzero entry of both
+    (path BOTH of ``analysis.concurrence_trace`` passes those of
+    ``analysis.occupied_states``).  Zeros add nothing to the overlap or the
+    norms, so leaving them out changes only the rounding of the bound.
+    ``a`` and ``o`` may be single states or stacks of any leading shape.
     """
     a, o = np.asarray(a), np.asarray(o)
-    used = (np.any(a.reshape(-1, a.shape[-1]), axis=0)
-            | np.any(o.reshape(-1, o.shape[-1]), axis=0))
-    if not used.all():
-        a, o = np.compress(used, a, axis=-1), np.compress(used, o, axis=-1)
     overlap = np.einsum("...i,...i->...", o.conj(), a)
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)

@@ -1,9 +1,12 @@
 """Self-check suites: oracle equivalence and numerical invariants.
 
-Each suite returns a (name, max_residual, threshold, passed) row; the CLI
-prints one machine-readable line per suite and exits nonzero on any
-failure.  ``inject_fault`` deliberately corrupts one off-sector Hamiltonian
-entry so the conservation suite demonstrably catches broken input.
+The suites check the kernels the commands run: the Hamiltonian build,
+``evolve_grid``, the closed-form amplitudes, ``concurrence_trace``,
+``reduce_to_atoms`` and ``pure_concurrence``.  Each suite returns a
+(name, max_residual, threshold, passed) row; the CLI prints one
+machine-readable line per suite and exits nonzero on any failure.
+``inject_fault`` deliberately corrupts one off-sector Hamiltonian entry so
+the conservation suite demonstrably catches broken input.
 """
 
 from __future__ import annotations
@@ -155,19 +158,18 @@ def suite_density_matrix(evolutions) -> SuiteResult:
     return SuiteResult("density_matrix", worst, 1e-10)
 
 
-def suite_local_unitary_invariance(models) -> SuiteResult:
+def suite_local_unitary_invariance(at_pi_8) -> SuiteResult:
+    """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3."""
     rng = np.random.default_rng(20260823)
-    _, basis, _, decomp = models[2.0]  # 2.0 is one of _EPSILONS
     worst = 0.0
-    for family in (Family.PSI, Family.PHI):
-        psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
-        psi = propagator.evolve(psi0, decomp, 1.3)
-        rho = entanglement.reduce_to_atoms(psi, basis)
-        c0 = entanglement.wootters_concurrence(rho)
-        for _ in range(20):
-            u = np.kron(_haar_unitary(rng), _haar_unitary(rng))
-            c1 = entanglement.wootters_concurrence(u @ rho @ u.conj().T)
-            worst = max(worst, abs(c1 - c0))
+    for _, params, basis, _, psis in at_pi_8:
+        if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
+            continue
+        psi = psis[13]   # _T_GRID[13] = 1.3
+        u = np.stack([np.kron(_haar_unitary(rng), _haar_unitary(rng)) for _ in range(20)])
+        turned = (u @ psi.reshape(4, -1)).reshape(-1, basis.size)
+        gap = entanglement.pure_concurrence(turned, basis) - entanglement.pure_concurrence(psi, basis)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return SuiteResult("local_unitary_invariance", worst, 1e-10)
 
 
@@ -190,5 +192,5 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
         suite_fidelity(evolutions),
         suite_trace_agreement(evolutions),
         suite_density_matrix(at_pi_8),
-        suite_local_unitary_invariance(models),
+        suite_local_unitary_invariance(at_pi_8),
     ]

@@ -513,6 +513,18 @@ class TestCliVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 
+    def test_runs_only_shipped_kernels(self, monkeypatch):
+        # every suite runs kernels a figure command runs; the side kernels
+        # no command calls must not drift back in
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify called a kernel no command runs")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(entanglement, "wootters_concurrence", refuse)
+        monkeypatch.setattr(entanglement, "xstate_concurrence", refuse)
+        results = verify.run_all()
+        assert len(results) == 9 and all(r.passed for r in results)
+
     def test_energies_match_the_full_sum(self):
         # the energy suite sums over the entries nonzero somewhere in each
         # evolution; the bytes are those of the sum over all 36 entries

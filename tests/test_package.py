@@ -89,6 +89,10 @@ _BAD_INPUT = {
                      ValueError, "zero_threshold"),
     "threshold inf": (lambda: tcm_entangle.detect_death_intervals(_trace(), math.inf),
                       ValueError, "zero_threshold"),
+    "threshold True": (lambda: tcm_entangle.detect_death_intervals(_trace(), True),
+                       TypeError, "zero_threshold"),
+    "threshold text": (lambda: tcm_entangle.detect_death_intervals(_trace(), "1e-9"),
+                       TypeError, "zero_threshold"),
     "n_points 300.0": (lambda: RunConfig(n_points=300.0), TypeError, "n_points"),
     "n_points True": (lambda: RunConfig(n_points=True), TypeError, "n_points"),
     "empty alpha_list": (lambda: RunConfig(alpha_list=()), ConfigError, "alpha_list"),
@@ -110,6 +114,8 @@ _BAD_INPUT = {
                  TypeError, "lam"),
     "family text in config": (lambda: RunConfig(family="PSI"), TypeError, "family"),
     "emit_svg text": (lambda: RunConfig(emit_svg="no"), TypeError, "emit_svg"),
+    "output_dir number": (lambda: RunConfig(output_dir=1), TypeError, "output_dir"),
+    "output_dir None": (lambda: RunConfig(output_dir=None), TypeError, "output_dir"),
     "alpha_list number": (lambda: RunConfig(alpha_list=0.3), TypeError, "alpha_list"),
     "epsilon_list number": (lambda: RunConfig(epsilon_list=2.0), TypeError, "epsilon_list"),
     "alpha_list text": (lambda: RunConfig(alpha_list="0.3"), TypeError, "alpha_list"),
