@@ -6,7 +6,7 @@ layer and a CSV/SVG emitting CLI.
 """
 
 from .analysis import (ConcurrenceTrace, DeathInterval, TracePath,
-                       concurrence_trace, detect_death_intervals,
+                       concurrence_trace, death_windows, detect_death_intervals,
                        estimate_period, max_concurrence)
 from .analytic import closed_form_states, phi_amplitudes, psi_amplitudes
 from .entanglement import (pure_concurrence, reduce_to_atoms,
@@ -22,7 +22,7 @@ __all__ = [
     "Basis", "ConcurrenceTrace", "DeathInterval", "Family", "InitialStateSpec",
     "ModelParams", "SUPPORT_KETS", "SpectralDecomposition", "TracePath",
     "build_hamiltonian", "check_conservation", "closed_form_states",
-    "concurrence_trace", "decompose_model", "detect_death_intervals",
+    "concurrence_trace", "death_windows", "decompose_model", "detect_death_intervals",
     "estimate_period", "evolve", "evolve_grid", "initial_state", "max_concurrence",
     "phi_amplitudes", "psi_amplitudes", "pure_concurrence", "reduce_to_atoms",
     "wootters_concurrence", "xstate_concurrence",

@@ -13,7 +13,10 @@ default grids.  The ``trace_agreement`` verify suite compares them at every
 point against 1e-9.  Propagation drifts from the closed forms as
 lambda (which enters only its eigenproblem) or T grows.
 Window endpoints, maxima and periods are always refined on the analytic
-expressions, which are smooth between grid points.
+expressions, which are smooth between grid points.  The death windows of
+traces that share family, epsilon, lambda and grid (the alpha of one
+figure's epsilon) are refined together by :func:`death_windows`, each
+closed-form call covering every trace.
 """
 
 from __future__ import annotations
@@ -233,16 +236,99 @@ class DeathInterval:
 
 def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Roots of the sign changes of ``sign * fn`` on the brackets [lo, hi],
-    bisected together; each stops once its bracket is at most ``_BISECT_TOL``."""
-    lo_positive = sign * fn(lo) > 0
+    bisected together; ``fn(t, k)`` evaluates brackets ``k`` at ``t``.  A
+    bracket stops once it is at most ``_BISECT_TOL`` wide, or after a pass
+    whose midpoint rounded to one of its ends: above T of about 1e6 adjacent
+    doubles are wider than the tolerance, and every later pass would repeat
+    that one."""
+    lo_positive = sign * fn(lo, np.arange(lo.size)) > 0
+    active = np.ones(lo.size, dtype=bool)
     for _ in range(200):
-        k = np.flatnonzero(hi - lo > _BISECT_TOL)
+        k = (active & (hi - lo > _BISECT_TOL)).nonzero()[0]
         if k.size == 0:
             break
-        mid = 0.5 * (lo[k] + hi[k])
-        same = (sign[k] * fn(mid) > 0) == lo_positive[k]
+        lo_k, hi_k = lo[k], hi[k]
+        mid = 0.5 * (lo_k + hi_k)
+        same = (sign[k] * fn(mid, k) > 0) == lo_positive[k]
         lo[k[same]], hi[k[~same]] = mid[same], mid[~same]
+        active[k] = (mid != lo_k) & (mid != hi_k)
     return 0.5 * (lo + hi)
+
+
+def _require_shared(traces):
+    first = traces[0]
+    for trace in traces[1:]:
+        for field in ("family", "epsilon", "lam"):
+            if getattr(trace, field) != getattr(first, field):
+                raise ValueError(f"traces refined together must share {field}: "
+                                 f"{getattr(first, field)!r} != {getattr(trace, field)!r}")
+        if not np.array_equal(trace.T_grid, first.T_grid):
+            raise ValueError("traces refined together must share T_grid")
+
+
+def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
+                  ) -> list[list[DeathInterval]]:
+    """:func:`detect_death_intervals` of every trace, refined together.
+
+    The traces must share family, epsilon, lam and T_grid (a ``ValueError``
+    names the field that differs); their alpha may differ.  Each
+    closed-form call takes the points of every trace, each at its own
+    trace's alpha, and each bracket stops on its own test, so every trace
+    gets the windows it gets alone.  (One call takes the sub-threshold
+    points of all traces; from 16,384 points on, numpy computes its complex
+    products in place, which may round a branch value differently, but
+    those values only decide whether a run's minimum lies below
+    -zero_threshold/2.)
+    """
+    require_real("zero_threshold", zero_threshold)
+    if not 0.0 < zero_threshold < math.inf:
+        raise ValueError(f"zero_threshold must be positive and finite, got {zero_threshold}")
+    traces = list(traces)
+    if not traces:
+        return []
+    _require_shared(traces)
+    first, T = traces[0], traces[0].T_grid
+    alphas = [trace.alpha for trace in traces]
+
+    def branch(t, at):
+        return _branch(first.family, analytic.amplitudes(
+            first.family, alphas, first.epsilon, first.lam, t, _at=at))
+
+    starts, ends, points = [], [], []
+    for trace in traces:
+        below = trace.C < zero_threshold
+        edges = np.diff(below.astype(np.int8), prepend=0, append=0)
+        starts.append((edges == 1).nonzero()[0])
+        ends.append((edges == -1).nonzero()[0] - 1)
+        points.append(below.nonzero()[0])
+    rows = np.repeat(np.arange(len(traces)), [s.size for s in starts])
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    windows = [[] for _ in traces]
+    if starts.size == 0:
+        return windows
+    lengths = ends - starts + 1
+    run_min = np.minimum.reduceat(
+        branch(T[np.concatenate(points)], np.repeat(rows, lengths)),
+        np.cumsum(lengths) - lengths)
+    keep = (lengths >= MIN_RUN_POINTS) & (run_min < -0.5 * zero_threshold)
+    rows, starts, ends = rows[keep], starts[keep], ends[keep]
+
+    # the branch is positive before a window opens and negative inside it,
+    # so a closing edge is bisected on -branch
+    left, right = starts > 0, ends < T.size - 1
+    n_left = np.count_nonzero(left)
+    t_mid = T[(starts + ends) // 2]
+    at = np.concatenate([rows[left], rows[right]])
+    roots = _bisect_roots(lambda t, k: branch(t, at[k]),
+                          np.concatenate([T[starts[left] - 1], t_mid[right]]),
+                          np.concatenate([t_mid[left], T[ends[right] + 1]]),
+                          np.repeat([1.0, -1.0], [n_left, np.count_nonzero(right)]))
+    t_start, t_end = T[starts], T[ends]
+    t_start[left], t_end[right] = roots[:n_left], roots[n_left:]
+    for row, a, b, r in zip(rows.tolist(), t_start.tolist(), t_end.tolist(),
+                            (left & right).tolist()):
+        windows[row].append(DeathInterval(a, b, r))
+    return windows
 
 
 def detect_death_intervals(trace: ConcurrenceTrace,
@@ -259,33 +345,7 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     boundary keeps the boundary point and is marked unrefined.
     ``zero_threshold`` must be a real number, positive and finite.
     """
-    require_real("zero_threshold", zero_threshold)
-    if not 0.0 < zero_threshold < math.inf:
-        raise ValueError(f"zero_threshold must be positive and finite, got {zero_threshold}")
-    T = trace.T_grid
-    below = trace.C < zero_threshold
-    edges = np.diff(below.astype(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
-    if starts.size == 0:
-        return []
-    branch = _branch_fn(trace)
-    lengths = ends - starts + 1
-    run_min = np.minimum.reduceat(branch(T[below]), np.cumsum(lengths) - lengths)
-    keep = (lengths >= MIN_RUN_POINTS) & (run_min < -0.5 * zero_threshold)
-    starts, ends = starts[keep], ends[keep]
-
-    # the branch is positive before a window opens and negative inside it,
-    # so a closing edge is bisected on -branch
-    left, right = starts > 0, ends < T.size - 1
-    n_left = np.count_nonzero(left)
-    t_mid = T[(starts + ends) // 2]
-    roots = _bisect_roots(branch, np.concatenate([T[starts[left] - 1], t_mid[right]]),
-                          np.concatenate([t_mid[left], T[ends[right] + 1]]),
-                          np.repeat([1.0, -1.0], [n_left, np.count_nonzero(right)]))
-    t_start, t_end = T[starts], T[ends]
-    t_start[left], t_end[right] = roots[:n_left], roots[n_left:]
-    return [DeathInterval(a, b, r) for a, b, r in
-            zip(t_start.tolist(), t_end.tolist(), (left & right).tolist())]
+    return death_windows([trace], zero_threshold)[0]
 
 
 #: points per refinement pass of :func:`max_concurrence`; a pass narrows its

@@ -30,24 +30,17 @@ Gam = cos(a) e^{-i (2 lam + eps + eta) T / 2}.
 Both sets agree with exact propagation to machine precision for every
 (alpha, eps, T); see the oracle-equivalence tests.
 
-Only cos(a) and sin(a) depend on alpha.  A scan over alpha at fixed eps
-(and lam) on one grid therefore reuses everything else: whole-grid
-evaluations (``analysis.concurrence_trace`` on the ANALYTIC path and
-``closed_form_states``) take the exponentials and the alpha-free products
-built from them (``_psi_terms``, ``_phi_terms``) from a cache keyed by the
-function, the bits of eps (and lam) and the grid's shape and exact bytes.
-The cache holds at most 8 MiB (least recently used evicted first; an entry
-larger than that is not stored), i.e. at most 16 B x 4 (PSI) or 5 (PHI)
-arrays per grid point per entry.  Refinement calls on a few points never
-touch it.  The amplitudes keep their bytes: every expression after the
-terms is the one written without the cache, in the same order.  numpy
-computes an operation on a temporary operand of 256 KiB or more (16,384
-complex points) in place in that temporary, and a complex product
-computed in its right operand may round differently from one computed in
-its left or out of place.  So the amplitude bits depend on the grid
-length with or without the cache, and a cached array that stood as the
-only temporary operand of a product is copied before the product, so
-that it is computed where it was.
+Only cos(a) and sin(a) depend on alpha.  Whole-grid evaluations
+(``analysis.concurrence_trace`` on the ANALYTIC path and
+``closed_form_states``) take the alpha-free terms (``_psi_terms``,
+``_phi_terms``) from a cache of at most 8 MiB keyed by eps, lam and the
+grid's exact bytes; refinement calls on a few points never touch it, and
+share one set of terms among the alpha of every point instead (the private
+``_at``).  Either way the amplitudes keep their bytes: every expression
+after the terms is the one written without them, and a cached array that
+stood as the only temporary operand of a product is copied first, so the
+product is computed where it was.  The docstring of
+``tests/test_analytic.py::TestGridCache`` derives this rule.
 """
 
 from __future__ import annotations
@@ -124,13 +117,27 @@ def _psi_terms(epsilon: float, T: np.ndarray) -> tuple:
     return lam_phase, L_plus - L_minus * eikt, 2.0 * xi, 1.0 - eikt
 
 
-def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False):
+def _alpha_factors(alpha, epsilon: float, at):
+    """cos(alpha) and sin(alpha), each alpha checked.  With ``at``, alpha is
+    a sequence and point i of T takes the factors of alpha[at[i]]; a lone
+    alpha gives scalars, which broadcast to the same products."""
+    if at is not None and len(alpha) == 1:
+        alpha, at = alpha[0], None
+    if at is None:
+        _check_domain(alpha, epsilon)
+        return math.cos(alpha), math.sin(alpha)
+    for a in alpha:
+        _check_domain(a, epsilon)
+    return np.array([[math.cos(a) for a in alpha], [math.sin(a) for a in alpha]]).take(at, axis=1)
+
+
+def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _at=None):
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
-    _check_domain(alpha, epsilon)
+    cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     T = np.asarray(T, dtype=float)
     k = math.sqrt(8.0 + epsilon * epsilon)
-    theta_plus = math.cos(alpha) + math.sin(alpha)
-    theta_minus = math.cos(alpha) - math.sin(alpha)
+    theta_plus = cos_a + sin_a
+    theta_minus = cos_a - sin_a
     lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon,), T)
                                         if _cached else _psi_terms(epsilon, T))
     core = theta_plus * split.copy()   # a temporary, as before the cache
@@ -151,9 +158,10 @@ def _phi_terms(epsilon: float, lam: float, T: np.ndarray) -> tuple:
             sym + 2.0 * half_split, sym - 2.0 * half_split)
 
 
-def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool = False):
+def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool = False,
+                   _at=None):
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
-    _check_domain(alpha, epsilon)
+    cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     require_real("lam", lam)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -162,16 +170,16 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
     gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
         _GRID_CACHE.terms(_phi_terms, (epsilon, lam), T) if _cached
         else _phi_terms(epsilon, lam, T))
-    gam = math.cos(alpha) * gam_phase.copy()   # temporaries, as before the cache
+    gam = cos_a * gam_phase.copy()   # temporaries, as before the cache
     x1 = gam / 4.0 * sym_plus
-    x2 = lam_phase.copy() * math.sin(alpha)
+    x2 = lam_phase.copy() * sin_a
     x3 = gam * m_minus / eta
     x5 = gam / 4.0 * sym_minus
     return x1, x2, x3, x3, x5
 
 
 def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
-               _cached: bool = False):
+               _cached: bool = False, _at=None):
     """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
     ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
@@ -181,8 +189,8 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
     require_family(family)
     require_real("lam", lam)
     if family is Family.PSI:
-        return psi_amplitudes(alpha, epsilon, T, _cached=_cached)
-    return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached)
+        return psi_amplitudes(alpha, epsilon, T, _cached=_cached, _at=_at)
+    return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached, _at=_at)
 
 
 def closed_form_states(spec: InitialStateSpec, params: ModelParams, basis: Basis,

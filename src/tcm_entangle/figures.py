@@ -137,18 +137,22 @@ def run(config: RunConfig) -> list[Path]:
     for eps in config.epsilon_list:
         params = ModelParams(epsilon=eps)
         model = None if config.path is TracePath.ANALYTIC else analysis.oracle_model(params)
+        traces = [analysis.concurrence_trace(InitialStateSpec(config.family, alpha), params,
+                                             grid, config.path, model)
+                  for alpha in config.alpha_list]
+        windows = ([None] * len(traces) if psi_family
+                   else analysis.death_windows(traces, config.zero_threshold))
         curves = []
-        for alpha in config.alpha_list:
-            trace = analysis.concurrence_trace(InitialStateSpec(config.family, alpha), params,
-                                               grid, config.path, model)
+        for alpha, trace, trace_windows in zip(config.alpha_list, traces, windows):
             amps = list(trace.abs_amplitudes.T)
             if psi_family:
                 header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
                 columns = [T_text, trace.C, trace.signed_C, *amps]
             else:
-                in_window = np.zeros(trace.T_grid.size)
-                for iv in analysis.detect_death_intervals(trace, config.zero_threshold):
-                    in_window[(trace.T_grid >= iv.T_start) & (trace.T_grid <= iv.T_end)] = 1.0
+                in_window = np.zeros(grid.size)
+                for iv in trace_windows:
+                    in_window[np.searchsorted(grid, iv.T_start, "left"):
+                              np.searchsorted(grid, iv.T_end, "right")] = 1.0
                     interval_rows.append((alpha, eps, iv.T_start, iv.T_end,
                                           iv.length, float(iv.refined)))
                 header = ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",

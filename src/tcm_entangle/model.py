@@ -64,6 +64,8 @@ SUPPORT_KETS = {
 def require_real(name: str, value):
     """Raise ``TypeError`` naming ``name`` unless ``value`` is a real number
     other than a bool."""
+    if type(value) is float:   # the common case, decided without the ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
 

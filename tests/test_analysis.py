@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcm_entangle import analysis, analytic
 from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TraceDisagreement,
                                    TracePath, _branch_fn, analytic_concurrence,
-                                   concurrence_trace, detect_death_intervals,
-                                   estimate_period, max_concurrence, oracle_model)
+                                   concurrence_trace, death_windows,
+                                   detect_death_intervals, estimate_period,
+                                   max_concurrence, oracle_model)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 
@@ -240,6 +241,104 @@ class TestDeathIntervalsMatchScalarReference:
         t = concurrence_trace(spec, params, np.linspace(t0, t0 + span, n))
         assert (detect_death_intervals(t, threshold)
                 == _reference_death_intervals(t, threshold))
+
+
+def _trace_at(family, alpha, eps, grid, lam=2.0):
+    return concurrence_trace(InitialStateSpec(family, alpha), ModelParams(epsilon=eps, lam=lam),
+                             grid)
+
+
+def _count_closed_form_calls(monkeypatch):
+    calls = []
+    for name in ("psi_amplitudes", "phi_amplitudes"):
+        original = getattr(analytic, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(analytic, name, counted)
+    return calls
+
+
+class TestBisectionStopsOnAdjacentDoubles:
+    @pytest.mark.parametrize("t0", [1e6, 1e8])
+    def test_few_calls_far_from_zero(self, monkeypatch, t0):
+        # from T of about 1e6 a bracket one double wide is still wider than
+        # the tolerance; its midpoint rounds to an end, and bisection used to
+        # repeat that pass up to its cap of 200
+        t = _trace_at(Family.PHI, 0.3, 2.0, np.linspace(t0, t0 + 20.0, 2000))
+        calls = _count_closed_form_calls(monkeypatch)
+        windows = detect_death_intervals(t)
+        assert len(calls) <= 40
+        monkeypatch.undo()
+        assert windows and windows == _reference_death_intervals(t, 1e-9)
+
+
+_ALPHAS = st.one_of(st.sampled_from([0.0, math.pi / 12, math.pi / 2]),
+                    st.floats(0, math.pi / 2))
+
+
+class TestDeathWindows:
+    """``death_windows`` refines several traces in shared calls and gives
+    each the windows it gets alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(Family), alphas=st.lists(_ALPHAS, min_size=1, max_size=5),
+           eps=st.floats(0, 3), t0=st.floats(0, 5), span=st.floats(2, 60),
+           n=st.integers(200, 1500), threshold=st.sampled_from([1e-9, 1e-3]))
+    # a one-trace batch; 0, pi/2 and a repeat, with and without windows;
+    # windows that touch the grid's end, its start, or both; brackets one
+    # double wide at T = 1e6
+    @example(family=Family.PHI, alphas=[math.pi / 6], eps=0.0, t0=0.0, span=2.0,
+             n=800, threshold=1e-9)
+    @example(family=Family.PHI, alphas=[0.0, math.pi / 8, math.pi / 2, math.pi / 8, 1.2],
+             eps=2.0, t0=0.0, span=20.0, n=1000, threshold=1e-9)
+    @example(family=Family.PSI, alphas=[0.0, 0.3, math.pi / 2, 0.3], eps=0.5, t0=0.0,
+             span=25.0, n=1000, threshold=1e-9)
+    @example(family=Family.PHI, alphas=[math.pi / 6, 0.3, math.pi / 4], eps=0.0, t0=1.0,
+             span=3.0, n=600, threshold=1e-9)
+    @example(family=Family.PHI, alphas=[math.pi / 6, 0.2], eps=0.0, t0=1.0, span=1.0,
+             n=300, threshold=1e-9)
+    @example(family=Family.PHI, alphas=[0.3, math.pi / 8, 0.5], eps=2.0, t0=1e6, span=20.0,
+             n=2000, threshold=1e-9)
+    def test_equals_one_trace_calls(self, family, alphas, eps, t0, span, n, threshold):
+        grid = np.linspace(t0, t0 + span, n)
+        traces = [_trace_at(family, alpha, eps, grid) for alpha in alphas]
+        assert (death_windows(traces, threshold)
+                == [detect_death_intervals(t, threshold) for t in traces])
+
+    def test_shares_calls_across_traces(self, monkeypatch):
+        grid = np.linspace(0.0, 20.0, 2000)
+        traces = [_trace_at(Family.PHI, alpha, 2.0, grid)
+                  for alpha in (math.pi / 12, math.pi / 8, 0.3)]
+        calls = _count_closed_form_calls(monkeypatch)
+        for t in traces:
+            detect_death_intervals(t)
+        alone = len(calls)
+        calls.clear()
+        death_windows(traces)
+        assert len(calls) < alone / 2
+
+    def test_empty_batch(self):
+        assert death_windows([]) == []
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
+    def test_threshold_checked(self, threshold):
+        with pytest.raises(ValueError, match="zero_threshold"):
+            death_windows([_trace(Family.PHI, 0.3, 0.0, n=200)], threshold)
+
+    @pytest.mark.parametrize("field,other", [
+        ("family", lambda grid: _trace_at(Family.PSI, 0.3, 2.0, grid)),
+        ("epsilon", lambda grid: _trace_at(Family.PHI, 0.3, 1.0, grid)),
+        ("lam", lambda grid: _trace_at(Family.PHI, 0.3, 2.0, grid, lam=3.0)),
+        ("T_grid", lambda grid: _trace_at(Family.PHI, 0.3, 2.0, grid + 0.5)),
+        ("T_grid", lambda grid: _trace_at(Family.PHI, 0.3, 2.0, grid[:-1])),
+    ])
+    def test_mixed_traces_name_the_field(self, field, other):
+        grid = np.linspace(0.0, 20.0, 400)
+        first = _trace_at(Family.PHI, 0.3, 2.0, grid)
+        with pytest.raises(ValueError, match=f"share {field}"):
+            death_windows([first, _trace_at(Family.PHI, 0.5, 2.0, grid), other(grid)])
 
 
 class TestMaxConcurrence:

@@ -107,7 +107,26 @@ class TestAmplitudesMatchDerivedConstants:
 
 
 class TestGridCache:
-    """Whole-grid evaluations reuse their alpha-free arrays and change no byte."""
+    """Whole-grid evaluations reuse their alpha-free arrays and change no byte.
+
+    Only cos(a) and sin(a) depend on alpha.  A scan over alpha at fixed eps
+    (and lam) on one grid therefore reuses everything else: whole-grid
+    evaluations take the exponentials and the alpha-free products built
+    from them (``_psi_terms``, ``_phi_terms``) from a cache keyed by the
+    function, the bits of eps (and lam) and the grid's shape and exact
+    bytes.  The cache holds at most 8 MiB (least recently used evicted
+    first; an entry larger than that is not stored), i.e. at most 16 B x 4
+    (PSI) or 5 (PHI) arrays per grid point per entry.  Refinement calls on a
+    few points never touch it.  The amplitudes keep their bytes: every
+    expression after the terms is the one written without the cache, in the
+    same order.  numpy computes an operation on a temporary operand of
+    256 KiB or more (16,384 complex points) in place in that temporary, and
+    a complex product computed in its right operand may round differently
+    from one computed in its left or out of place.  So the amplitude bits
+    depend on the grid length with or without the cache, and a cached array
+    that stood as the only temporary operand of a product is copied before
+    the product, so that it is computed where it was.
+    """
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", [2000, 16384])
@@ -197,6 +216,32 @@ class TestGridCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
+
+
+class TestPerPointAlpha:
+    """With the private ``_at`` each point takes its own alpha, and every
+    amplitude has the bytes of the one-alpha call at that point."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", (1, 7) + GRID_LENGTHS)
+    def test_same_bytes(self, family, n):
+        T = np.linspace(0.0, 200.0, n)
+        for alphas in ([0.0, 0.3, math.pi / 2, 0.3, 1.1], [0.7]):
+            at = np.random.default_rng(n).integers(0, len(alphas), n)
+            for eps in (0.0, 0.37, 2.0, 2.9):
+                got = amplitudes(family, alphas, eps, 2.0, T, _at=at)
+                for j, alpha in enumerate(alphas):
+                    on = at == j
+                    assert _same_bytes([x[on] for x in got],
+                                       amplitudes(family, alpha, eps, 2.0, T[on])), (eps, j)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_each_alpha_checked(self, family):
+        T = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            amplitudes(family, [0.3, 2.0], 1.0, 2.0, T, _at=np.array([0, 0, 1, 1]))
+        with pytest.raises(TypeError, match="alpha"):
+            amplitudes(family, [0.3, True], 1.0, 2.0, T, _at=np.array([0, 0, 1, 1]))
 
 
 class TestPsiAmplitudes:

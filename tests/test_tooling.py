@@ -7,6 +7,7 @@ emission counts read the arguments and results of ``write_csv`` and
 import functools
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -136,3 +137,31 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
         assert metrics["analysis.trace_calls"] == 12
         assert metrics["analytic.amplitude_calls"] == 226
         assert metrics["analytic.amplitude_points"] == 11374
+
+
+def test_amplitude_counts_of_batched_refinement(tmp_path):
+    # figures.run refines the windows of every alpha of one epsilon in shared
+    # closed-form calls: 6 whole-grid trace calls and 71 refinement calls,
+    # where refining each trace alone makes 210
+    alphas = (math.pi / 12, math.pi / 8, math.pi / 6)
+    config = RunConfig(family=Family.PHI, alpha_list=alphas, epsilon_list=(0.0, 2.0),
+                       T_max=20.0, n_points=300, output_dir=str(tmp_path))
+
+    def alone():
+        for eps in config.epsilon_list:
+            for alpha in alphas:
+                analysis.detect_death_intervals(analysis.concurrence_trace(
+                    InitialStateSpec(Family.PHI, alpha), ModelParams(epsilon=eps),
+                    np.linspace(0.0, 20.0, 300)))
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.command("fig2", lambda: figures.run(config))
+        tracer.command("scan", alone)
+    finally:
+        tracer.uninstall()
+    batched, one_trace = tracer.per_command_metrics()
+    assert batched["analytic.amplitude_calls"] == 77
+    assert one_trace["analytic.amplitude_calls"] == 216
+    assert batched["analytic.amplitude_points"] == one_trace["analytic.amplitude_points"]
