@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, propagator
-from .model import Basis, Family, InitialStateSpec, ModelParams, initial_state, require_real
+from .model import (Basis, Family, InitialStateSpec, ModelParams, initial_state, require_grid,
+                    require_positive)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 #: a sub-threshold run must span at least this many grid points to count
@@ -45,6 +46,13 @@ class TracePath(enum.Enum):
     ANALYTIC = "ANALYTIC"
     ORACLE = "ORACLE"
     BOTH = "BOTH"
+
+
+def require_path(path):
+    """Raise ``TypeError`` naming ``path`` unless it is a ``TracePath``
+    member: text such as ``"ANALYTIC"`` is read with ``TracePath(text)``."""
+    if not isinstance(path, TracePath):
+        raise TypeError(f"path must be a TracePath member, got {path!r}")
 
 
 class TraceDisagreement(ValueError):
@@ -160,9 +168,7 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     """Sample the atom-atom concurrence over an ascending time grid.
 
     The ORACLE and BOTH paths propagate on ``model`` (:func:`oracle_model`
-    of ``params``), built here when not given.  ``path`` must be a
-    ``TracePath`` member; text such as ``"ANALYTIC"`` raises ``TypeError``
-    (read text with ``TracePath(text)``).
+    of ``params``), built here when not given.
 
     BOTH returns the ANALYTIC trace once it is certified against
     propagation, and raises ``TraceDisagreement`` otherwise.  Each point's
@@ -182,15 +188,8 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     the same alpha, epsilon and T with the same gap as a comparison at
     every point.  Every propagated state is checked finite and of unit
     norm (:func:`occupied_states`)."""
-    if not isinstance(path, TracePath):
-        raise TypeError(f"path must be a TracePath member, got {path!r}")
-    T_grid = np.asarray(T_grid, dtype=float)
-    if T_grid.ndim != 1 or T_grid.size == 0:
-        raise ValueError("T_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(T_grid)):
-        raise ValueError("T_grid must be finite")
-    if T_grid.size > 1 and np.any(np.diff(T_grid) <= 0):
-        raise ValueError("T_grid must be strictly ascending")
+    require_path(path)
+    T_grid = require_grid(T_grid)
 
     psi_family = spec.family is Family.PSI
     if path is not TracePath.ANALYTIC and model is None:
@@ -280,9 +279,7 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     those values only decide whether a run's minimum lies below
     -zero_threshold/2.)
     """
-    require_real("zero_threshold", zero_threshold)
-    if not 0.0 < zero_threshold < math.inf:
-        raise ValueError(f"zero_threshold must be positive and finite, got {zero_threshold}")
+    require_positive("zero_threshold", zero_threshold)
     traces = list(traces)
     if not traces:
         return []
@@ -342,9 +339,7 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     points are likewise excluded.  Endpoints interior to the grid are
     refined on the closed-form branch expression to 1e-10 in T, between the
     outside neighbour and the run's middle point; a run touching the grid
-    boundary keeps the boundary point and is marked unrefined.
-    ``zero_threshold`` must be a real number, positive and finite.
-    """
+    boundary keeps the boundary point and is marked unrefined."""
     return death_windows([trace], zero_threshold)[0]
 
 
@@ -389,8 +384,6 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     oscillation a lower local peak may be returned, with no warning: PSI,
     alpha = 0, eps = 2 on ``linspace(0, 100, 6)`` gives 0.98526, not 0.999996.
     """
-    if trace.T_grid.size == 0:
-        raise ValueError("empty trace")
     T = trace.T_grid
     k = int(np.argmax(trace.C))
     lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
@@ -425,7 +418,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     steps = np.diff(T)
     dt = float(np.mean(steps))
     if np.max(np.abs(steps - dt)) > _UNIFORM_RTOL * dt:
-        raise ValueError("T_grid must be uniformly spaced to estimate a period")
+        raise ValueError("estimate_period needs a uniformly spaced T_grid")
     x = C - np.mean(C)
     n = len(x)
     F = np.abs(np.fft.rfft(x * np.hanning(n)))

@@ -52,18 +52,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .model import Basis, Family, InitialStateSpec, ModelParams, require_family, require_real
-
-
-def _check_domain(alpha: float, epsilon: float):
-    require_real("alpha", alpha)
-    require_real("epsilon", epsilon)
-    if not 0.0 <= alpha <= math.pi / 2:
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+from .model import (Basis, Family, InitialStateSpec, ModelParams, require_alpha,
+                    require_epsilon, require_family, require_finite)
 
 
 class _GridCache:
@@ -118,16 +108,16 @@ def _psi_terms(epsilon: float, T: np.ndarray) -> tuple:
 
 
 def _alpha_factors(alpha, epsilon: float, at):
-    """cos(alpha) and sin(alpha), each alpha checked.  With ``at``, alpha is
-    a sequence and point i of T takes the factors of alpha[at[i]]; a lone
-    alpha gives scalars, which broadcast to the same products."""
+    """cos(alpha) and sin(alpha), epsilon and each alpha checked.  With ``at``,
+    alpha is a sequence and point i of T takes the factors of alpha[at[i]];
+    a lone alpha gives scalars, which broadcast to the same products."""
+    require_epsilon("epsilon", epsilon)
     if at is not None and len(alpha) == 1:
         alpha, at = alpha[0], None
     if at is None:
-        _check_domain(alpha, epsilon)
+        require_alpha("alpha", alpha)
         return math.cos(alpha), math.sin(alpha)
-    for a in alpha:
-        _check_domain(a, epsilon)
+    alpha = [require_alpha("alpha", a) for a in alpha]
     return np.array([[math.cos(a) for a in alpha], [math.sin(a) for a in alpha]]).take(at, axis=1)
 
 
@@ -162,9 +152,7 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
                    _at=None):
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
-    require_real("lam", lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
+    require_finite("lam", lam)
     T = np.asarray(T, dtype=float)
     eta = math.sqrt(16.0 + epsilon * epsilon)
     gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
@@ -182,13 +170,11 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
                _cached: bool = False, _at=None):
     """Closed-form amplitudes of either family, in ``SUPPORT_KETS`` order.
 
-    ``lam`` enters PHI phases only; T may be a scalar or array.  ``family``
-    must be a ``Family`` member; text raises ``TypeError``, as does an
-    ``alpha``, ``epsilon`` or ``lam`` that is a bool or not a real number.
-    """
+    ``lam`` enters PHI phases only, but must be finite for PSI too; T may be
+    a scalar or array."""
     require_family(family)
-    require_real("lam", lam)
-    if family is Family.PSI:
+    if family is Family.PSI:   # phi_amplitudes checks lam itself
+        require_finite("lam", lam)
         return psi_amplitudes(alpha, epsilon, T, _cached=_cached, _at=_at)
     return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached, _at=_at)
 

@@ -9,13 +9,13 @@ pi/8 carry no decimal drift.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
 from dataclasses import dataclass, field
 
-from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath
-from .model import Family, require_family, require_real
+from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath, require_path
+from .model import (Family, require_alpha, require_epsilon, require_family, require_integer,
+                    require_positive)
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
@@ -78,48 +78,34 @@ class RunConfig:
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
+        try:
+            self._check()
+        except ValueError as exc:   # a broken model rule is a config error
+            raise ConfigError(str(exc)) from None
+
+    def _check(self):
         require_family(self.family)
-        for name in ("alpha_list", "epsilon_list"):
+        for name, rule in (("alpha_list", require_alpha), ("epsilon_list", require_epsilon)):
             values = getattr(self, name)
             try:
                 values = tuple(values)
             except TypeError:
                 raise TypeError(f"{name} must be a sequence of real numbers, "
                                 f"got {values!r}") from None
-            for value in values:
-                require_real(f"{name} value", value)
             if not values:
                 raise ConfigError(f"{name} must hold at least one value")
             # -0.0 + 0.0 is +0.0: a signed zero would be a second file tag
             # ("m0") for the same physics
-            object.__setattr__(self, name, tuple(v + 0.0 for v in values))
-        for name in ("T_max", "zero_threshold"):
-            value = getattr(self, name)
-            require_real(name, value)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, tuple(rule(f"{name} value", v) + 0.0 for v in values))
+        require_positive("T_max", self.T_max)
+        require_positive("zero_threshold", self.zero_threshold)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise TypeError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         if not isinstance(self.emit_svg, bool):
             raise TypeError(f"emit_svg must be a bool, got {self.emit_svg!r}")
-        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
-            raise TypeError(f"n_points must be an integer, got {self.n_points!r}")
-        if not 2 <= self.n_points <= MAX_N_POINTS:
+        if not 2 <= require_integer("n_points", self.n_points) <= MAX_N_POINTS:
             raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
-        if self.T_max <= 0:
-            raise ConfigError(f"T_max must be positive, got {self.T_max}")
-        if not isinstance(self.path, TracePath):
-            raise TypeError(f"path must be a TracePath member, got {self.path!r}")
-        if self.zero_threshold <= 0:
-            raise ConfigError("zero_threshold must be positive")
-        for a in self.alpha_list:
-            if not 0.0 <= a <= math.pi / 2:
-                raise ConfigError(f"alpha value {a} outside [0, pi/2]")
-        for e in self.epsilon_list:
-            if not math.isfinite(e):
-                raise ConfigError(f"epsilon value {e} must be finite")
-            if e < 0:
-                raise ConfigError(f"epsilon value {e} must be >= 0")
+        require_path(self.path)
         for name in ("alpha_list", "epsilon_list"):
             seen: dict[str, float] = {}
             for value in getattr(self, name):

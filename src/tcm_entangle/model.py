@@ -11,14 +11,22 @@ two-atom basis is therefore {|ee>, |eg>, |ge>, |gg>} in that order.
 state, and ``Basis.position`` is the one map from entries to an index.
 
 All public time arguments are dimensionless, T = g*t.
+
+Each input rule is one ``require_*`` function below, which names the field
+in its message (the value rules return the value they checked); every
+boundary that takes the quantity calls it: alpha (``InitialStateSpec``, the
+closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
+``RunConfig``), finite (lam, the T of ``propagator.evolve``), positive
+(T_max, zero_threshold), integer (n_max, n_points, photon numbers), grid
+(``concurrence_trace``, ``evolve_grid``) and family.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,18 +42,12 @@ MAX_N_MAX = 16
 
 def _check_n_max(n_max, least: int):
     """Raise naming ``n_max`` unless it is an int in [least, MAX_N_MAX]."""
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise TypeError(f"n_max must be an integer, got {n_max!r}")
-    if not least <= n_max <= MAX_N_MAX:
+    if not least <= require_integer("n_max", n_max) <= MAX_N_MAX:
         raise ValueError(f"n_max must lie in [{least}, {MAX_N_MAX}], got {n_max}")
 
 
 class Family(enum.Enum):
-    """Which pair of Bell states the atoms start in.
-
-    Functions that take a family take a member, never its text, and raise
-    ``TypeError`` naming the argument otherwise: read text with
-    ``Family(text)``."""
+    """Which pair of Bell states the atoms start in."""
 
     PSI = "PSI"  # cos(a)|eg> + sin(a)|ge>
     PHI = "PHI"  # cos(a)|ee> + sin(a)|gg>
@@ -62,16 +64,63 @@ SUPPORT_KETS = {
 
 
 def require_real(name: str, value):
-    """Raise ``TypeError`` naming ``name`` unless ``value`` is a real number
-    other than a bool."""
-    if type(value) is float:   # the common case, decided without the ABC check
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """Raise ``TypeError`` naming ``name`` unless ``value`` is a non-bool real number."""
+    # a float, the common case, is decided without the ABC check
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def require_finite(name: str, value):
+    """Raise naming ``name`` unless ``value`` is a finite real number."""
+    if not math.isfinite(require_real(name, value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def require_positive(name: str, value):
+    """Raise naming ``name`` unless ``value`` is a finite real number > 0."""
+    if require_finite(name, value) <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def require_epsilon(name: str, value):
+    """Raise naming ``name`` unless ``value`` is a finite real number >= 0."""
+    if require_finite(name, value) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def require_alpha(name: str, value):
+    """Raise naming ``name`` unless ``value`` is a real number in [0, pi/2]."""
+    if not 0.0 <= require_real(name, value) <= math.pi / 2:
+        raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
+    return value
+
+
+def require_integer(name: str, value):
+    """Raise ``TypeError`` naming ``name`` unless ``value`` is a non-bool integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_grid(T_grid) -> np.ndarray:
+    """``T_grid`` as a float array, checked non-empty, 1-d, finite and ascending."""
+    T_grid = np.asarray(T_grid, dtype=float)
+    if T_grid.ndim != 1 or T_grid.size == 0:
+        raise ValueError("T_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(T_grid)):
+        raise ValueError("T_grid must be finite")
+    if T_grid.size > 1 and np.any(np.diff(T_grid) <= 0):
+        raise ValueError("T_grid must be strictly ascending")
+    return T_grid
 
 
 def require_family(family):
-    """Raise ``TypeError`` naming ``family`` unless it is a ``Family`` member."""
+    """Raise ``TypeError`` naming ``family`` unless it is a ``Family`` member:
+    text such as ``"PSI"`` is read with ``Family(text)``."""
     if not isinstance(family, Family):
         raise TypeError(f"family must be a Family member, got {family!r}")
 
@@ -91,14 +140,8 @@ class ModelParams:
     n_max: int = 2
 
     def __post_init__(self):
-        for name in ("epsilon", "lam"):
-            value = getattr(self, name)
-            require_real(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(require_epsilon("epsilon", self.epsilon)))
+        object.__setattr__(self, "lam", float(require_finite("lam", self.lam)))
         _check_n_max(self.n_max, 2)
 
     @classmethod
@@ -113,19 +156,14 @@ class InitialStateSpec:
     """Initial Bell-state mixture: family plus mixing angle alpha in [0, pi/2].
 
     Either family starts with atom-atom concurrence sin(2*alpha); the cavity
-    modes start in the two-mode vacuum.  ``family`` must be a ``Family``
-    member; text such as ``"PSI"`` raises ``TypeError``, as does an
-    ``alpha`` that is a bool or not a real number.
-    """
+    modes start in the two-mode vacuum."""
 
     family: Family
     alpha: float
 
     def __post_init__(self):
         require_family(self.family)
-        require_real("alpha", self.alpha)
-        if not 0.0 <= self.alpha <= math.pi / 2:
-            raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
+        require_alpha("alpha", self.alpha)
 
 
 class Basis:
@@ -156,9 +194,8 @@ class Basis:
         """Basis index of |atom_a, atom_b, n_a, n_b>; photon numbers are ints."""
         if atom_a not in LEVELS or atom_b not in LEVELS:
             raise ValueError(f"unknown atomic level in ({atom_a}, {atom_b})")
-        for name, n in (("n_a", n_a), ("n_b", n_b)):
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise TypeError(f"photon number {name} must be an integer, got {n!r}")
+        require_integer("photon number n_a", n_a)
+        require_integer("photon number n_b", n_b)
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
             raise ValueError(f"photon numbers ({n_a}, {n_b}) outside [0, n_max={self.n_max}]")
         return self.position(int(atom_a == "e"), int(atom_b == "e"), n_a, n_b)

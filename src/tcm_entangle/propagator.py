@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonian import build_hamiltonian
-from .model import Basis, ModelParams
+from .model import Basis, ModelParams, require_finite, require_grid
 
 _HERMITICITY_RTOL = 1e-12
 _JACOBI_TOL = 1e-14   # off-diagonal Frobenius norm, relative to ||H||_F
@@ -151,6 +151,7 @@ def decompose_model(params: ModelParams, basis: Basis) -> SpectralDecomposition:
 
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:
     """Apply U(T) = V diag(exp(-i w T)) V^dag to a normalized state."""
+    require_finite("T", T)
     V = decomp.eigenvectors
     phases = np.exp(-1j * decomp.eigenvalues * T)
     return V @ (phases * (V.conj().T @ psi0))
@@ -174,13 +175,9 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     one-point grid as a matrix-vector product, whose summation order
     depends on the length, so there the two agree to rounding.)  A row
     where an eigenphase w T overflows, occupied or not, is NaN, as it is in
-    the full product.  A non-finite grid time raises ``ValueError``.
+    the full product.  ``T_grid`` must pass ``model.require_grid``.
     """
-    T_grid = np.asarray(T_grid, dtype=float)
-    if T_grid.ndim != 1 or (len(T_grid) > 1 and np.any(np.diff(T_grid) <= 0)):
-        raise ValueError("T_grid must be a 1-d ascending array")
-    if not np.all(np.isfinite(T_grid)):
-        raise ValueError("T_grid must be finite")
+    T_grid = require_grid(T_grid)
     V = decomp.eigenvectors
     c = V.conj().T @ psi0
     keep = np.flatnonzero(c)

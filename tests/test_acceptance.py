@@ -35,11 +35,11 @@ _BASIS = Basis(2)
 
 @lru_cache(maxsize=None)
 def _decomp(epsilon: float):
-    return decompose_model(ModelParams.from_dimensionless(epsilon=epsilon), _BASIS)
+    return decompose_model(ModelParams(epsilon=epsilon), _BASIS)
 
 
 def _params(epsilon: float) -> ModelParams:
-    return ModelParams.from_dimensionless(epsilon=epsilon)
+    return ModelParams(epsilon=epsilon)
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str):

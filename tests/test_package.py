@@ -83,6 +83,10 @@ _BAD_INPUT = {
                  ValueError, "T_grid"),
     "grid inf": (lambda: tcm_entangle.evolve_grid(*_phi_model(), [0.0, math.inf]),
                  ValueError, "T_grid"),
+    "evolve T nan": (lambda: tcm_entangle.evolve(*_phi_model(), math.nan),
+                     ValueError, "^T must be finite"),
+    "evolve T inf": (lambda: tcm_entangle.evolve(*_phi_model(), math.inf),
+                     ValueError, "^T must be finite"),
     "threshold nan": (lambda: tcm_entangle.detect_death_intervals(_trace(), math.nan),
                       ValueError, "zero_threshold"),
     "threshold -1": (lambda: tcm_entangle.detect_death_intervals(_trace(), -1.0),
@@ -106,12 +110,9 @@ _BAD_INPUT = {
     "T_max True": (lambda: RunConfig(T_max=True), TypeError, "T_max"),
     "zero_threshold True": (lambda: RunConfig(zero_threshold=True), TypeError,
                             "zero_threshold"),
-    "epsilon True": (lambda: tcm_entangle.ModelParams.from_dimensionless(epsilon=True),
-                     TypeError, "epsilon"),
-    "epsilon text": (lambda: tcm_entangle.ModelParams.from_dimensionless(epsilon="1"),
-                     TypeError, "epsilon"),
-    "lam text": (lambda: tcm_entangle.ModelParams.from_dimensionless(lam="2"),
-                 TypeError, "lam"),
+    "epsilon True": (lambda: tcm_entangle.ModelParams(epsilon=True), TypeError, "epsilon"),
+    "epsilon text": (lambda: tcm_entangle.ModelParams(epsilon="1"), TypeError, "epsilon"),
+    "lam text": (lambda: tcm_entangle.ModelParams(lam="2"), TypeError, "lam"),
     "family text in config": (lambda: RunConfig(family="PSI"), TypeError, "family"),
     "emit_svg text": (lambda: RunConfig(emit_svg="no"), TypeError, "emit_svg"),
     "output_dir number": (lambda: RunConfig(output_dir=1), TypeError, "output_dir"),
@@ -138,6 +139,65 @@ def test_bad_input_is_rejected_by_name(case):
     call, error, name = _BAD_INPUT[case]
     with pytest.raises(error, match=name):
         call()
+
+
+_PSI, _PHI = tcm_entangle.Family.PSI, tcm_entangle.Family.PHI
+
+#: rule -> (bad values, [(field, boundary called with the value)]): every
+#: boundary that takes a quantity calls the one rule of ``model``, so each
+#: message is the field name followed by the same text
+_SAME_RULE = {
+    "alpha": ((-0.1, 2.0, math.nan, -math.inf), [
+        ("alpha", lambda v: tcm_entangle.InitialStateSpec(_PSI, v)),
+        ("alpha", lambda v: analytic.psi_amplitudes(v, 0.0, [1.0])),
+        ("alpha", lambda v: analytic.phi_amplitudes(v, 0.0, 2.0, [1.0])),
+        ("alpha", lambda v: analytic.amplitudes(_PHI, v, 0.0, 2.0, [1.0])),
+        ("alpha_list value", lambda v: RunConfig(alpha_list=(v,))),
+    ]),
+    "epsilon": ((-1.0, math.nan, math.inf, -math.inf), [
+        ("epsilon", lambda v: tcm_entangle.ModelParams(epsilon=v)),
+        ("epsilon", lambda v: analytic.psi_amplitudes(0.3, v, [1.0])),
+        ("epsilon", lambda v: analytic.phi_amplitudes(0.3, v, 2.0, [1.0])),
+        ("epsilon_list value", lambda v: RunConfig(epsilon_list=(v,))),
+    ]),
+    "lam": ((math.nan, math.inf, -math.inf), [
+        ("lam", lambda v: tcm_entangle.ModelParams(lam=v)),
+        ("lam", lambda v: analytic.phi_amplitudes(0.3, 0.0, v, [1.0])),
+        ("lam", lambda v: analytic.amplitudes(_PSI, 0.3, 0.0, v, [1.0])),
+    ]),
+    "positive": ((0.0, -1.0, math.nan, math.inf), [
+        ("zero_threshold", lambda v: RunConfig(zero_threshold=v)),
+        ("zero_threshold", lambda v: tcm_entangle.death_windows([_trace()], v)),
+        ("zero_threshold", lambda v: tcm_entangle.detect_death_intervals(_trace(), v)),
+        ("T_max", lambda v: RunConfig(T_max=v)),
+    ]),
+    "integer": ((2.5, True, "2"), [
+        ("n_max", lambda v: tcm_entangle.ModelParams(n_max=v)),
+        ("n_max", lambda v: tcm_entangle.Basis(v)),
+        ("n_points", lambda v: RunConfig(n_points=v)),
+        ("photon number n_a", lambda v: tcm_entangle.Basis(2).index("e", "g", v, 0)),
+    ]),
+    "grid": (([], np.zeros((2, 2)), [0.0, math.nan], [1.0, 0.0]), [
+        ("T_grid", lambda v: tcm_entangle.concurrence_trace(
+            tcm_entangle.InitialStateSpec(_PHI, 0.3), tcm_entangle.ModelParams(), v)),
+        ("T_grid", lambda v: tcm_entangle.evolve_grid(*_phi_model(), v)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("rule,value", [(rule, v) for rule, (values, _) in _SAME_RULE.items()
+                                        for v in values],
+                         ids=lambda x: x if isinstance(x, str) and x in _SAME_RULE
+                         else repr(np.asarray(x).tolist()))
+def test_each_rule_is_worded_alike_at_every_boundary(rule, value):
+    said = set()
+    for field, call in _SAME_RULE[rule][1]:
+        with pytest.raises((TypeError, ValueError)) as caught:
+            call(value)
+        message = str(caught.value)
+        assert message.startswith(f"{field} "), message
+        said.add((message[len(field):], isinstance(caught.value, ValueError)))
+    assert len(said) == 1, said
 
 
 @pytest.mark.parametrize("alpha", [np.float64(0.3), np.float32(0.3)],

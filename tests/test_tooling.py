@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcm_entangle import analysis, analytic, cli, figures  # noqa: F401  (cli loads every traced module)
+from tcm_entangle import analysis, analytic, cli, figures, model  # noqa: F401  (cli loads every traced module)
 from tcm_entangle.analysis import TracePath
 from tcm_entangle.config import RunConfig
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
@@ -165,3 +165,15 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
     assert batched["analytic.amplitude_calls"] == 77
     assert one_trace["analytic.amplitude_calls"] == 216
     assert batched["analytic.amplitude_points"] == one_trace["analytic.amplitude_points"]
+
+
+@pytest.mark.parametrize("fragment", ["must lie in [0, pi/2]", "must be >= 0, got",
+                                      "must be finite, got", "T_grid must be",
+                                      "must be an integer"])
+def test_each_input_rule_is_written_once(fragment):
+    # every boundary calls the rule in model, so no second copy can drift
+    # from it; a message fragment found in another module is such a copy
+    package = Path(model.__file__).parent
+    owners = [p.name for p in sorted(package.glob("*.py"))
+              if fragment in p.read_text(encoding="utf-8")]
+    assert owners == ["model.py"]
