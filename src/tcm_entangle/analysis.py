@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, propagator
-from .model import (Basis, Family, InitialStateSpec, ModelParams, initial_state, require_grid,
+from .model import (Family, InitialStateSpec, ModelParams, initial_state, require_grid,
                     require_positive)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -100,11 +100,18 @@ def analytic_concurrence(trace_like, T):
     return 2.0 * np.maximum(0.0, _branch_fn(trace_like)(T))
 
 
-def oracle_model(params: ModelParams) -> tuple[Basis, propagator.SpectralDecomposition]:
-    """The basis and the decomposition of H/g that the ORACLE path propagates
-    with; build it once and hand it to every trace of ``params``."""
-    basis = Basis(params.n_max)
-    return basis, propagator.decompose_model(params, basis)
+_last = (None, None)
+
+
+def _decomposition(params: ModelParams) -> propagator.SpectralDecomposition:
+    """``propagator.decompose_model(params)``, kept for the last params object
+    (``figures.run`` builds one per epsilon).  Matched by identity, so one
+    command's model never serves the next, and read once per call."""
+    global _last
+    last = _last
+    if last[0] is not params:
+        last = _last = (params, propagator.decompose_model(params))
+    return last[1]
 
 
 def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelParams,
@@ -116,11 +123,11 @@ def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelPar
                          "epsilon or T is too large for double precision")
 
 
-def occupied_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
-                    model) -> tuple[np.ndarray, np.ndarray]:
-    """States propagated from the initial state of ``spec`` over ``T_grid`` on
-    ``model`` (from :func:`oracle_model`), each checked finite and of unit
-    norm, and the ascending indices of their used columns.
+def occupied_states(spec: InitialStateSpec, params: ModelParams,
+                    T_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States propagated from the initial state of ``spec`` over ``T_grid``
+    under H/g of ``params``, each checked finite and of unit norm, and the
+    ascending indices of their used columns.
 
     The used columns are those nonzero in some state, joined with the
     family's ``SUPPORT_KETS``.  They are read from the states, not from the
@@ -130,7 +137,7 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndar
     summation order.  An entry of a propagated state is bounded by the
     basis size, so a norm is non-finite exactly when some entry of its row
     is (a NaN entry counts as nonzero, so its column is used)."""
-    basis, decomp = model
+    basis, decomp = params.basis, _decomposition(params)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
         columns = np.union1d(np.flatnonzero(np.any(psis, axis=0)),
@@ -142,11 +149,11 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndar
 
 
 def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
-             C: np.ndarray, amps: np.ndarray, model):
+             C: np.ndarray, amps: np.ndarray):
     """Raise ``TraceDisagreement`` unless the closed-form C, from amplitudes
-    ``amps`` (one row per point), agrees with propagation on ``model``."""
-    basis = model[0]
-    psis, columns = occupied_states(spec, params, T_grid, model)
+    ``amps`` (one row per point), agrees with propagation."""
+    basis = params.basis
+    psis, columns = occupied_states(spec, params, T_grid)
     closed = np.zeros((T_grid.size, columns.size), dtype=complex)
     closed[:, np.searchsorted(columns, basis.support_indices(spec.family))] = amps
     bound = entanglement.concurrence_gap_bound(closed, psis[:, columns], basis)
@@ -163,12 +170,11 @@ def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
 
 
 def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
-                      T_grid, path: TracePath = TracePath.ANALYTIC,
-                      model=None) -> ConcurrenceTrace:
+                      T_grid, path: TracePath = TracePath.ANALYTIC) -> ConcurrenceTrace:
     """Sample the atom-atom concurrence over an ascending time grid.
 
-    The ORACLE and BOTH paths propagate on ``model`` (:func:`oracle_model`
-    of ``params``), built here when not given.
+    The ORACLE and BOTH paths propagate under H/g of ``params``, decomposed
+    once for a run of traces of one params object (:func:`_decomposition`).
 
     BOTH returns the ANALYTIC trace once it is certified against
     propagation, and raises ``TraceDisagreement`` otherwise.  Each point's
@@ -192,8 +198,6 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     T_grid = require_grid(T_grid)
 
     psi_family = spec.family is Family.PSI
-    if path is not TracePath.ANALYTIC and model is None:
-        model = oracle_model(params)
     if path is not TracePath.ORACLE:
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
             xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon,
@@ -206,10 +210,10 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
             _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
                             spec, params, T_grid)
         if path is TracePath.BOTH:
-            _certify(spec, params, T_grid, C, amps, model)
+            _certify(spec, params, T_grid, C, amps)
     else:   # one batched pass per trace
-        basis = model[0]
-        psis = occupied_states(spec, params, T_grid, model)[0]
+        basis = params.basis
+        psis = occupied_states(spec, params, T_grid)[0]
         C = entanglement.pure_concurrence(psis, basis)
         signed = (2.0 * entanglement.reduce_to_atoms(psis, basis)[:, 1, 2].real
                   if psi_family else None)

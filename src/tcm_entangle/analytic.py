@@ -34,13 +34,11 @@ Only cos(a) and sin(a) depend on alpha.  Whole-grid evaluations
 (``analysis.concurrence_trace`` on the ANALYTIC path and
 ``closed_form_states``) take the alpha-free terms (``_psi_terms``,
 ``_phi_terms``) from a cache of at most 8 MiB keyed by eps, lam and the
-grid's exact bytes; refinement calls on a few points never touch it, and
-share one set of terms among the alpha of every point instead (the private
-``_at``).  Either way the amplitudes keep their bytes: every expression
-after the terms is the one written without them, and a cached array that
-stood as the only temporary operand of a product is copied first, so the
-product is computed where it was.  The docstring of
-``tests/test_analytic.py::TestGridCache`` derives this rule.
+grid's exact bytes; refinement calls on a few points share one set of terms
+among the alpha of every point instead (the private ``_at``).  The
+amplitudes keep their bytes because a cached array that stood as the only
+temporary operand of a product is copied first (derived in
+``tests/test_analytic.py::TestGridCache``).
 """
 
 from __future__ import annotations
@@ -52,8 +50,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .model import (Basis, Family, InitialStateSpec, ModelParams, require_alpha,
-                    require_epsilon, require_family, require_finite)
+from .model import (Family, InitialStateSpec, ModelParams, require_alpha, require_epsilon,
+                    require_family, require_finite, require_grid)
 
 
 class _GridCache:
@@ -179,14 +177,12 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
     return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached, _at=_at)
 
 
-def closed_form_states(spec: InitialStateSpec, params: ModelParams, basis: Basis,
-                       T_grid) -> np.ndarray:
-    """Closed-form state vectors on a time grid, shape (len(T_grid), basis.size).
-
-    Each amplitude is placed on its ket in ``model.SUPPORT_KETS``; the basis
-    must hold every such ket (n_max >= 1 for PSI, >= 2 for PHI).
-    """
-    T_grid = np.atleast_1d(np.asarray(T_grid, dtype=float))
+def closed_form_states(spec: InitialStateSpec, params: ModelParams, T_grid) -> np.ndarray:
+    """Closed-form state vectors on a time grid, one row per point on
+    ``params.basis``; each amplitude is placed on its ket in
+    ``model.SUPPORT_KETS``.  ``T_grid`` must pass ``model.require_grid``."""
+    T_grid = require_grid(T_grid)
+    basis = params.basis
     idx = basis.support_indices(spec.family)
     states = np.zeros((T_grid.size, basis.size), dtype=complex)
     states[:, idx] = np.stack(amplitudes(spec.family, spec.alpha, params.epsilon,

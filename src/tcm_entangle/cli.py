@@ -21,7 +21,7 @@ from pathlib import Path
 from . import figures, verify as verify_mod
 from .config import ConfigError, RunConfig, parse_config, parse_angle
 from .hamiltonian import build_hamiltonian
-from .model import Basis, Family, ModelParams
+from .model import Family, ModelParams
 
 
 def _figure_config(args, family: Family) -> RunConfig:
@@ -75,12 +75,8 @@ def _dump_hamiltonian(path: Path, epsilon: float):
     """Debug CSV of the full matrix, complex entries as `re+imi` pairs."""
     with _flag("--epsilon"):
         params = ModelParams(epsilon=epsilon)
-    basis = Basis(params.n_max)
-    H = build_hamiltonian(params, basis)
-    rows = []
-    for i in range(basis.size):
-        rows.append(",".join(f"{H[i, j].real:+.9g}{H[i, j].imag:+.9g}i"
-                             for j in range(basis.size)))
+    rows = [",".join(f"{z.real:+.9g}{z.imag:+.9g}i" for z in row)
+            for row in build_hamiltonian(params).tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(path)
 

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, svgplot
-from .analysis import TracePath
 from .config import NUMBER_FORMAT, RunConfig, file_tag, fmt
 from .model import Family, InitialStateSpec, ModelParams
 
@@ -136,9 +135,8 @@ def run(config: RunConfig) -> list[Path]:
     T_text = format_column(grid)
     for eps in config.epsilon_list:
         params = ModelParams(epsilon=eps)
-        model = None if config.path is TracePath.ANALYTIC else analysis.oracle_model(params)
         traces = [analysis.concurrence_trace(InitialStateSpec(config.family, alpha), params,
-                                             grid, config.path, model)
+                                             grid, config.path)
                   for alpha in config.alpha_list]
         windows = ([None] * len(traces) if psi_family
                    else analysis.death_windows(traces, config.zero_threshold))

@@ -25,13 +25,9 @@ import numpy as np
 from .model import Basis, ModelParams
 
 
-def build_hamiltonian(params: ModelParams, basis: Basis) -> np.ndarray:
-    """Dense Hermitian matrix of H/g in basis order."""
-    if params.n_max != basis.n_max:
-        raise ValueError(
-            f"params.n_max={params.n_max} does not match basis.n_max={basis.n_max}"
-        )
-
+def build_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Dense Hermitian matrix of H/g in the order of ``params.basis``."""
+    basis = params.basis
     d = basis.size
     ea, eb, na, nb = basis.excited_a, basis.excited_b, basis.n_a, basis.n_b
     H = np.zeros((d, d), dtype=complex)

@@ -24,6 +24,7 @@ closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -132,7 +133,8 @@ class ModelParams:
     ``epsilon`` = Omega/g is the dipole-dipole strength (finite, >= 0),
     ``lam`` = omega_0/g the atomic frequency (finite), and ``n_max`` the
     photon cutoff, an int in [2, ``MAX_N_MAX``].  ``lam`` enters the PHI
-    phases only, never the concurrence.
+    phases only, never the concurrence.  ``basis``, built once per object, is
+    not a field: ``==``, ``hash`` and ``repr`` ignore it.
     """
 
     epsilon: float = 0.0
@@ -143,6 +145,10 @@ class ModelParams:
         object.__setattr__(self, "epsilon", float(require_epsilon("epsilon", self.epsilon)))
         object.__setattr__(self, "lam", float(require_finite("lam", self.lam)))
         _check_n_max(self.n_max, 2)
+
+    @functools.cached_property
+    def basis(self) -> Basis:
+        return Basis(self.n_max)
 
     @classmethod
     def from_dimensionless(cls, epsilon: float = 0.0, lam: float = 2.0,

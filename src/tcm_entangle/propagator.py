@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonian import build_hamiltonian
-from .model import Basis, ModelParams, require_finite, require_grid
+from .model import ModelParams, require_finite, require_grid
 
 _HERMITICITY_RTOL = 1e-12
 _JACOBI_TOL = 1e-14   # off-diagonal Frobenius norm, relative to ||H||_F
@@ -144,9 +144,9 @@ def jacobi_eigh(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues[order], V[:, order])
 
 
-def decompose_model(params: ModelParams, basis: Basis) -> SpectralDecomposition:
-    """Decompose H/g so that :func:`evolve` takes dimensionless time."""
-    return jacobi_eigh(build_hamiltonian(params, basis))
+def decompose_model(params: ModelParams) -> SpectralDecomposition:
+    """Decompose H/g on ``params.basis``; :func:`evolve` takes time T = g*t."""
+    return jacobi_eigh(build_hamiltonian(params))
 
 
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:
@@ -175,10 +175,13 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     one-point grid as a matrix-vector product, whose summation order
     depends on the length, so there the two agree to rounding.)  A row
     where an eigenphase w T overflows, occupied or not, is NaN, as it is in
-    the full product.  ``T_grid`` must pass ``model.require_grid``.
+    the full product.  ``T_grid`` must pass ``model.require_grid``, and
+    ``psi0`` must be a vector of the decomposition's size.
     """
     T_grid = require_grid(T_grid)
     V = decomp.eigenvectors
+    if np.shape(psi0) != (V.shape[0],):
+        raise ValueError(f"psi0 must be a vector of length {V.shape[0]}, got {np.shape(psi0)}")
     c = V.conj().T @ psi0
     keep = np.flatnonzero(c)
     V_kept = V[:, keep]

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, analytic, entanglement, propagator
 from .analysis import TracePath
 from .hamiltonian import build_hamiltonian, check_conservation
-from .model import (Basis, Family, InitialStateSpec, ModelParams, initial_state)
+from .model import Family, InitialStateSpec, ModelParams, initial_state
 
 _ALPHAS = tuple(k * math.pi / 8 for k in range(5))          # [0, pi/2]
 _EPSILONS = (0.0, 0.5, 2.0)
@@ -42,34 +42,33 @@ class SuiteResult:
 
 
 def _models():
-    """{epsilon: (params, basis, H/g, decomposition of H/g)} for each of
+    """{epsilon: (params, H/g, decomposition of H/g)} for each of
     ``_EPSILONS``.  ``run_all`` builds this once and hands it to every suite
     that evolves states, so each H/g is decomposed once per run."""
     models = {}
     for eps in _EPSILONS:
         params = ModelParams(epsilon=eps)
-        basis = Basis(params.n_max)
-        H = build_hamiltonian(params, basis)
-        models[eps] = (params, basis, H, propagator.jacobi_eigh(H))
+        H = build_hamiltonian(params)
+        models[eps] = (params, H, propagator.jacobi_eigh(H))
     return models
 
 
 def _evolutions(models):
-    """(spec, params, basis, H/g, states on ``_T_GRID``) for each model, both
+    """(spec, params, H/g, states on ``_T_GRID``) for each model, both
     families and each of ``_ALPHAS``.  ``run_all`` lists this once and hands
     the list, or its alpha = pi/8 rows, to every suite that reads states, so
     each state is propagated once per run."""
-    for params, basis, H, decomp in models.values():
+    for params, H, decomp in models.values():
         for family in (Family.PSI, Family.PHI):
             for alpha in _ALPHAS:
                 spec = InitialStateSpec(family, alpha)
-                psis = propagator.evolve_grid(initial_state(spec, basis), decomp, _T_GRID)
-                yield spec, params, basis, H, psis
+                psis = propagator.evolve_grid(initial_state(spec, params.basis), decomp, _T_GRID)
+                yield spec, params, H, psis
 
 
 def suite_hermiticity(models) -> SuiteResult:
     worst = 0.0
-    for _, _, H, _ in models.values():
+    for _, H, _ in models.values():
         worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
     return SuiteResult("hermiticity", worst, 0.0)
 
@@ -79,8 +78,8 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
     for eps in _EPSILONS:
         for n_max in (2, 3, 4):
             params = ModelParams(epsilon=eps, n_max=n_max)
-            basis = Basis(n_max)
-            H = build_hamiltonian(params, basis)
+            basis = params.basis
+            H = build_hamiltonian(params)
             if inject_fault:
                 H[0, 1] += 0.01  # couples states of different excitation number
             if not check_conservation(H, basis):
@@ -118,7 +117,8 @@ def suite_energy_conservation(evolutions) -> SuiteResult:
 
 def suite_sector_confinement(evolutions) -> SuiteResult:
     worst = 0.0
-    for spec, _, basis, _, psis in evolutions:
+    for spec, params, _, psis in evolutions:
+        basis = params.basis
         sectors = basis.excitations[basis.support_indices(spec.family)]
         outside = ~np.isin(basis.excitations, sectors)
         worst = max(worst, float(np.max(np.abs(psis[:, outside]))))
@@ -128,8 +128,8 @@ def suite_sector_confinement(evolutions) -> SuiteResult:
 def suite_fidelity(evolutions) -> SuiteResult:
     """Oracle equivalence: closed-form state vs propagated state."""
     worst = 0.0
-    for spec, params, basis, _, psis in evolutions:
-        analytic_states = analytic.closed_form_states(spec, params, basis, _T_GRID)
+    for spec, params, _, psis in evolutions:
+        analytic_states = analytic.closed_form_states(spec, params, _T_GRID)
         fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
         worst = max(worst, float(np.max(1.0 - fid)))
     return SuiteResult("fidelity", worst, 1e-9)
@@ -138,9 +138,9 @@ def suite_fidelity(evolutions) -> SuiteResult:
 def suite_trace_agreement(evolutions) -> SuiteResult:
     """Closed-form C(T) vs the pure-state concurrence of propagated states."""
     worst = 0.0
-    for spec, params, basis, _, psis in evolutions:
+    for spec, params, _, psis in evolutions:
         t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
-        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis, basis))
+        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis, params.basis))
         worst = max(worst, float(np.max(gap)))
     return SuiteResult("trace_agreement", worst, 1e-9)
 
@@ -149,8 +149,8 @@ def suite_density_matrix(evolutions) -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state,
     at every tenth time of each evolution."""
     worst = 0.0
-    for _, _, basis, _, psis in evolutions:
-        rho = entanglement.reduce_to_atoms(psis[::10], basis)
+    for _, params, _, psis in evolutions:
+        rho = entanglement.reduce_to_atoms(psis[::10], params.basis)
         worst = max(worst,
                     float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
                     float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))),
@@ -162,9 +162,10 @@ def suite_local_unitary_invariance(at_pi_8) -> SuiteResult:
     """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3."""
     rng = np.random.default_rng(20260823)
     worst = 0.0
-    for _, params, basis, _, psis in at_pi_8:
+    for _, params, _, psis in at_pi_8:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
             continue
+        basis = params.basis
         psi = psis[13]   # _T_GRID[13] = 1.3
         u = np.stack([np.kron(_haar_unitary(rng), _haar_unitary(rng)) for _ in range(20)])
         turned = (u @ psi.reshape(4, -1)).reshape(-1, basis.size)

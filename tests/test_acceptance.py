@@ -35,7 +35,7 @@ _BASIS = Basis(2)
 
 @lru_cache(maxsize=None)
 def _decomp(epsilon: float):
-    return decompose_model(ModelParams(epsilon=epsilon), _BASIS)
+    return decompose_model(ModelParams(epsilon=epsilon))
 
 
 def _params(epsilon: float) -> ModelParams:
@@ -59,7 +59,7 @@ class TestAcceptance:
                 for alpha in ALPHA_GRID:
                     spec = InitialStateSpec(family, float(alpha))
                     states = evolve_grid(initial_state(spec, _BASIS), decomp, T_GRID)
-                    exact = closed_form_states(spec, params, _BASIS, T_GRID)
+                    exact = closed_form_states(spec, params, T_GRID)
                     fid = np.abs(np.einsum("ij,ij->i", exact.conj(), states))
                     worst_fid_gap = max(worst_fid_gap, float(np.max(1.0 - fid)))
 

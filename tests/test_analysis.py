@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analysis, analytic
-from tcm_entangle.analysis import (MIN_RUN_POINTS, DeathInterval, TraceDisagreement,
-                                   TracePath, _branch_fn, analytic_concurrence,
+from tcm_entangle import analysis, analytic, propagator
+from tcm_entangle.analysis import (MIN_RUN_POINTS, TRACE_AGREEMENT_TOL, DeathInterval,
+                                   TraceDisagreement, TracePath, _branch_fn, analytic_concurrence,
                                    concurrence_trace, death_windows,
                                    detect_death_intervals, estimate_period,
-                                   max_concurrence, oracle_model)
+                                   max_concurrence)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
 
@@ -96,14 +96,52 @@ class TestBothPath:
             assert both.signed_C is None and analytic_trace.signed_C is None
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_disagreement_names_the_point(self, family):
-        # propagating on the model of another epsilon must fail the certificate
+    def test_disagreement_names_the_point(self, family, monkeypatch):
+        # propagating under the H/g of another epsilon must fail the certificate
         spec, params = InitialStateSpec(family, math.pi / 8), ModelParams(epsilon=2.0)
+        build_hamiltonian = propagator.build_hamiltonian
+        monkeypatch.setattr(propagator, "build_hamiltonian",
+                            lambda p: build_hamiltonian(ModelParams(epsilon=0.0)))
         with pytest.raises(TraceDisagreement, match=(
                 r"^analytic/oracle traces disagree by \S+ \(tolerance 1e-09\) at "
                 r"alpha = 0\.392699081698724, epsilon = 2, T = \S+$")):
-            concurrence_trace(spec, params, np.linspace(0.0, 20.0, 200), TracePath.BOTH,
-                              oracle_model(ModelParams(epsilon=0.0)))
+            concurrence_trace(spec, params, np.linspace(0.0, 20.0, 200), TracePath.BOTH)
+
+
+class TestDecompositionMemo:
+    """The ORACLE and BOTH paths decompose H/g once for a run of traces of
+    one params object, matched by identity."""
+
+    def test_one_jacobi_call_per_params_object(self, monkeypatch):
+        calls = []
+        jacobi_eigh = propagator.jacobi_eigh
+        monkeypatch.setattr(propagator, "jacobi_eigh",
+                            lambda H: calls.append(H.shape) or jacobi_eigh(H))
+        params, grid = ModelParams(epsilon=2.0), np.linspace(0.0, 10.0, 50)
+        for alpha in (0.1, 0.5, 0.9):
+            concurrence_trace(InitialStateSpec(Family.PHI, alpha), params, grid,
+                              TracePath.ORACLE)
+        assert len(calls) == 1
+        # an equal-valued new object is another model: no value matching
+        concurrence_trace(InitialStateSpec(Family.PHI, 0.5), ModelParams(epsilon=2.0), grid,
+                          TracePath.ORACLE)
+        assert len(calls) == 2
+
+    def test_interleaved_objects_propagate_their_own_model(self):
+        spec, grid = InitialStateSpec(Family.PHI, 0.3), np.linspace(0.0, 20.0, 200)
+        first = ModelParams(epsilon=2.0)
+        for params in (first, ModelParams(epsilon=0.0), first):
+            oracle = concurrence_trace(spec, params, grid, TracePath.ORACLE)
+            closed = concurrence_trace(spec, params, grid, TracePath.ANALYTIC)
+            assert np.max(np.abs(oracle.C - closed.C)) <= TRACE_AGREEMENT_TOL, params
+
+    def test_basis_is_one_object_per_params_and_not_a_field(self):
+        a, b = ModelParams(epsilon=2.0), ModelParams(epsilon=2.0)
+        assert a.basis is a.basis and a.basis is not b.basis
+        assert a.basis.n_max == a.n_max and a.basis.size == 36
+        fresh = ModelParams(epsilon=2.0)   # its basis not built yet
+        assert a == b == fresh and hash(a) == hash(b) == hash(fresh)
+        assert repr(a) == repr(fresh) == "ModelParams(epsilon=2.0, lam=2.0, n_max=2)"
 
 
 class TestDeathIntervals:

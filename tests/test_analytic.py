@@ -373,35 +373,35 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("alpha", [math.pi / 8, math.pi / 4, math.pi / 3])
     def test_psi_states_match_propagation(self, alpha, eps):
         params = ModelParams(epsilon=eps)
-        basis = Basis(params.n_max)
-        decomp = decompose_model(params, basis)
+        basis = params.basis
+        decomp = decompose_model(params)
         spec = InitialStateSpec(Family.PSI, alpha)
         psi0 = initial_state(spec, basis)
         T_grid = np.linspace(0, 12, 25)
-        for T, got in zip(T_grid, closed_form_states(spec, params, basis, T_grid)):
+        for T, got in zip(T_grid, closed_form_states(spec, params, T_grid)):
             np.testing.assert_allclose(got, evolve(psi0, decomp, T), atol=1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     @pytest.mark.parametrize("alpha", [math.pi / 8, math.pi / 4, math.pi / 3])
     def test_phi_states_match_propagation(self, alpha, eps):
         params = ModelParams(epsilon=eps)
-        basis = Basis(params.n_max)
-        decomp = decompose_model(params, basis)
+        basis = params.basis
+        decomp = decompose_model(params)
         spec = InitialStateSpec(Family.PHI, alpha)
         psi0 = initial_state(spec, basis)
         T_grid = np.linspace(0, 12, 25)
-        for T, got in zip(T_grid, closed_form_states(spec, params, basis, T_grid)):
+        for T, got in zip(T_grid, closed_form_states(spec, params, T_grid)):
             np.testing.assert_allclose(got, evolve(psi0, decomp, T), atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(0, math.pi / 2), eps=st.floats(0, 5), T=st.floats(0, 30))
     def test_psi_fidelity_property(self, alpha, eps, T):
         params = ModelParams(epsilon=eps)
-        basis = Basis(params.n_max)
-        decomp = decompose_model(params, basis)
+        basis = params.basis
+        decomp = decompose_model(params)
         spec = InitialStateSpec(Family.PSI, alpha)
         expected = evolve(initial_state(spec, basis), decomp, T)
-        (got,) = closed_form_states(spec, params, basis, [T])
+        (got,) = closed_form_states(spec, params, [T])
         assert abs(np.vdot(got, expected)) >= 1 - 1e-9
 
 
@@ -409,12 +409,7 @@ class TestClosedFormStates:
     def test_psi_placement(self):
         basis = Basis(2)
         spec = InitialStateSpec(Family.PSI, math.pi / 8)
-        (psi,) = closed_form_states(spec, ModelParams(), basis, [0.0])
+        (psi,) = closed_form_states(spec, ModelParams(), [0.0])
         assert psi[basis.index("e", "g", 0, 0)] == pytest.approx(math.cos(math.pi / 8))
         assert psi[basis.index("g", "e", 0, 0)] == pytest.approx(math.sin(math.pi / 8))
         assert np.count_nonzero(psi) == 2
-
-    def test_phi_requires_two_photon_truncation(self):
-        spec = InitialStateSpec(Family.PHI, 0.3)
-        with pytest.raises(ValueError, match="n_max"):
-            closed_form_states(spec, ModelParams(), Basis(1), [1.0])

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tcm_entangle import entanglement, figures
-from tcm_entangle.analysis import (TracePath, concurrence_trace, occupied_states,
-                                   oracle_model)
+from tcm_entangle.analysis import TracePath, concurrence_trace, occupied_states
 from tcm_entangle.analytic import closed_form_states
 from tcm_entangle.config import parse_config
 from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_state,
@@ -135,7 +134,7 @@ class TestReduceToAtoms:
     def test_evolved_psi_is_x_shaped(self, basis):
         # |x1|^2, |x2|^2, |x3|^2 on the diagonal, x1 x2* the only coherence
         params = ModelParams(epsilon=0.8)
-        decomp = decompose_model(params, basis)
+        decomp = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 8), basis)
         for T in (0.7, 2.2, 5.9):
             rho = reduce_to_atoms(evolve(psi0, decomp, T), basis)
@@ -148,7 +147,7 @@ class TestReduceToAtoms:
         # rho_gg collects both |gg00> and |gg22|; only the ee/gg coherence
         # survives the partial trace
         params = ModelParams(epsilon=0.8)
-        decomp = decompose_model(params, basis)
+        decomp = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         psi = evolve(psi0, decomp, 1.3)
         rho = reduce_to_atoms(psi, basis)
@@ -164,7 +163,7 @@ class TestReduceToAtoms:
 
     def test_routes_agree_along_trajectory(self, basis):
         params = ModelParams(epsilon=2.0)
-        decomp = decompose_model(params, basis)
+        decomp = decompose_model(params)
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 6), basis)
             for T in np.linspace(0, 10, 21):
@@ -180,7 +179,7 @@ class TestPureConcurrence:
 
     def test_matches_general_route_on_trajectories(self, basis):
         params = ModelParams(epsilon=1.3)
-        decomp = decompose_model(params, basis)
+        decomp = decompose_model(params)
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 5), basis)
             for T in np.linspace(0, 15, 40):
@@ -194,7 +193,7 @@ class TestPureConcurrence:
         # point where one reduced eigenvalue sits near 1e-13 and a
         # truncation-based route would leak a ~1e-6 artifact
         params = ModelParams()
-        decomp = decompose_model(params, basis)
+        decomp = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(Family.PHI, 0.0), basis)
         for T in np.linspace(4.70, 4.72, 9):
             psi = evolve(psi0, decomp, T)
@@ -315,12 +314,10 @@ def _propagated_pair(family, n_points):
     """Closed-form and propagated states at eps = 2, lambda = 1e4, where they
     differ well above rounding; both are zero outside the occupied sectors."""
     params = ModelParams(epsilon=2.0, lam=1e4)
-    model = oracle_model(params)
     spec = InitialStateSpec(family, math.pi / 8)
     grid = np.linspace(0.0, 20.0, n_points)
-    basis = model[0]
-    return (closed_form_states(spec, params, basis, grid),
-            occupied_states(spec, params, grid, model)[0], basis)
+    return (closed_form_states(spec, params, grid),
+            occupied_states(spec, params, grid)[0], params.basis)
 
 
 class TestConcurrenceGapBound:
@@ -334,10 +331,9 @@ class TestConcurrenceGapBound:
         spec = InitialStateSpec(family, alpha)
         params = ModelParams(epsilon=epsilon, lam=10.0 ** log_lam)
         grid = np.linspace(0.0, T_max, 80)
-        model = oracle_model(params)
-        basis = model[0]
-        o = occupied_states(spec, params, grid, model)[0]
-        a = closed_form_states(spec, params, basis, grid)
+        basis = params.basis
+        o = occupied_states(spec, params, grid)[0]
+        a = closed_form_states(spec, params, grid)
         gap = np.abs(concurrence_trace(spec, params, grid).C - pure_concurrence(o, basis))
         assert np.all(gap <= concurrence_gap_bound(a, o, basis) + _GAP_ROUNDING)
 
@@ -413,11 +409,10 @@ class TestConcurrenceGapBound:
         assert len(calls) == len(runs) == 6
         for (eps, alpha), (a_shape, o_shape, bound) in zip(runs, calls):
             params = ModelParams(epsilon=eps)
-            model = oracle_model(params)
-            basis = model[0]
+            basis = params.basis
             spec = InitialStateSpec(Family.PHI, alpha)
             assert a_shape == o_shape and a_shape[0] == grid.size
             assert 5 <= a_shape[1] < basis.size
-            full = _full_gap_bound(closed_form_states(spec, params, basis, grid),
-                                   occupied_states(spec, params, grid, model)[0], basis)
+            full = _full_gap_bound(closed_form_states(spec, params, grid),
+                                   occupied_states(spec, params, grid)[0], basis)
             np.testing.assert_allclose(bound, full, rtol=1e-12, atol=0)

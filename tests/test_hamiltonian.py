@@ -48,7 +48,7 @@ def params():
 
 class TestMatrixElements:
     def test_single_pair_emission_element(self, basis, params):
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(params)
         i = basis.index("e", "g", 0, 0)
         j = basis.index("g", "g", 1, 1)
         assert H[j, i] == 1.0
@@ -58,34 +58,30 @@ class TestMatrixElements:
         # bosonic sqrt((n_a+1)(n_b+1)) factor); the closed forms rely on this
         i = basis.index("e", "g", 1, 1)
         j = basis.index("g", "g", 2, 2)
-        assert build_hamiltonian(params, basis)[j, i] == 1.0
+        assert build_hamiltonian(params)[j, i] == 1.0
 
     def test_dipole_flip_flop_element(self, basis, params):
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(params)
         i = basis.index("e", "g", 0, 0)
         j = basis.index("g", "e", 0, 0)
         assert H[j, i] == params.epsilon
 
     def test_resonant_diagonal_matches_sector(self, basis, params):
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(params)
         i = basis.index("g", "g", 1, 1)
         assert H[i, i] == pytest.approx(0.0, abs=1e-15)
         j = basis.index("g", "g", 0, 0)
         assert H[j, j] == pytest.approx(-params.lam)
 
     def test_hermitian_by_construction(self, basis, params):
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(params)
         assert np.array_equal(H, H.conj().T)
 
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_matches_operator_composition_oracle(self, n_max):
         p = ModelParams(epsilon=1.3, lam=2.0, n_max=n_max)
-        H = build_hamiltonian(p, Basis(n_max))
+        H = build_hamiltonian(p)
         np.testing.assert_allclose(H, kron_hamiltonian(p, n_max), atol=1e-14)
-
-    def test_basis_mismatch_rejected(self, params):
-        with pytest.raises(ValueError, match="n_max"):
-            build_hamiltonian(params, Basis(3))
 
 
 def per_state_hamiltonian(params, n_max):
@@ -141,10 +137,9 @@ class TestArrayBuildMatchesPerStateLoop:
     # -0.0 is a valid epsilon that the loop leaves out, so its entries stay +0.0
     @pytest.mark.parametrize("n_max", range(2, 9))
     def test_same_bytes(self, n_max):
-        basis = Basis(n_max)
         for eps, lam in _MODEL_GRID:
             p = ModelParams(epsilon=eps, lam=lam, n_max=n_max)
-            assert build_hamiltonian(p, basis).tobytes() == \
+            assert build_hamiltonian(p).tobytes() == \
                 per_state_hamiltonian(p, n_max).tobytes(), (eps, lam)
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
@@ -167,7 +162,7 @@ class TestDimensionlessBuildMatchesPhysicalUnits:
             omega_0 = lam * g
             H = physical_hamiltonian(omega_0 / 2, omega_0 / 2, omega_0, g, eps * g, basis)
             p = ModelParams(epsilon=eps, lam=lam, n_max=n_max)
-            assert build_hamiltonian(p, basis).tobytes() == H.tobytes(), (eps, lam)
+            assert build_hamiltonian(p).tobytes() == H.tobytes(), (eps, lam)
 
 
 class TestConservation:
@@ -176,10 +171,10 @@ class TestConservation:
     def test_built_hamiltonian_conserves(self, eps, n_max):
         p = ModelParams(epsilon=eps, n_max=n_max)
         b = Basis(n_max)
-        assert check_conservation(build_hamiltonian(p, b), b)
+        assert check_conservation(build_hamiltonian(p), b)
 
     def test_corrupted_entry_detected(self, basis, params):
-        H = build_hamiltonian(params, basis)
+        H = build_hamiltonian(params)
         H[0, 1] += 1e-3  # ee00 <-> ee01 crosses sectors
         assert not check_conservation(H, basis)
 
@@ -217,7 +212,7 @@ class TestSectorRestriction:
         # conserved); the connected block is the documented 3x3 matrix
         eps = 2.0
         p = ModelParams(epsilon=eps)
-        H2, idx = _sector(build_hamiltonian(p, basis), basis, 2)
+        H2, idx = _sector(build_hamiltonian(p), basis, 2)
         block, cross = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         np.testing.assert_allclose(
             block, np.array([[0, eps, 1], [eps, 0, 1], [1, 1, 0]]), atol=1e-14)
@@ -226,7 +221,7 @@ class TestSectorRestriction:
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.0])
     def test_two_excitation_spectrum(self, basis, eps):
         p = ModelParams(epsilon=eps)
-        H2, idx = _sector(build_hamiltonian(p, basis), basis, 2)
+        H2, idx = _sector(build_hamiltonian(p), basis, 2)
         block, _ = _sub_block(H2, idx, basis, ["eg00", "ge00", "gg11"])
         kappa = math.sqrt(8 + eps**2)
         expected = sorted([-eps, (eps + kappa) / 2, (eps - kappa) / 2])
@@ -236,7 +231,7 @@ class TestSectorRestriction:
     def test_four_excitation_spectrum(self, basis, eps):
         # spectrum of the connected block, above the sector's common diagonal
         p = ModelParams(epsilon=eps)
-        H4, idx = _sector(build_hamiltonian(p, basis), basis, 4)
+        H4, idx = _sector(build_hamiltonian(p), basis, 4)
         block, cross = _sub_block(H4, idx, basis, ["ee00", "eg11", "ge11", "gg22"])
         np.testing.assert_allclose(cross, 0.0, atol=1e-15)
         eta = math.sqrt(16 + eps**2)
@@ -246,6 +241,6 @@ class TestSectorRestriction:
 
     def test_zero_excitation_sector(self, basis):
         p = ModelParams()
-        H0, idx = _sector(build_hamiltonian(p, basis), basis, 0)
+        H0, idx = _sector(build_hamiltonian(p), basis, 0)
         assert [_label(basis, i) for i in idx] == ["gg00"]
         assert H0[0, 0] == pytest.approx(-p.lam)

@@ -48,9 +48,9 @@ def _trace():
 
 def _phi_model():
     params = tcm_entangle.ModelParams()
-    basis = tcm_entangle.Basis(params.n_max)
     spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PHI, 0.3)
-    return tcm_entangle.initial_state(spec, basis), tcm_entangle.decompose_model(params, basis)
+    return (tcm_entangle.initial_state(spec, params.basis),
+            tcm_entangle.decompose_model(params))
 
 
 #: (call, exception, text the message must hold): a bad value at a public
@@ -83,6 +83,8 @@ _BAD_INPUT = {
                  ValueError, "T_grid"),
     "grid inf": (lambda: tcm_entangle.evolve_grid(*_phi_model(), [0.0, math.inf]),
                  ValueError, "T_grid"),
+    "evolve_grid psi0 length": (lambda: tcm_entangle.evolve_grid(
+        np.ones(5), _phi_model()[1], [0.0, 1.0]), ValueError, "^psi0 must be a vector of length 36"),
     "evolve T nan": (lambda: tcm_entangle.evolve(*_phi_model(), math.nan),
                      ValueError, "^T must be finite"),
     "evolve T inf": (lambda: tcm_entangle.evolve(*_phi_model(), math.inf),
@@ -181,6 +183,8 @@ _SAME_RULE = {
         ("T_grid", lambda v: tcm_entangle.concurrence_trace(
             tcm_entangle.InitialStateSpec(_PHI, 0.3), tcm_entangle.ModelParams(), v)),
         ("T_grid", lambda v: tcm_entangle.evolve_grid(*_phi_model(), v)),
+        ("T_grid", lambda v: tcm_entangle.closed_form_states(
+            tcm_entangle.InitialStateSpec(_PHI, 0.3), tcm_entangle.ModelParams(), v)),
     ]),
 }
 

@@ -81,7 +81,7 @@ class TestJacobiEigh:
     @pytest.mark.parametrize("epsilon,ok", [(1e153, True), (1e160, False), (1e200, False)])
     def test_model_hamiltonian_near_overflow(self, epsilon, ok):
         params = ModelParams(epsilon=epsilon)
-        H = build_hamiltonian(params, Basis(params.n_max))
+        H = build_hamiltonian(params)
         if not ok:
             with pytest.raises(ValueError, match="norm of H is not finite"):
                 jacobi_eigh(H)
@@ -148,14 +148,14 @@ class TestBlockJacobiMatchesPairByPair:
     @pytest.mark.parametrize("epsilon", CLI_EPSILONS)
     def test_models_verify_and_cli_decompose(self, epsilon):
         params = ModelParams(epsilon=epsilon)
-        _assert_same_bits(build_hamiltonian(params, Basis(params.n_max)))
+        _assert_same_bits(build_hamiltonian(params))
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.3, 2.0])
     @pytest.mark.parametrize("lam", [2.0, 3.7])
     def test_model_grid(self, n_max, epsilon, lam):
         params = ModelParams(epsilon=epsilon, lam=lam, n_max=n_max)
-        _assert_same_bits(build_hamiltonian(params, Basis(n_max)))
+        _assert_same_bits(build_hamiltonian(params))
 
     @pytest.mark.parametrize("seed", range(45))
     def test_random_dense(self, seed):
@@ -188,9 +188,8 @@ class TestSpectralDecompose:
 class TestModelDecomposition:
     def test_full_hamiltonian_decomposition(self):
         p = ModelParams(epsilon=0.7)
-        basis = Basis(2)
-        d = decompose_model(p, basis)
-        H = build_hamiltonian(p, basis)
+        d = decompose_model(p)
+        H = build_hamiltonian(p)
         np.testing.assert_allclose(
             d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.conj().T,
             H, atol=1e-11)
@@ -198,7 +197,7 @@ class TestModelDecomposition:
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     def test_contains_sector_eigenvalues(self, eps):
         p = ModelParams(epsilon=eps)
-        d = decompose_model(p, Basis(2))
+        d = decompose_model(p)
         kappa = math.sqrt(8 + eps**2)
         for expected in (-eps, (eps + kappa) / 2, (eps - kappa) / 2):
             assert np.min(np.abs(d.eigenvalues - expected)) < 1e-10
@@ -209,7 +208,7 @@ class TestEvolve:
     def setup(self):
         p = ModelParams(epsilon=0.0)
         basis = Basis(2)
-        d = decompose_model(p, basis)
+        d = decompose_model(p)
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 4), basis)
         return basis, d, psi0
 
@@ -291,7 +290,7 @@ class TestEvolveGridOccupiedEigenspace:
         params = ModelParams(epsilon=epsilon, lam=10.0 ** log_lam,
                                                 n_max=n_max)
         basis = Basis(n_max)
-        d = decompose_model(params, basis)
+        d = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(family, alpha), basis)
         grid = np.linspace(0.0, 10.0 ** log_tmax, points + 1)[1:]
         states = evolve_grid(psi0, d, grid)
@@ -301,7 +300,7 @@ class TestEvolveGridOccupiedEigenspace:
     @pytest.fixture
     def phi_model(self):
         basis = Basis(2)
-        return basis, decompose_model(ModelParams(epsilon=2.0), basis)
+        return basis, decompose_model(ModelParams(epsilon=2.0))
 
     def test_dense_state_occupies_everything(self, phi_model):
         basis, d = phi_model
@@ -332,7 +331,7 @@ class TestEvolveGridOccupiedEigenspace:
         # PSI and PHI do not occupy the highest, yet those rows are NaN as
         # they are in the full product
         basis = Basis(2)
-        d = decompose_model(ModelParams(epsilon=0.0), basis)
+        d = decompose_model(ModelParams(epsilon=0.0))
         psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
         grid = np.linspace(0.0, 1e308, 50)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ emission counts read the arguments and results of ``write_csv`` and
 import functools
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -177,3 +178,43 @@ def test_each_input_rule_is_written_once(fragment):
     owners = [p.name for p in sorted(package.glob("*.py"))
               if fragment in p.read_text(encoding="utf-8")]
     assert owners == ["model.py"]
+
+
+def _package_functions():
+    """(qualified name, function) of every function and method defined in
+    the package, properties and cached properties by their getter."""
+    package = Path(model.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        name = "tcm_entangle" if path.stem == "__init__" else f"tcm_entangle.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                member = getattr(member, "fget", getattr(member, "func", member))
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{name}.{member.__qualname__}", member
+
+
+def _annotation(parameter) -> str:
+    ann = parameter.annotation
+    return (ann if isinstance(ann, str) else getattr(ann, "__name__", "")).rsplit(".", 1)[-1]
+
+
+def test_a_model_is_handed_over_as_its_params_only():
+    # a basis or decomposition passed beside the ModelParams it was built
+    # from can disagree with it; each is derived from the params instead
+    pairs = []
+    for name, fn in _package_functions():
+        parameters = inspect.signature(fn).parameters.values()
+        takes_params = ".ModelParams." in name or any(
+            _annotation(p) == "ModelParams" for p in parameters)
+        derived = [p.name for p in parameters
+                   if p.name in ("basis", "model", "decomp")
+                   or _annotation(p) in ("Basis", "SpectralDecomposition")]
+        if takes_params and derived:
+            pairs.append((name, derived))
+    assert len(list(_package_functions())) > 80
+    assert pairs == []
