@@ -61,10 +61,8 @@ class TraceDisagreement(ValueError):
 
 @dataclass(frozen=True)
 class ConcurrenceTrace:
-    family: Family
-    alpha: float
-    epsilon: float
-    lam: float
+    spec: InitialStateSpec
+    params: ModelParams
     T_grid: np.ndarray
     C: np.ndarray
     signed_C: np.ndarray | None   # PSI only: the signed cross term 2 Re(x1 x2*)
@@ -90,14 +88,23 @@ def _branch(family: Family, xs):
     return entanglement.xstate_branch(diag, x4 * np.conj(x3), x1 * np.conj(x2))
 
 
-def _branch_fn(trace: ConcurrenceTrace):
-    return lambda T: _branch(trace.family, analytic.amplitudes(
-        trace.family, trace.alpha, trace.epsilon, trace.lam, T))
+def _branch_fn(traces):
+    """The closed-form branch of ``traces`` (sharing family, epsilon and lam)
+    as ``fn(t, at)``, point i of ``t`` at the alpha of ``traces[at[i]]``; a
+    lone trace's alpha goes in as a scalar, and ``at`` is ignored."""
+    family, params = traces[0].spec.family, traces[0].params
+    if len(traces) == 1:
+        alpha = traces[0].spec.alpha
+        return lambda t, at=None: _branch(family, analytic.amplitudes(
+            family, alpha, params.epsilon, params.lam, t))
+    alphas = [trace.spec.alpha for trace in traces]
+    return lambda t, at: _branch(family, analytic.amplitudes(
+        family, alphas, params.epsilon, params.lam, t, _at=at))
 
 
-def analytic_concurrence(trace_like, T):
-    """Closed-form C at arbitrary T for the parameters of a trace."""
-    return 2.0 * np.maximum(0.0, _branch_fn(trace_like)(T))
+def analytic_concurrence(trace: ConcurrenceTrace, T):
+    """Closed-form C at arbitrary T for the spec and params of a trace."""
+    return 2.0 * np.maximum(0.0, _branch_fn([trace])(T))
 
 
 _last = (None, None)
@@ -160,7 +167,7 @@ def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
     check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
     if check.size == 0:
         return
-    gaps = np.abs(C[check] - entanglement.pure_concurrence(psis[check], basis))
+    gaps = np.abs(C[check] - entanglement.pure_concurrence(psis[check]))
     if np.any(gaps > TRACE_AGREEMENT_TOL):
         worst = np.argmax(gaps)
         raise TraceDisagreement(
@@ -212,16 +219,12 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         if path is TracePath.BOTH:
             _certify(spec, params, T_grid, C, amps)
     else:   # one batched pass per trace
-        basis = params.basis
         psis = occupied_states(spec, params, T_grid)[0]
-        C = entanglement.pure_concurrence(psis, basis)
-        signed = (2.0 * entanglement.reduce_to_atoms(psis, basis)[:, 1, 2].real
-                  if psi_family else None)
-        abs_amps = np.abs(psis[:, basis.support_indices(spec.family)])
+        C = entanglement.pure_concurrence(psis)
+        signed = 2.0 * entanglement.reduce_to_atoms(psis)[:, 1, 2].real if psi_family else None
+        abs_amps = np.abs(psis[:, params.basis.support_indices(spec.family)])
 
-    return ConcurrenceTrace(family=spec.family, alpha=spec.alpha, epsilon=params.epsilon,
-                            lam=params.lam, T_grid=T_grid, C=C, signed_C=signed,
-                            abs_amplitudes=abs_amps)
+    return ConcurrenceTrace(spec, params, T_grid, C, signed, abs_amps)
 
 
 @dataclass(frozen=True)
@@ -261,10 +264,10 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.nd
 def _require_shared(traces):
     first = traces[0]
     for trace in traces[1:]:
-        for field in ("family", "epsilon", "lam"):
-            if getattr(trace, field) != getattr(first, field):
-                raise ValueError(f"traces refined together must share {field}: "
-                                 f"{getattr(first, field)!r} != {getattr(trace, field)!r}")
+        for owner, field in (("spec", "family"), ("params", "epsilon"), ("params", "lam")):
+            a, b = (getattr(getattr(t, owner), field) for t in (first, trace))
+            if a != b:
+                raise ValueError(f"traces refined together must share {field}: {a!r} != {b!r}")
         if not np.array_equal(trace.T_grid, first.T_grid):
             raise ValueError("traces refined together must share T_grid")
 
@@ -288,13 +291,7 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     if not traces:
         return []
     _require_shared(traces)
-    first, T = traces[0], traces[0].T_grid
-    alphas = [trace.alpha for trace in traces]
-
-    def branch(t, at):
-        return _branch(first.family, analytic.amplitudes(
-            first.family, alphas, first.epsilon, first.lam, t, _at=at))
-
+    T, branch = traces[0].T_grid, _branch_fn(traces)
     starts, ends, points = [], [], []
     for trace in traces:
         below = trace.C < zero_threshold
@@ -415,7 +412,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     spanning at least three nominal periods 2*pi/kappa.
     """
     T, C = trace.T_grid, trace.C
-    kappa = math.sqrt(8.0 + trace.epsilon * trace.epsilon)
+    kappa = math.sqrt(8.0 + trace.params.epsilon * trace.params.epsilon)
     nominal = 2.0 * math.pi / kappa
     if T[-1] - T[0] < 3.0 * nominal:
         raise ValueError("trace too short: need at least three nominal periods")

@@ -107,11 +107,8 @@ def _psi_terms(epsilon: float, T: np.ndarray) -> tuple:
 
 def _alpha_factors(alpha, epsilon: float, at):
     """cos(alpha) and sin(alpha), epsilon and each alpha checked.  With ``at``,
-    alpha is a sequence and point i of T takes the factors of alpha[at[i]];
-    a lone alpha gives scalars, which broadcast to the same products."""
+    alpha is a sequence and point i of T takes the factors of alpha[at[i]]."""
     require_epsilon("epsilon", epsilon)
-    if at is not None and len(alpha) == 1:
-        alpha, at = alpha[0], None
     if at is None:
         require_alpha("alpha", alpha)
         return math.cos(alpha), math.sin(alpha)

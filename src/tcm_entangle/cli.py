@@ -18,7 +18,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from . import figures, verify as verify_mod
+from . import config, figures, verify as verify_mod
 from .config import ConfigError, RunConfig, parse_config, parse_angle
 from .hamiltonian import build_hamiltonian
 from .model import Family, ModelParams
@@ -29,7 +29,7 @@ def _figure_config(args, family: Family) -> RunConfig:
         cfg = RunConfig(family=family,
                         alpha_list=figures.FIGURE_ALPHAS,
                         epsilon_list=figures.FIGURE_EPSILONS,
-                        output_dir=args.out or "out",
+                        output_dir=args.out or RunConfig.output_dir,
                         emit_svg=args.svg)
     else:
         overrides = {}
@@ -126,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True,
                    help="comma-separated angles, pi-expressions allowed")
     p.add_argument("--epsilon", required=True, help="comma-separated values")
-    p.add_argument("--tmax", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--out", default="out")
+    p.add_argument("--tmax", type=float, default=config.DEFAULT_T_MAX)
+    p.add_argument("--points", type=int, default=config.DEFAULT_N_POINTS)
+    p.add_argument("--out", default=RunConfig.output_dir)
     p.add_argument("--svg", action="store_true")
     return parser
 

@@ -22,15 +22,24 @@ NORM_TOL = 1e-10
 _SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
-def reduce_to_atoms(psi: np.ndarray, basis: Basis) -> np.ndarray:
+def _atom_blocks(psi: np.ndarray) -> np.ndarray:
+    """States (..., 4 m) as complex blocks (..., 4, m), one row per atomic
+    state: ``model`` orders the basis atoms slowest."""
+    psi = np.asarray(psi, dtype=complex)
+    size = psi.shape[-1] if psi.ndim else 0
+    if size == 0 or size % 4:
+        raise ValueError("psi must have a non-empty last axis whose length is a multiple "
+                         f"of 4 (atoms x field states), got shape {psi.shape}")
+    return psi.reshape(psi.shape[:-1] + (4, size // 4))
+
+
+def reduce_to_atoms(psi: np.ndarray) -> np.ndarray:
     """Partial trace over both cavity modes, returning the 4x4 atomic state.
 
     rho[(A,B),(A',B')] = sum_{na,nb} psi(A,B,na,nb) conj(psi(A',B',na,nb)).
-    A stack of states of shape (..., basis.size) gives a stack of shape
-    (..., 4, 4).
+    A stack of states of shape (..., 4 m) gives a stack of shape (..., 4, 4).
     """
-    psi = np.asarray(psi, dtype=complex)
-    block = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
+    block = _atom_blocks(psi)
     return block @ block.conj().swapaxes(-1, -2)
 
 
@@ -76,23 +85,20 @@ def require_unit_norms(norm: np.ndarray):
         raise ValueError(f"state norm {norm[off].flat[0]} differs from 1")
 
 
-def pure_concurrence(psi: np.ndarray, basis: Basis) -> float | np.ndarray:
+def pure_concurrence(psi: np.ndarray) -> float | np.ndarray:
     """Atom-atom concurrence of a pure atoms-plus-field state.
 
-    With B the 4 x (n_max+1)^2 coefficient matrix (so the reduced state is
-    B B^dag), the Wootters roots sqrt(mu_i) are exactly the singular values
-    of the complex symmetric matrix N = B^T (Y x Y) B: the similarity
-    eig(rho rho_tilde) = eig(conj(N) N) holds because conj(B)^T = B^dag.
-    This route never forms sqrt(rho), so it keeps machine accuracy even
-    when the reduced state is nearly rank-deficient.  A stack of states of
-    shape (..., basis.size) gives an array of shape (...), every state
-    checked for unit norm.
+    With B the 4 x m coefficient matrix over m field states (so the reduced
+    state is B B^dag), the Wootters roots sqrt(mu_i) are exactly the
+    singular values of the complex symmetric matrix N = B^T (Y x Y) B: the
+    similarity eig(rho rho_tilde) = eig(conj(N) N) holds because
+    conj(B)^T = B^dag.  This route never forms sqrt(rho), so it keeps
+    machine accuracy even when the reduced state is nearly rank-deficient.
+    States of shape (..., 4 m) give C of shape (...), each checked for unit norm.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1:] != (basis.size,):
-        raise ValueError(f"state length {psi.shape} does not match basis size {basis.size}")
+    B = _atom_blocks(psi)
     require_unit_norms(np.linalg.norm(psi, axis=-1))
-    B = psi.reshape(psi.shape[:-1] + (4, (basis.n_max + 1) ** 2))
     roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
     C = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
     return float(C) if psi.ndim == 1 else C

@@ -54,6 +54,8 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 
 def check_conservation(H: np.ndarray, basis: Basis) -> bool:
     """True iff H couples no two states of different excitation number."""
+    if np.shape(H) != (basis.size, basis.size):
+        raise ValueError(f"H must be basis.size = {basis.size} square, got shape {np.shape(H)}")
     n = basis.excitations
     off_sector = n[:, None] != n[None, :]
     return not np.any(H[off_sector] != 0)

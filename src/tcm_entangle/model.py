@@ -217,6 +217,5 @@ def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
     PSI: cos(a)|eg00> + sin(a)|ge00>;  PHI: cos(a)|ee00> + sin(a)|gg00>.
     """
     psi = np.zeros(basis.size, dtype=complex)
-    for ket, amp in zip(SUPPORT_KETS[spec.family], (math.cos(spec.alpha), math.sin(spec.alpha))):
-        psi[basis.index(*ket)] = amp
+    psi[basis.support_indices(spec.family)[:2]] = math.cos(spec.alpha), math.sin(spec.alpha)
     return psi

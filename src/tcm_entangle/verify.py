@@ -140,7 +140,7 @@ def suite_trace_agreement(evolutions) -> SuiteResult:
     worst = 0.0
     for spec, params, _, psis in evolutions:
         t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
-        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis, params.basis))
+        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis))
         worst = max(worst, float(np.max(gap)))
     return SuiteResult("trace_agreement", worst, 1e-9)
 
@@ -150,7 +150,7 @@ def suite_density_matrix(evolutions) -> SuiteResult:
     at every tenth time of each evolution."""
     worst = 0.0
     for _, params, _, psis in evolutions:
-        rho = entanglement.reduce_to_atoms(psis[::10], params.basis)
+        rho = entanglement.reduce_to_atoms(psis[::10])
         worst = max(worst,
                     float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
                     float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))),
@@ -165,11 +165,10 @@ def suite_local_unitary_invariance(at_pi_8) -> SuiteResult:
     for _, params, _, psis in at_pi_8:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
             continue
-        basis = params.basis
         psi = psis[13]   # _T_GRID[13] = 1.3
         u = np.stack([np.kron(_haar_unitary(rng), _haar_unitary(rng)) for _ in range(20)])
-        turned = (u @ psi.reshape(4, -1)).reshape(-1, basis.size)
-        gap = entanglement.pure_concurrence(turned, basis) - entanglement.pure_concurrence(psi, basis)
+        turned = (u @ entanglement._atom_blocks(psi)).reshape(len(u), -1)
+        gap = entanglement.pure_concurrence(turned) - entanglement.pure_concurrence(psi)
         worst = max(worst, float(np.max(np.abs(gap))))
     return SuiteResult("local_unitary_invariance", worst, 1e-10)
 

@@ -64,7 +64,7 @@ class TestAcceptance:
                     worst_fid_gap = max(worst_fid_gap, float(np.max(1.0 - fid)))
 
                     oracle_C = np.array([
-                        pure_concurrence(s, _BASIS) for s in states])
+                        pure_concurrence(s) for s in states])
                     analytic = concurrence_trace(spec, params, T_GRID, TracePath.ANALYTIC)
                     worst_c_gap = max(worst_c_gap, float(np.max(np.abs(analytic.C - oracle_C))))
         ok = worst_fid_gap <= 1e-9 and worst_c_gap <= 1e-9
@@ -77,7 +77,7 @@ class TestAcceptance:
         for family in Family:
             for alpha in ALPHA_GRID:
                 psi0 = initial_state(InitialStateSpec(family, float(alpha)), _BASIS)
-                c0 = wootters_concurrence(reduce_to_atoms(psi0, _BASIS))
+                c0 = wootters_concurrence(reduce_to_atoms(psi0))
                 worst = max(worst, abs(c0 - math.sin(2 * float(alpha))))
         _verdict(2, "initial concurrence sin(2 alpha)", worst <= 1e-9,
                  f"max |C(0) - sin 2a| = {worst:.2e} <= 1e-9")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,15 @@ def _trace(family, alpha, eps, T_max=20.0, n=2000, path=TracePath.ANALYTIC):
 
 
 class TestConcurrenceTrace:
+    @pytest.mark.parametrize("path", list(TracePath), ids=lambda p: p.value)
+    def test_holds_its_spec_and_params(self, path):
+        # the trace keeps the objects it was given, and copies none of their fields
+        spec, params = InitialStateSpec(Family.PSI, 0.3), ModelParams(epsilon=1.5)
+        t = concurrence_trace(spec, params, np.linspace(0.0, 5.0, 50), path)
+        assert t.spec is spec and t.params is params
+        assert [f.name for f in dataclasses.fields(t)] == [
+            "spec", "params", "T_grid", "C", "signed_C", "abs_amplitudes"]
+
     def test_paths_agree_psi(self):
         a = _trace(Family.PSI, math.pi / 8, 2.0, n=400)
         b = _trace(Family.PSI, math.pi / 8, 2.0, n=400, path=TracePath.ORACLE)
@@ -247,7 +257,7 @@ def _reference_bisect(fn, lo, hi):
 def _reference_death_intervals(trace, zero_threshold):
     """Scalar run scanner with one bisection per endpoint: the loop form the
     array version replaced, kept as its bit-for-bit reference."""
-    T, below, branch = trace.T_grid, trace.C < zero_threshold, _branch_fn(trace)
+    T, below, branch = trace.T_grid, trace.C < zero_threshold, _branch_fn([trace])
     intervals, i, n = [], 0, len(T)
     while i < n:
         if not below[i]:
@@ -365,6 +375,11 @@ class TestDeathWindows:
         with pytest.raises(ValueError, match="zero_threshold"):
             death_windows([_trace(Family.PHI, 0.3, 0.0, n=200)], threshold)
 
+    #: the whole message after "must share": the field, then the first
+    #: trace's value and the other's
+    _MIXED = {"family": "family: <Family.PHI: 'PHI'> != <Family.PSI: 'PSI'>",
+              "epsilon": "epsilon: 2.0 != 1.0", "lam": "lam: 2.0 != 3.0", "T_grid": "T_grid"}
+
     @pytest.mark.parametrize("field,other", [
         ("family", lambda grid: _trace_at(Family.PSI, 0.3, 2.0, grid)),
         ("epsilon", lambda grid: _trace_at(Family.PHI, 0.3, 1.0, grid)),
@@ -375,8 +390,17 @@ class TestDeathWindows:
     def test_mixed_traces_name_the_field(self, field, other):
         grid = np.linspace(0.0, 20.0, 400)
         first = _trace_at(Family.PHI, 0.3, 2.0, grid)
-        with pytest.raises(ValueError, match=f"share {field}"):
+        with pytest.raises(ValueError, match=f"share {field}") as caught:
             death_windows([first, _trace_at(Family.PHI, 0.5, 2.0, grid), other(grid)])
+        assert str(caught.value) == "traces refined together must share " + self._MIXED[field]
+
+    def test_traces_of_another_n_max_refine_together(self):
+        # the closed forms do not read n_max, so it is not compared
+        grid = np.linspace(0.0, 20.0, 400)
+        traces = [concurrence_trace(InitialStateSpec(Family.PHI, alpha),
+                                    ModelParams(epsilon=2.0, n_max=n_max), grid)
+                  for alpha, n_max in ((0.3, 2), (0.5, 3))]
+        assert death_windows(traces) == [detect_death_intervals(t) for t in traces]
 
 
 class TestMaxConcurrence:

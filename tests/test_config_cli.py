@@ -221,6 +221,22 @@ def _run(argv):
     return cli.main(argv)
 
 
+class TestCliDefaults:
+    """A flag left out gives ``RunConfig``'s default, written once in config."""
+
+    def test_sweep(self):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--family", "PSI", "--alpha", "0.3", "--epsilon", "0"])
+        default = RunConfig()
+        assert (args.tmax, args.points, args.out) == (default.T_max, default.n_points,
+                                                      default.output_dir)
+
+    @pytest.mark.parametrize("command,family", [("fig1", Family.PSI), ("fig2", Family.PHI)])
+    def test_figures_output_dir(self, command, family):
+        args = cli.build_parser().parse_args([command])
+        assert cli._figure_config(args, family).output_dir == RunConfig().output_dir
+
+
 class TestCliFigures:
     def test_fig1_default_outputs(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -410,8 +426,8 @@ class TestBothGate:
         jacobi_eigh, pure_concurrence = propagator.jacobi_eigh, entanglement.pure_concurrence
         monkeypatch.setattr(propagator, "jacobi_eigh",
                             lambda A: calls.append(A.shape) or jacobi_eigh(A))
-        monkeypatch.setattr(entanglement, "pure_concurrence", lambda psi, basis: (
-            concurrence_states.append(len(psi)) or pure_concurrence(psi, basis)))
+        monkeypatch.setattr(entanglement, "pure_concurrence", lambda psi: (
+            concurrence_states.append(len(psi)) or pure_concurrence(psi)))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(_FIG2_DEFAULTS + f"path = {path}\n")
         assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -127,7 +127,7 @@ class TestReduceToAtoms:
     def test_initial_psi_structure(self, basis):
         a = math.pi / 8
         psi = initial_state(InitialStateSpec(Family.PSI, a), basis)
-        rho = reduce_to_atoms(psi, basis)
+        rho = reduce_to_atoms(psi)
         expected = _pure_atomic_rho(0, math.cos(a), math.sin(a), 0)
         np.testing.assert_allclose(rho, expected, atol=1e-14)
 
@@ -137,7 +137,7 @@ class TestReduceToAtoms:
         decomp = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 8), basis)
         for T in (0.7, 2.2, 5.9):
-            rho = reduce_to_atoms(evolve(psi0, decomp, T), basis)
+            rho = reduce_to_atoms(evolve(psi0, decomp, T))
             assert is_x_state(rho)
             assert rho[0, 0] == pytest.approx(0.0, abs=1e-12)
             assert abs(rho[0, 3]) == pytest.approx(0.0, abs=1e-12)
@@ -150,7 +150,7 @@ class TestReduceToAtoms:
         decomp = decompose_model(params)
         psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         psi = evolve(psi0, decomp, 1.3)
-        rho = reduce_to_atoms(psi, basis)
+        rho = reduce_to_atoms(psi)
         assert is_x_state(rho)
         x4 = psi[basis.index("e", "g", 1, 1)]
         x3 = psi[basis.index("g", "e", 1, 1)]
@@ -167,7 +167,7 @@ class TestReduceToAtoms:
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 6), basis)
             for T in np.linspace(0, 10, 21):
-                rho = reduce_to_atoms(evolve(psi0, decomp, T), basis)
+                rho = reduce_to_atoms(evolve(psi0, decomp, T))
                 assert xstate_concurrence(rho) == pytest.approx(
                     wootters_concurrence(rho), abs=1e-10)
 
@@ -184,8 +184,8 @@ class TestPureConcurrence:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 5), basis)
             for T in np.linspace(0, 15, 40):
                 psi = evolve(psi0, decomp, T)
-                direct = pure_concurrence(psi, basis)
-                general = wootters_concurrence(reduce_to_atoms(psi, basis))
+                direct = pure_concurrence(psi)
+                general = wootters_concurrence(reduce_to_atoms(psi))
                 assert direct == pytest.approx(general, abs=1e-8)
 
     def test_exact_zero_near_rank_deficiency(self, basis):
@@ -197,20 +197,20 @@ class TestPureConcurrence:
         psi0 = initial_state(InitialStateSpec(Family.PHI, 0.0), basis)
         for T in np.linspace(4.70, 4.72, 9):
             psi = evolve(psi0, decomp, T)
-            assert pure_concurrence(psi, basis) <= 1e-12
+            assert pure_concurrence(psi) <= 1e-12
 
     def test_initial_states(self, basis):
         for family in Family:
             for alpha in np.linspace(0, math.pi / 2, 11):
                 psi = initial_state(InitialStateSpec(family, alpha), basis)
-                assert pure_concurrence(psi, basis) == pytest.approx(
+                assert pure_concurrence(psi) == pytest.approx(
                     math.sin(2 * alpha), abs=1e-12)
 
     def test_rejects_bad_input(self, basis):
         with pytest.raises(ValueError, match="norm"):
-            pure_concurrence(np.zeros(basis.size), basis)
-        with pytest.raises(ValueError, match="basis size"):
-            pure_concurrence(np.ones(4) / 2.0, basis)
+            pure_concurrence(np.zeros(basis.size))
+        with pytest.raises(ValueError, match="^psi must have a non-empty last axis"):
+            pure_concurrence(np.ones(6) / math.sqrt(6.0))
 
 
 class TestSignedCrossTerm:
@@ -270,12 +270,12 @@ class TestStackedStates:
     @given(_state_stacks())
     def test_stack_equals_per_row(self, drawn):
         basis, psis = drawn
-        C, rho = pure_concurrence(psis, basis), reduce_to_atoms(psis, basis)
+        C, rho = pure_concurrence(psis), reduce_to_atoms(psis)
         assert C.shape == psis.shape[:1] and rho.shape == psis.shape[:1] + (4, 4)
         for psi, c, r in zip(psis, C, rho):
-            assert c == _reference_pure_concurrence(psi, basis) == pure_concurrence(psi, basis)
+            assert c == _reference_pure_concurrence(psi, basis) == pure_concurrence(psi)
             assert np.array_equal(r, _reference_reduce_to_atoms(psi, basis))
-            assert np.array_equal(r, reduce_to_atoms(psi, basis))
+            assert np.array_equal(r, reduce_to_atoms(psi))
 
     def test_one_off_norm_row_rejected(self):
         basis = Basis(2)
@@ -283,16 +283,39 @@ class TestStackedStates:
                          for a in np.linspace(0, math.pi / 2, 5)])
         psis[3] *= 1.01
         with pytest.raises(ValueError, match="norm"):
-            pure_concurrence(psis, basis)
+            pure_concurrence(psis)
         psis[3] = np.nan
         with pytest.raises(ValueError, match="norm nan"):
-            pure_concurrence(psis, basis)
+            pure_concurrence(psis)
 
     def test_single_state_gives_float(self):
         basis = Basis(2)
         psi = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
-        assert type(pure_concurrence(psi, basis)) is float
-        assert reduce_to_atoms(psi, basis).shape == (4, 4)
+        assert type(pure_concurrence(psi)) is float
+        assert reduce_to_atoms(psi).shape == (4, 4)
+
+
+class TestLayoutFromLength:
+    """A state's length fixes its layout: 4 atomic rows of len / 4 field
+    states, atoms slowest, with no basis passed beside it.  On states of a
+    basis, ``TestStackedStates`` pins both functions to the reshape by
+    (n_max + 1)^2 they used when they took one."""
+
+    def test_atoms_alone_bell_state(self):
+        bell = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)   # (|eg> + |ge>) / sqrt 2
+        assert pure_concurrence(bell) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(reduce_to_atoms(bell), np.outer(bell, bell), atol=1e-16)
+
+    @pytest.mark.parametrize("psi", [np.zeros(0), np.ones(5) / math.sqrt(5.0),
+                                     np.ones((3, 38)) / math.sqrt(38.0), np.zeros((2, 0)),
+                                     np.array(1.0)],
+                             ids=["empty", "length-5", "stack-of-38", "empty-stack", "scalar"])
+    @pytest.mark.parametrize("fn", [pure_concurrence, reduce_to_atoms],
+                             ids=lambda fn: fn.__name__)
+    def test_bad_length_names_psi(self, fn, psi):
+        with pytest.raises(ValueError, match=(r"^psi must have a non-empty last axis whose "
+                                              r"length is a multiple of 4 .*got shape")):
+            fn(psi)
 
 
 #: the computed gap carries the rounding of two computed C, each within a
@@ -334,7 +357,7 @@ class TestConcurrenceGapBound:
         basis = params.basis
         o = occupied_states(spec, params, grid)[0]
         a = closed_form_states(spec, params, grid)
-        gap = np.abs(concurrence_trace(spec, params, grid).C - pure_concurrence(o, basis))
+        gap = np.abs(concurrence_trace(spec, params, grid).C - pure_concurrence(o))
         assert np.all(gap <= concurrence_gap_bound(a, o, basis) + _GAP_ROUNDING)
 
     def test_global_phase_costs_nothing(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
+from tcm_entangle.model import (SUPPORT_KETS, Basis, Family, InitialStateSpec, ModelParams,
+                                initial_state)
 
 
 class TestModelParams:
@@ -125,11 +126,22 @@ class TestInitialState:
             assert occupied <= sectors
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    def test_same_bytes_as_a_walk_of_the_support_kets(self, n_max):
+        b = Basis(n_max)
+        for family in Family:
+            for alpha in np.linspace(0, math.pi / 2, 7):
+                expected = np.zeros(b.size, dtype=complex)
+                for ket, amp in zip(SUPPORT_KETS[family], (math.cos(alpha), math.sin(alpha))):
+                    expected[b.index(*ket)] = amp
+                psi = initial_state(InitialStateSpec(family, alpha), b)
+                assert psi.dtype == expected.dtype and psi.tobytes() == expected.tobytes()
+
     def test_initial_concurrence_is_sin_2alpha(self):
         from tcm_entangle.entanglement import reduce_to_atoms, wootters_concurrence
         b = Basis(2)
         for family in Family:
             for alpha in np.linspace(0, math.pi / 2, 50):
                 psi = initial_state(InitialStateSpec(family, alpha), b)
-                c = wootters_concurrence(reduce_to_atoms(psi, b))
+                c = wootters_concurrence(reduce_to_atoms(psi))
                 assert c == pytest.approx(math.sin(2 * alpha), abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tcm_entangle
-from tcm_entangle import analytic, config, model
+from tcm_entangle import analytic, config, hamiltonian, model
 from tcm_entangle.config import ConfigError, RunConfig
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -85,6 +85,11 @@ _BAD_INPUT = {
                  ValueError, "T_grid"),
     "evolve_grid psi0 length": (lambda: tcm_entangle.evolve_grid(
         np.ones(5), _phi_model()[1], [0.0, 1.0]), ValueError, "^psi0 must be a vector of length 36"),
+    "check_conservation H size": (lambda: hamiltonian.check_conservation(
+        np.zeros((4, 4)), tcm_entangle.Basis(2)), ValueError,
+        r"^H must be basis.size = 36 square, got shape \(4, 4\)"),
+    "check_conservation H not square": (lambda: hamiltonian.check_conservation(
+        np.zeros((36, 4)), tcm_entangle.Basis(2)), ValueError, "^H must be basis.size = 36"),
     "evolve T nan": (lambda: tcm_entangle.evolve(*_phi_model(), math.nan),
                      ValueError, "^T must be finite"),
     "evolve T inf": (lambda: tcm_entangle.evolve(*_phi_model(), math.inf),

@@ -4,6 +4,7 @@ would otherwise break every ``--trace 1`` run with ``AttributeError``.  Its
 emission counts read the arguments and results of ``write_csv`` and
 ``line_chart``, so they are checked against the files a real run writes."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -218,3 +219,28 @@ def test_a_model_is_handed_over_as_its_params_only():
             pairs.append((name, derived))
     assert len(list(_package_functions())) > 80
     assert pairs == []
+
+
+def test_a_state_gives_its_own_layout():
+    # a state's length fixes its field dimension, so a basis passed beside a
+    # parameter named psi could only disagree with it
+    takes_psi, pairs = [], []
+    for name, fn in _package_functions():
+        parameters = inspect.signature(fn).parameters.values()
+        if any(p.name == "psi" for p in parameters):
+            takes_psi.append(name)
+            pairs += [(name, p.name) for p in parameters
+                      if p.name == "basis" or _annotation(p) == "Basis"]
+    assert {"tcm_entangle.entanglement.pure_concurrence",
+            "tcm_entangle.entanglement.reduce_to_atoms"} <= set(takes_psi)
+    assert pairs == []
+
+
+def test_a_trace_copies_no_field_of_its_spec_or_params():
+    # a trace holds its InitialStateSpec and ModelParams; a copied field
+    # would be a second source for the same value
+    trace = {f.name for f in dataclasses.fields(analysis.ConcurrenceTrace)}
+    owned = {f.name for owner in (InitialStateSpec, ModelParams)
+             for f in dataclasses.fields(owner)}
+    assert trace & owned == set()
+    assert {"spec", "params"} <= trace
