@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, entanglement, propagator
 from .model import (Family, InitialStateSpec, ModelParams, initial_state, require_grid,
-                    require_positive)
+                    require_params, require_positive, require_spec)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 #: a sub-threshold run must span at least this many grid points to count
@@ -144,6 +144,8 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams,
     summation order.  An entry of a propagated state is bounded by the
     basis size, so a norm is non-finite exactly when some entry of its row
     is (a NaN entry counts as nonzero, so its column is used)."""
+    require_spec(spec)
+    require_params(params)
     basis, decomp = params.basis, _decomposition(params)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
@@ -200,7 +202,10 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     exceeds the tolerance cannot be certified, so a failing trace fails at
     the same alpha, epsilon and T with the same gap as a comparison at
     every point.  Every propagated state is checked finite and of unit
-    norm (:func:`occupied_states`)."""
+    norm (:func:`occupied_states`), once: the ORACLE C is taken from
+    ``pure_concurrence``'s unchecked core."""
+    require_spec(spec)
+    require_params(params)
     require_path(path)
     T_grid = require_grid(T_grid)
 
@@ -220,7 +225,7 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
             _certify(spec, params, T_grid, C, amps)
     else:   # one batched pass per trace
         psis = occupied_states(spec, params, T_grid)[0]
-        C = entanglement.pure_concurrence(psis)
+        C = entanglement._block_concurrence(entanglement._atom_blocks(psis))
         signed = 2.0 * entanglement.reduce_to_atoms(psis)[:, 1, 2].real if psi_family else None
         abs_amps = np.abs(psis[:, params.basis.support_indices(spec.family)])
 

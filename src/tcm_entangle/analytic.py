@@ -51,7 +51,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .model import (Family, InitialStateSpec, ModelParams, require_alpha, require_epsilon,
-                    require_family, require_finite, require_grid)
+                    require_family, require_finite, require_grid, require_params,
+                    require_spec)
 
 
 class _GridCache:
@@ -178,6 +179,8 @@ def closed_form_states(spec: InitialStateSpec, params: ModelParams, T_grid) -> n
     """Closed-form state vectors on a time grid, one row per point on
     ``params.basis``; each amplitude is placed on its ket in
     ``model.SUPPORT_KETS``.  ``T_grid`` must pass ``model.require_grid``."""
+    require_spec(spec)
+    require_params(params)
     T_grid = require_grid(T_grid)
     basis = params.basis
     idx = basis.support_indices(spec.family)

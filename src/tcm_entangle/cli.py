@@ -4,7 +4,8 @@ Subcommands:
 
 * ``fig1``   — PSI-family concurrence curve datasets (CSV, optional SVG)
 * ``fig2``   — PHI-family datasets plus death-interval table
-* ``verify`` — run the invariant and oracle-equivalence suites
+* ``verify`` — run the invariant and oracle-equivalence suites, one CSV
+  line per suite or, with ``--json``, one JSON document
 * ``sweep``  — curve emission over an explicit (alpha, epsilon) grid
 
 ``fig1``/``fig2`` without ``--config`` use the built-in figure defaults
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
 from pathlib import Path
 
@@ -62,23 +64,28 @@ def _flag(name: str):
 
 def _cmd_verify(args) -> int:
     if args.dump_hamiltonian:
-        _dump_hamiltonian(Path(args.dump_hamiltonian), args.epsilon)
+        path = _dump_hamiltonian(Path(args.dump_hamiltonian), args.epsilon)
+        if not args.json:   # stdout holds the document alone
+            print(path)
     results = verify_mod.run_all(inject_fault=args.inject_fault)
-    ok = True
-    for res in results:
-        print(res.line())
-        ok = ok and res.passed
+    ok = all(res.passed for res in results)
+    if args.json:
+        document = {"passed": ok, "suites": [res.record() for res in results]}
+        print(json.dumps(document, indent=1, sort_keys=True))
+    else:
+        for res in results:
+            print(res.line())
     return 0 if ok else 1
 
 
-def _dump_hamiltonian(path: Path, epsilon: float):
+def _dump_hamiltonian(path: Path, epsilon: float) -> Path:
     """Debug CSV of the full matrix, complex entries as `re+imi` pairs."""
     with _flag("--epsilon"):
         params = ModelParams(epsilon=epsilon)
     rows = [",".join(f"{z.real:+.9g}{z.imag:+.9g}i" for z in row)
             for row in build_hamiltonian(params).tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(path)
+    return path
 
 
 def _cmd_sweep(args) -> int:
@@ -119,6 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epsilon for --dump-hamiltonian")
     p.add_argument("--dump-hamiltonian", metavar="PATH",
                    help="write the full Hamiltonian matrix as CSV")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON document: per suite its name, residual, "
+                        "threshold, pass flag and elapsed seconds")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("sweep", help="emit curves over an explicit grid")

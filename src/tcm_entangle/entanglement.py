@@ -99,9 +99,16 @@ def pure_concurrence(psi: np.ndarray) -> float | np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     B = _atom_blocks(psi)
     require_unit_norms(np.linalg.norm(psi, axis=-1))
-    roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
-    C = np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
+    C = _block_concurrence(B)
     return float(C) if psi.ndim == 1 else C
+
+
+def _block_concurrence(B: np.ndarray) -> np.ndarray:
+    """C of :func:`pure_concurrence` from the atom blocks (..., 4, m) of
+    :func:`_atom_blocks`, as an array, with no norm check: for states whose
+    norms the caller has checked."""
+    roots = np.linalg.svd(B.swapaxes(-1, -2) @ _SPIN_FLIP @ B, compute_uv=False)  # descending
+    return np.maximum(0.0, roots[..., 0] - roots[..., 1:].sum(axis=-1))
 
 
 def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndarray:

@@ -18,7 +18,9 @@ boundary that takes the quantity calls it: alpha (``InitialStateSpec``, the
 closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
 ``RunConfig``), finite (lam, the T of ``propagator.evolve``), positive
 (T_max, zero_threshold), integer (n_max, n_points, photon numbers), grid
-(``concurrence_trace``, ``evolve_grid``) and family.
+(``concurrence_trace``, ``evolve_grid``), family, and the types of a spec
+and a params object (``concurrence_trace``, ``occupied_states``,
+``closed_form_states``).
 """
 
 from __future__ import annotations
@@ -126,6 +128,18 @@ def require_family(family):
         raise TypeError(f"family must be a Family member, got {family!r}")
 
 
+def require_spec(spec):
+    """Raise ``TypeError`` naming ``spec`` unless it is an ``InitialStateSpec``."""
+    if not isinstance(spec, InitialStateSpec):
+        raise TypeError(f"spec must be an InitialStateSpec, got {spec!r}")
+
+
+def require_params(params):
+    """Raise ``TypeError`` naming ``params`` unless it is a ``ModelParams``."""
+    if not isinstance(params, ModelParams):
+        raise TypeError(f"params must be a ModelParams, got {params!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The model in the units it is solved in: H/g over time T = g*t.
@@ -190,6 +204,7 @@ class Basis:
         self.excited_a, self.excited_b = 1 - level_a, 1 - level_b   # LEVELS is (e, g)
         self.size = self.n_a.size
         self.excitations = self.n_a + self.n_b + 2 * (self.excited_a + self.excited_b)
+        self._support = {}
 
     def position(self, excited_a, excited_b, n_a, n_b):
         """Basis index of the state(s) with these entries; takes arrays."""
@@ -207,8 +222,14 @@ class Basis:
         return self.position(int(atom_a == "e"), int(atom_b == "e"), n_a, n_b)
 
     def support_indices(self, family: Family) -> np.ndarray:
-        """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order."""
-        return np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])
+        """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order, as a
+        read-only array found once per basis and family."""
+        found = self._support.get(family)
+        if found is None:
+            found = np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])
+            found.flags.writeable = False
+            self._support[family] = found
+        return found
 
 
 def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:

@@ -3,8 +3,10 @@
 The suites check the kernels the commands run: the Hamiltonian build,
 ``evolve_grid``, the closed-form amplitudes, ``concurrence_trace``,
 ``reduce_to_atoms`` and ``pure_concurrence``.  Each suite returns a
-(name, max_residual, threshold, passed) row; the CLI prints one
-machine-readable line per suite and exits nonzero on any failure.
+(name, max_residual, threshold, passed) row, which ``run_all`` stamps with
+the suite's elapsed seconds; the CLI prints one machine-readable line per
+suite, or with ``--json`` one JSON document, and exits nonzero on any
+failure.
 ``inject_fault`` deliberately corrupts one off-sector Hamiltonian entry so
 the conservation suite demonstrably catches broken input.
 """
@@ -12,7 +14,8 @@ the conservation suite demonstrably catches broken input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +34,7 @@ class SuiteResult:
     name: str
     max_residual: float
     threshold: float
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -39,6 +43,12 @@ class SuiteResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name},{self.max_residual:.3e},{self.threshold:.1e},{status}"
+
+    def record(self) -> dict:
+        """The row as a JSON-ready dict."""
+        return {"name": self.name, "residual": self.max_residual,
+                "threshold": self.threshold, "passed": self.passed,
+                "elapsed_s": self.elapsed_s}
 
 
 def _models():
@@ -166,17 +176,32 @@ def suite_local_unitary_invariance(at_pi_8) -> SuiteResult:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
             continue
         psi = psis[13]   # _T_GRID[13] = 1.3
-        u = np.stack([np.kron(_haar_unitary(rng), _haar_unitary(rng)) for _ in range(20)])
+        u = _haar_products(rng, 20)
         turned = (u @ entanglement._atom_blocks(psi)).reshape(len(u), -1)
         gap = entanglement.pure_concurrence(turned) - entanglement.pure_concurrence(psi)
         worst = max(worst, float(np.max(np.abs(gap))))
     return SuiteResult("local_unitary_invariance", worst, 1e-10)
 
 
-def _haar_unitary(rng) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _haar_products(rng, count: int) -> np.ndarray:
+    """``count`` products u_A (x) u_B of Haar-random 2x2 unitaries, shape
+    (count, 4, 4), from one draw of ``rng``.  Each u is the Q of a complex
+    Gaussian matrix's QR, its columns turned by the phases of R's diagonal
+    (F. Mezzadri, Notices AMS 54, 592, 2007).  The draw is read per pair as
+    A real, A imaginary, B real, B imaginary, the order of one pair drawn
+    at a time."""
+    g = rng.normal(size=(count, 2, 2, 2, 2))   # pair, atom, re/im, 2 x 2
+    q, r = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[..., None, :]
+    u_a, u_b = u[:, 0, :, None, :, None], u[:, 1, None, :, None, :]
+    return (u_a * u_b).reshape(count, 4, 4)
+
+
+def _timed(suite, *args, **kwargs) -> SuiteResult:
+    start = time.perf_counter()
+    result = suite(*args, **kwargs)
+    return replace(result, elapsed_s=time.perf_counter() - start)
 
 
 def run_all(inject_fault: bool = False) -> list[SuiteResult]:
@@ -184,13 +209,13 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
     evolutions = list(_evolutions(models))
     at_pi_8 = [e for e in evolutions if e[0].alpha == math.pi / 8]
     return [
-        suite_hermiticity(models),
-        suite_conservation(inject_fault=inject_fault),
-        suite_unitarity(at_pi_8),
-        suite_energy_conservation(at_pi_8),
-        suite_sector_confinement(at_pi_8),
-        suite_fidelity(evolutions),
-        suite_trace_agreement(evolutions),
-        suite_density_matrix(at_pi_8),
-        suite_local_unitary_invariance(at_pi_8),
+        _timed(suite_hermiticity, models),
+        _timed(suite_conservation, inject_fault=inject_fault),
+        _timed(suite_unitarity, at_pi_8),
+        _timed(suite_energy_conservation, at_pi_8),
+        _timed(suite_sector_confinement, at_pi_8),
+        _timed(suite_fidelity, evolutions),
+        _timed(suite_trace_agreement, evolutions),
+        _timed(suite_density_matrix, at_pi_8),
+        _timed(suite_local_unitary_invariance, at_pi_8),
     ]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analysis, analytic, propagator
+from tcm_entangle import analysis, analytic, entanglement, propagator
 from tcm_entangle.analysis import (MIN_RUN_POINTS, TRACE_AGREEMENT_TOL, DeathInterval,
                                    TraceDisagreement, TracePath, _branch_fn, analytic_concurrence,
                                    concurrence_trace, death_windows,
@@ -116,6 +116,23 @@ class TestBothPath:
                 r"^analytic/oracle traces disagree by \S+ \(tolerance 1e-09\) at "
                 r"alpha = 0\.392699081698724, epsilon = 2, T = \S+$")):
             concurrence_trace(spec, params, np.linspace(0.0, 20.0, 200), TracePath.BOTH)
+
+
+class TestOracleConcurrence:
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_norms_checked_once_for_the_bytes_of_pure_concurrence(self, family, monkeypatch):
+        # occupied_states checks every state's norm, so the ORACLE C comes
+        # from pure_concurrence's core without a second check, to the same bytes
+        spec, params = InitialStateSpec(family, 0.4), ModelParams(epsilon=1.5)
+        grid = np.linspace(0.0, 15.0, 300)
+        checks = []
+        require_unit_norms = entanglement.require_unit_norms
+        monkeypatch.setattr(entanglement, "require_unit_norms",
+                            lambda norm: checks.append(norm.size) or require_unit_norms(norm))
+        C = concurrence_trace(spec, params, grid, TracePath.ORACLE).C
+        assert checks == [grid.size]
+        psis = analysis.occupied_states(spec, params, grid)[0]
+        assert C.tobytes() == entanglement.pure_concurrence(psis).tobytes()
 
 
 class TestDecompositionMemo:

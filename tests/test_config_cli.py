@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import json
 import math
 import tempfile
 import warnings
@@ -421,13 +422,14 @@ class TestBothGate:
     def test_decomposes_each_epsilon_once(self, tmp_path, monkeypatch, path, states):
         # one Jacobi decomposition per epsilon, shared by its three alphas;
         # at the default lambda = 2 BOTH certifies every point without the
-        # oracle's concurrence
+        # oracle's concurrence.  The states are counted in the core that
+        # pure_concurrence and the ORACLE path share
         calls, concurrence_states = [], []
-        jacobi_eigh, pure_concurrence = propagator.jacobi_eigh, entanglement.pure_concurrence
+        jacobi_eigh, block_concurrence = propagator.jacobi_eigh, entanglement._block_concurrence
         monkeypatch.setattr(propagator, "jacobi_eigh",
                             lambda A: calls.append(A.shape) or jacobi_eigh(A))
-        monkeypatch.setattr(entanglement, "pure_concurrence", lambda psi: (
-            concurrence_states.append(len(psi)) or pure_concurrence(psi)))
+        monkeypatch.setattr(entanglement, "_block_concurrence", lambda B: (
+            concurrence_states.append(len(B)) or block_concurrence(B)))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(_FIG2_DEFAULTS + f"path = {path}\n")
         assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -540,6 +542,62 @@ class TestCliVerify:
         monkeypatch.setattr(entanglement, "xstate_concurrence", refuse)
         results = verify.run_all()
         assert len(results) == 9 and all(r.passed for r in results)
+
+    def test_json_document(self, capsys):
+        # one JSON document, sorted keys, the plain lines' values per suite
+        assert _run(["verify", "--json"]) == 0
+        out = capsys.readouterr().out
+        document = json.loads(out)
+        assert document["passed"] is True
+        assert out == json.dumps(document, indent=1, sort_keys=True) + "\n"
+        suites = document["suites"]
+        assert [s["name"] for s in suites] == [
+            "hermiticity", "conservation", "unitarity", "energy_conservation",
+            "sector_confinement", "fidelity", "trace_agreement", "density_matrix",
+            "local_unitary_invariance"]
+        for suite in suites:
+            assert sorted(suite) == ["elapsed_s", "name", "passed", "residual", "threshold"]
+            assert suite["passed"] is True and suite["residual"] <= suite["threshold"]
+            assert 0.0 < suite["elapsed_s"] < 60.0
+        assert _run(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [verify.SuiteResult(s["name"], s["residual"], s["threshold"]).line()
+                         for s in suites]
+
+    def test_json_injected_fault(self, capsys):
+        assert _run(["verify", "--inject-fault", "--json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        failed = [s["name"] for s in document["suites"] if not s["passed"]]
+        assert document["passed"] is False and failed == ["conservation"]
+
+    def test_json_bad_input_exits_2(self, tmp_path, capsys):
+        argv = ["verify", "--json", "--epsilon", "-1",
+                "--dump-hamiltonian", str(tmp_path / "h.csv")]
+        assert _run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --epsilon: epsilon")
+
+    def test_json_with_a_dumped_hamiltonian_stays_one_document(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        assert _run(["verify", "--json", "--dump-hamiltonian", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 36
+
+    def test_haar_products_are_the_pair_by_pair_draws(self):
+        # one draw and one stacked QR give the bytes of the loop that drew
+        # each 2x2 unitary alone, over two evolutions of one generator
+        def haar(rng):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q, r = np.linalg.qr(z)
+            return q * (np.diag(r) / np.abs(np.diag(r)))
+
+        loop, batched = np.random.default_rng(20260823), np.random.default_rng(20260823)
+        for _ in range(2):
+            expected = np.stack([np.kron(haar(loop), haar(loop)) for _ in range(20)])
+            found = verify._haar_products(batched, 20)
+            assert found.shape == (20, 4, 4)
+            assert found.tobytes() == expected.tobytes()
+            assert np.max(np.abs(found @ found.conj().swapaxes(-1, -2) - np.eye(4))) < 1e-14
 
     def test_energies_match_the_full_sum(self):
         # the energy suite sums over the entries nonzero somewhere in each

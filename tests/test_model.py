@@ -137,6 +137,19 @@ class TestInitialState:
                 psi = initial_state(InitialStateSpec(family, alpha), b)
                 assert psi.dtype == expected.dtype and psi.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_support_indices_are_the_walk_of_the_support_kets(self, n_max, family):
+        # found once per basis and family, and read-only, so no caller can
+        # change what the next one reads
+        b = Basis(n_max)
+        found = b.support_indices(family)
+        assert found.tolist() == [b.index(*ket) for ket in SUPPORT_KETS[family]]
+        assert b.support_indices(family) is found
+        with pytest.raises(ValueError, match="read-only"):
+            found[0] = 0
+        assert found.tolist() == [b.index(*ket) for ket in SUPPORT_KETS[family]]
+
     def test_initial_concurrence_is_sin_2alpha(self):
         from tcm_entangle.entanglement import reduce_to_atoms, wootters_concurrence
         b = Basis(2)

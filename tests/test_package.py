@@ -74,6 +74,18 @@ _BAD_INPUT = {
         tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3),
         tcm_entangle.ModelParams(), [1.0, 2.0], "ANALYTIC"),
         TypeError, "path"),
+    "trace params None": (lambda: tcm_entangle.concurrence_trace(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3), None, [1.0, 2.0]),
+        TypeError, "^params must be a ModelParams, got None"),
+    "trace spec tuple": (lambda: tcm_entangle.concurrence_trace(
+        (tcm_entangle.Family.PSI, 0.3), tcm_entangle.ModelParams(), [1.0, 2.0]),
+        TypeError, "^spec must be an InitialStateSpec, got "),
+    "closed_form_states params None": (lambda: analytic.closed_form_states(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3), None, [1.0, 2.0]),
+        TypeError, "^params must be a ModelParams"),
+    "occupied_states spec tuple": (lambda: tcm_entangle.analysis.occupied_states(
+        (tcm_entangle.Family.PHI, 0.3), tcm_entangle.ModelParams(), np.array([1.0, 2.0])),
+        TypeError, "^spec must be an InitialStateSpec"),
     "n_max 2.5": (lambda: tcm_entangle.ModelParams(n_max=2.5), TypeError, "n_max"),
     "n_max True": (lambda: tcm_entangle.Basis(True), TypeError, "n_max"),
     "n_max above cap": (lambda: tcm_entangle.ModelParams(n_max=model.MAX_N_MAX + 1),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcm_entangle import analysis, analytic, cli, figures, model  # noqa: F401  (cli loads every traced module)
+from tcm_entangle import analysis, analytic, cli, figures, model, verify  # noqa: F401  (cli loads every traced module)
 from tcm_entangle.analysis import TracePath
 from tcm_entangle.config import RunConfig
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
@@ -167,6 +167,29 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
     assert batched["analytic.amplitude_calls"] == 77
     assert one_trace["analytic.amplitude_calls"] == 216
     assert batched["analytic.amplitude_points"] == one_trace["analytic.amplitude_points"]
+
+
+def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
+    # the 40 Haar unitaries of an evolution come from one stacked QR, and
+    # each basis of verify._models walks SUPPORT_KETS once per family:
+    # 3 bases x (3 + 5) kets, where every state built walked them anew
+    counts = {"qr": 0, "index": 0}
+    qr, index = np.linalg.qr, model.Basis.index
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_index(self, *args):
+        counts["index"] += 1
+        return index(self, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(model.Basis, "index", counted_index)
+    results = verify.run_all()
+    assert all(r.passed for r in results)
+    assert counts["qr"] <= 2
+    assert counts["index"] <= 3 * (3 + 5)
 
 
 @pytest.mark.parametrize("fragment", ["must lie in [0, pi/2]", "must be >= 0, got",
