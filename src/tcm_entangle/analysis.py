@@ -69,6 +69,12 @@ class ConcurrenceTrace:
     abs_amplitudes: np.ndarray    # |x_i| per grid point, shape (npts, 3 or 5)
 
 
+def require_trace(trace):
+    """Raise ``TypeError`` naming ``trace`` unless it is a ``ConcurrenceTrace``."""
+    if not isinstance(trace, ConcurrenceTrace):
+        raise TypeError(f"trace must be a ConcurrenceTrace, got {trace!r}")
+
+
 def _branch(family: Family, xs):
     """Signed X-state branch of the closed-form state with amplitudes ``xs``.
 
@@ -281,11 +287,12 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
                   ) -> list[list[DeathInterval]]:
     """:func:`detect_death_intervals` of every trace, refined together.
 
-    The traces must share family, epsilon, lam and T_grid (a ``ValueError``
-    names the field that differs); their alpha may differ.  Each
-    closed-form call takes the points of every trace, each at its own
-    trace's alpha, and each bracket stops on its own test, so every trace
-    gets the windows it gets alone.  (One call takes the sub-threshold
+    Each element must be a ``ConcurrenceTrace`` (a ``TypeError`` names
+    ``trace``), and the traces must share family, epsilon, lam and T_grid
+    (a ``ValueError`` names the field that differs); their alpha may
+    differ.  Each closed-form call takes the points of every trace, each at
+    its own trace's alpha, and each bracket stops on its own test, so every
+    trace gets the windows it gets alone.  (One call takes the sub-threshold
     points of all traces; from 16,384 points on, numpy computes its complex
     products in place, which may round a branch value differently, but
     those values only decide whether a run's minimum lies below
@@ -293,6 +300,8 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     """
     require_positive("zero_threshold", zero_threshold)
     traces = list(traces)
+    for trace in traces:
+        require_trace(trace)
     if not traces:
         return []
     _require_shared(traces)
@@ -390,6 +399,7 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     oscillation a lower local peak may be returned, with no warning: PSI,
     alpha = 0, eps = 2 on ``linspace(0, 100, 6)`` gives 0.98526, not 0.999996.
     """
+    require_trace(trace)
     T = trace.T_grid
     k = int(np.argmax(trace.C))
     lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
@@ -416,6 +426,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     component rather than an exact repeat time.  Requires a uniform grid
     spanning at least three nominal periods 2*pi/kappa.
     """
+    require_trace(trace)
     T, C = trace.T_grid, trace.C
     kappa = math.sqrt(8.0 + trace.params.epsilon * trace.params.epsilon)
     nominal = 2.0 * math.pi / kappa

@@ -52,44 +52,73 @@ def _number_cells(values: np.ndarray):
     decimal exponent X and does not end in 00 gets the spec of X and the
     integer r (one trailing zero dropped); every other number gets spec 0
     and itself.  Numbers out of range are replaced by 0.5 before any
-    arithmetic, so nothing overflows or underflows."""
+    arithmetic, so nothing overflows or underflows.
+
+    r is rint(hi) for the rounded product hi = |v| 10^(14-X), corrected by
+    Dekker's low part lo only where hi is a tie (|hi - rint(hi)| = 0.5).
+    Elsewhere hi - rint(hi) is a multiple of ulp(hi) < 1, so it is at most
+    0.5 - ulp(hi) in size, and |lo| <= ulp(hi)/2 keeps the exact product
+    hi + lo nearer rint(hi) than any other integer."""
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)
     a = np.where(fast, a, 0.5)
     exp10 = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
     i = -1 - exp10
     hi = a * _SCALES[i]
-    a_hi, a_lo = _split(a)
-    p_hi, p_lo = _SCALES_HI[i], _SCALES_LO[i]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     r = np.rint(hi)
     half = hi - r
-    r += np.where((np.abs(half) == 0.5) & (lo * half > 0), 2.0 * half, 0.0)
+    tie = (np.abs(half) == 0.5).nonzero()[0]
+    if tie.size:
+        a_hi, a_lo = _split(a[tie])
+        p_hi, p_lo = _SCALES_HI[i[tie]], _SCALES_LO[i[tie]]
+        lo = ((a_hi * p_hi - hi[tie]) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        r[tie] += np.where(lo * half[tie] > 0, 2.0 * half[tie], 0.0)
     digits = r.astype(np.int64)
     digits = np.where(digits % 10 == 0, digits // 10, digits)
     fast &= (r >= 1e14) & (r < 1e15) & (digits % 10 != 0)
-    args = digits.astype(object)
-    args[~fast] = values[~fast]
-    return np.where(fast, 4 * (values < 0) - exp10, 0), args.tolist()
+    args = digits.tolist()
+    slow = (~fast).nonzero()[0]
+    for k, v in zip(slow.tolist(), values[slow].tolist()):
+        args[k] = v
+    return np.where(fast, 4 * (values < 0) - exp10, 0), args
+
+
+#: the row of `_SPECS` for a column ending in "," and for the last column
+_SPEC_ROWS = {end: np.array([s + end for s in _SPECS], dtype=object) for end in (",", "\n")}
+#: the text of a 0/1 flag, as `fmt` writes 0 and 1
+_FLAG_TEXT = np.array(format_column((0.0, 1.0)), dtype=object)
+
+
+def _flag_column(mask) -> list[str]:
+    """The 0/1 cells of a boolean mask, as `format_column` writes 0.0 and
+    1.0, for `write_csv` to take as text."""
+    return _FLAG_TEXT[np.asarray(mask, dtype=bool).astype(np.intp)].tolist()
 
 
 def write_csv(path: Path, header: list[str], columns: list):
     """Header row, then one row per index of the equal-length ``columns``.
 
     A column is numbers, written as `fmt` writes them, or the strings
-    of `format_column`.  The whole body is formatted in one %-call.
+    of `format_column` (or of `_flag_column`).  The whole body is formatted
+    in one %-call.  A ``ValueError`` names ``header`` when it does not
+    name every column, and ``columns`` when their lengths differ.
 
     `fmt` of a number v with 1e-4 <= |v| < 1 and decimal exponent X is
     "0." and -X-1 zeros, then the 15-digit significand r = |v| 10^(14-X)
     rounded half to even, less its trailing zeros.  CPython's %.15g takes
     its slow bignum route for each such number, so where r fits X and ends
     in at most one zero the cell is written as ``"0.0%d" % r`` (one zero
-    dropped) and the like, with the same bytes.  r is exact: with Dekker's
+    dropped) and the like, with the same bytes.  r is exact: the rounded
+    product hi rounds to r unless hi is a tie, and only there is Dekker's
     product (T. J. Dekker, Numer. Math. 18, 224-242, 1971) on Veltkamp
-    splits, hi + lo = |v| 10^(14-X) exactly, so rint(hi) is r unless hi
-    is a tie and lo pushes the exact value past it.  Every other number is
-    written by %.15g as before."""
+    splits computed, hi + lo = |v| 10^(14-X) exactly, whose low part lo
+    settles the tie.  Every other number is written by %.15g as before."""
+    if len(header) != len(columns):
+        raise ValueError(f"header must name each of the {len(columns)} columns, "
+                         f"got {len(header)} names")
     n, k = len(columns[0]), len(columns)
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
     specs, cells = [None] * (n * k), [None] * (n * k)
     for j, column in enumerate(columns):
         end = "," if j < k - 1 else "\n"
@@ -98,7 +127,7 @@ def write_csv(path: Path, header: list[str], columns: list):
             cells[j::k] = column
         else:
             index, cells[j::k] = _number_cells(np.asarray(column, dtype=float))
-            specs[j::k] = np.array([s + end for s in _SPECS], dtype=object)[index].tolist()
+            specs[j::k] = _SPEC_ROWS[end][index].tolist()
     body = "".join(specs) % tuple(cells)
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 
@@ -130,7 +159,7 @@ def run(config: RunConfig) -> list[Path]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    interval_rows = []
+    interval_rows, refined = [], []
     grid = np.linspace(0.0, config.T_max, config.n_points)
     T_text = format_column(grid)
     for eps in config.epsilon_list:
@@ -147,15 +176,15 @@ def run(config: RunConfig) -> list[Path]:
                 header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
                 columns = [T_text, trace.C, trace.signed_C, *amps]
             else:
-                in_window = np.zeros(grid.size)
+                in_window = np.zeros(grid.size, dtype=bool)
                 for iv in trace_windows:
                     in_window[np.searchsorted(grid, iv.T_start, "left"):
-                              np.searchsorted(grid, iv.T_end, "right")] = 1.0
-                    interval_rows.append((alpha, eps, iv.T_start, iv.T_end,
-                                          iv.length, float(iv.refined)))
+                              np.searchsorted(grid, iv.T_end, "right")] = True
+                    interval_rows.append((alpha, eps, iv.T_start, iv.T_end, iv.length))
+                    refined.append(iv.refined)
                 header = ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",
                           "in_death_window"]
-                columns = [T_text, trace.C, *amps[:3], amps[4], in_window]
+                columns = [T_text, trace.C, *amps[:3], amps[4], _flag_column(in_window)]
             path = out / f"{prefix}_alpha{file_tag(alpha)}_eps{file_tag(eps)}.csv"
             write_csv(path, header, columns)
             written.append(path)
@@ -170,7 +199,8 @@ def run(config: RunConfig) -> list[Path]:
     if not psi_family:
         intervals_path = out / "intervals.csv"
         write_csv(intervals_path, ["alpha", "epsilon", "T_start", "T_end", "length", "refined"],
-                  list(np.array(interval_rows, dtype=float).reshape(-1, 6).T))
+                  [*np.array(interval_rows, dtype=float).reshape(-1, 5).T,
+                   _flag_column(refined)])
         written.append(intervals_path)
     _write_metadata(out, config, f"{prefix} dataset; alpha values are a library default choice")
     return written

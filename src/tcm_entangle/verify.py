@@ -168,9 +168,9 @@ def suite_density_matrix(evolutions) -> SuiteResult:
     return SuiteResult("density_matrix", worst, 1e-10)
 
 
-def suite_local_unitary_invariance(at_pi_8) -> SuiteResult:
-    """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3."""
-    rng = np.random.default_rng(20260823)
+def suite_local_unitary_invariance(at_pi_8, rng) -> SuiteResult:
+    """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3,
+    drawn from the numpy Generator ``rng``."""
     worst = 0.0
     for _, params, _, psis in at_pi_8:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
@@ -205,6 +205,9 @@ def _timed(suite, *args, **kwargs) -> SuiteResult:
 
 
 def run_all(inject_fault: bool = False) -> list[SuiteResult]:
+    # made before any suite is timed: the first use of np.random imports
+    # numpy.random, which would otherwise be timed as the suite's own work
+    rng = np.random.default_rng(20260823)
     models = _models()
     evolutions = list(_evolutions(models))
     at_pi_8 = [e for e in evolutions if e[0].alpha == math.pi / 8]
@@ -217,5 +220,5 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
         _timed(suite_fidelity, evolutions),
         _timed(suite_trace_agreement, evolutions),
         _timed(suite_density_matrix, at_pi_8),
-        _timed(suite_local_unitary_invariance, at_pi_8),
+        _timed(suite_local_unitary_invariance, at_pi_8, rng),
     ]

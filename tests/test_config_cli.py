@@ -200,6 +200,10 @@ class TestCsvRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(columns=_mixed_columns())
     @example(columns=[[], figures.format_column([]), []])
+    # ties of the 15th digit: the low part takes 387606570384453.5 down to
+    # ...453 (rint alone gives ...454); 24691/2^16 is exact, rounded to even
+    @example(columns=[[0.003876065703844535, -0.003876065703844535]])
+    @example(columns=[[0.3767547607421875, -0.3767547607421875]])
     def test_matches_one_call_writer(self, columns):
         header = [f"c{j}" for j in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
@@ -207,6 +211,19 @@ class TestCsvRoundTrip:
             figures.write_csv(path, header, columns)
             _one_call_writer(reference, header, columns)
             assert path.read_bytes() == reference.read_bytes()
+
+    def test_header_names_every_column(self, tmp_path):
+        # a short header used to give rows with more cells than names
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="^header must name each of the 2 columns, got 1"):
+            figures.write_csv(tmp_path / "t.csv", ["a"], [x, x])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_columns_have_equal_lengths(self, tmp_path):
+        columns = [np.zeros(3), figures.format_column([1.0, 2.0])]
+        with pytest.raises(ValueError, match=r"^columns must have equal lengths, got \[3, 2\]"):
+            figures.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_no_runtime_warning(self, tmp_path):
         # the significand arithmetic must not run on numbers out of range
@@ -582,6 +599,20 @@ class TestCliVerify:
         assert _run(["verify", "--json", "--dump-hamiltonian", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert len(path.read_text(encoding="utf-8").splitlines()) == 36
+
+    def test_generator_is_made_before_any_suite_is_timed(self, monkeypatch):
+        # the first np.random call of a process imports numpy.random, which
+        # no suite's elapsed_s may include
+        events = []
+        default_rng, timed = np.random.default_rng, verify._timed
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: events.append("rng") or default_rng(*args))
+        monkeypatch.setattr(verify, "_timed",
+                            lambda *args, **kwargs: events.append("suite")
+                            or timed(*args, **kwargs))
+        results = verify.run_all()
+        assert all(r.passed for r in results)
+        assert events == ["rng"] + ["suite"] * 9
 
     def test_haar_products_are_the_pair_by_pair_draws(self):
         # one draw and one stacked QR give the bytes of the loop that drew

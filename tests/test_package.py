@@ -86,6 +86,15 @@ _BAD_INPUT = {
     "occupied_states spec tuple": (lambda: tcm_entangle.analysis.occupied_states(
         (tcm_entangle.Family.PHI, 0.3), tcm_entangle.ModelParams(), np.array([1.0, 2.0])),
         TypeError, "^spec must be an InitialStateSpec"),
+    "max_concurrence None": (lambda: tcm_entangle.max_concurrence(None), TypeError,
+                             "^trace must be a ConcurrenceTrace, got None"),
+    "estimate_period tuple": (lambda: tcm_entangle.estimate_period(
+        (np.linspace(0.0, 10.0, 101), np.zeros(101))), TypeError,
+        "^trace must be a ConcurrenceTrace, got "),
+    "detect_death_intervals None": (lambda: tcm_entangle.detect_death_intervals(None),
+                                    TypeError, "^trace must be a ConcurrenceTrace, got None"),
+    "death_windows element None": (lambda: tcm_entangle.death_windows([_trace(), None]),
+                                   TypeError, "^trace must be a ConcurrenceTrace, got None"),
     "n_max 2.5": (lambda: tcm_entangle.ModelParams(n_max=2.5), TypeError, "n_max"),
     "n_max True": (lambda: tcm_entangle.Basis(True), TypeError, "n_max"),
     "n_max above cap": (lambda: tcm_entangle.ModelParams(n_max=model.MAX_N_MAX + 1),

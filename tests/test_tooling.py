@@ -169,6 +169,33 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
     assert batched["analytic.amplitude_points"] == one_trace["analytic.amplitude_points"]
 
 
+def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
+    # in_death_window and refined are handed over as the text of
+    # format_column, so only number columns go through _number_cells: 5 in
+    # each of 4 curve files and 5 in intervals.csv, where numeric flags made 30
+    calls, flags = [], []
+    number_cells, write_csv = figures._number_cells, figures.write_csv
+
+    def counted(values):
+        calls.append(values.size)
+        return number_cells(values)
+
+    def recorded(path, header, columns):
+        flags.extend(columns[header.index(n)] for n in ("in_death_window", "refined")
+                     if n in header)
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(figures, "_number_cells", counted)
+    monkeypatch.setattr(figures, "write_csv", recorded)
+    config = RunConfig(family=Family.PHI, alpha_list=(0.3, 0.5), epsilon_list=(0.0, 2.0),
+                       T_max=20.0, n_points=300, output_dir=str(tmp_path))
+    figures.run(config)
+    assert len(calls) == 25 and len(flags) == 5
+    cells = [cell for column in flags for cell in column]
+    assert {type(cell) for cell in cells} == {str}
+    assert set(cells) == {"0", "1"}
+
+
 def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
     # the 40 Haar unitaries of an evolution come from one stacked QR, and
     # each basis of verify._models walks SUPPORT_KETS once per family:
