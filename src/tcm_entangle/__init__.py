@@ -14,7 +14,7 @@ from .entanglement import (pure_concurrence, reduce_to_atoms,
 from .hamiltonian import build_hamiltonian, check_conservation
 from .model import (Basis, Family, InitialStateSpec, ModelParams, SUPPORT_KETS,
                     initial_state)
-from .propagator import SpectralDecomposition, decompose_model, evolve, evolve_grid
+from .propagator import SpectralDecomposition, evolve, evolve_grid
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,7 @@ __all__ = [
     "Basis", "ConcurrenceTrace", "DeathInterval", "Family", "InitialStateSpec",
     "ModelParams", "SUPPORT_KETS", "SpectralDecomposition", "TracePath",
     "build_hamiltonian", "check_conservation", "closed_form_states",
-    "concurrence_trace", "death_windows", "decompose_model", "detect_death_intervals",
+    "concurrence_trace", "death_windows", "detect_death_intervals",
     "estimate_period", "evolve", "evolve_grid", "initial_state", "max_concurrence",
     "phi_amplitudes", "psi_amplitudes", "pure_concurrence", "reduce_to_atoms",
     "wootters_concurrence", "xstate_concurrence",

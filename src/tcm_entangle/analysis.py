@@ -110,21 +110,8 @@ def _branch_fn(traces):
 
 def analytic_concurrence(trace: ConcurrenceTrace, T):
     """Closed-form C at arbitrary T for the spec and params of a trace."""
+    require_trace(trace)
     return 2.0 * np.maximum(0.0, _branch_fn([trace])(T))
-
-
-_last = (None, None)
-
-
-def _decomposition(params: ModelParams) -> propagator.SpectralDecomposition:
-    """``propagator.decompose_model(params)``, kept for the last params object
-    (``figures.run`` builds one per epsilon).  Matched by identity, so one
-    command's model never serves the next, and read once per call."""
-    global _last
-    last = _last
-    if last[0] is not params:
-        last = _last = (params, propagator.decompose_model(params))
-    return last[1]
 
 
 def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelParams,
@@ -152,9 +139,10 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams,
     is (a NaN entry counts as nonzero, so its column is used)."""
     require_spec(spec)
     require_params(params)
-    basis, decomp = params.basis, _decomposition(params)
+    basis = params.basis
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        psis = propagator.evolve_grid(initial_state(spec, basis), decomp, T_grid)
+        psis = propagator.evolve_grid(initial_state(spec, basis), params.decomposition,
+                                      T_grid)
         columns = np.union1d(np.flatnonzero(np.any(psis, axis=0)),
                              basis.support_indices(spec.family))
         norm = np.linalg.norm(psis[:, columns], axis=-1)
@@ -189,7 +177,7 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     """Sample the atom-atom concurrence over an ascending time grid.
 
     The ORACLE and BOTH paths propagate under H/g of ``params``, decomposed
-    once for a run of traces of one params object (:func:`_decomposition`).
+    once per params object (``ModelParams.decomposition``).
 
     BOTH returns the ANALYTIC trace once it is certified against
     propagation, and raises ``TraceDisagreement`` otherwise.  Each point's

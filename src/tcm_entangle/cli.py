@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import config, figures, verify as verify_mod
 from .config import ConfigError, RunConfig, parse_config, parse_angle
-from .hamiltonian import build_hamiltonian
 from .model import Family, ModelParams
 
 
@@ -83,7 +82,7 @@ def _dump_hamiltonian(path: Path, epsilon: float) -> Path:
     with _flag("--epsilon"):
         params = ModelParams(epsilon=epsilon)
     rows = [",".join(f"{z.real:+.9g}{z.imag:+.9g}i" for z in row)
-            for row in build_hamiltonian(params).tolist()]
+            for row in params.hamiltonian.tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 

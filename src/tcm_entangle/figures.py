@@ -101,7 +101,8 @@ def write_csv(path: Path, header: list[str], columns: list):
     A column is numbers, written as `fmt` writes them, or the strings
     of `format_column` (or of `_flag_column`).  The whole body is formatted
     in one %-call.  A ``ValueError`` names ``header`` when it does not
-    name every column, and ``columns`` when their lengths differ.
+    name every column, and ``columns`` when there are none or their
+    lengths differ.
 
     `fmt` of a number v with 1e-4 <= |v| < 1 and decimal exponent X is
     "0." and -X-1 zeros, then the 15-digit significand r = |v| 10^(14-X)
@@ -116,6 +117,8 @@ def write_csv(path: Path, header: list[str], columns: list):
     if len(header) != len(columns):
         raise ValueError(f"header must name each of the {len(columns)} columns, "
                          f"got {len(header)} names")
+    if not columns:
+        raise ValueError("columns must hold at least one column, got none")
     n, k = len(columns[0]), len(columns)
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")

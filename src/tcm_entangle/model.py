@@ -147,8 +147,10 @@ class ModelParams:
     ``epsilon`` = Omega/g is the dipole-dipole strength (finite, >= 0),
     ``lam`` = omega_0/g the atomic frequency (finite), and ``n_max`` the
     photon cutoff, an int in [2, ``MAX_N_MAX``].  ``lam`` enters the PHI
-    phases only, never the concurrence.  ``basis``, built once per object, is
-    not a field: ``==``, ``hash`` and ``repr`` ignore it.
+    phases only, never the concurrence.  ``basis``, ``hamiltonian`` (H/g,
+    read-only) and ``decomposition`` (its ``jacobi_eigh``) are each built
+    once per object and are not fields: ``==``, ``hash`` and ``repr`` ignore
+    them, so an equal but new object builds its own.
     """
 
     epsilon: float = 0.0
@@ -163,6 +165,18 @@ class ModelParams:
     @functools.cached_property
     def basis(self) -> Basis:
         return Basis(self.n_max)
+
+    @functools.cached_property
+    def hamiltonian(self) -> np.ndarray:
+        from .hamiltonian import build_hamiltonian   # hamiltonian imports this module
+        H = build_hamiltonian(self)
+        H.flags.writeable = False
+        return H
+
+    @functools.cached_property
+    def decomposition(self):
+        from .propagator import jacobi_eigh   # propagator imports this module
+        return jacobi_eigh(self.hamiltonian)
 
     @classmethod
     def from_dimensionless(cls, epsilon: float = 0.0, lam: float = 2.0,

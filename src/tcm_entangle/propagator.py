@@ -5,7 +5,8 @@ the (dimensionless) Hamiltonian with a cyclic Jacobi sweep and applying
 exact phase factors, so there is no step-to-step error accumulation.
 
 Evolution convention: U(T) = exp(-i * M * T) where M is the matrix handed
-to :func:`jacobi_eigh` (use H/g for dimensionless time T = g*t).
+to :func:`jacobi_eigh` (use H/g for dimensionless time T = g*t, as
+``ModelParams.decomposition`` does).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import build_hamiltonian
-from .model import ModelParams, require_finite, require_grid
+from .model import require_finite, require_grid
 
 _HERMITICITY_RTOL = 1e-12
 _JACOBI_TOL = 1e-14   # off-diagonal Frobenius norm, relative to ||H||_F
@@ -144,25 +144,17 @@ def jacobi_eigh(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues[order], V[:, order])
 
 
-def decompose_model(params: ModelParams) -> SpectralDecomposition:
-    """Decompose H/g on ``params.basis``; :func:`evolve` takes time T = g*t."""
-    return jacobi_eigh(build_hamiltonian(params))
-
-
 def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndarray:
-    """Apply U(T) = V diag(exp(-i w T)) V^dag to a normalized state."""
-    require_finite("T", T)
-    V = decomp.eigenvectors
-    phases = np.exp(-1j * decomp.eigenvalues * T)
-    return V @ (phases * (V.conj().T @ psi0))
+    """U(T) psi0, the one-point grid of :func:`evolve_grid`; ``T`` must be finite."""
+    return evolve_grid(psi0, decomp, [require_finite("T", T)])[0]
 
 
 def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
                 T_grid: np.ndarray) -> np.ndarray:
     """States at each grid time, shape (len(T_grid), dim).
 
-    Each point is computed directly from the decomposition; rows agree with
-    individual :func:`evolve` calls to rounding.
+    Each point is computed directly from the decomposition as
+    U(T) psi0 = V diag(exp(-i w T)) V^dag psi0.
 
     Only the occupied eigenspace is propagated: the components k with
     c_k = (V^dag psi0)_k != 0, on the basis rows where their eigenvectors

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, analytic, entanglement, propagator
 from .analysis import TracePath
-from .hamiltonian import build_hamiltonian, check_conservation
+from .hamiltonian import check_conservation
 from .model import Family, InitialStateSpec, ModelParams, initial_state
 
 _ALPHAS = tuple(k * math.pi / 8 for k in range(5))          # [0, pi/2]
@@ -51,34 +51,24 @@ class SuiteResult:
                 "elapsed_s": self.elapsed_s}
 
 
-def _models():
-    """{epsilon: (params, H/g, decomposition of H/g)} for each of
-    ``_EPSILONS``.  ``run_all`` builds this once and hands it to every suite
-    that evolves states, so each H/g is decomposed once per run."""
-    models = {}
-    for eps in _EPSILONS:
-        params = ModelParams(epsilon=eps)
-        H = build_hamiltonian(params)
-        models[eps] = (params, H, propagator.jacobi_eigh(H))
-    return models
-
-
 def _evolutions(models):
-    """(spec, params, H/g, states on ``_T_GRID``) for each model, both
-    families and each of ``_ALPHAS``.  ``run_all`` lists this once and hands
-    the list, or its alpha = pi/8 rows, to every suite that reads states, so
-    each state is propagated once per run."""
-    for params, H, decomp in models.values():
+    """(spec, params, states on ``_T_GRID``) for each ``ModelParams`` of
+    ``models``, both families and each of ``_ALPHAS``.  ``run_all`` lists
+    this once and hands the list, or its alpha = pi/8 rows, to every suite
+    that reads states, so each state is propagated once per run."""
+    for params in models:
         for family in (Family.PSI, Family.PHI):
             for alpha in _ALPHAS:
                 spec = InitialStateSpec(family, alpha)
-                psis = propagator.evolve_grid(initial_state(spec, params.basis), decomp, _T_GRID)
-                yield spec, params, H, psis
+                psis = propagator.evolve_grid(initial_state(spec, params.basis),
+                                              params.decomposition, _T_GRID)
+                yield spec, params, psis
 
 
 def suite_hermiticity(models) -> SuiteResult:
     worst = 0.0
-    for _, H, _ in models.values():
+    for params in models:
+        H = params.hamiltonian
         worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
     return SuiteResult("hermiticity", worst, 0.0)
 
@@ -88,9 +78,9 @@ def suite_conservation(inject_fault: bool = False) -> SuiteResult:
     for eps in _EPSILONS:
         for n_max in (2, 3, 4):
             params = ModelParams(epsilon=eps, n_max=n_max)
-            basis = params.basis
-            H = build_hamiltonian(params)
+            basis, H = params.basis, params.hamiltonian
             if inject_fault:
+                H = H.copy()
                 H[0, 1] += 0.01  # couples states of different excitation number
             if not check_conservation(H, basis):
                 n = basis.excitations
@@ -118,7 +108,8 @@ def _energies(H: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 def suite_energy_conservation(evolutions) -> SuiteResult:
     worst = 0.0
-    for *_, H, psis in evolutions:
+    for _, params, psis in evolutions:
+        H = params.hamiltonian
         energies = _energies(H, psis)
         scale = float(np.max(np.abs(H)))
         worst = max(worst, float(np.max(np.abs(energies - energies[0]))) / scale)
@@ -127,7 +118,7 @@ def suite_energy_conservation(evolutions) -> SuiteResult:
 
 def suite_sector_confinement(evolutions) -> SuiteResult:
     worst = 0.0
-    for spec, params, _, psis in evolutions:
+    for spec, params, psis in evolutions:
         basis = params.basis
         sectors = basis.excitations[basis.support_indices(spec.family)]
         outside = ~np.isin(basis.excitations, sectors)
@@ -138,7 +129,7 @@ def suite_sector_confinement(evolutions) -> SuiteResult:
 def suite_fidelity(evolutions) -> SuiteResult:
     """Oracle equivalence: closed-form state vs propagated state."""
     worst = 0.0
-    for spec, params, _, psis in evolutions:
+    for spec, params, psis in evolutions:
         analytic_states = analytic.closed_form_states(spec, params, _T_GRID)
         fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
         worst = max(worst, float(np.max(1.0 - fid)))
@@ -148,7 +139,7 @@ def suite_fidelity(evolutions) -> SuiteResult:
 def suite_trace_agreement(evolutions) -> SuiteResult:
     """Closed-form C(T) vs the pure-state concurrence of propagated states."""
     worst = 0.0
-    for spec, params, _, psis in evolutions:
+    for spec, params, psis in evolutions:
         t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
         gap = np.abs(t_a.C - entanglement.pure_concurrence(psis))
         worst = max(worst, float(np.max(gap)))
@@ -159,7 +150,7 @@ def suite_density_matrix(evolutions) -> SuiteResult:
     """Hermiticity, unit trace and positivity of the reduced atomic state,
     at every tenth time of each evolution."""
     worst = 0.0
-    for _, params, _, psis in evolutions:
+    for *_, psis in evolutions:
         rho = entanglement.reduce_to_atoms(psis[::10])
         worst = max(worst,
                     float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
@@ -172,7 +163,7 @@ def suite_local_unitary_invariance(at_pi_8, rng) -> SuiteResult:
     """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3,
     drawn from the numpy Generator ``rng``."""
     worst = 0.0
-    for _, params, _, psis in at_pi_8:
+    for _, params, psis in at_pi_8:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
             continue
         psi = psis[13]   # _T_GRID[13] = 1.3
@@ -208,7 +199,7 @@ def run_all(inject_fault: bool = False) -> list[SuiteResult]:
     # made before any suite is timed: the first use of np.random imports
     # numpy.random, which would otherwise be timed as the suite's own work
     rng = np.random.default_rng(20260823)
-    models = _models()
+    models = [ModelParams(epsilon=eps) for eps in _EPSILONS]
     evolutions = list(_evolutions(models))
     at_pi_8 = [e for e in evolutions if e[0].alpha == math.pi / 8]
     return [

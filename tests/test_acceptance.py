@@ -24,7 +24,7 @@ from tcm_entangle.config import RunConfig
 from tcm_entangle.entanglement import (pure_concurrence, reduce_to_atoms,
                                        wootters_concurrence)
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
-from tcm_entangle.propagator import decompose_model, evolve_grid
+from tcm_entangle.propagator import evolve_grid
 
 ALPHA_GRID = np.linspace(0.0, math.pi / 2, 9)
 EPSILON_GRID = (0.0, 0.1, 1.0, 2.0, 5.0)
@@ -35,7 +35,7 @@ _BASIS = Basis(2)
 
 @lru_cache(maxsize=None)
 def _decomp(epsilon: float):
-    return decompose_model(ModelParams(epsilon=epsilon))
+    return ModelParams(epsilon=epsilon).decomposition
 
 
 def _params(epsilon: float) -> ModelParams:

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analysis, analytic, entanglement, propagator
+from tcm_entangle import analysis, analytic, entanglement, hamiltonian, propagator
 from tcm_entangle.analysis import (MIN_RUN_POINTS, TRACE_AGREEMENT_TOL, DeathInterval,
                                    TraceDisagreement, TracePath, _branch_fn, analytic_concurrence,
                                    concurrence_trace, death_windows,
@@ -109,8 +111,8 @@ class TestBothPath:
     def test_disagreement_names_the_point(self, family, monkeypatch):
         # propagating under the H/g of another epsilon must fail the certificate
         spec, params = InitialStateSpec(family, math.pi / 8), ModelParams(epsilon=2.0)
-        build_hamiltonian = propagator.build_hamiltonian
-        monkeypatch.setattr(propagator, "build_hamiltonian",
+        build_hamiltonian = hamiltonian.build_hamiltonian
+        monkeypatch.setattr(hamiltonian, "build_hamiltonian",
                             lambda p: build_hamiltonian(ModelParams(epsilon=0.0)))
         with pytest.raises(TraceDisagreement, match=(
                 r"^analytic/oracle traces disagree by \S+ \(tolerance 1e-09\) at "
@@ -136,8 +138,8 @@ class TestOracleConcurrence:
 
 
 class TestDecompositionMemo:
-    """The ORACLE and BOTH paths decompose H/g once for a run of traces of
-    one params object, matched by identity."""
+    """The ORACLE and BOTH paths decompose H/g once per params object, as
+    ``ModelParams.decomposition``, and nothing else holds it."""
 
     def test_one_jacobi_call_per_params_object(self, monkeypatch):
         calls = []
@@ -169,6 +171,29 @@ class TestDecompositionMemo:
         fresh = ModelParams(epsilon=2.0)   # its basis not built yet
         assert a == b == fresh and hash(a) == hash(b) == hash(fresh)
         assert repr(a) == repr(fresh) == "ModelParams(epsilon=2.0, lam=2.0, n_max=2)"
+
+    def test_hamiltonian_and_decomposition_are_built_once_per_params(self):
+        a, b = ModelParams(epsilon=2.0, lam=1.5), ModelParams(epsilon=2.0, lam=1.5)
+        for name in ("hamiltonian", "decomposition"):
+            assert getattr(a, name) is getattr(a, name)
+            assert getattr(b, name) is not getattr(a, name)
+        assert a.hamiltonian.tobytes() == hamiltonian.build_hamiltonian(a).tobytes()
+        for x, y in zip(a.decomposition, b.decomposition):
+            assert x.tobytes() == y.tobytes()
+        assert not a.hamiltonian.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.hamiltonian[0, 1] = 0.01
+
+    def test_a_model_is_freed_after_its_run(self):
+        # no module keeps the last model (at n_max 16, a 21 MB matrix of
+        # eigenvectors) alive once its caller drops it
+        params = ModelParams(epsilon=2.0, n_max=4)
+        trace = concurrence_trace(InitialStateSpec(Family.PHI, 0.3), params,
+                                  np.linspace(0.0, 10.0, 50), TracePath.ORACLE)
+        model = weakref.ref(params)
+        del params, trace
+        gc.collect()
+        assert model() is None
 
 
 class TestDeathIntervals:

@@ -14,7 +14,7 @@ from tcm_entangle.analytic import (amplitudes, closed_form_states, phi_amplitude
                                    psi_amplitudes)
 from tcm_entangle.model import (Basis, Family, InitialStateSpec, ModelParams,
                                 initial_state)
-from tcm_entangle.propagator import decompose_model, evolve
+from tcm_entangle.propagator import evolve
 
 ALPHAS = [0.0, math.pi / 12, math.pi / 8, math.pi / 4, math.pi / 3, math.pi / 2]
 EPSILONS = [0.0, 0.5, 2.0, 5.0]
@@ -374,7 +374,7 @@ class TestOracleEquivalence:
     def test_psi_states_match_propagation(self, alpha, eps):
         params = ModelParams(epsilon=eps)
         basis = params.basis
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         spec = InitialStateSpec(Family.PSI, alpha)
         psi0 = initial_state(spec, basis)
         T_grid = np.linspace(0, 12, 25)
@@ -386,7 +386,7 @@ class TestOracleEquivalence:
     def test_phi_states_match_propagation(self, alpha, eps):
         params = ModelParams(epsilon=eps)
         basis = params.basis
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         spec = InitialStateSpec(Family.PHI, alpha)
         psi0 = initial_state(spec, basis)
         T_grid = np.linspace(0, 12, 25)
@@ -398,7 +398,7 @@ class TestOracleEquivalence:
     def test_psi_fidelity_property(self, alpha, eps, T):
         params = ModelParams(epsilon=eps)
         basis = params.basis
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         spec = InitialStateSpec(Family.PSI, alpha)
         expected = evolve(initial_state(spec, basis), decomp, T)
         (got,) = closed_form_states(spec, params, [T])

@@ -220,10 +220,13 @@ class TestCsvRoundTrip:
         assert not (tmp_path / "t.csv").exists()
 
     def test_columns_have_equal_lengths(self, tmp_path):
-        columns = [np.zeros(3), figures.format_column([1.0, 2.0])]
-        with pytest.raises(ValueError, match=r"^columns must have equal lengths, got \[3, 2\]"):
-            figures.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
-        assert not (tmp_path / "t.csv").exists()
+        for header, columns, message in [
+                (["a", "b"], [np.zeros(3), figures.format_column([1.0, 2.0])],
+                 r"^columns must have equal lengths, got \[3, 2\]"),
+                ([], [], "^columns must hold at least one column, got none")]:
+            with pytest.raises(ValueError, match=message):
+                figures.write_csv(tmp_path / "t.csv", header, columns)
+            assert not (tmp_path / "t.csv").exists()
 
     def test_no_runtime_warning(self, tmp_path):
         # the significand arithmetic must not run on numbers out of range
@@ -633,10 +636,11 @@ class TestCliVerify:
     def test_energies_match_the_full_sum(self):
         # the energy suite sums over the entries nonzero somewhere in each
         # evolution; the bytes are those of the sum over all 36 entries
-        models = verify._models()
+        models = [ModelParams(epsilon=eps) for eps in verify._EPSILONS]
         rows = list(verify._evolutions(models))
         assert len(rows) == 30
-        for *_, H, psis in rows:
+        for _, params, psis in rows:
+            H = params.hamiltonian
             assert np.count_nonzero(np.any(psis, axis=0)) < psis.shape[1]
             full = np.real(np.einsum("ti,ij,tj->t", psis.conj(), H, psis))
             assert verify._energies(H, psis).tobytes() == full.tobytes()

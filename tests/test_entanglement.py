@@ -13,7 +13,7 @@ from tcm_entangle.entanglement import (_SPIN_FLIP, concurrence_gap_bound, is_x_s
                                        pure_concurrence, reduce_to_atoms,
                                        wootters_concurrence, xstate_concurrence)
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
-from tcm_entangle.propagator import decompose_model, evolve
+from tcm_entangle.propagator import evolve
 
 
 def _pure_atomic_rho(a, b, c, d):
@@ -134,7 +134,7 @@ class TestReduceToAtoms:
     def test_evolved_psi_is_x_shaped(self, basis):
         # |x1|^2, |x2|^2, |x3|^2 on the diagonal, x1 x2* the only coherence
         params = ModelParams(epsilon=0.8)
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 8), basis)
         for T in (0.7, 2.2, 5.9):
             rho = reduce_to_atoms(evolve(psi0, decomp, T))
@@ -147,7 +147,7 @@ class TestReduceToAtoms:
         # rho_gg collects both |gg00> and |gg22|; only the ee/gg coherence
         # survives the partial trace
         params = ModelParams(epsilon=0.8)
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         psi0 = initial_state(InitialStateSpec(Family.PHI, math.pi / 8), basis)
         psi = evolve(psi0, decomp, 1.3)
         rho = reduce_to_atoms(psi)
@@ -163,7 +163,7 @@ class TestReduceToAtoms:
 
     def test_routes_agree_along_trajectory(self, basis):
         params = ModelParams(epsilon=2.0)
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 6), basis)
             for T in np.linspace(0, 10, 21):
@@ -179,7 +179,7 @@ class TestPureConcurrence:
 
     def test_matches_general_route_on_trajectories(self, basis):
         params = ModelParams(epsilon=1.3)
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         for family in Family:
             psi0 = initial_state(InitialStateSpec(family, math.pi / 5), basis)
             for T in np.linspace(0, 15, 40):
@@ -193,7 +193,7 @@ class TestPureConcurrence:
         # point where one reduced eigenvalue sits near 1e-13 and a
         # truncation-based route would leak a ~1e-6 artifact
         params = ModelParams()
-        decomp = decompose_model(params)
+        decomp = params.decomposition
         psi0 = initial_state(InitialStateSpec(Family.PHI, 0.0), basis)
         for T in np.linspace(4.70, 4.72, 9):
             psi = evolve(psi0, decomp, T)

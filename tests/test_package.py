@@ -50,7 +50,7 @@ def _phi_model():
     params = tcm_entangle.ModelParams()
     spec = tcm_entangle.InitialStateSpec(tcm_entangle.Family.PHI, 0.3)
     return (tcm_entangle.initial_state(spec, params.basis),
-            tcm_entangle.decompose_model(params))
+            params.decomposition)
 
 
 #: (call, exception, text the message must hold): a bad value at a public
@@ -86,6 +86,8 @@ _BAD_INPUT = {
     "occupied_states spec tuple": (lambda: tcm_entangle.analysis.occupied_states(
         (tcm_entangle.Family.PHI, 0.3), tcm_entangle.ModelParams(), np.array([1.0, 2.0])),
         TypeError, "^spec must be an InitialStateSpec"),
+    "analytic_concurrence None": (lambda: tcm_entangle.analysis.analytic_concurrence(
+        None, [1.0]), TypeError, "^trace must be a ConcurrenceTrace, got None"),
     "max_concurrence None": (lambda: tcm_entangle.max_concurrence(None), TypeError,
                              "^trace must be a ConcurrenceTrace, got None"),
     "estimate_period tuple": (lambda: tcm_entangle.estimate_period(
@@ -111,6 +113,8 @@ _BAD_INPUT = {
         r"^H must be basis.size = 36 square, got shape \(4, 4\)"),
     "check_conservation H not square": (lambda: hamiltonian.check_conservation(
         np.zeros((36, 4)), tcm_entangle.Basis(2)), ValueError, "^H must be basis.size = 36"),
+    "evolve psi0 length": (lambda: tcm_entangle.evolve(np.ones(5), _phi_model()[1], 1.0),
+                           ValueError, "^psi0 must be a vector of length 36, got \\(5,\\)"),
     "evolve T nan": (lambda: tcm_entangle.evolve(*_phi_model(), math.nan),
                      ValueError, "^T must be finite"),
     "evolve T inf": (lambda: tcm_entangle.evolve(*_phi_model(), math.inf),

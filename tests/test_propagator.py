@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tcm_entangle import figures, propagator, verify
 from tcm_entangle.hamiltonian import build_hamiltonian
 from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, initial_state
-from tcm_entangle.propagator import (SpectralDecomposition, decompose_model,
-                                     evolve, evolve_grid, jacobi_eigh)
+from tcm_entangle.propagator import SpectralDecomposition, evolve, evolve_grid, jacobi_eigh
 
 
 class TestJacobiEigh:
@@ -188,7 +187,7 @@ class TestSpectralDecompose:
 class TestModelDecomposition:
     def test_full_hamiltonian_decomposition(self):
         p = ModelParams(epsilon=0.7)
-        d = decompose_model(p)
+        d = p.decomposition
         H = build_hamiltonian(p)
         np.testing.assert_allclose(
             d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.conj().T,
@@ -197,7 +196,7 @@ class TestModelDecomposition:
     @pytest.mark.parametrize("eps", [0.0, 2.0])
     def test_contains_sector_eigenvalues(self, eps):
         p = ModelParams(epsilon=eps)
-        d = decompose_model(p)
+        d = p.decomposition
         kappa = math.sqrt(8 + eps**2)
         for expected in (-eps, (eps + kappa) / 2, (eps - kappa) / 2):
             assert np.min(np.abs(d.eigenvalues - expected)) < 1e-10
@@ -208,7 +207,7 @@ class TestEvolve:
     def setup(self):
         p = ModelParams(epsilon=0.0)
         basis = Basis(2)
-        d = decompose_model(p)
+        d = p.decomposition
         psi0 = initial_state(InitialStateSpec(Family.PSI, math.pi / 4), basis)
         return basis, d, psi0
 
@@ -290,7 +289,7 @@ class TestEvolveGridOccupiedEigenspace:
         params = ModelParams(epsilon=epsilon, lam=10.0 ** log_lam,
                                                 n_max=n_max)
         basis = Basis(n_max)
-        d = decompose_model(params)
+        d = params.decomposition
         psi0 = initial_state(InitialStateSpec(family, alpha), basis)
         grid = np.linspace(0.0, 10.0 ** log_tmax, points + 1)[1:]
         states = evolve_grid(psi0, d, grid)
@@ -300,7 +299,7 @@ class TestEvolveGridOccupiedEigenspace:
     @pytest.fixture
     def phi_model(self):
         basis = Basis(2)
-        return basis, decompose_model(ModelParams(epsilon=2.0))
+        return basis, ModelParams(epsilon=2.0).decomposition
 
     def test_dense_state_occupies_everything(self, phi_model):
         basis, d = phi_model
@@ -331,7 +330,7 @@ class TestEvolveGridOccupiedEigenspace:
         # PSI and PHI do not occupy the highest, yet those rows are NaN as
         # they are in the full product
         basis = Basis(2)
-        d = decompose_model(ModelParams(epsilon=0.0))
+        d = ModelParams(epsilon=0.0).decomposition
         psi0 = initial_state(InitialStateSpec(family, math.pi / 8), basis)
         grid = np.linspace(0.0, 1e308, 50)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -4,6 +4,7 @@ would otherwise break every ``--trace 1`` run with ``AttributeError``.  Its
 emission counts read the arguments and results of ``write_csv`` and
 ``line_chart``, so they are checked against the files a real run writes."""
 
+import ast
 import dataclasses
 import functools
 import importlib
@@ -198,7 +199,8 @@ def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
 
 def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
     # the 40 Haar unitaries of an evolution come from one stacked QR, and
-    # each basis of verify._models walks SUPPORT_KETS once per family:
+    # the basis of each of verify.run_all's models walks SUPPORT_KETS once
+    # per family:
     # 3 bases x (3 + 5) kets, where every state built walked them anew
     counts = {"qr": 0, "index": 0}
     qr, index = np.linalg.qr, model.Basis.index
@@ -269,6 +271,20 @@ def test_a_model_is_handed_over_as_its_params_only():
             pairs.append((name, derived))
     assert len(list(_package_functions())) > 80
     assert pairs == []
+
+
+def test_a_model_is_built_and_decomposed_in_model_only():
+    # H/g and its decomposition are ModelParams.hamiltonian and
+    # .decomposition; a call elsewhere would build a second copy of either
+    package = Path(model.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("build_hamiltonian", "jacobi_eigh"):
+                    callers.add((path.name, name))
+    assert callers == {("model.py", "build_hamiltonian"), ("model.py", "jacobi_eigh")}
 
 
 def test_a_state_gives_its_own_layout():
