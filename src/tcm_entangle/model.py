@@ -19,8 +19,9 @@ closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
 ``RunConfig``), finite (lam, the T of ``propagator.evolve``), positive
 (T_max, zero_threshold), integer (n_max, n_points, photon numbers), grid
 (``concurrence_trace``, ``evolve_grid``), family, and the types of a spec
-and a params object (``concurrence_trace``, ``occupied_states``,
-``closed_form_states``).
+(``concurrence_trace``, ``occupied_states``, ``closed_form_states``,
+``initial_state``), a params object (those three and ``build_hamiltonian``)
+and a basis (``initial_state``, ``check_conservation``).
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ def require_params(params):
         raise TypeError(f"params must be a ModelParams, got {params!r}")
 
 
+def require_basis(basis):
+    """Raise ``TypeError`` naming ``basis`` unless it is a ``Basis``."""
+    if not isinstance(basis, Basis):
+        raise TypeError(f"basis must be a Basis, got {basis!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The model in the units it is solved in: H/g over time T = g*t.
@@ -251,6 +258,8 @@ def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
 
     PSI: cos(a)|eg00> + sin(a)|ge00>;  PHI: cos(a)|ee00> + sin(a)|gg00>.
     """
+    require_spec(spec)
+    require_basis(basis)
     psi = np.zeros(basis.size, dtype=complex)
     psi[basis.support_indices(spec.family)[:2]] = math.cos(spec.alpha), math.sin(spec.alpha)
     return psi

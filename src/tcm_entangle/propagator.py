@@ -167,9 +167,12 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     one-point grid as a matrix-vector product, whose summation order
     depends on the length, so there the two agree to rounding.)  A row
     where an eigenphase w T overflows, occupied or not, is NaN, as it is in
-    the full product.  ``T_grid`` must pass ``model.require_grid``, and
-    ``psi0`` must be a vector of the decomposition's size.
+    the full product.  ``decomp`` must be a ``SpectralDecomposition``,
+    ``T_grid`` must pass ``model.require_grid``, and ``psi0`` must be a
+    vector of the decomposition's size.
     """
+    if not isinstance(decomp, SpectralDecomposition):
+        raise TypeError(f"decomp must be a SpectralDecomposition, got {decomp!r}")
     T_grid = require_grid(T_grid)
     V = decomp.eigenvectors
     if np.shape(psi0) != (V.shape[0],):

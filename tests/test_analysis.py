@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tcm_entangle import analysis, analytic, entanglement, hamiltonian, propagator
 from tcm_entangle.analysis import (MIN_RUN_POINTS, TRACE_AGREEMENT_TOL, DeathInterval,
@@ -521,6 +521,64 @@ class TestMaxConcurrence:
         assert c == pytest.approx(float(analytic_concurrence(t, T_at)), abs=1e-15)
 
 
+class TestZoomSamples:
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(0, 1e9), log_width=st.floats(-12, 9.5))
+    def test_same_bytes_as_linspace(self, lo, log_width):
+        hi = lo + 10.0 ** log_width
+        assume(hi - lo > analysis._MAX_TOL)   # the only brackets sampled
+        assert (analysis._samples(lo, hi).tobytes()
+                == np.linspace(lo, hi, analysis._ZOOM_POINTS).tobytes())
+
+
+def _linspace_max_concurrence(trace):
+    """``max_concurrence`` as it was written with ``np.linspace`` samples,
+    a ``_branch_fn`` closure per evaluation and ``np.argmax``: the
+    bit-for-bit reference of the array-method form."""
+    def conc(t):
+        return 2.0 * np.maximum(0.0, _branch_fn([trace])(t))
+
+    def zoom(lo, hi, c_best, t_best):
+        while hi - lo > 1e-12:
+            t = np.linspace(lo, hi, 33)
+            c = conc(t)
+            j = int(np.argmax(c))
+            if c[j] >= c_best:
+                c_best, t_best = float(c[j]), float(t[j])
+            lo_next, hi_next = float(t[max(j - 1, 0)]), float(t[min(j + 1, 32)])
+            if hi_next - lo_next >= hi - lo:
+                break
+            lo, hi = lo_next, hi_next
+        return c_best, t_best
+
+    T = trace.T_grid
+    k = int(np.argmax(trace.C))
+    lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
+    c_best, t_best = float(trace.C[k]), float(T[k])
+    if hi - lo <= 1e-12:
+        return c_best, t_best
+    t = np.linspace(lo, hi, 33)
+    c = conc(t)
+    edged = np.concatenate(([-np.inf], c, [-np.inf]))
+    for j in np.flatnonzero((c > edged[:-2]) & (c >= edged[2:])).tolist():
+        if c[j] >= c_best:
+            c_best, t_best = float(c[j]), float(t[j])
+        c_best, t_best = zoom(float(t[max(j - 1, 0)]), float(t[min(j + 1, 32)]),
+                              c_best, t_best)
+    return c_best, t_best
+
+
+class TestMaxConcurrenceMatchesLinspaceReference:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("eps", [0.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, math.pi / 8, 0.75, 1.3])
+    @pytest.mark.parametrize("grid", [np.linspace(0, 20, 2000), np.linspace(0, 100, 6)],
+                             ids=["fine", "coarse"])
+    def test_same_result(self, family, eps, alpha, grid):
+        t = _trace_at(family, alpha, eps, grid)
+        assert max_concurrence(t) == _linspace_max_concurrence(t)
+
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -602,6 +660,14 @@ class TestEstimatePeriod:
                                np.linspace(10, 40, 1000)])
         t = concurrence_trace(InitialStateSpec(Family.PSI, math.pi / 8),
                               ModelParams(epsilon=0.0), grid)
+        with pytest.raises(ValueError, match="T_grid"):
+            estimate_period(t)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_under_sampled_grid_rejected(self, n):
+        # a step of at least pi/kappa aliases the spectrum: this PSI trace
+        # of period 2.22 read 12.80 on 5 points and 3.47 on 8
+        t = _trace_at(Family.PSI, 0.3, 0.0, np.linspace(0, 10, n))
         with pytest.raises(ValueError, match="T_grid"):
             estimate_period(t)
 

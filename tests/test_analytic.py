@@ -344,6 +344,15 @@ class TestPhiAmplitudes:
         xs = phi_amplitudes(0.4, 1.7, 2.0, T)
         np.testing.assert_allclose(xs[2], xs[3], atol=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"_cached": True}],
+                             ids=["uncached", "cached"])
+    def test_x4_is_the_x3_array(self, kwargs):
+        # analysis._branch computes |x3|^2 once for rho_22 and rho_33
+        xs = phi_amplitudes(0.4, 1.7, 2.0, np.linspace(0, 20, 100), **kwargs)
+        assert xs[3] is xs[2]
+        xs = phi_amplitudes([0.4, 0.9], 1.7, 2.0, np.array([1.0, 2.0]), _at=[0, 1])
+        assert xs[3] is xs[2]
+
     def test_eps_zero_magnitudes(self):
         # |x1| = cos(a) cos^2 T, |x5| = cos(a) sin^2 T, |x3| = cos(a)|sin 2T|/2
         alpha = math.pi / 3

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analysis, cli, entanglement, figures, propagator, verify
+from tcm_entangle import analysis, cli, entanglement, figures, hamiltonian, propagator, verify
 from tcm_entangle.analysis import TracePath, concurrence_trace
 from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
                                  parse_angle, parse_config)
@@ -536,6 +536,18 @@ class TestCliVerify:
                             lambda A: calls.append(A.shape) or jacobi_eigh(A))
         assert _run(["verify"]) == 0
         assert len(calls) == len(verify._EPSILONS) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
+
+    def test_builds_each_hamiltonian_once(self, capsys, monkeypatch):
+        # 3 epsilons at n_max 2, 3 and 4: the conservation suite reads the
+        # n_max 2 models that every other suite reads
+        calls = []
+        build = hamiltonian.build_hamiltonian
+        monkeypatch.setattr(hamiltonian, "build_hamiltonian",
+                            lambda params: calls.append(params) or build(params))
+        assert _run(["verify"]) == 0
+        assert len(calls) == len(set(calls)) == 9
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9 and all(l.endswith("PASS") for l in lines)
 

@@ -108,6 +108,18 @@ _BAD_INPUT = {
                  ValueError, "T_grid"),
     "evolve_grid psi0 length": (lambda: tcm_entangle.evolve_grid(
         np.ones(5), _phi_model()[1], [0.0, 1.0]), ValueError, "^psi0 must be a vector of length 36"),
+    "initial_state spec text": (lambda: tcm_entangle.initial_state("PSI", tcm_entangle.Basis(2)),
+                                TypeError, "^spec must be an InitialStateSpec, got 'PSI'"),
+    "initial_state params for basis": (lambda: tcm_entangle.initial_state(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3), tcm_entangle.ModelParams()),
+        TypeError, "^basis must be a Basis, got ModelParams"),
+    "evolve_grid decomp None": (lambda: tcm_entangle.evolve_grid(
+        _phi_model()[0], None, [0.0, 1.0]), TypeError,
+        "^decomp must be a SpectralDecomposition, got None"),
+    "build_hamiltonian None": (lambda: hamiltonian.build_hamiltonian(None), TypeError,
+                               "^params must be a ModelParams, got None"),
+    "check_conservation basis None": (lambda: hamiltonian.check_conservation(
+        np.zeros((36, 36)), None), TypeError, "^basis must be a Basis, got None"),
     "check_conservation H size": (lambda: hamiltonian.check_conservation(
         np.zeros((4, 4)), tcm_entangle.Basis(2)), ValueError,
         r"^H must be basis.size = 36 square, got shape \(4, 4\)"),
