@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,18 +280,20 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
                   ) -> list[list[DeathInterval]]:
     """:func:`detect_death_intervals` of every trace, refined together.
 
-    Each element must be a ``ConcurrenceTrace`` (a ``TypeError`` names
-    ``trace``), and the traces must share family, epsilon, lam and T_grid
-    (a ``ValueError`` names the field that differs); their alpha may
-    differ.  Each closed-form call takes the points of every trace, each at
-    its own trace's alpha, and each bracket stops on its own test, so every
-    trace gets the windows it gets alone.  (One call takes the sub-threshold
-    points of all traces; from 16,384 points on, numpy computes its complex
-    products in place, which may round a branch value differently, but
-    those values only decide whether a run's minimum lies below
-    -zero_threshold/2.)
+    ``traces`` must be iterable and each element a ``ConcurrenceTrace``
+    (a ``TypeError`` names ``traces`` or ``trace``), and the traces must
+    share family, epsilon, lam and T_grid (a ``ValueError`` names the field
+    that differs); their alpha may differ.  Each closed-form call takes the
+    points of every trace, each at its own trace's alpha, and each bracket
+    stops on its own test, so every trace gets the windows it gets alone.
+    (One call takes the sub-threshold points of all traces; from 16,384
+    points on, numpy computes its complex products in place, which may
+    round a branch value differently, but those values only decide whether
+    a run's minimum lies below -zero_threshold/2.)
     """
     require_positive("zero_threshold", zero_threshold)
+    if not isinstance(traces, Iterable):
+        raise TypeError(f"traces must be an iterable of ConcurrenceTrace, got {traces!r}")
     traces = list(traces)
     for trace in traces:
         require_trace(trace)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .model import (Family, InitialStateSpec, ModelParams, require_alpha, require_epsilon,
                     require_family, require_finite, require_grid, require_params,
-                    require_spec)
+                    require_reals, require_spec)
 
 
 class _GridCache:
@@ -120,7 +120,7 @@ def _alpha_factors(alpha, epsilon: float, at):
 def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _at=None):
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
-    T = np.asarray(T, dtype=float)
+    T = require_reals("T", T)
     k = math.sqrt(8.0 + epsilon * epsilon)
     theta_plus = cos_a + sin_a
     theta_minus = cos_a - sin_a
@@ -149,7 +149,7 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     require_finite("lam", lam)
-    T = np.asarray(T, dtype=float)
+    T = require_reals("T", T)
     eta = math.sqrt(16.0 + epsilon * epsilon)
     gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
         _GRID_CACHE.terms(_phi_terms, (epsilon, lam), T) if _cached

@@ -50,7 +50,10 @@ def file_tag(value: float) -> str:
 def parse_angle(token: str) -> float:
     """Parse a decimal or a pi-expression like `pi/8` or `3*pi/16`.
 
-    A pi-expression with a zero denominator raises ``ConfigError``."""
+    A pi-expression with a zero denominator raises ``ConfigError``; a
+    ``token`` that is not a str raises ``TypeError``."""
+    if not isinstance(token, str):
+        raise TypeError(f"token must be a str, got {token!r}")
     token = token.strip()
     m = _PI_RE.match(token)
     if m:
@@ -143,8 +146,11 @@ def parse_config(text: str, **overrides) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
     Unknown keys and malformed lines are rejected with their line number.
-    Keyword ``overrides`` take precedence over the file contents.
+    Keyword ``overrides`` take precedence over the file contents.  A
+    ``text`` that is not a str raises ``TypeError``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {text!r}")
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

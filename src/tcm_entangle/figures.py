@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, svgplot
+from . import analysis, numtext, svgplot
 from .config import NUMBER_FORMAT, RunConfig, file_tag, fmt
 from .model import Family, InitialStateSpec, ModelParams
 
@@ -27,64 +27,70 @@ def format_column(values) -> list[str]:
     return [NUMBER_FORMAT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-#: the spec of a number in [1e-4, 1) written from its integer significand,
-#: by decimal exponent -1 .. -4, then negated; index 0 formats the float
-_SPECS = (NUMBER_FORMAT, "0.%d", "0.0%d", "0.00%d", "0.000%d",
-          "-0.%d", "-0.0%d", "-0.00%d", "-0.000%d")
+#: the text before the significand of a number in [1e-4, 1), by decimal
+#: exponent -1 .. -4, then negated; index 0 is a number that %.15g writes
+_PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000",
+                    b"-0.", b"-0.0", b"-0.00", b"-0.000"], dtype="S8").view(np.uint64)
 #: 10^(14 - X) for decimal exponents X = -1 .. -4, each exact in a double
 _SCALES = 10.0 ** np.arange(15, 19)
-
-
-def _split(a):
-    """Veltkamp's split a = hi + lo, each part with at most 26 significant bits."""
-    c = 134217729.0 * a   # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_SCALES_HI, _SCALES_LO = _split(_SCALES)
+#: the four digits of 0 .. 9999
+_DIGITS4 = numtext.words([numtext.digits(4)])
+#: the last three digits of a significand, its last one NUL if it is a
+#: dropped 0, and the end of the cell, for a column ending in "," and the last
+_TAIL = {end: numtext.words([numtext.digits(3)[:, :2],
+                             np.tile(np.r_[0, 49:58].astype(np.uint8), 100),
+                             np.full(1000, ord(end), np.uint8)])
+         for end in (",", "\n")}
 
 
 def _number_cells(values: np.ndarray):
-    """`_SPECS` index and %-argument of each number in ``values``.
+    """`_PREFIX` index and 15-digit significand r of each number in ``values``.
 
     A number v with 1e-4 <= |v| < 1 whose 15-digit significand r fits the
-    decimal exponent X and does not end in 00 gets the spec of X and the
-    integer r (one trailing zero dropped); every other number gets spec 0
-    and itself.  Numbers out of range are replaced by 0.5 before any
-    arithmetic, so nothing overflows or underflows.
-
-    r is rint(hi) for the rounded product hi = |v| 10^(14-X), corrected by
-    Dekker's low part lo only where hi is a tie (|hi - rint(hi)| = 0.5).
-    Elsewhere hi - rint(hi) is a multiple of ulp(hi) < 1, so it is at most
-    0.5 - ulp(hi) in size, and |lo| <= ulp(hi)/2 keeps the exact product
-    hi + lo nearer rint(hi) than any other integer."""
+    decimal exponent X and does not end in 00 gets the index of X and the
+    sign, and r = |v| 10^(14-X) rounded half to even (`numtext.rint_product`);
+    every other number gets index 0 and r = 0.  Numbers out of range are
+    replaced by 0.5 before any arithmetic, so nothing overflows or underflows."""
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)
     a = np.where(fast, a, 0.5)
     exp10 = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
-    i = -1 - exp10
-    hi = a * _SCALES[i]
-    r = np.rint(hi)
-    half = hi - r
-    tie = (np.abs(half) == 0.5).nonzero()[0]
-    if tie.size:
-        a_hi, a_lo = _split(a[tie])
-        p_hi, p_lo = _SCALES_HI[i[tie]], _SCALES_LO[i[tie]]
-        lo = ((a_hi * p_hi - hi[tie]) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-        r[tie] += np.where(lo * half[tie] > 0, 2.0 * half[tie], 0.0)
-    digits = r.astype(np.int64)
-    digits = np.where(digits % 10 == 0, digits // 10, digits)
-    fast &= (r >= 1e14) & (r < 1e15) & (digits % 10 != 0)
-    args = digits.tolist()
-    slow = (~fast).nonzero()[0]
-    for k, v in zip(slow.tolist(), values[slow].tolist()):
-        args[k] = v
-    return np.where(fast, 4 * (values < 0) - exp10, 0), args
+    r = numtext.rint_product(a, _SCALES[-1 - exp10])
+    hundreds = r / 100.0   # an integer only where r is, as r < 2^53
+    fast &= (r >= 1e14) & (r < 1e15) & (hundreds != np.floor(hundreds))
+    return np.where(fast, 4 * (values < 0) - exp10, 0), np.where(fast, r, 0.0)
 
 
-#: the row of `_SPECS` for a column ending in "," and for the last column
-_SPEC_ROWS = {end: np.array([s + end for s in _SPECS], dtype=object) for end in (",", "\n")}
+def _number_column(values: np.ndarray, end: str):
+    """(slot width, fill) of a number column, for `numtext.rows_text`.
+
+    A slot of 24 bytes holds the prefix, the 15 digits of r from
+    `_number_cells` (the last one NUL where it is the 0 that %.15g drops)
+    and ``end``.  r < 10^15 < 2^53 is an integer, so its digit groups come
+    from exact float steps: r / 10^7 < 10^8 is an integer or at least
+    10^-7 from one, far more than its rounding error (< 10^-8), and the
+    same holds for the smaller quotients by 10^4 and 10^3.  Numbers with
+    index 0 are %.15g text."""
+    index, r = _number_cells(values)
+    slow = (index == 0).nonzero()[0]
+    texts = numtext.utf8([NUMBER_FORMAT % v for v in values[slow].tolist()])
+
+    def fill(slots):
+        top = np.floor(r / 1e7)   # r = 10^7 top + low: 8 digits, then 7
+        low = r - 1e7 * top
+        high4, mid4 = np.floor(top / 1e4), np.floor(low / 1e3)
+        slots[:, :8].view(np.uint64)[:, 0] = _PREFIX[index]
+        word = slots[:, :24].view(np.uint32)
+        word[:, 2] = _DIGITS4[high4.astype(np.intp)]
+        word[:, 3] = _DIGITS4[(top - 1e4 * high4).astype(np.intp)]
+        word[:, 4] = _DIGITS4[mid4.astype(np.intp)]
+        word[:, 5] = _TAIL[end][(low - 1e3 * mid4).astype(np.intp)]
+        slots[slow] = 0
+        numtext.put_text(slots, slow, texts, end)
+
+    return max(24, numtext.slot_width(texts)), fill
+
+
 #: the text of a 0/1 flag, as `fmt` writes 0 and 1
 _FLAG_TEXT = np.array(format_column((0.0, 1.0)), dtype=object)
 
@@ -95,25 +101,32 @@ def _flag_column(mask) -> list[str]:
     return _FLAG_TEXT[np.asarray(mask, dtype=bool).astype(np.intp)].tolist()
 
 
+def _plain(cells) -> bool:
+    """Whether ``cells`` are all str without NUL, which text slots hold."""
+    try:
+        return "\0" not in "".join(cells)
+    except TypeError:
+        return False
+
+
 def write_csv(path: Path, header: list[str], columns: list):
     """Header row, then one row per index of the equal-length ``columns``.
 
     A column is numbers, written as `fmt` writes them, or the strings
-    of `format_column` (or of `_flag_column`).  The whole body is formatted
-    in one %-call.  A ``ValueError`` names ``header`` when it does not
-    name every column, and ``columns`` when there are none or their
-    lengths differ.
+    of `format_column` (or of `_flag_column`).  A ``ValueError`` names
+    ``header`` when it does not name every column, and ``columns`` when
+    there are none or their lengths differ.
 
-    `fmt` of a number v with 1e-4 <= |v| < 1 and decimal exponent X is
-    "0." and -X-1 zeros, then the 15-digit significand r = |v| 10^(14-X)
-    rounded half to even, less its trailing zeros.  CPython's %.15g takes
-    its slow bignum route for each such number, so where r fits X and ends
-    in at most one zero the cell is written as ``"0.0%d" % r`` (one zero
-    dropped) and the like, with the same bytes.  r is exact: the rounded
-    product hi rounds to r unless hi is a tie, and only there is Dekker's
-    product (T. J. Dekker, Numer. Math. 18, 224-242, 1971) on Veltkamp
-    splits computed, hi + lo = |v| 10^(14-X) exactly, whose low part lo
-    settles the tie.  Every other number is written by %.15g as before."""
+    The body is built as bytes, `numtext.BLOCK_ROWS` rows at a time: each
+    cell gets a slot (`_number_column`, `numtext.text_column`) and the rows
+    are the slots' nonzero bytes.  `fmt` of a number v with 1e-4 <= |v| < 1
+    and decimal exponent X is "0." and -X-1 zeros, then the 15-digit
+    significand r = |v| 10^(14-X) rounded half to even, less its trailing
+    zeros.  Where r fits X and ends in at most one zero, its slot is filled
+    with those bytes from digit tables, not by CPython's %.15g, which takes
+    its slow bignum route for each such number.  Every other number is
+    %.15g text.  A block whose text cells are not all str without NUL is
+    written row by row with `format_column` and str."""
     if len(header) != len(columns):
         raise ValueError(f"header must name each of the {len(columns)} columns, "
                          f"got {len(header)} names")
@@ -122,17 +135,20 @@ def write_csv(path: Path, header: list[str], columns: list):
     n, k = len(columns[0]), len(columns)
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
-    specs, cells = [None] * (n * k), [None] * (n * k)
-    for j, column in enumerate(columns):
-        end = "," if j < k - 1 else "\n"
-        if len(column) > 0 and isinstance(column[0], str):
-            specs[j::k] = ["%s" + end] * n
-            cells[j::k] = column
-        else:
-            index, cells[j::k] = _number_cells(np.asarray(column, dtype=float))
-            specs[j::k] = _SPEC_ROWS[end][index].tolist()
-    body = "".join(specs) % tuple(cells)
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+    ends = [","] * (k - 1) + ["\n"]
+    text = [n > 0 and isinstance(column[0], str) for column in columns]
+    columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, text)]
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, n, numtext.BLOCK_ROWS):
+            block = [column[start:start + numtext.BLOCK_ROWS] for column in columns]
+            if all(_plain(cells) for cells, t in zip(block, text) if t):
+                out.writelines(numtext.rows_text(
+                    [numtext.text_column(cells, end) if t else _number_column(cells, end)
+                     for cells, t, end in zip(block, text, ends)], len(block[0])))
+            else:
+                cells = [map(str, c) if t else format_column(c) for c, t in zip(block, text)]
+                out.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
 
 
 def _write_metadata(out: Path, config: RunConfig, note: str):
@@ -155,8 +171,11 @@ def run(config: RunConfig) -> list[Path]:
     PSI writes ``fig1_*`` files with columns T, C, signed_C, x1_abs, x2_abs,
     x3_abs.  PHI writes ``fig2_*`` files with columns T, C, x1_abs, x2_abs,
     x3_abs, x5_abs, in_death_window, plus intervals.csv of death windows
-    with columns alpha, epsilon, T_start, T_end, length, refined.
+    with columns alpha, epsilon, T_start, T_end, length, refined.  A
+    ``config`` that is not a ``RunConfig`` raises ``TypeError``.
     """
+    if not isinstance(config, RunConfig):
+        raise TypeError(f"config must be a RunConfig, got {config!r}")
     psi_family = config.family is Family.PSI
     prefix = "fig1" if psi_family else "fig2"
     out = Path(config.output_dir)

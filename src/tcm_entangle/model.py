@@ -17,8 +17,9 @@ in its message (the value rules return the value they checked); every
 boundary that takes the quantity calls it: alpha (``InitialStateSpec``, the
 closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
 ``RunConfig``), finite (lam, the T of ``propagator.evolve``), positive
-(T_max, zero_threshold), integer (n_max, n_points, photon numbers), grid
-(``concurrence_trace``, ``evolve_grid``), family, and the types of a spec
+(T_max, zero_threshold), integer (n_max, n_points, photon numbers), reals
+(a grid, the T of the closed forms), grid (``concurrence_trace``,
+``evolve_grid``, ``closed_form_states``), family, and the types of a spec
 (``concurrence_trace``, ``occupied_states``, ``closed_form_states``,
 ``initial_state``), a params object (those three and ``build_hamiltonian``)
 and a basis (``initial_state``, ``check_conservation``).
@@ -110,9 +111,18 @@ def require_integer(name: str, value):
     return value
 
 
+def require_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array; a ``TypeError`` names ``name`` if they
+    are not real numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be real numbers, got {values!r}") from None
+
+
 def require_grid(T_grid) -> np.ndarray:
-    """``T_grid`` as a float array, checked non-empty, 1-d, finite and ascending."""
-    T_grid = np.asarray(T_grid, dtype=float)
+    """``T_grid`` as a float array, checked real, non-empty, 1-d, finite and ascending."""
+    T_grid = require_reals("T_grid", T_grid)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise ValueError("T_grid must be a non-empty 1-d array")
     if not np.all(np.isfinite(T_grid)):

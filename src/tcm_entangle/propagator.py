@@ -82,9 +82,9 @@ def jacobi_eigh(H: np.ndarray) -> SpectralDecomposition:
     Returns a ``SpectralDecomposition``, which unpacks as ``w, V``.
     """
     A = np.array(H, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"H must be a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
     scale = float(np.max(np.abs(A))) if n else 0.0
     if scale and float(np.max(np.abs(A - A.conj().T))) > _HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian")

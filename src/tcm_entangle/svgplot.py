@@ -10,10 +10,57 @@ import math
 
 import numpy as np
 
+from . import numtext
+
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+#: "%3d." % u for u = 0 .. 999, with NUL for each leading blank
+_WHOLE = numtext.digits(3)
+_WHOLE[:100, 0] = _WHOLE[:10, 1] = 0
+_WHOLE = numtext.words([_WHOLE, np.full(1000, ord("."), np.uint8)])
+#: the two decimals of 0 .. 99, then the end of a coordinate and NUL
+_CENTS = {end: numtext.words([numtext.digits(2), np.full(100, ord(end), np.uint8),
+                              np.zeros(100, np.uint8)])
+          for end in (",", " ")}
+
+
+def _coordinate_column(values: np.ndarray, end: str):
+    """(slot width, fill) of pixel coordinates for `numtext.rows_text`.
+
+    A slot of 8 bytes holds ``"%.2f" % v`` and ``end``: r = 100 v rounded
+    half to even (`numtext.rint_product`) gives the whole part r // 100 and
+    the two decimals.  A value that is negative (-0.0 too), not finite or
+    has r >= 10^5 is "%.2f" text."""
+    slow = ~((values >= 0.0) & (values < 1e3)) | np.signbit(values)
+    r = numtext.rint_product(np.where(slow, 0.0, values), 100.0)
+    slow |= r >= 1e5
+    r[slow] = 0.0
+    rows = slow.nonzero()[0]
+    texts = numtext.utf8(["%.2f" % v for v in values[rows].tolist()])
+
+    def fill(slots):
+        whole = np.floor(r / 100.0)
+        word = slots[:, :8].view(np.uint32)
+        word[:, 0] = _WHOLE[whole.astype(np.intp)]
+        word[:, 1] = _CENTS[end][(r - 100.0 * whole).astype(np.intp)]
+        slots[rows] = 0
+        numtext.put_text(slots, rows, texts, end)
+
+    return max(8, numtext.slot_width(texts)), fill
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The points attribute of a polyline: "x,y" pairs, "%.2f" each, joined
+    by single blanks, built `numtext.BLOCK_ROWS` points at a time."""
+    step = numtext.BLOCK_ROWS
+    text = b"".join(piece for i in range(0, xs.size, step)
+                    for piece in numtext.rows_text([_coordinate_column(xs[i:i + step], ","),
+                                                    _coordinate_column(ys[i:i + step], " ")],
+                                                   len(xs[i:i + step])))
+    return text[:-1].decode("ascii")
 
 
 def _nice_ticks(lo: float, hi: float):
@@ -35,7 +82,10 @@ def _nice_ticks(lo: float, hi: float):
 
 
 def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
-    """Render curves [(label, xs, ys), ...] into an SVG document string."""
+    """Render curves [(label, xs, ys), ...] into an SVG document string.
+
+    A point's pixel coordinates are written as ``"%.2f,%.2f"`` writes them,
+    by the byte kernel of `_points`."""
     curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in curves]
     xs_all = np.concatenate([xs for _, xs, _ in curves])
@@ -89,15 +139,9 @@ def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> s
                  f'font-family="sans-serif" font-size="14" '
                  f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
 
-    x_text = {}   # x pixels as text, once per distinct x column (curves share T)
     for k, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
-        key = xs.tobytes()
-        if key not in x_text:
-            x_text[key] = ("%.2f " * len(xs) % tuple(px(xs).tolist())).split()
-        cells = [None] * (2 * len(xs))
-        cells[0::2], cells[1::2] = x_text[key], py(ys).tolist()
-        points = " ".join(["%s,%.2f"] * len(xs)) % tuple(cells)
+        points = _points(px(xs), py(ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         ly = MARGIN_T + 16 + 18 * k

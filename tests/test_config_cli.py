@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analysis, cli, entanglement, figures, hamiltonian, propagator, verify
+from tcm_entangle import (analysis, cli, entanglement, figures, hamiltonian, numtext,
+                          propagator, verify)
 from tcm_entangle.analysis import TracePath, concurrence_trace
 from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
                                  parse_angle, parse_config)
@@ -204,6 +205,14 @@ class TestCsvRoundTrip:
     # ...453 (rint alone gives ...454); 24691/2^16 is exact, rounded to even
     @example(columns=[[0.003876065703844535, -0.003876065703844535]])
     @example(columns=[[0.3767547607421875, -0.3767547607421875]])
+    # text cells that are not ASCII or are wider than a number's 24-byte
+    # slot; r = 10^15 after rounding, which %.15g writes as "1"
+    @example(columns=[["0.5", "\u00e9t\u00e9", "\u03b1 = \u03c0/4"], [0.25, 1e-3, -0.5]])
+    @example(columns=[["x" * 23, "y" * 24, "z" * 40], [0.1, 0.2, 0.3]])
+    @example(columns=[[0.9999999999999999, -0.9999999999999999, 0.99999999999999994]])
+    # cells a text slot cannot hold: NUL, and a cell that is not a str
+    @example(columns=[["a\0b", "c\0", "d"], [0.5, 0.25, 0.125]])
+    @example(columns=[["a", 1.5, None], [0.5, 0.25, 0.125]])
     def test_matches_one_call_writer(self, columns):
         header = [f"c{j}" for j in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
@@ -211,6 +220,20 @@ class TestCsvRoundTrip:
             figures.write_csv(path, header, columns)
             _one_call_writer(reference, header, columns)
             assert path.read_bytes() == reference.read_bytes()
+
+    def test_long_columns_cross_blocks(self, tmp_path):
+        # 200,001 rows are written in blocks of numtext.BLOCK_ROWS rows; the
+        # blocks must join into the one-call writer's bytes
+        rng = np.random.default_rng(27)
+        n = 200_001
+        assert n > 6 * numtext.BLOCK_ROWS
+        grid = np.linspace(0.0, 40.0, n)
+        values = rng.random(n) * 10.0 ** rng.integers(-6, 2, n) * rng.choice([-1.0, 1.0], n)
+        flags = figures.format_column(rng.random(n) < 0.5)
+        columns = [figures.format_column(grid), values, np.abs(np.sin(grid)), flags]
+        figures.write_csv(tmp_path / "t.csv", ["T", "v", "s", "f"], columns)
+        _one_call_writer(tmp_path / "reference.csv", ["T", "v", "s", "f"], columns)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_header_names_every_column(self, tmp_path):
         # a short header used to give rows with more cells than names

@@ -10,15 +10,16 @@ PSI sweep pin is the benchmark's SVG workload at fixed inputs.
 
 ``line_chart`` is also compared string for string with the scalar renderer
 it replaced (two closure calls and one f-string per point), kept below as
-the reference."""
+the reference, and the byte kernel that writes its coordinates is compared
+with "%.2f" value by value."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tcm_entangle import analytic, cli, svgplot
+from tcm_entangle import analytic, cli, numtext, svgplot
 
 _FIG2_CURVES = {
     "fig2_alpha0p261799387799149_eps0.csv": "f182d56be2d99c991cccfadfcec159c8a950f5a6d7344ab1f0b9b89cc15adb22",
@@ -240,4 +241,49 @@ class TestLineChartMatchesScalarReference:
         grid = np.linspace(0.0, 40.0, 4000)
         curves = [(f"alpha = {a:.4f}", grid, np.abs(np.sin(2 * a) * np.cos(grid)))
                   for a in (0.2, 0.5, 1.1)]
+        assert svgplot.line_chart(curves) == _scalar_line_chart(curves)
+
+
+def _coordinate_text(values, end):
+    """Each value as `svgplot` writes a polyline coordinate, ``end`` after each."""
+    values = np.asarray(values, dtype=float)
+    pieces = numtext.rows_text([svgplot._coordinate_column(values, end)], values.size)
+    return b"".join(pieces).decode("ascii").split(end)[:-1]
+
+
+def _neighbours(values):
+    """``values`` or an adjacent double."""
+    return st.builds(lambda v, to: float(np.nextafter(v, to * np.inf)) if to else v,
+                     values, st.sampled_from([-1, 0, 1]))
+
+
+# the values where "%.2f" is hardest to match: exact binary ties of the third
+# decimal (k/8, k/64), decimals ending in 5 there with their neighbouring
+# doubles, 999.995 and its neighbours, which carry into a fourth whole
+# digit, and the values the kernel hands to "%.2f": signed zeros,
+# negatives, NaN, infinities and values of 1000 and up
+_COORDINATE = st.one_of(
+    st.integers(0, 8 * 1000 - 1).map(lambda k: k / 8),
+    st.integers(0, 64 * 1000 - 1).map(lambda k: k / 64),
+    _neighbours(st.integers(0, 99_999).map(lambda k: float(f"{k // 100}.{k % 100:02d}5"))),
+    _neighbours(st.sampled_from([999.995, 999.985, 99.995, 9.995, 0.995, 0.005])),
+    st.floats(0.0, 1000.0, exclude_max=True),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1000.0, 1e300, 5e-324]),
+    st.floats(-1000.0, 0.0) | st.floats(1000.0, 1e20),
+)
+
+
+class TestCoordinateText:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_COORDINATE, min_size=1, max_size=50),
+           end=st.sampled_from([",", " "]))
+    @example(values=[12.125, 0.125, 0.375, 999.995, float(np.nextafter(999.995, 0.0)),
+                     999.994999, -0.0, 0.0, -0.001, np.nan, np.inf, -np.inf], end=" ")
+    def test_matches_percent_2f(self, values, end):
+        assert _coordinate_text(values, end) == ["%.2f" % v for v in values]
+
+    def test_long_curve_crosses_blocks(self):
+        # a polyline is written numtext.BLOCK_ROWS points at a time
+        grid = np.linspace(0.0, 40.0, 2 * numtext.BLOCK_ROWS + 3)
+        curves = [("alpha = 0.3000", grid, np.abs(np.sin(grid)))]
         assert svgplot.line_chart(curves) == _scalar_line_chart(curves)

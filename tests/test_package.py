@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tcm_entangle
-from tcm_entangle import analytic, config, hamiltonian, model
+from tcm_entangle import analytic, config, figures, hamiltonian, model, propagator
 from tcm_entangle.config import ConfigError, RunConfig
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -175,6 +175,25 @@ _BAD_INPUT = {
     "amplitudes lam text": (lambda: analytic.amplitudes(tcm_entangle.Family.PSI, 0.3, 0.0,
                                                         "2", [1.0]),
                             TypeError, "lam"),
+    "figures.run None": (lambda: figures.run(None), TypeError,
+                         "^config must be a RunConfig, got None"),
+    "death_windows None": (lambda: tcm_entangle.death_windows(None), TypeError,
+                           "^traces must be an iterable of ConcurrenceTrace, got None"),
+    "parse_config None": (lambda: config.parse_config(None), TypeError,
+                          "^text must be a str, got None"),
+    "parse_angle None": (lambda: config.parse_angle(None), TypeError,
+                         "^token must be a str, got None"),
+    "require_grid text": (lambda: model.require_grid("x"), TypeError,
+                          "^T_grid must be real numbers, got 'x'"),
+    "trace grid text": (lambda: tcm_entangle.concurrence_trace(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3), tcm_entangle.ModelParams(),
+        ["x"]), TypeError, r"^T_grid must be real numbers, got \['x'\]"),
+    "evolve_grid grid object": (lambda: tcm_entangle.evolve_grid(*_phi_model(), object()),
+                                TypeError, "^T_grid must be real numbers"),
+    "amplitudes T text": (lambda: analytic.phi_amplitudes(0.3, 0.0, 2.0, "x"), TypeError,
+                          "^T must be real numbers, got 'x'"),
+    "jacobi_eigh None": (lambda: propagator.jacobi_eigh(None), ValueError,
+                         r"^H must be a square matrix, got shape \(\)"),
 }
 
 
