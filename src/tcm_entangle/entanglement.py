@@ -94,9 +94,15 @@ def pure_concurrence(psi: np.ndarray) -> float | np.ndarray:
     similarity eig(rho rho_tilde) = eig(conj(N) N) holds because
     conj(B)^T = B^dag.  This route never forms sqrt(rho), so it keeps
     machine accuracy even when the reduced state is nearly rank-deficient.
-    States of shape (..., 4 m) give C of shape (...), each checked for unit norm.
+    States of shape (..., 4 m) give C of shape (...), each checked for unit
+    norm; a ``TypeError`` names ``psi`` if it is not complex numbers.
     """
-    psi = np.asarray(psi, dtype=complex)
+    try:
+        if psi is None:
+            raise TypeError   # numpy reads None as NaN
+        psi = np.asarray(psi, dtype=complex)
+    except (TypeError, ValueError):
+        raise TypeError(f"psi must be complex numbers, got {psi!r}") from None
     B = _atom_blocks(psi)
     require_unit_norms(np.linalg.norm(psi, axis=-1))
     C = _block_concurrence(B)

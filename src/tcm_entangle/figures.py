@@ -22,73 +22,121 @@ FIGURE_EPSILONS = (0.0, 2.0)
 
 
 def format_column(values) -> list[str]:
-    """`fmt` of each value, in one pass.  A column that several
-    files share is formatted once and handed to `write_csv` as text."""
+    """`fmt` of each value, in one pass: the text that the byte kernel of
+    `write_csv` reproduces, and that of the 0/1 flags (`_flag_column`)."""
     return [NUMBER_FORMAT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-#: the text before the significand of a number in [1e-4, 1), by decimal
-#: exponent -1 .. -4, then negated; index 0 is a number that %.15g writes
-_PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000",
-                    b"-0.", b"-0.0", b"-0.00", b"-0.000"], dtype="S8").view(np.uint64)
-#: 10^(14 - X) for decimal exponents X = -1 .. -4, each exact in a double
-_SCALES = 10.0 ** np.arange(15, 19)
-#: the four digits of 0 .. 9999
-_DIGITS4 = numtext.words([numtext.digits(4)])
-#: the last three digits of a significand, its last one NUL if it is a
-#: dropped 0, and the end of the cell, for a column ending in "," and the last
-_TAIL = {end: numtext.words([numtext.digits(3)[:, :2],
-                             np.tile(np.r_[0, 49:58].astype(np.uint8), 100),
-                             np.full(1000, ord(end), np.uint8)])
-         for end in (",", "\n")}
+#: kinds of number, the `_number_cells` index // 2 (its low bit is the
+#: sign): 0 is a number that %.15g writes, 1 is 0, and k = X + 6 a number
+#: of decimal exponent -4 <= X <= 14; by index, the text before its digits
+_KINDS = [b"", b"0", b"0.000", b"0.00", b"0.0", b"0."] + [b""] * 15
+_PREFIX = np.array([sign + text for text in _KINDS for sign in (b"", b"-")],
+                   dtype="S8").view(np.uint64)
+#: by index, r = SPLIT q + f splits the significand r into the integer part
+#: q and the fraction f, whose digits f SHIFT take the place of r's after a
+#: 0; by X + 5, 10^(14 - X).  Powers of ten up to 10^22 are exact doubles.
+#: The tables are built in Python: each numpy operation first run at
+#: import added to the peak RSS of every command
+_SPLIT = np.array([10.0 ** min(20 - k, 15) for k in range(21) for _ in "+-"])
+_SHIFT = np.array([10.0 ** max(k - 6, 0) for k in range(21) for _ in "+-"])
+_SCALES = np.array([10.0 ** (19 - i) for i in range(20)])
+#: the last three digits of a significand, their trailing zeros NUL, and
+#: the end of the cell, for a column ending in "," and the last
+_TAIL3 = numtext.digits(3)
+_TAIL3[::10, 2] = _TAIL3[::100, 1] = _TAIL3[0, 0] = 0
+_TAIL = {end: numtext.words([_TAIL3, np.full(1000, ord(end), np.uint8)]) for end in (",", "\n")}
 
 
 def _number_cells(values: np.ndarray):
     """`_PREFIX` index and 15-digit significand r of each number in ``values``.
 
-    A number v with 1e-4 <= |v| < 1 whose 15-digit significand r fits the
-    decimal exponent X and does not end in 00 gets the index of X and the
-    sign, and r = |v| 10^(14-X) rounded half to even (`numtext.rint_product`);
-    every other number gets index 0 and r = 0.  Numbers out of range are
-    replaced by 0.5 before any arithmetic, so nothing overflows or underflows."""
+    A number v with 1e-4 <= |v| < 1e15 and decimal exponent X (that of |v|
+    rounded to 15 digits) gets r = |v| 10^(14-X) rounded half to even
+    (`numtext.rint_product`) and the index 2 (X + 6) + sign.  X is that of
+    log10, less one where r would be 10^14 but is below 10^15 at X - 1,
+    and plus one where r rounds up to 10^15.  A zero gets the index 2 +
+    sign, every other number the index 0, and both r = 0.  Numbers out of
+    range are replaced by 0.5 before any arithmetic, so nothing overflows
+    or underflows."""
     a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1.0)
+    fast = (a >= 1e-4) & (a < 1e15)
     a = np.where(fast, a, 0.5)
-    exp10 = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
-    r = numtext.rint_product(a, _SCALES[-1 - exp10])
-    hundreds = r / 100.0   # an integer only where r is, as r < 2^53
-    fast &= (r >= 1e14) & (r < 1e15) & (hundreds != np.floor(hundreds))
-    return np.where(fast, 4 * (values < 0) - exp10, 0), np.where(fast, r, 0.0)
+    exp10 = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.intp)
+    r = numtext.rint_product(a, _SCALES[exp10 + 5])
+    low = (r <= 1e14).nonzero()[0]   # log10 of 99999.9999999999 rounds to 5
+    if low.size:
+        lower = numtext.rint_product(a[low], _SCALES[exp10[low] + 4])   # r at X - 1
+        fits = lower < 1e15
+        r[low[fits]], exp10[low[fits]] = lower[fits], exp10[low[fits]] - 1
+    carry = (r == 1e15).nonzero()[0]
+    r[carry], exp10[carry] = 1e14, exp10[carry] + 1
+    fast &= exp10 <= 14
+    sign = np.signbit(values)
+    index = 2 * exp10 + 12 + sign
+    other = (~fast).nonzero()[0]
+    index[other] = np.where(values[other] == 0, 2 + sign[other], 0)
+    r[other] = 0.0
+    return index, r
 
 
 def _number_column(values: np.ndarray, end: str):
     """(slot width, fill) of a number column, for `numtext.rows_text`.
 
-    A slot of 24 bytes holds the prefix, the 15 digits of r from
-    `_number_cells` (the last one NUL where it is the 0 that %.15g drops)
-    and ``end``.  r < 10^15 < 2^53 is an integer, so its digit groups come
-    from exact float steps: r / 10^7 < 10^8 is an integer or at least
-    10^-7 from one, far more than its rounding error (< 10^-8), and the
-    same holds for the smaller quotients by 10^4 and 10^3.  Numbers with
-    index 0 are %.15g text."""
+    A slot of 24 bytes holds the prefix, the 15 digits of the significand r
+    from `_number_cells` and ``end``.  When a number of the column has an
+    integer part q = r // 10^(14-X), the 16 digits of q come first, 32
+    bytes in all, and in place of r's digits come 0 and those of the
+    fraction f, shifted left; that 0 becomes the ".".  The leading zeros of
+    q and the trailing zeros of the 15 digits are NUL (`numtext.drop_zeros`,
+    and `_TAIL` where the last three digits are not 000).  r and q are
+    integers below 10^15, split by exact float steps (`numtext.put_groups`;
+    r / 10^(14-X) too).  Numbers of index 0 are %.15g text."""
     index, r = _number_cells(values)
     slow = (index == 0).nonzero()[0]
-    texts = numtext.utf8([NUMBER_FORMAT % v for v in values[slow].tolist()])
+    head = 16 if index.max() >= 12 else 8
+    width = head + 16
+    if slow.size:
+        texts = numtext.utf8([NUMBER_FORMAT % v for v in values[slow].tolist()])
+        width = max(width, numtext.slot_width(texts))
 
     def fill(slots):
-        top = np.floor(r / 1e7)   # r = 10^7 top + low: 8 digits, then 7
-        low = r - 1e7 * top
-        high4, mid4 = np.floor(top / 1e4), np.floor(low / 1e3)
-        slots[:, :8].view(np.uint64)[:, 0] = _PREFIX[index]
-        word = slots[:, :24].view(np.uint32)
-        word[:, 2] = _DIGITS4[high4.astype(np.intp)]
-        word[:, 3] = _DIGITS4[(top - 1e4 * high4).astype(np.intp)]
-        word[:, 4] = _DIGITS4[mid4.astype(np.intp)]
-        word[:, 5] = _TAIL[end][(low - 1e3 * mid4).astype(np.intp)]
-        slots[slow] = 0
-        numtext.put_text(slots, slow, texts, end)
+        s = r
+        if head == 16:
+            split = _SPLIT[index]
+            q = np.floor(r / split)
+            s = (r - split * q) * _SHIFT[index]
+            numtext.put_groups(slots[:, :16].view(np.uint32), q, 4)
+            numtext.drop_zeros(slots[:, :16], 1)
+        slots[:, :8].view(np.uint64)[:, 0] |= _PREFIX[index]
+        top = np.floor(s / 1e3)
+        last = (s - 1e3 * top).astype(np.intp)
+        word = slots[:, head:head + 16].view(np.uint32)
+        numtext.put_groups(word, top, 3)
+        word[:, 3] = _TAIL[end][last]
+        rows = (last == 0).nonzero()[0]
+        if rows.size:
+            digits = slots[rows, head:head + 15]
+            numtext.drop_zeros(digits, -1)
+            slots[rows, head:head + 15] = digits
+        if head == 16:
+            dot = slots[:, head]
+            dot[dot == ord("0")] = ord(".")
+        if slow.size:
+            slots[slow] = 0
+            numtext.put_text(slots, slow, texts, end)
 
-    return max(24, numtext.slot_width(texts)), fill
+    return width, fill
+
+
+def _number_text(values: np.ndarray) -> np.ndarray:
+    """The `fmt` text of each number, as a numpy bytes array: a column that
+    several files share is encoded once and handed to `write_csv`."""
+    step = numtext.BLOCK_ROWS
+    text = b"".join(piece for i in range(0, values.size, step)
+                    for piece in numtext.rows_text([_number_column(values[i:i + step], "\n")],
+                                                   values[i:i + step].size))
+    return np.array(text.split(b"\n")[:-1], dtype=bytes)
 
 
 #: the text of a 0/1 flag, as `fmt` writes 0 and 1
@@ -101,8 +149,17 @@ def _flag_column(mask) -> list[str]:
     return _FLAG_TEXT[np.asarray(mask, dtype=bool).astype(np.intp)].tolist()
 
 
+def _encoded(column) -> bool:
+    """Whether ``column`` is a numpy bytes array: text already encoded."""
+    return isinstance(column, np.ndarray) and column.dtype.kind == "S"
+
+
 def _plain(cells) -> bool:
-    """Whether ``cells`` are all str without NUL, which text slots hold."""
+    """Whether ``cells`` are all str, or numpy bytes, without NUL, which
+    text slots hold.  numpy drops a bytes cell's trailing NULs."""
+    if _encoded(cells):
+        nonzero = cells.view(np.uint8).reshape(cells.size, cells.itemsize) != 0
+        return not (nonzero[:, 1:] > nonzero[:, :-1]).any()
     try:
         return "\0" not in "".join(cells)
     except TypeError:
@@ -112,21 +169,23 @@ def _plain(cells) -> bool:
 def write_csv(path: Path, header: list[str], columns: list):
     """Header row, then one row per index of the equal-length ``columns``.
 
-    A column is numbers, written as `fmt` writes them, or the strings
-    of `format_column` (or of `_flag_column`).  A ``ValueError`` names
-    ``header`` when it does not name every column, and ``columns`` when
-    there are none or their lengths differ.
+    A column is numbers, written as `fmt` writes them, the strings of
+    `format_column` (or of `_flag_column`), or a numpy bytes array of
+    UTF-8 text (`_number_text`), whose bytes are copied as they are.  A
+    ``ValueError`` names ``header`` when it does not name every column,
+    and ``columns`` when there are none or their lengths differ.
 
     The body is built as bytes, `numtext.BLOCK_ROWS` rows at a time: each
     cell gets a slot (`_number_column`, `numtext.text_column`) and the rows
-    are the slots' nonzero bytes.  `fmt` of a number v with 1e-4 <= |v| < 1
-    and decimal exponent X is "0." and -X-1 zeros, then the 15-digit
-    significand r = |v| 10^(14-X) rounded half to even, less its trailing
-    zeros.  Where r fits X and ends in at most one zero, its slot is filled
-    with those bytes from digit tables, not by CPython's %.15g, which takes
-    its slow bignum route for each such number.  Every other number is
-    %.15g text.  A block whose text cells are not all str without NUL is
-    written row by row with `format_column` and str."""
+    are the slots' nonzero bytes.  `fmt` of a number v with decimal
+    exponent -4 <= X < 15 is its 15-digit significand r = |v| 10^(14-X),
+    rounded half to even, with the "." after its first X + 1 digits (after
+    "0." and -X-1 zeros when X < 0), less trailing zeros and a trailing
+    ".".  The slots of such numbers and of zeros are filled with those
+    bytes from digit tables, not by CPython's %.15g, which takes its slow
+    bignum route for each number.  Every other number is %.15g text.  A
+    block whose text cells are not all str or bytes without NUL is written
+    row by row with `format_column` and str."""
     if len(header) != len(columns):
         raise ValueError(f"header must name each of the {len(columns)} columns, "
                          f"got {len(header)} names")
@@ -136,8 +195,9 @@ def write_csv(path: Path, header: list[str], columns: list):
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
     ends = [","] * (k - 1) + ["\n"]
-    text = [n > 0 and isinstance(column[0], str) for column in columns]
-    columns = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, text)]
+    text = [_encoded(column) or (n > 0 and isinstance(column[0], str)) for column in columns]
+    columns = [np.ascontiguousarray(c) if _encoded(c) else c if t else np.asarray(c, dtype=float)
+               for c, t in zip(columns, text)]
     with path.open("wb") as out:
         out.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, n, numtext.BLOCK_ROWS):
@@ -147,7 +207,8 @@ def write_csv(path: Path, header: list[str], columns: list):
                     [numtext.text_column(cells, end) if t else _number_column(cells, end)
                      for cells, t, end in zip(block, text, ends)], len(block[0])))
             else:
-                cells = [map(str, c) if t else format_column(c) for c, t in zip(block, text)]
+                cells = [map(str, np.char.decode(c, "utf-8") if _encoded(c) else c) if t
+                         else format_column(c) for c, t in zip(block, text)]
                 out.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
 
 
@@ -183,7 +244,7 @@ def run(config: RunConfig) -> list[Path]:
     written: list[Path] = []
     interval_rows, refined = [], []
     grid = np.linspace(0.0, config.T_max, config.n_points)
-    T_text = format_column(grid)
+    T_text = _number_text(grid)
     for eps in config.epsilon_list:
         params = ModelParams(epsilon=eps)
         traces = [analysis.concurrence_trace(InitialStateSpec(config.family, alpha), params,

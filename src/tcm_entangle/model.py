@@ -113,8 +113,10 @@ def require_integer(name: str, value):
 
 def require_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array; a ``TypeError`` names ``name`` if they
-    are not real numbers."""
+    are not real numbers, or are None, which numpy reads as NaN."""
     try:
+        if values is None:
+            raise TypeError
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be real numbers, got {values!r}") from None

@@ -5,9 +5,12 @@ slot of whole 8-byte words in one zeroed uint8 array, one array row per
 table row, and holds its text, then its separator, then NUL padding.  The
 array's nonzero bytes, in order, are the rows' text (`rows_text`), so no
 cell text may hold NUL.  A number's slot is filled from lookup tables of
-digit bytes, indexed by the digit groups of an integer that
-`rint_product` rounds exactly; a number outside a kernel's range is
-%-formatted and put in its slot as bytes, like a text cell (`put_text`).
+digit bytes, indexed by the digit groups (`put_groups`) of an integer that
+`rint_product` rounds exactly; zeros that the text drops are then NUL
+(`drop_zeros`, or a table that holds them as NUL).  A number outside a
+kernel's range is %-formatted and put in its slot as bytes, like a text
+cell (`put_text`).  A text column may come already encoded, as a numpy
+bytes array: one that several tables share is encoded once.
 """
 
 from __future__ import annotations
@@ -36,6 +39,28 @@ def words(columns) -> np.ndarray:
     The tables are built from uint8 arrays only: int64 temporaries at
     import raised the peak RSS of every command by about 0.25 MB."""
     return np.column_stack(columns).view(np.uint32).ravel()
+
+
+#: the four digits of 0 .. 9999, a uint32 word each
+DIGITS4 = words([digits(4)])
+
+
+def put_groups(word: np.ndarray, x: np.ndarray, groups: int):
+    """Write the 4 ``groups`` digits of the integers x < 10^15 into the
+    first ``groups`` columns of uint32 ``word``.  x / 10^4 is an integer or
+    at least 1/x > 10^-15 of itself from one, more than its relative
+    rounding error 2^-53, so each group is exact."""
+    for i in range(groups - 1, 0, -1):
+        high = np.floor(x / 1e4)
+        word[:, i] = DIGITS4[(x - 1e4 * high).astype(np.intp)]
+        x = high
+    word[:, 0] = DIGITS4[x.astype(np.intp)]
+
+
+def drop_zeros(digits: np.ndarray, step: int):
+    """NUL in place of the run of "0" or NUL bytes that each row of uint8
+    ``digits`` starts with (``step`` 1) or ends with (``step`` -1)."""
+    digits[np.logical_and.accumulate(digits[:, ::step] <= 48, axis=1)[:, ::step]] = 0
 
 
 def _split(a):
@@ -68,9 +93,10 @@ def rint_product(a, p):
 
 
 def utf8(texts) -> np.ndarray:
-    """The UTF-8 bytes of each str in ``texts``, as a numpy bytes array."""
+    """The UTF-8 bytes of each str in ``texts``, as a numpy bytes array;
+    a numpy bytes array is returned as it is."""
     try:
-        return np.array(texts, dtype=bytes)
+        return np.asarray(texts, dtype=bytes)
     except UnicodeEncodeError:   # numpy encodes str as ASCII
         return np.array([t.encode("utf-8") for t in texts], dtype=bytes)
 

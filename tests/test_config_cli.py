@@ -164,6 +164,42 @@ def _mixed_columns(draw):
     return columns
 
 
+# every kind of number %.15g writes in fixed notation, 1e-4 <= |v| < 1e15,
+# of either sign: 15-digit decimals at each decimal exponent X, integers,
+# significands ending in 1 to 14 zeros, zeros, powers of ten and their
+# neighbours, and exact ties of the 15th digit at X >= 0, (2m + 1) / 2^(15 - X)
+_FIXED = st.builds(lambda v, sign: sign * v, st.one_of(
+    st.builds(lambda d, x: float(f"{d}e{x - 14}"), st.integers(10**14, 10**15 - 1),
+              st.integers(-4, 14)),
+    st.integers(0, 10**15).map(float),
+    st.builds(lambda d, zeros, x: float(f"{d // 10**zeros * 10**zeros}e{x - 14}"),
+              st.integers(10**14, 10**15 - 1), st.integers(1, 14), st.integers(-4, 14)),
+    st.just(0.0),
+    _near(st.sampled_from([10.0**k for k in range(-5, 17)])),
+    st.integers(0, 14).flatmap(lambda x: st.integers(10**x * 2**(14 - x),
+                                                     10**(x + 1) * 2**(14 - x) - 1)
+                               .map(lambda m: (2 * m + 1) / 2**(15 - x))),
+), st.sampled_from([1.0, -1.0]))
+
+#: the T column of a benchmark sweep
+_GRID = np.linspace(0.0, 40.0, 4000)
+
+
+@st.composite
+def _fixed_columns(draw):
+    """(columns for write_csv, the same as numbers or str): each column is
+    numbers, their bytes from `figures._number_text`, or `format_column` text."""
+    n, k = draw(st.integers(0, 300)), draw(st.integers(1, 5))
+    columns, reference = [], []
+    for _ in range(k):
+        values = np.array((draw(st.lists(_FIXED, min_size=1, max_size=40)) * n)[:n])
+        form = draw(st.sampled_from(["numbers", "bytes", "text"]))
+        columns.append(values if form == "numbers" else figures._number_text(values)
+                       if form == "bytes" else figures.format_column(values))
+        reference.append(figures.format_column(values) if form == "text" else values)
+    return columns, reference
+
+
 class TestCsvRoundTrip:
     def test_values_survive(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -219,6 +255,27 @@ class TestCsvRoundTrip:
             path, reference = Path(tmp) / "t.csv", Path(tmp) / "reference.csv"
             figures.write_csv(path, header, columns)
             _one_call_writer(reference, header, columns)
+            assert path.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_fixed_columns())
+    # the T column of a run, as numbers and as the bytes every file copies
+    @example(case=([_GRID, figures._number_text(_GRID)], [_GRID, _GRID]))
+    # the largest numbers below 10^15 and 1; 15 nines, whose log10 rounds
+    # up to the next decade; and a bytes cell holding NUL, written row by row
+    @example(case=([[9.999999999999999e14, 0.99999999999999994, -9.999999999999999e14]],
+                   [[9.999999999999999e14, 0.99999999999999994, -9.999999999999999e14]]))
+    @example(case=([[99999.9999999999, 0.0999999999999999]],
+                   [[99999.9999999999, 0.0999999999999999]]))
+    @example(case=([np.array([b"a\0b", b"c", b"\xc3\xa9"]), [0.5, 1.5, 0.0]],
+                   [["a\0b", "c", "\u00e9"], [0.5, 1.5, 0.0]]))
+    def test_fixed_notation_matches_one_call_writer(self, case):
+        columns, reference_columns = case
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "t.csv", Path(tmp) / "reference.csv"
+            figures.write_csv(path, header, columns)
+            _one_call_writer(reference, header, reference_columns)
             assert path.read_bytes() == reference.read_bytes()
 
     def test_long_columns_cross_blocks(self, tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tcm_entangle
-from tcm_entangle import analytic, config, figures, hamiltonian, model, propagator
+from tcm_entangle import (analytic, config, entanglement, figures, hamiltonian, model,
+                          propagator)
 from tcm_entangle.config import ConfigError, RunConfig
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -194,6 +195,14 @@ _BAD_INPUT = {
                           "^T must be real numbers, got 'x'"),
     "jacobi_eigh None": (lambda: propagator.jacobi_eigh(None), ValueError,
                          r"^H must be a square matrix, got shape \(\)"),
+    "require_grid None": (lambda: model.require_grid(None), TypeError,
+                          "^T_grid must be real numbers, got None"),
+    "amplitudes T None": (lambda: analytic.psi_amplitudes(0.3, 0.0, None), TypeError,
+                          "^T must be real numbers, got None"),
+    "pure_concurrence text": (lambda: entanglement.pure_concurrence("x"), TypeError,
+                              "^psi must be complex numbers, got 'x'"),
+    "pure_concurrence None": (lambda: entanglement.pure_concurrence(None), TypeError,
+                              "^psi must be complex numbers, got None"),
 }
 
 

@@ -173,7 +173,8 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
 def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
     # in_death_window and refined are handed over as the text of
     # format_column, so only number columns go through _number_cells: 5 in
-    # each of 4 curve files and 5 in intervals.csv, where numeric flags made 30
+    # each of 4 curve files and 5 in intervals.csv, where numeric flags made
+    # 30, and the T column once per run, as bytes that every file copies
     calls, flags = [], []
     number_cells, write_csv = figures._number_cells, figures.write_csv
 
@@ -191,10 +192,43 @@ def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
     config = RunConfig(family=Family.PHI, alpha_list=(0.3, 0.5), epsilon_list=(0.0, 2.0),
                        T_max=20.0, n_points=300, output_dir=str(tmp_path))
     figures.run(config)
-    assert len(calls) == 25 and len(flags) == 5
+    assert len(calls) == 26 and len(flags) == 5
     cells = [cell for column in flags for cell in column]
     assert {type(cell) for cell in cells} == {str}
     assert set(cells) == {"0", "1"}
+
+
+def test_sweep_encodes_T_once_and_formats_only_exponent_cells(tmp_path, monkeypatch):
+    # a benchmark-shaped sweep (4 alpha x 3 epsilon, 4,000 points) encodes
+    # its T column once, and every file copies those bytes; the byte kernel
+    # writes every number in [1e-4, 1e15) and every zero, so only numbers
+    # that %.15g writes in exponent form reach NUMBER_FORMAT
+    encoded, shared, formatted = [], [], []
+    number_text, write_csv = figures._number_text, figures.write_csv
+
+    class Recorded(str):
+        def __mod__(self, value):
+            formatted.append(value)
+            return str.__mod__(self, value)
+
+    def counted(values):
+        encoded.append(values.size)
+        return number_text(values)
+
+    def recorded(path, header, columns):
+        shared.append(columns[0])
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(figures, "NUMBER_FORMAT", Recorded(figures.NUMBER_FORMAT))
+    monkeypatch.setattr(figures, "_number_text", counted)
+    monkeypatch.setattr(figures, "write_csv", recorded)
+    config = RunConfig(family=Family.PSI, alpha_list=(0.27, 0.52, 1.05, 1.31),
+                       epsilon_list=(0.5, 1.5, 2.5), T_max=40.0, n_points=4000,
+                       output_dir=str(tmp_path), emit_svg=True)
+    figures.run(config)
+    assert encoded == [4000] and len(shared) == 12
+    assert shared[0].dtype.kind == "S" and all(column is shared[0] for column in shared)
+    assert all(not (1e-4 <= abs(v) < 1e15 or v == 0) for v in formatted)
 
 
 def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
