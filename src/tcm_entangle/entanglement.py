@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Basis
+from .model import Basis, holds_none
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -98,11 +98,12 @@ def pure_concurrence(psi: np.ndarray) -> float | np.ndarray:
     norm; a ``TypeError`` names ``psi`` if it is not complex numbers.
     """
     try:
-        if psi is None:
-            raise TypeError   # numpy reads None as NaN
-        psi = np.asarray(psi, dtype=complex)
+        states = np.asarray(psi, dtype=complex)
+        if states is not psi and holds_none(psi):   # a complex array is returned as it is
+            raise TypeError
     except (TypeError, ValueError):
         raise TypeError(f"psi must be complex numbers, got {psi!r}") from None
+    psi = states
     B = _atom_blocks(psi)
     require_unit_norms(np.linalg.norm(psi, axis=-1))
     C = _block_concurrence(B)

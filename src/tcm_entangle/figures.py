@@ -21,12 +21,6 @@ FIGURE_ALPHAS = (math.pi / 12, math.pi / 8, math.pi / 4)
 FIGURE_EPSILONS = (0.0, 2.0)
 
 
-def format_column(values) -> list[str]:
-    """`fmt` of each value, in one pass: the text that the byte kernel of
-    `write_csv` reproduces, and that of the 0/1 flags (`_flag_column`)."""
-    return [NUMBER_FORMAT % v for v in np.asarray(values, dtype=float).tolist()]
-
-
 #: kinds of number, the `_number_cells` index // 2 (its low bit is the
 #: sign): 0 is a number that %.15g writes, 1 is 0, and k = X + 6 a number
 #: of decimal exponent -4 <= X <= 14; by index, the text before its digits
@@ -81,7 +75,7 @@ def _number_cells(values: np.ndarray):
 
 
 def _number_column(values: np.ndarray, end: str):
-    """(slot width, fill) of a number column, for `numtext.rows_text`.
+    """(slot width, fill) of a number column, for `numtext.table_text`.
 
     A slot of 24 bytes holds the prefix, the 15 digits of the significand r
     from `_number_cells` and ``end``.  When a number of the column has an
@@ -97,7 +91,7 @@ def _number_column(values: np.ndarray, end: str):
     head = 16 if index.max() >= 12 else 8
     width = head + 16
     if slow.size:
-        texts = numtext.utf8([NUMBER_FORMAT % v for v in values[slow].tolist()])
+        texts = np.array([NUMBER_FORMAT % v for v in values[slow].tolist()], dtype=bytes)
         width = max(width, numtext.slot_width(texts))
 
     def fill(slots):
@@ -132,84 +126,69 @@ def _number_column(values: np.ndarray, end: str):
 def _number_text(values: np.ndarray) -> np.ndarray:
     """The `fmt` text of each number, as a numpy bytes array: a column that
     several files share is encoded once and handed to `write_csv`."""
-    step = numtext.BLOCK_ROWS
-    text = b"".join(piece for i in range(0, values.size, step)
-                    for piece in numtext.rows_text([_number_column(values[i:i + step], "\n")],
-                                                   values[i:i + step].size))
+    text = b"".join(numtext.table_text(values.size,
+                                       lambda rows: [_number_column(values[rows], "\n")]))
     return np.array(text.split(b"\n")[:-1], dtype=bytes)
 
 
-#: the text of a 0/1 flag, as `fmt` writes 0 and 1
-_FLAG_TEXT = np.array(format_column((0.0, 1.0)), dtype=object)
-
-
-def _flag_column(mask) -> list[str]:
-    """The 0/1 cells of a boolean mask, as `format_column` writes 0.0 and
-    1.0, for `write_csv` to take as text."""
-    return _FLAG_TEXT[np.asarray(mask, dtype=bool).astype(np.intp)].tolist()
-
-
-def _encoded(column) -> bool:
-    """Whether ``column`` is a numpy bytes array: text already encoded."""
-    return isinstance(column, np.ndarray) and column.dtype.kind == "S"
-
-
-def _plain(cells) -> bool:
-    """Whether ``cells`` are all str, or numpy bytes, without NUL, which
-    text slots hold.  numpy drops a bytes cell's trailing NULs."""
-    if _encoded(cells):
-        nonzero = cells.view(np.uint8).reshape(cells.size, cells.itemsize) != 0
-        return not (nonzero[:, 1:] > nonzero[:, :-1]).any()
-    try:
-        return "\0" not in "".join(cells)
-    except TypeError:
-        return False
+#: the text of a 0/1 flag, as `fmt` writes 0 and 1, indexed by the flag
+_FLAG_TEXT = np.array([b"0", b"1"])
 
 
 def write_csv(path: Path, header: list[str], columns: list):
     """Header row, then one row per index of the equal-length ``columns``.
 
-    A column is numbers, written as `fmt` writes them, the strings of
-    `format_column` (or of `_flag_column`), or a numpy bytes array of
-    UTF-8 text (`_number_text`), whose bytes are copied as they are.  A
-    ``ValueError`` names ``header`` when it does not name every column,
-    and ``columns`` when there are none or their lengths differ.
+    A column is numbers, written as `fmt` writes them, or a numpy bytes
+    array of UTF-8 text (`_number_text`, `_FLAG_TEXT`), whose bytes are
+    copied as they are.  A ``ValueError`` names ``header`` when it does not
+    name every column, and ``columns`` when there are none, their lengths
+    differ, one is not 1-d or a bytes cell holds NUL; a ``TypeError`` names
+    ``columns`` when one is neither kind (text as str, say).
 
-    The body is built as bytes, `numtext.BLOCK_ROWS` rows at a time: each
-    cell gets a slot (`_number_column`, `numtext.text_column`) and the rows
-    are the slots' nonzero bytes.  `fmt` of a number v with decimal
-    exponent -4 <= X < 15 is its 15-digit significand r = |v| 10^(14-X),
-    rounded half to even, with the "." after its first X + 1 digits (after
-    "0." and -X-1 zeros when X < 0), less trailing zeros and a trailing
-    ".".  The slots of such numbers and of zeros are filled with those
-    bytes from digit tables, not by CPython's %.15g, which takes its slow
-    bignum route for each number.  Every other number is %.15g text.  A
-    block whose text cells are not all str or bytes without NUL is written
-    row by row with `format_column` and str."""
+    The body is built as bytes, `numtext.BLOCK_ROWS` rows at a time
+    (`numtext.table_text`): each cell gets a slot (`_number_column`,
+    `numtext.text_column`) and the rows are the slots' nonzero bytes.
+    `fmt` of a number v with decimal exponent -4 <= X < 15 is its 15-digit
+    significand r = |v| 10^(14-X), rounded half to even, with the "." after
+    its first X + 1 digits (after "0." and -X-1 zeros when X < 0), less
+    trailing zeros and a trailing ".".  The slots of such numbers and of
+    zeros are filled with those bytes from digit tables, not by CPython's
+    %.15g, which takes its slow bignum route for each number.  Every other
+    number is %.15g text."""
     if len(header) != len(columns):
         raise ValueError(f"header must name each of the {len(columns)} columns, "
                          f"got {len(header)} names")
     if not columns:
         raise ValueError("columns must hold at least one column, got none")
-    n, k = len(columns[0]), len(columns)
+    n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
-    ends = [","] * (k - 1) + ["\n"]
-    text = [_encoded(column) or (n > 0 and isinstance(column[0], str)) for column in columns]
-    columns = [np.ascontiguousarray(c) if _encoded(c) else c if t else np.asarray(c, dtype=float)
-               for c, t in zip(columns, text)]
+    columns = [_column(j, column) for j, column in enumerate(columns)]
+    ends = [","] * (len(columns) - 1) + ["\n"]
     with path.open("wb") as out:
         out.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, n, numtext.BLOCK_ROWS):
-            block = [column[start:start + numtext.BLOCK_ROWS] for column in columns]
-            if all(_plain(cells) for cells, t in zip(block, text) if t):
-                out.writelines(numtext.rows_text(
-                    [numtext.text_column(cells, end) if t else _number_column(cells, end)
-                     for cells, t, end in zip(block, text, ends)], len(block[0])))
-            else:
-                cells = [map(str, np.char.decode(c, "utf-8") if _encoded(c) else c) if t
-                         else format_column(c) for c, t in zip(block, text)]
-                out.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
+        out.writelines(numtext.table_text(n, lambda rows: [
+            numtext.text_column(c[rows], end) if c.dtype.kind == "S"
+            else _number_column(c[rows], end) for c, end in zip(columns, ends)]))
+
+
+def _column(j: int, column) -> np.ndarray:
+    """Column ``j`` of `write_csv` as a float array or a contiguous numpy
+    bytes array, checked.  numpy drops a bytes cell's trailing NULs, so a
+    NUL is held where a zero byte comes before a nonzero one."""
+    values = np.asarray(column)
+    if values.ndim != 1:
+        raise ValueError(f"columns must be 1-d, got shape {values.shape} in column {j}")
+    if values.dtype.kind == "S":
+        values = np.ascontiguousarray(values)
+        nonzero = values.view(np.uint8).reshape(values.size, values.itemsize) != 0
+        if (nonzero[:, 1:] > nonzero[:, :-1]).any():
+            raise ValueError(f"columns must hold no NUL in a bytes cell, got one in column {j}")
+        return values
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"columns must be numbers or numpy bytes arrays, "
+                        f"got {values.dtype} in column {j}")
+    return values.astype(float, copy=False)
 
 
 def _write_metadata(out: Path, config: RunConfig, note: str):
@@ -259,15 +238,15 @@ def run(config: RunConfig) -> list[Path]:
                 header = ["T", "C", "signed_C", "x1_abs", "x2_abs", "x3_abs"]
                 columns = [T_text, trace.C, trace.signed_C, *amps]
             else:
-                in_window = np.zeros(grid.size, dtype=bool)
+                in_window = np.zeros(grid.size, dtype=np.intp)
                 for iv in trace_windows:
                     in_window[np.searchsorted(grid, iv.T_start, "left"):
-                              np.searchsorted(grid, iv.T_end, "right")] = True
+                              np.searchsorted(grid, iv.T_end, "right")] = 1
                     interval_rows.append((alpha, eps, iv.T_start, iv.T_end, iv.length))
                     refined.append(iv.refined)
                 header = ["T", "C", "x1_abs", "x2_abs", "x3_abs", "x5_abs",
                           "in_death_window"]
-                columns = [T_text, trace.C, *amps[:3], amps[4], _flag_column(in_window)]
+                columns = [T_text, trace.C, *amps[:3], amps[4], _FLAG_TEXT[in_window]]
             path = out / f"{prefix}_alpha{file_tag(alpha)}_eps{file_tag(eps)}.csv"
             write_csv(path, header, columns)
             written.append(path)
@@ -283,7 +262,7 @@ def run(config: RunConfig) -> list[Path]:
         intervals_path = out / "intervals.csv"
         write_csv(intervals_path, ["alpha", "epsilon", "T_start", "T_end", "length", "refined"],
                   [*np.array(interval_rows, dtype=float).reshape(-1, 5).T,
-                   _flag_column(refined)])
+                   _FLAG_TEXT[np.array(refined, dtype=np.intp)]])
         written.append(intervals_path)
     _write_metadata(out, config, f"{prefix} dataset; alpha values are a library default choice")
     return written

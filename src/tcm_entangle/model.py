@@ -111,13 +111,23 @@ def require_integer(name: str, value):
     return value
 
 
+def holds_none(values) -> bool:
+    """Whether ``values`` are or hold None, which numpy reads as NaN.  A
+    numeric ndarray or a Python number holds none and is not searched."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biufc" \
+            or isinstance(values, (int, float, complex)):
+        return False
+    return any(v is None for v in np.asarray(values, dtype=object).flat)
+
+
 def require_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array; a ``TypeError`` names ``name`` if they
-    are not real numbers, or are None, which numpy reads as NaN."""
+    are not real numbers, or hold None (`holds_none`)."""
     try:
-        if values is None:
+        reals = np.asarray(values, dtype=float)
+        if reals is not values and holds_none(values):   # a float array is returned as it is
             raise TypeError
-        return np.asarray(values, dtype=float)
+        return reals
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be real numbers, got {values!r}") from None
 

@@ -1,16 +1,16 @@
 """Decimal text of float arrays, built as bytes in numpy.
 
-A table is written a block of rows at a time.  Each cell of a block gets a
-slot of whole 8-byte words in one zeroed uint8 array, one array row per
-table row, and holds its text, then its separator, then NUL padding.  The
-array's nonzero bytes, in order, are the rows' text (`rows_text`), so no
+A table is written `BLOCK_ROWS` rows at a time (`table_text`).  Each cell
+of a block gets a slot of whole 8-byte words in one zeroed uint8 array, one
+array row per table row, and holds its text, then its separator, then NUL
+padding.  The array's nonzero bytes, in order, are the rows' text, so no
 cell text may hold NUL.  A number's slot is filled from lookup tables of
 digit bytes, indexed by the digit groups (`put_groups`) of an integer that
 `rint_product` rounds exactly; zeros that the text drops are then NUL
 (`drop_zeros`, or a table that holds them as NUL).  A number outside a
 kernel's range is %-formatted and put in its slot as bytes, like a text
-cell (`put_text`).  A text column may come already encoded, as a numpy
-bytes array: one that several tables share is encoded once.
+cell (`put_text`).  A text column is a numpy bytes array: one that several
+tables share is encoded once.
 """
 
 from __future__ import annotations
@@ -92,15 +92,6 @@ def rint_product(a, p):
     return r
 
 
-def utf8(texts) -> np.ndarray:
-    """The UTF-8 bytes of each str in ``texts``, as a numpy bytes array;
-    a numpy bytes array is returned as it is."""
-    try:
-        return np.asarray(texts, dtype=bytes)
-    except UnicodeEncodeError:   # numpy encodes str as ASCII
-        return np.array([t.encode("utf-8") for t in texts], dtype=bytes)
-
-
 def slot_width(cells: np.ndarray) -> int:
     """Bytes of a slot that holds any of the bytes ``cells`` and a separator."""
     return -(-(cells.itemsize + 1) // 8) * 8
@@ -113,19 +104,25 @@ def put_text(slots: np.ndarray, rows, cells: np.ndarray, sep: str):
     slots[rows, width] = ord(sep)
 
 
-def text_column(texts, sep: str):
-    """(slot width, fill) of a column of str cells, for `rows_text`."""
-    cells = utf8(texts)
+def text_column(cells: np.ndarray, sep: str):
+    """(slot width, fill) of a column of numpy bytes ``cells``, for `table_text`."""
     return slot_width(cells), lambda slots: put_text(slots, slice(None), cells, sep)
 
 
-def rows_text(columns, n: int) -> list[np.ndarray]:
-    """The text of ``n`` rows, as uint8 pieces, from the (slot width, fill)
-    of each column; fill writes the column's slots into a zeroed view."""
-    block = np.zeros((n, sum(width for width, _ in columns)), np.uint8)
-    start = 0
-    for width, fill in columns:
-        fill(block[:, start:start + width])
-        start += width
-    pieces = (block[i:i + _PIECE_ROWS] for i in range(0, n, _PIECE_ROWS))
-    return [piece[piece != 0] for piece in pieces]
+def table_text(n: int, columns_of):
+    """The text of ``n`` rows, as uint8 pieces, `BLOCK_ROWS` rows at a time.
+
+    ``columns_of(rows)`` gives the (slot width, fill) of each column for the
+    rows of the slice ``rows``; fill writes the column's slots into a zeroed
+    view."""
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        columns = columns_of(rows)
+        block = np.zeros((rows.stop - start, sum(width for width, _ in columns)), np.uint8)
+        offset = 0
+        for width, fill in columns:
+            fill(block[:, offset:offset + width])
+            offset += width
+        for i in range(0, len(block), _PIECE_ROWS):
+            piece = block[i:i + _PIECE_ROWS]
+            yield piece[piece != 0]

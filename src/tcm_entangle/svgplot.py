@@ -28,7 +28,7 @@ _CENTS = {end: numtext.words([numtext.digits(2), np.full(100, ord(end), np.uint8
 
 
 def _coordinate_column(values: np.ndarray, end: str):
-    """(slot width, fill) of pixel coordinates for `numtext.rows_text`.
+    """(slot width, fill) of pixel coordinates for `numtext.table_text`.
 
     A slot of 8 bytes holds ``"%.2f" % v`` and ``end``: r = 100 v rounded
     half to even (`numtext.rint_product`) gives the whole part r // 100 and
@@ -39,7 +39,7 @@ def _coordinate_column(values: np.ndarray, end: str):
     slow |= r >= 1e5
     r[slow] = 0.0
     rows = slow.nonzero()[0]
-    texts = numtext.utf8(["%.2f" % v for v in values[rows].tolist()])
+    texts = np.array(["%.2f" % v for v in values[rows].tolist()], dtype=bytes)
 
     def fill(slots):
         whole = np.floor(r / 100.0)
@@ -55,11 +55,8 @@ def _coordinate_column(values: np.ndarray, end: str):
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points attribute of a polyline: "x,y" pairs, "%.2f" each, joined
     by single blanks, built `numtext.BLOCK_ROWS` points at a time."""
-    step = numtext.BLOCK_ROWS
-    text = b"".join(piece for i in range(0, xs.size, step)
-                    for piece in numtext.rows_text([_coordinate_column(xs[i:i + step], ","),
-                                                    _coordinate_column(ys[i:i + step], " ")],
-                                                   len(xs[i:i + step])))
+    text = b"".join(numtext.table_text(xs.size, lambda rows: [
+        _coordinate_column(xs[rows], ","), _coordinate_column(ys[rows], " ")]))
     return text[:-1].decode("ascii")
 
 
@@ -85,9 +82,16 @@ def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> s
     """Render curves [(label, xs, ys), ...] into an SVG document string.
 
     A point's pixel coordinates are written as ``"%.2f,%.2f"`` writes them,
-    by the byte kernel of `_points`."""
+    by the byte kernel of `_points`.  A ``ValueError`` names ``curves`` when
+    they hold no point or a curve's xs and ys differ in shape."""
     curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in curves]
+    for k, (_, xs, ys) in enumerate(curves):
+        if xs.shape != ys.shape:
+            raise ValueError(f"curves[{k}] must have xs and ys of one shape, "
+                             f"got {xs.shape} and {ys.shape}")
+    if not sum(xs.size for _, xs, _ in curves):
+        raise ValueError("curves must hold at least one point, got none")
     xs_all = np.concatenate([xs for _, xs, _ in curves])
     ys_all = np.concatenate([ys for _, _, ys in curves])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())

@@ -156,12 +156,16 @@ _CELL = st.one_of(
 
 @st.composite
 def _mixed_columns(draw):
+    """(columns for write_csv, the same as numbers): each column is numbers
+    or their bytes from `figures._number_text`."""
     n, k = draw(st.integers(0, 300)), draw(st.integers(1, 7))
-    columns = []
+    columns, reference = [], []
     for _ in range(k):   # rows cycle through a drawn pool: drawing each cell is slow
         values = (draw(st.lists(_CELL, min_size=1, max_size=40)) * n)[:n]
-        columns.append(figures.format_column(values) if draw(st.booleans()) else values)
-    return columns
+        columns.append(figures._number_text(np.array(values, dtype=float))
+                       if draw(st.booleans()) else values)
+        reference.append(values)
+    return columns, reference
 
 
 # every kind of number %.15g writes in fixed notation, 1e-4 <= |v| < 1e15,
@@ -183,20 +187,20 @@ _FIXED = st.builds(lambda v, sign: sign * v, st.one_of(
 
 #: the T column of a benchmark sweep
 _GRID = np.linspace(0.0, 40.0, 4000)
+#: text cells that are not ASCII
+_UTF8 = ["0.5", "\u00e9t\u00e9", "\u03b1 = \u03c0/4"]
 
 
 @st.composite
 def _fixed_columns(draw):
-    """(columns for write_csv, the same as numbers or str): each column is
-    numbers, their bytes from `figures._number_text`, or `format_column` text."""
+    """(columns for write_csv, the same as numbers): each column is numbers
+    or their bytes from `figures._number_text`."""
     n, k = draw(st.integers(0, 300)), draw(st.integers(1, 5))
     columns, reference = [], []
     for _ in range(k):
         values = np.array((draw(st.lists(_FIXED, min_size=1, max_size=40)) * n)[:n])
-        form = draw(st.sampled_from(["numbers", "bytes", "text"]))
-        columns.append(values if form == "numbers" else figures._number_text(values)
-                       if form == "bytes" else figures.format_column(values))
-        reference.append(figures.format_column(values) if form == "text" else values)
+        columns.append(figures._number_text(values) if draw(st.booleans()) else values)
+        reference.append(values)
     return columns, reference
 
 
@@ -228,47 +232,63 @@ class TestCsvRoundTrip:
         expected = "\n".join([",".join(f"c{j}" for j in range(k))]
                              + [row % r for r in zip(*(c.tolist() for c in cols))]) + "\n"
         shared = data.draw(st.booleans())   # first column preformatted, as in run()
-        columns = [figures.format_column(cols[0]) if shared else cols[0], *cols[1:]]
+        columns = [figures._number_text(cols[0]) if shared else cols[0], *cols[1:]]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             figures.write_csv(path, [f"c{j}" for j in range(k)], columns)
             assert path.read_text(encoding="utf-8") == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(columns=_mixed_columns())
-    @example(columns=[[], figures.format_column([]), []])
+    @given(case=_mixed_columns())
+    @example(case=([[], figures._number_text(np.array([])), []], [[], [], []]))
     # ties of the 15th digit: the low part takes 387606570384453.5 down to
     # ...453 (rint alone gives ...454); 24691/2^16 is exact, rounded to even
-    @example(columns=[[0.003876065703844535, -0.003876065703844535]])
-    @example(columns=[[0.3767547607421875, -0.3767547607421875]])
-    # text cells that are not ASCII or are wider than a number's 24-byte
-    # slot; r = 10^15 after rounding, which %.15g writes as "1"
-    @example(columns=[["0.5", "\u00e9t\u00e9", "\u03b1 = \u03c0/4"], [0.25, 1e-3, -0.5]])
-    @example(columns=[["x" * 23, "y" * 24, "z" * 40], [0.1, 0.2, 0.3]])
-    @example(columns=[[0.9999999999999999, -0.9999999999999999, 0.99999999999999994]])
-    # cells a text slot cannot hold: NUL, and a cell that is not a str
-    @example(columns=[["a\0b", "c\0", "d"], [0.5, 0.25, 0.125]])
-    @example(columns=[["a", 1.5, None], [0.5, 0.25, 0.125]])
-    def test_matches_one_call_writer(self, columns):
+    @example(case=([[0.003876065703844535, -0.003876065703844535]],) * 2)
+    @example(case=([[0.3767547607421875, -0.3767547607421875]],) * 2)
+    # bytes cells of text that is not ASCII or is wider than a number's
+    # 24-byte slot; r = 10^15 after rounding, which %.15g writes as "1"
+    @example(case=([np.array([t.encode("utf-8") for t in _UTF8]), [0.25, 1e-3, -0.5]],
+                   [_UTF8, [0.25, 1e-3, -0.5]]))
+    @example(case=([np.array([b"x" * 23, b"y" * 24, b"z" * 40]), [0.1, 0.2, 0.3]],
+                   [["x" * 23, "y" * 24, "z" * 40], [0.1, 0.2, 0.3]]))
+    @example(case=([[0.9999999999999999, -0.9999999999999999, 0.99999999999999994]],) * 2)
+    def test_matches_one_call_writer(self, case):
+        columns, reference_columns = case
         header = [f"c{j}" for j in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
             path, reference = Path(tmp) / "t.csv", Path(tmp) / "reference.csv"
             figures.write_csv(path, header, columns)
-            _one_call_writer(reference, header, columns)
+            _one_call_writer(reference, header, reference_columns)
             assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("column,error,message", [
+        # text is handed over as numpy bytes, never as str or mixed cells
+        (["a\0b", "c\0", "d"], TypeError, "^columns must be numbers or numpy bytes arrays"),
+        (["a", 1.5, None], TypeError, "^columns must be numbers or numpy bytes arrays"),
+        (["0.5", "\u00e9t\u00e9", "x"], TypeError, "^columns must be numbers or numpy bytes"),
+        (np.array(["0.5", "1.5", "2"]), TypeError, "^columns must be numbers or numpy bytes"),
+        # a text slot ends at its first NUL, so a bytes cell cannot hold one
+        (np.array([b"a\0b", b"c", b"\xc3\xa9"]), ValueError,
+         "^columns must hold no NUL in a bytes cell, got one in column 1"),
+        (np.array([b"a", b"\0c", b"d"]), ValueError, "^columns must hold no NUL"),
+    ])
+    def test_text_is_bytes_without_nul(self, tmp_path, column, error, message):
+        with pytest.raises(error, match=message):
+            figures.write_csv(tmp_path / "t.csv", ["a", "b"], [[0.5, 0.25, 0.125], column])
+        assert not (tmp_path / "t.csv").exists()
 
     @settings(max_examples=150, deadline=None)
     @given(case=_fixed_columns())
     # the T column of a run, as numbers and as the bytes every file copies
     @example(case=([_GRID, figures._number_text(_GRID)], [_GRID, _GRID]))
     # the largest numbers below 10^15 and 1; 15 nines, whose log10 rounds
-    # up to the next decade; and a bytes cell holding NUL, written row by row
+    # up to the next decade; and a UTF-8 bytes cell, copied as it is
     @example(case=([[9.999999999999999e14, 0.99999999999999994, -9.999999999999999e14]],
                    [[9.999999999999999e14, 0.99999999999999994, -9.999999999999999e14]]))
     @example(case=([[99999.9999999999, 0.0999999999999999]],
                    [[99999.9999999999, 0.0999999999999999]]))
-    @example(case=([np.array([b"a\0b", b"c", b"\xc3\xa9"]), [0.5, 1.5, 0.0]],
-                   [["a\0b", "c", "\u00e9"], [0.5, 1.5, 0.0]]))
+    @example(case=([np.array([b"ab", b"c", b"\xc3\xa9"]), [0.5, 1.5, 0.0]],
+                   [["ab", "c", "\u00e9"], [0.5, 1.5, 0.0]]))
     def test_fixed_notation_matches_one_call_writer(self, case):
         columns, reference_columns = case
         header = [f"c{j}" for j in range(len(columns))]
@@ -286,10 +306,12 @@ class TestCsvRoundTrip:
         assert n > 6 * numtext.BLOCK_ROWS
         grid = np.linspace(0.0, 40.0, n)
         values = rng.random(n) * 10.0 ** rng.integers(-6, 2, n) * rng.choice([-1.0, 1.0], n)
-        flags = figures.format_column(rng.random(n) < 0.5)
-        columns = [figures.format_column(grid), values, np.abs(np.sin(grid)), flags]
+        flags = (rng.random(n) < 0.5).astype(np.intp)
+        columns = [figures._number_text(grid), values, np.abs(np.sin(grid)),
+                   figures._FLAG_TEXT[flags]]
         figures.write_csv(tmp_path / "t.csv", ["T", "v", "s", "f"], columns)
-        _one_call_writer(tmp_path / "reference.csv", ["T", "v", "s", "f"], columns)
+        _one_call_writer(tmp_path / "reference.csv", ["T", "v", "s", "f"],
+                         [grid, values, np.abs(np.sin(grid)), flags])
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_header_names_every_column(self, tmp_path):
@@ -301,8 +323,9 @@ class TestCsvRoundTrip:
 
     def test_columns_have_equal_lengths(self, tmp_path):
         for header, columns, message in [
-                (["a", "b"], [np.zeros(3), figures.format_column([1.0, 2.0])],
+                (["a", "b"], [np.zeros(3), figures._number_text(np.array([1.0, 2.0]))],
                  r"^columns must have equal lengths, got \[3, 2\]"),
+                (["a"], [np.zeros((3, 2))], r"^columns must be 1-d, got shape \(3, 2\) in column 0"),
                 ([], [], "^columns must hold at least one column, got none")]:
             with pytest.raises(ValueError, match=message):
                 figures.write_csv(tmp_path / "t.csv", header, columns)

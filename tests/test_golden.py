@@ -247,7 +247,8 @@ class TestLineChartMatchesScalarReference:
 def _coordinate_text(values, end):
     """Each value as `svgplot` writes a polyline coordinate, ``end`` after each."""
     values = np.asarray(values, dtype=float)
-    pieces = numtext.rows_text([svgplot._coordinate_column(values, end)], values.size)
+    pieces = numtext.table_text(values.size,
+                                lambda rows: [svgplot._coordinate_column(values[rows], end)])
     return b"".join(pieces).decode("ascii").split(end)[:-1]
 
 

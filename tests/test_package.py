@@ -7,7 +7,7 @@ import pytest
 
 import tcm_entangle
 from tcm_entangle import (analytic, config, entanglement, figures, hamiltonian, model,
-                          propagator)
+                          propagator, svgplot)
 from tcm_entangle.config import ConfigError, RunConfig
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -203,6 +203,25 @@ _BAD_INPUT = {
                               "^psi must be complex numbers, got 'x'"),
     "pure_concurrence None": (lambda: entanglement.pure_concurrence(None), TypeError,
                               "^psi must be complex numbers, got None"),
+    # numpy reads a None among numbers as NaN
+    "amplitudes T holds None": (lambda: analytic.psi_amplitudes(0.3, 0.0, [1.0, None]),
+                                TypeError, r"^T must be real numbers, got \[1.0, None\]"),
+    "amplitudes T object array": (lambda: analytic.phi_amplitudes(
+        0.3, 0.0, 2.0, np.array([None, 1.0])), TypeError, "^T must be real numbers"),
+    "trace grid holds None": (lambda: tcm_entangle.concurrence_trace(
+        tcm_entangle.InitialStateSpec(tcm_entangle.Family.PSI, 0.3), tcm_entangle.ModelParams(),
+        [0.0, None]), TypeError, "^T_grid must be real numbers"),
+    "pure_concurrence holds None": (lambda: entanglement.pure_concurrence([1.0, None, 0, 0]),
+                                    TypeError, "^psi must be complex numbers"),
+    "pure_concurrence stack holds None": (lambda: entanglement.pure_concurrence(
+        [[1.0, 0, 0, 0], [0, 0, None, 1.0]]), TypeError, "^psi must be complex numbers"),
+    "line_chart no curves": (lambda: svgplot.line_chart([]), ValueError,
+                             "^curves must hold at least one point, got none"),
+    "line_chart no points": (lambda: svgplot.line_chart([("a", [], [])]), ValueError,
+                             "^curves must hold at least one point, got none"),
+    "line_chart curve lengths": (lambda: svgplot.line_chart(
+        [("a", [0.0, 1.0], [0.0, 1.0]), ("b", [0.0, 1.0], [0.0, 0.5, 1.0])]), ValueError,
+        r"^curves\[1\] must have xs and ys of one shape, got \(2,\) and \(3,\)"),
 }
 
 

@@ -171,10 +171,10 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
 
 
 def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
-    # in_death_window and refined are handed over as the text of
-    # format_column, so only number columns go through _number_cells: 5 in
-    # each of 4 curve files and 5 in intervals.csv, where numeric flags made
-    # 30, and the T column once per run, as bytes that every file copies
+    # in_death_window and refined are handed over as bytes from a 0/1
+    # table, so only number columns go through _number_cells: 5 in each of
+    # 4 curve files and 5 in intervals.csv, where numeric flags made 30, and
+    # the T column once per run, as bytes that every file copies
     calls, flags = [], []
     number_cells, write_csv = figures._number_cells, figures.write_csv
 
@@ -194,8 +194,8 @@ def test_flags_reach_write_csv_as_text(tmp_path, monkeypatch):
     figures.run(config)
     assert len(calls) == 26 and len(flags) == 5
     cells = [cell for column in flags for cell in column]
-    assert {type(cell) for cell in cells} == {str}
-    assert set(cells) == {"0", "1"}
+    assert {column.dtype.kind for column in flags} == {"S"}
+    assert set(cells) == {b"0", b"1"}
 
 
 def test_sweep_encodes_T_once_and_formats_only_exponent_cells(tmp_path, monkeypatch):
@@ -344,3 +344,34 @@ def test_a_trace_copies_no_field_of_its_spec_or_params():
              for f in dataclasses.fields(owner)}
     assert trace & owned == set()
     assert {"spec", "params"} <= trace
+
+
+#: top-level names of the package that nothing in src/ uses, each with the
+#: reason it stays; the test below keeps this list exact
+_ONLY_TESTS_CALL = {
+    "wootters_concurrence": "ROADMAP item 9 deletes it once item 2 drops it from "
+                            "perfbench's tracer.LAYERS",
+    "xstate_concurrence": "ROADMAP item 9, blocked on item 2 like wootters_concurrence",
+    "evolve": "ROADMAP item 9, blocked on item 2 like wootters_concurrence",
+    "detect_death_intervals": "ROADMAP item 3 gives it a caller (one findings pass)",
+    "max_concurrence": "ROADMAP item 3 gives it a caller (one findings pass)",
+    "estimate_period": "ROADMAP item 3 gives it a caller (one findings pass)",
+}
+
+
+def test_every_source_function_has_a_source_caller():
+    # a top-level function or class must be used in src/ outside its own
+    # definition; the imports and __all__ of __init__ do not count
+    package = Path(model.__file__).parent
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            defined |= {own} - {None}
+            used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    assert len(defined) > 100
+    assert defined - used == set(_ONLY_TESTS_CALL)
+    assert all(reason for reason in _ONLY_TESTS_CALL.values())
