@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytic, entanglement, propagator
 from .model import (Family, InitialStateSpec, ModelParams, initial_state, require_grid,
-                    require_params, require_positive, require_spec)
+                    require_instance, require_positive)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 #: a sub-threshold run must span at least this many grid points to count
@@ -49,13 +49,6 @@ class TracePath(enum.Enum):
     BOTH = "BOTH"
 
 
-def require_path(path):
-    """Raise ``TypeError`` naming ``path`` unless it is a ``TracePath``
-    member: text such as ``"ANALYTIC"`` is read with ``TracePath(text)``."""
-    if not isinstance(path, TracePath):
-        raise TypeError(f"path must be a TracePath member, got {path!r}")
-
-
 class TraceDisagreement(ValueError):
     """The analytic and oracle traces of a BOTH trace differ beyond tolerance."""
 
@@ -68,12 +61,6 @@ class ConcurrenceTrace:
     C: np.ndarray
     signed_C: np.ndarray | None   # PSI only: the signed cross term 2 Re(x1 x2*)
     abs_amplitudes: np.ndarray    # |x_i| per grid point, shape (npts, 3 or 5)
-
-
-def require_trace(trace):
-    """Raise ``TypeError`` naming ``trace`` unless it is a ``ConcurrenceTrace``."""
-    if not isinstance(trace, ConcurrenceTrace):
-        raise TypeError(f"trace must be a ConcurrenceTrace, got {trace!r}")
 
 
 def _branch(family: Family, xs):
@@ -113,7 +100,7 @@ def _branch_fn(traces):
 
 def analytic_concurrence(trace: ConcurrenceTrace, T):
     """Closed-form C at arbitrary T for the spec and params of a trace."""
-    require_trace(trace)
+    require_instance("trace", trace, ConcurrenceTrace)
     spec, params = trace.spec, trace.params
     return 2.0 * np.maximum(0.0, _branch(spec.family, analytic.amplitudes(
         spec.family, spec.alpha, params.epsilon, params.lam, T)))
@@ -142,8 +129,8 @@ def occupied_states(spec: InitialStateSpec, params: ModelParams,
     summation order.  An entry of a propagated state is bounded by the
     basis size, so a norm is non-finite exactly when some entry of its row
     is (a NaN entry counts as nonzero, so its column is used)."""
-    require_spec(spec)
-    require_params(params)
+    require_instance("spec", spec, InitialStateSpec)
+    require_instance("params", params, ModelParams)
     basis = params.basis
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         psis = propagator.evolve_grid(initial_state(spec, basis), params.decomposition,
@@ -203,9 +190,9 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     every point.  Every propagated state is checked finite and of unit
     norm (:func:`occupied_states`), once: the ORACLE C is taken from
     ``pure_concurrence``'s unchecked core."""
-    require_spec(spec)
-    require_params(params)
-    require_path(path)
+    require_instance("spec", spec, InitialStateSpec)
+    require_instance("params", params, ModelParams)
+    require_instance("path", path, TracePath)
     T_grid = require_grid(T_grid)
 
     psi_family = spec.family is Family.PSI
@@ -292,11 +279,11 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     a run's minimum lies below -zero_threshold/2.)
     """
     require_positive("zero_threshold", zero_threshold)
-    if not isinstance(traces, Iterable):
+    if not isinstance(traces, Iterable) or isinstance(traces, (str, bytes)):
         raise TypeError(f"traces must be an iterable of ConcurrenceTrace, got {traces!r}")
     traces = list(traces)
     for trace in traces:
-        require_trace(trace)
+        require_instance("trace", trace, ConcurrenceTrace)
     if not traces:
         return []
     _require_shared(traces)
@@ -405,7 +392,7 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     oscillation a lower local peak may be returned, with no warning: PSI,
     alpha = 0, eps = 2 on ``linspace(0, 100, 6)`` gives 0.98526, not 0.999996.
     """
-    require_trace(trace)
+    require_instance("trace", trace, ConcurrenceTrace)
     T = trace.T_grid
     k = int(np.argmax(trace.C))
     lo, hi = float(T[max(k - 1, 0)]), float(T[min(k + 1, T.size - 1)])
@@ -434,7 +421,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     half of one (pi/kappa): on a coarser grid the spectrum aliases, and PSI
     at alpha = 0.3, eps = 0 on ``linspace(0, 10, 5)`` read 12.80 for 2.22.
     """
-    require_trace(trace)
+    require_instance("trace", trace, ConcurrenceTrace)
     T, C = trace.T_grid, trace.C
     kappa = math.sqrt(8.0 + trace.params.epsilon * trace.params.epsilon)
     nominal = 2.0 * math.pi / kappa

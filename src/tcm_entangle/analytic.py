@@ -51,8 +51,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .model import (Family, InitialStateSpec, ModelParams, require_alpha, require_epsilon,
-                    require_family, require_finite, require_grid, require_params,
-                    require_reals, require_spec)
+                    require_finite, require_grid, require_instance, require_numbers)
 
 
 class _GridCache:
@@ -120,13 +119,13 @@ def _alpha_factors(alpha, epsilon: float, at):
 def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _at=None):
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
-    T = require_reals("T", T)
+    T = require_numbers("T", T)
     k = math.sqrt(8.0 + epsilon * epsilon)
     theta_plus = cos_a + sin_a
     theta_minus = cos_a - sin_a
     lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon,), T)
                                         if _cached else _psi_terms(epsilon, T))
-    core = theta_plus * split.copy()   # a temporary, as before the cache
+    core = theta_plus * split.copy()   # a temporary rounds as the uncached product
     x1 = lam_phase / 4.0 * (core + xi2 * theta_minus)
     x2 = lam_phase / 4.0 * (core - xi2 * theta_minus)
     x3 = lam_phase * theta_plus / k * one_minus
@@ -149,12 +148,12 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
     """(x1, x2, x3, x4, x5) for the PHI family; T may be scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     require_finite("lam", lam)
-    T = require_reals("T", T)
+    T = require_numbers("T", T)
     eta = math.sqrt(16.0 + epsilon * epsilon)
     gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
         _GRID_CACHE.terms(_phi_terms, (epsilon, lam), T) if _cached
         else _phi_terms(epsilon, lam, T))
-    gam = cos_a * gam_phase.copy()   # temporaries, as before the cache
+    gam = cos_a * gam_phase.copy()   # temporaries round as the uncached products
     x1 = gam / 4.0 * sym_plus
     x2 = lam_phase.copy() * sin_a
     x3 = gam * m_minus / eta
@@ -168,7 +167,7 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
 
     ``lam`` enters PHI phases only, but must be finite for PSI too; T may be
     a scalar or array."""
-    require_family(family)
+    require_instance("family", family, Family)
     if family is Family.PSI:   # phi_amplitudes checks lam itself
         require_finite("lam", lam)
         return psi_amplitudes(alpha, epsilon, T, _cached=_cached, _at=_at)
@@ -179,8 +178,8 @@ def closed_form_states(spec: InitialStateSpec, params: ModelParams, T_grid) -> n
     """Closed-form state vectors on a time grid, one row per point on
     ``params.basis``; each amplitude is placed on its ket in
     ``model.SUPPORT_KETS``.  ``T_grid`` must pass ``model.require_grid``."""
-    require_spec(spec)
-    require_params(params)
+    require_instance("spec", spec, InitialStateSpec)
+    require_instance("params", params, ModelParams)
     T_grid = require_grid(T_grid)
     basis = params.basis
     idx = basis.support_indices(spec.family)

@@ -13,8 +13,8 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath, require_path
-from .model import (Family, require_alpha, require_epsilon, require_family, require_integer,
+from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath
+from .model import (Family, require_alpha, require_epsilon, require_instance, require_integer,
                     require_positive)
 
 DEFAULT_T_MAX = 20.0
@@ -52,9 +52,7 @@ def parse_angle(token: str) -> float:
 
     A pi-expression with a zero denominator raises ``ConfigError``; a
     ``token`` that is not a str raises ``TypeError``."""
-    if not isinstance(token, str):
-        raise TypeError(f"token must be a str, got {token!r}")
-    token = token.strip()
+    token = require_instance("token", token, str).strip()
     m = _PI_RE.match(token)
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
@@ -87,7 +85,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def _check(self):
-        require_family(self.family)
+        require_instance("family", self.family, Family)
         for name, rule in (("alpha_list", require_alpha), ("epsilon_list", require_epsilon)):
             values = getattr(self, name)
             try:
@@ -104,11 +102,10 @@ class RunConfig:
         require_positive("zero_threshold", self.zero_threshold)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise TypeError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
-        if not isinstance(self.emit_svg, bool):
-            raise TypeError(f"emit_svg must be a bool, got {self.emit_svg!r}")
+        require_instance("emit_svg", self.emit_svg, bool)
         if not 2 <= require_integer("n_points", self.n_points) <= MAX_N_POINTS:
             raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
-        require_path(self.path)
+        require_instance("path", self.path, TracePath)
         for name in ("alpha_list", "epsilon_list"):
             seen: dict[str, float] = {}
             for value in getattr(self, name):
@@ -149,8 +146,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
     Keyword ``overrides`` take precedence over the file contents.  A
     ``text`` that is not a str raises ``TypeError``.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a str, got {text!r}")
+    require_instance("text", text, str)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Basis, holds_none
+from .model import Basis, require_numbers
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -24,8 +24,9 @@ _SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 def _atom_blocks(psi: np.ndarray) -> np.ndarray:
     """States (..., 4 m) as complex blocks (..., 4, m), one row per atomic
-    state: ``model`` orders the basis atoms slowest."""
-    psi = np.asarray(psi, dtype=complex)
+    state: ``model`` orders the basis atoms slowest.  A ``TypeError`` names
+    ``psi`` if it is not complex numbers."""
+    psi = require_numbers("psi", psi, complex)
     size = psi.shape[-1] if psi.ndim else 0
     if size == 0 or size % 4:
         raise ValueError("psi must have a non-empty last axis whose length is a multiple "
@@ -43,9 +44,11 @@ def reduce_to_atoms(psi: np.ndarray) -> np.ndarray:
     return block @ block.conj().swapaxes(-1, -2)
 
 
-def _validate_density_matrix(rho: np.ndarray):
+def _validate_density_matrix(rho) -> np.ndarray:
+    """``rho`` as a complex array, checked to be a 4x4 density matrix."""
+    rho = require_numbers("rho", rho, complex)
     if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 atomic density matrix")
+        raise ValueError(f"rho must be a 4x4 atomic density matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
@@ -53,6 +56,7 @@ def _validate_density_matrix(rho: np.ndarray):
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+    return rho
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -68,7 +72,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     (sqrt amplifies eigenvalue noise delta to sqrt(delta)); anything below
     -1e-10 is rejected by validation.
     """
-    _validate_density_matrix(rho)
+    rho = _validate_density_matrix(rho)
     w, u = np.linalg.eigh(rho)
     w = np.where(w > RANK_CUT * w.max(), w, 0.0)
     sqrt_rho = (u * np.sqrt(w)) @ u.conj().T
@@ -97,13 +101,7 @@ def pure_concurrence(psi: np.ndarray) -> float | np.ndarray:
     States of shape (..., 4 m) give C of shape (...), each checked for unit
     norm; a ``TypeError`` names ``psi`` if it is not complex numbers.
     """
-    try:
-        states = np.asarray(psi, dtype=complex)
-        if states is not psi and holds_none(psi):   # a complex array is returned as it is
-            raise TypeError
-    except (TypeError, ValueError):
-        raise TypeError(f"psi must be complex numbers, got {psi!r}") from None
-    psi = states
+    psi = require_numbers("psi", psi, complex)
     B = _atom_blocks(psi)
     require_unit_norms(np.linalg.norm(psi, axis=-1))
     C = _block_concurrence(B)
@@ -171,7 +169,7 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     C = 2 max(0, xstate_branch).  Rejects non-X input so the caller can
     fall back to the general route.
     """
-    _validate_density_matrix(rho)
+    rho = _validate_density_matrix(rho)
     if not is_x_state(rho):
         raise ValueError("density matrix is not X-shaped; use wootters_concurrence")
     d = np.clip(np.diag(rho).real, 0.0, None)

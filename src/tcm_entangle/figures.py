@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, numtext, svgplot
 from .config import NUMBER_FORMAT, RunConfig, file_tag, fmt
-from .model import Family, InitialStateSpec, ModelParams
+from .model import Family, InitialStateSpec, ModelParams, require_instance
 
 #: alpha values plotted by default; chosen here, not prescribed upstream
 FIGURE_ALPHAS = (math.pi / 12, math.pi / 8, math.pi / 4)
@@ -214,8 +214,7 @@ def run(config: RunConfig) -> list[Path]:
     with columns alpha, epsilon, T_start, T_end, length, refined.  A
     ``config`` that is not a ``RunConfig`` raises ``TypeError``.
     """
-    if not isinstance(config, RunConfig):
-        raise TypeError(f"config must be a RunConfig, got {config!r}")
+    require_instance("config", config, RunConfig)
     psi_family = config.family is Family.PSI
     prefix = "fig1" if psi_family else "fig2"
     out = Path(config.output_dir)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Basis, ModelParams, require_basis, require_params
+from .model import Basis, ModelParams, require_instance
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Dense Hermitian matrix of H/g in the order of ``params.basis``."""
-    require_params(params)
+    require_instance("params", params, ModelParams)
     basis = params.basis
     d = basis.size
     ea, eb, na, nb = basis.excited_a, basis.excited_b, basis.n_a, basis.n_b
@@ -55,7 +55,7 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 
 def check_conservation(H: np.ndarray, basis: Basis) -> bool:
     """True iff H couples no two states of different excitation number."""
-    require_basis(basis)
+    require_instance("basis", basis, Basis)
     if np.shape(H) != (basis.size, basis.size):
         raise ValueError(f"H must be basis.size = {basis.size} square, got shape {np.shape(H)}")
     n = basis.excitations

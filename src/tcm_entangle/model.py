@@ -14,15 +14,19 @@ All public time arguments are dimensionless, T = g*t.
 
 Each input rule is one ``require_*`` function below, which names the field
 in its message (the value rules return the value they checked); every
-boundary that takes the quantity calls it: alpha (``InitialStateSpec``, the
-closed forms, ``RunConfig``), epsilon (``ModelParams``, the closed forms,
-``RunConfig``), finite (lam, the T of ``propagator.evolve``), positive
-(T_max, zero_threshold), integer (n_max, n_points, photon numbers), reals
-(a grid, the T of the closed forms), grid (``concurrence_trace``,
-``evolve_grid``, ``closed_form_states``), family, and the types of a spec
-(``concurrence_trace``, ``occupied_states``, ``closed_form_states``,
-``initial_state``), a params object (those three and ``build_hamiltonian``)
-and a basis (``initial_state``, ``check_conservation``).
+boundary that takes the quantity calls it:
+
+* scalars: alpha (``InitialStateSpec``, the closed forms, ``RunConfig``),
+  epsilon (``ModelParams``, the closed forms, ``RunConfig``), finite (lam,
+  the T of ``propagator.evolve``), positive (T_max, zero_threshold) and
+  integer (n_max, n_points, photon numbers);
+* numbers (:func:`require_numbers`): reals for the T of the closed forms
+  and every grid, complex numbers for the states ``psi``, ``psi0`` and
+  ``rho``; text and None are refused, and so is a complex T;
+* grid (``concurrence_trace``, ``evolve_grid``, ``closed_form_states``);
+* instances (:func:`require_instance`): each family, spec, params, basis,
+  trace path, trace and decomposition a function takes, a ``RunConfig``
+  and the text a config is parsed from.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -111,30 +115,37 @@ def require_integer(name: str, value):
     return value
 
 
-def holds_none(values) -> bool:
-    """Whether ``values`` are or hold None, which numpy reads as NaN.  A
-    numeric ndarray or a Python number holds none and is not searched."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biufc" \
-            or isinstance(values, (int, float, complex)):
-        return False
-    return any(v is None for v in np.asarray(values, dtype=object).flat)
+#: dtype of :func:`require_numbers` -> (the dtype kinds it reads, the type
+#: each element of an object array must have, its message)
+_NUMBERS = {
+    float: ("biuf", Real, "must be real numbers"),
+    complex: ("biufc", Complex, "must be complex numbers"),
+}
 
 
-def require_reals(name: str, values) -> np.ndarray:
-    """``values`` as a float array; a ``TypeError`` names ``name`` if they
-    are not real numbers, or hold None (`holds_none`)."""
+def require_numbers(name: str, values, dtype: type = float) -> np.ndarray:
+    """``values`` as an array of ``dtype``, float or complex; a ``TypeError``
+    names ``name`` unless they are booleans, integers, reals or (for
+    complex) complex numbers.  Text is never read as a number, a complex
+    value is not a real one, and an object array is searched element by
+    element, so a None, which numpy would read as NaN, is refused."""
+    if type(values) is np.ndarray and values.dtype == dtype:   # the common case, as it is
+        return values
+    kinds, element, said = _NUMBERS[dtype]
     try:
-        reals = np.asarray(values, dtype=float)
-        if reals is not values and holds_none(values):   # a float array is returned as it is
-            raise TypeError
-        return reals
-    except (TypeError, ValueError):
-        raise TypeError(f"{name} must be real numbers, got {values!r}") from None
+        array = np.asarray(values)
+        # map, not a generator expression, whose closure would slow the fast path
+        if array.dtype.kind in kinds or array.dtype.kind == "O" and all(
+                map(isinstance, array.flat, [element] * array.size)):
+            return array.astype(dtype, copy=False)
+    except (TypeError, ValueError):   # ragged, or not an array numpy can build
+        pass
+    raise TypeError(f"{name} {said}, got {values!r}")
 
 
 def require_grid(T_grid) -> np.ndarray:
     """``T_grid`` as a float array, checked real, non-empty, 1-d, finite and ascending."""
-    T_grid = require_reals("T_grid", T_grid)
+    T_grid = require_numbers("T_grid", T_grid)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise ValueError("T_grid must be a non-empty 1-d array")
     if not np.all(np.isfinite(T_grid)):
@@ -144,29 +155,16 @@ def require_grid(T_grid) -> np.ndarray:
     return T_grid
 
 
-def require_family(family):
-    """Raise ``TypeError`` naming ``family`` unless it is a ``Family`` member:
-    text such as ``"PSI"`` is read with ``Family(text)``."""
-    if not isinstance(family, Family):
-        raise TypeError(f"family must be a Family member, got {family!r}")
-
-
-def require_spec(spec):
-    """Raise ``TypeError`` naming ``spec`` unless it is an ``InitialStateSpec``."""
-    if not isinstance(spec, InitialStateSpec):
-        raise TypeError(f"spec must be an InitialStateSpec, got {spec!r}")
-
-
-def require_params(params):
-    """Raise ``TypeError`` naming ``params`` unless it is a ``ModelParams``."""
-    if not isinstance(params, ModelParams):
-        raise TypeError(f"params must be a ModelParams, got {params!r}")
-
-
-def require_basis(basis):
-    """Raise ``TypeError`` naming ``basis`` unless it is a ``Basis``."""
-    if not isinstance(basis, Basis):
-        raise TypeError(f"basis must be a Basis, got {basis!r}")
+def require_instance(name: str, value, cls: type):
+    """Raise ``TypeError`` naming ``name`` unless ``value`` is a ``cls``, as
+    in "spec must be an InitialStateSpec, got None" or, for an enum, "path
+    must be a TracePath member, got 'BOTH'" (text such as ``"BOTH"`` is read
+    with ``TracePath(text)``); returns ``value``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+        member = " member" if issubclass(cls, enum.Enum) else ""
+        raise TypeError(f"{name} must be {article} {cls.__name__}{member}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ class InitialStateSpec:
     alpha: float
 
     def __post_init__(self):
-        require_family(self.family)
+        require_instance("family", self.family, Family)
         require_alpha("alpha", self.alpha)
 
 
@@ -280,8 +278,8 @@ def initial_state(spec: InitialStateSpec, basis: Basis) -> np.ndarray:
 
     PSI: cos(a)|eg00> + sin(a)|ge00>;  PHI: cos(a)|ee00> + sin(a)|gg00>.
     """
-    require_spec(spec)
-    require_basis(basis)
+    require_instance("spec", spec, InitialStateSpec)
+    require_instance("basis", basis, Basis)
     psi = np.zeros(basis.size, dtype=complex)
     psi[basis.support_indices(spec.family)[:2]] = math.cos(spec.alpha), math.sin(spec.alpha)
     return psi

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import require_finite, require_grid
+from .model import require_finite, require_grid, require_instance, require_numbers
 
 _HERMITICITY_RTOL = 1e-12
 _JACOBI_TOL = 1e-14   # off-diagonal Frobenius norm, relative to ||H||_F
@@ -171,9 +171,9 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     ``T_grid`` must pass ``model.require_grid``, and ``psi0`` must be a
     vector of the decomposition's size.
     """
-    if not isinstance(decomp, SpectralDecomposition):
-        raise TypeError(f"decomp must be a SpectralDecomposition, got {decomp!r}")
+    require_instance("decomp", decomp, SpectralDecomposition)
     T_grid = require_grid(T_grid)
+    psi0 = require_numbers("psi0", psi0, complex)
     V = decomp.eigenvectors
     if np.shape(psi0) != (V.shape[0],):
         raise ValueError(f"psi0 must be a vector of length {V.shape[0]}, got {np.shape(psi0)}")

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import numtext
+from .model import require_numbers
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -83,9 +84,10 @@ def line_chart(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> s
 
     A point's pixel coordinates are written as ``"%.2f,%.2f"`` writes them,
     by the byte kernel of `_points`.  A ``ValueError`` names ``curves`` when
-    they hold no point or a curve's xs and ys differ in shape."""
-    curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-              for label, xs, ys in curves]
+    they hold no point or a curve's xs and ys differ in shape, and a
+    ``TypeError`` names the curve whose xs or ys are not real numbers."""
+    curves = [(label, require_numbers(f"curves[{k}] xs", xs),
+               require_numbers(f"curves[{k}] ys", ys)) for k, (label, xs, ys) in enumerate(curves)]
     for k, (_, xs, ys) in enumerate(curves):
         if xs.shape != ys.shape:
             raise ValueError(f"curves[{k}] must have xs and ys of one shape, "

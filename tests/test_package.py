@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 import tcm_entangle
 from tcm_entangle import (analytic, config, entanglement, figures, hamiltonian, model,
                           propagator, svgplot)
+from tcm_entangle.analysis import TracePath
 from tcm_entangle.config import ConfigError, RunConfig
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -215,16 +218,44 @@ _BAD_INPUT = {
                                     TypeError, "^psi must be complex numbers"),
     "pure_concurrence stack holds None": (lambda: entanglement.pure_concurrence(
         [[1.0, 0, 0, 0], [0, 0, None, 1.0]]), TypeError, "^psi must be complex numbers"),
+    # numbers are never read from text, and a complex T is not a real one
+    "amplitudes T numeric text": (lambda: analytic.psi_amplitudes(0.3, 0.0, ["1.5"]),
+                                  TypeError, r"^T must be real numbers, got \['1.5'\]"),
+    "amplitudes T numeric str": (lambda: analytic.psi_amplitudes(0.3, 0.0, "1.5"), TypeError,
+                                 "^T must be real numbers, got '1.5'"),
+    "amplitudes T complex": (lambda: analytic.psi_amplitudes(0.3, 0.0, np.array([1 + 1j])),
+                             TypeError, r"^T must be real numbers, got array\(\[1.\+1.j\]\)"),
+    "require_grid numeric text": (lambda: model.require_grid(["0", "1.5"]), TypeError,
+                                  "^T_grid must be real numbers"),
+    "pure_concurrence numeric text": (lambda: entanglement.pure_concurrence(["1", "0", "0", "0"]),
+                                      TypeError, "^psi must be complex numbers"),
+    "reduce_to_atoms text": (lambda: entanglement.reduce_to_atoms("x"), TypeError,
+                             "^psi must be complex numbers, got 'x'"),
+    "reduce_to_atoms object": (lambda: entanglement.reduce_to_atoms(object()), TypeError,
+                               "^psi must be complex numbers, got <object"),
+    "reduce_to_atoms numeric text": (lambda: entanglement.reduce_to_atoms(["1"] * 36), TypeError,
+                                     "^psi must be complex numbers"),
+    "evolve_grid psi0 numeric text": (lambda: tcm_entangle.evolve_grid(
+        ["1"] * 36, _phi_model()[1], [0.0, 1.0]), TypeError, "^psi0 must be complex numbers"),
+    "wootters_concurrence rho None": (lambda: entanglement.wootters_concurrence(None), TypeError,
+                                      "^rho must be complex numbers, got None"),
+    "wootters_concurrence rho shape": (lambda: entanglement.wootters_concurrence(np.eye(2)),
+                                       ValueError, r"^rho must be a 4x4 atomic density matrix"),
+    "death_windows str": (lambda: tcm_entangle.death_windows("ab"), TypeError,
+                          "^traces must be an iterable of ConcurrenceTrace, got 'ab'"),
     "line_chart no curves": (lambda: svgplot.line_chart([]), ValueError,
                              "^curves must hold at least one point, got none"),
     "line_chart no points": (lambda: svgplot.line_chart([("a", [], [])]), ValueError,
                              "^curves must hold at least one point, got none"),
+    "line_chart numeric text": (lambda: svgplot.line_chart([("a", ["0", "1"], [0.0, 1.0])]),
+                                TypeError, r"^curves\[0\] xs must be real numbers, got \['0', '1'\]"),
     "line_chart curve lengths": (lambda: svgplot.line_chart(
         [("a", [0.0, 1.0], [0.0, 1.0]), ("b", [0.0, 1.0], [0.0, 0.5, 1.0])]), ValueError,
         r"^curves\[1\] must have xs and ys of one shape, got \(2,\) and \(3,\)"),
 }
 
 
+@pytest.mark.filterwarnings("error")   # e.g. a ComplexWarning as numpy drops an imaginary part
 @pytest.mark.parametrize("case", list(_BAD_INPUT))
 def test_bad_input_is_rejected_by_name(case):
     call, error, name = _BAD_INPUT[case]
@@ -233,6 +264,56 @@ def test_bad_input_is_rejected_by_name(case):
 
 
 _PSI, _PHI = tcm_entangle.Family.PSI, tcm_entangle.Family.PHI
+
+
+#: exports whose parameters are not checked, and why
+_UNCHECKED_EXPORTS = {
+    "ConcurrenceTrace": "a record that concurrence_trace builds from checked inputs",
+    "DeathInterval": "a record that detect_death_intervals builds from a checked trace",
+    "SpectralDecomposition": "a record that jacobi_eigh builds; evolve_grid checks its type",
+    "Family": "an enum, which reads its own text: Family('x') raises enum's ValueError",
+    "TracePath": "an enum, which reads its own text: TracePath('x') raises enum's ValueError",
+}
+
+#: the wrong kinds of value every public parameter must refuse
+_WRONG_KINDS = {"None": None, "str": "x", "numeric str": "1.5", "object": object()}
+
+
+@functools.cache
+def _valid_arguments():
+    """A valid value for each public parameter, by name."""
+    params = tcm_entangle.ModelParams()
+    spec = tcm_entangle.InitialStateSpec(_PHI, 0.3)
+    state = tcm_entangle.initial_state(spec, params.basis)
+    return {"n_max": 2, "family": _PSI, "alpha": 0.3, "epsilon": 0.0, "lam": 2.0,
+            "params": params, "spec": spec, "basis": params.basis, "path": TracePath.ANALYTIC,
+            "T_grid": np.linspace(0.0, 10.0, 101), "T": 1.0, "trace": _trace(),
+            "traces": [_trace()], "zero_threshold": 1e-9, "H": params.hamiltonian,
+            "decomp": params.decomposition, "psi0": state, "psi": state,
+            "rho": np.diag([0.5, 0.0, 0.0, 0.5])}
+
+
+def _public_parameters():
+    for name in tcm_entangle.__all__:
+        export = getattr(tcm_entangle, name)
+        if callable(export) and name not in _UNCHECKED_EXPORTS:
+            for parameter in inspect.signature(export).parameters:
+                if not parameter.startswith("_"):
+                    yield name, parameter
+
+
+@pytest.mark.parametrize("kind", list(_WRONG_KINDS))
+@pytest.mark.parametrize("export,parameter", list(_public_parameters()))
+def test_every_public_parameter_refuses_the_wrong_kind_by_name(export, parameter, kind):
+    # valid values everywhere else, so the error can only come from this parameter
+    fn = getattr(tcm_entangle, export)
+    arguments = {p: _valid_arguments()[p] for p in inspect.signature(fn).parameters
+                 if not p.startswith("_")}
+    arguments[parameter] = _WRONG_KINDS[kind]
+    with pytest.raises((TypeError, ValueError)) as caught:
+        fn(**arguments)
+    assert re.search(rf"\b{parameter}\b", str(caught.value)), str(caught.value)
+
 
 #: rule -> (bad values, [(field, boundary called with the value)]): every
 #: boundary that takes a quantity calls the one rule of ``model``, so each

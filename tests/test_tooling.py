@@ -257,7 +257,8 @@ def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
 
 @pytest.mark.parametrize("fragment", ["must lie in [0, pi/2]", "must be >= 0, got",
                                       "must be finite, got", "T_grid must be",
-                                      "must be an integer"])
+                                      "must be an integer", "must be complex numbers",
+                                      "must be a TracePath member"])
 def test_each_input_rule_is_written_once(fragment):
     # every boundary calls the rule in model, so no second copy can drift
     # from it; a message fragment found in another module is such a copy
