@@ -417,23 +417,28 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
     bin is refined by log-parabolic interpolation; for a dipole-coupled
     trace the components are incommensurate, so this reports the dominant
     component rather than an exact repeat time.  Requires a uniform grid
-    spanning at least three nominal periods 2*pi/kappa, with a step below
-    half of one (pi/kappa): on a coarser grid the spectrum aliases, and PSI
-    at alpha = 0.3, eps = 0 on ``linspace(0, 10, 5)`` read 12.80 for 2.22.
+    spanning at least three periods 2*pi/kappa (PSI's Rabi period, for
+    either family), with a step below pi/sigma, where sigma is twice the
+    fastest rate of the |x_i|^2 (``analytic._rates``) and so bounds every
+    frequency of C.  On a coarser grid the spectrum aliases: PHI at
+    alpha = 0.3, eps = 2 reads 1.500 for 2*pi/eta = 1.405 at a step of
+    0.8*pi/kappa, more than pi/sigma.
     """
     require_instance("trace", trace, ConcurrenceTrace)
     T, C = trace.T_grid, trace.C
-    kappa = math.sqrt(8.0 + trace.params.epsilon * trace.params.epsilon)
-    nominal = 2.0 * math.pi / kappa
-    if T[-1] - T[0] < 3.0 * nominal:
-        raise ValueError("trace too short: need at least three nominal periods")
+    epsilon = trace.params.epsilon
+    span = 3.0 * (2.0 * math.pi / analytic._rates(Family.PSI, epsilon)[0])
+    if T[-1] - T[0] < span:
+        raise ValueError(f"trace too short: need a span of three periods 2*pi/kappa = "
+                         f"{span:.6g}, got {T[-1] - T[0]:.6g}")
     steps = np.diff(T)
     dt = float(steps.mean())
     if np.abs(steps - dt).max() > _UNIFORM_RTOL * dt:
         raise ValueError("estimate_period needs a uniformly spaced T_grid")
-    if dt >= 0.5 * nominal:
-        raise ValueError(f"T_grid step {dt:.6g} is not below half the nominal period "
-                         f"pi/kappa = {0.5 * nominal:.6g}: the spectrum would alias")
+    limit = math.pi / (2.0 * max(analytic._rates(trace.spec.family, epsilon)))
+    if dt >= limit:
+        raise ValueError(f"T_grid step {dt:.6g} is not below pi/sigma = {limit:.6g}, sigma "
+                         "twice the fastest |x_i|^2 rate: the spectrum would alias")
     x = C - C.mean()
     n = len(x)
     F = np.abs(np.fft.rfft(x * np.hanning(n)))

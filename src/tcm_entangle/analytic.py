@@ -30,6 +30,9 @@ Gam = cos(a) e^{-i (2 lam + eps + eta) T / 2}.
 Both sets agree with exact propagation to machine precision for every
 (alpha, eps, T); see the oracle-equivalence tests.
 
+kappa and eta, and the rates of the |x_i|^2 built from them, are written
+once, in ``_rates``; ``analysis.estimate_period`` reads them there too.
+
 Only cos(a) and sin(a) depend on alpha.  Whole-grid evaluations
 (``analysis.concurrence_trace`` on the ANALYTIC path and
 ``closed_form_states``) take the alpha-free terms (``_psi_terms``,
@@ -95,8 +98,24 @@ class _GridCache:
 _GRID_CACHE = _GridCache(8 * 2**20)
 
 
-def _psi_terms(epsilon: float, T: np.ndarray) -> tuple:
-    k = math.sqrt(8.0 + epsilon * epsilon)
+#: the members as module constants: reading ``Family.PSI`` costs about 0.1 us
+#: on CPython 3.11, and every amplitude call reads one or two
+_PSI, _PHI = Family.PSI, Family.PHI
+
+
+def _rates(family: Family, epsilon: float) -> tuple:
+    """Angular frequencies of the |x_i|^2 of ``family`` at dipole strength
+    ``epsilon``, its Rabi splitting first: kappa, (3 eps + kappa)/2 and
+    |3 eps - kappa|/2 for PSI; eta, (eps + eta)/2 and (eta - eps)/2 for PHI.
+    Every caller has checked ``epsilon`` already."""
+    if family is _PSI:
+        k = math.sqrt(8.0 + epsilon * epsilon)
+        return k, (3.0 * epsilon + k) / 2.0, abs(3.0 * epsilon - k) / 2.0
+    eta = math.sqrt(16.0 + epsilon * epsilon)
+    return eta, (epsilon + eta) / 2.0, (eta - epsilon) / 2.0
+
+
+def _psi_terms(epsilon: float, k: float, T: np.ndarray) -> tuple:
     L_plus = epsilon / k + 1.0
     L_minus = epsilon / k - 1.0
     lam_phase = np.exp(-0.5j * k * L_plus * T)
@@ -120,11 +139,11 @@ def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _a
     """(x1, x2, x3) for the PSI family; T may be a scalar or array."""
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     T = require_numbers("T", T)
-    k = math.sqrt(8.0 + epsilon * epsilon)
+    k = _rates(_PSI, epsilon)[0]
     theta_plus = cos_a + sin_a
     theta_minus = cos_a - sin_a
-    lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon,), T)
-                                        if _cached else _psi_terms(epsilon, T))
+    lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon, k), T)
+                                        if _cached else _psi_terms(epsilon, k, T))
     core = theta_plus * split.copy()   # a temporary rounds as the uncached product
     x1 = lam_phase / 4.0 * (core + xi2 * theta_minus)
     x2 = lam_phase / 4.0 * (core - xi2 * theta_minus)
@@ -132,8 +151,7 @@ def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _a
     return x1, x2, x3
 
 
-def _phi_terms(epsilon: float, lam: float, T: np.ndarray) -> tuple:
-    eta = math.sqrt(16.0 + epsilon * epsilon)
+def _phi_terms(epsilon: float, lam: float, eta: float, T: np.ndarray) -> tuple:
     gam_phase = np.exp(-0.5j * (2.0 * lam + epsilon + eta) * T)
     eieta = np.exp(1j * eta * T)
     m_plus, m_minus = 1.0 + eieta, 1.0 - eieta
@@ -149,10 +167,10 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
     cos_a, sin_a = _alpha_factors(alpha, epsilon, _at)
     require_finite("lam", lam)
     T = require_numbers("T", T)
-    eta = math.sqrt(16.0 + epsilon * epsilon)
+    eta = _rates(_PHI, epsilon)[0]
     gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
-        _GRID_CACHE.terms(_phi_terms, (epsilon, lam), T) if _cached
-        else _phi_terms(epsilon, lam, T))
+        _GRID_CACHE.terms(_phi_terms, (epsilon, lam, eta), T) if _cached
+        else _phi_terms(epsilon, lam, eta, T))
     gam = cos_a * gam_phase.copy()   # temporaries round as the uncached products
     x1 = gam / 4.0 * sym_plus
     x2 = lam_phase.copy() * sin_a
@@ -168,7 +186,7 @@ def amplitudes(family: Family, alpha: float, epsilon: float, lam: float, T, *,
     ``lam`` enters PHI phases only, but must be finite for PSI too; T may be
     a scalar or array."""
     require_instance("family", family, Family)
-    if family is Family.PSI:   # phi_amplitudes checks lam itself
+    if family is _PSI:   # phi_amplitudes checks lam itself
         require_finite("lam", lam)
         return psi_amplitudes(alpha, epsilon, T, _cached=_cached, _at=_at)
     return phi_amplitudes(alpha, epsilon, lam, T, _cached=_cached, _at=_at)

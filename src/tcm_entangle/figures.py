@@ -143,7 +143,8 @@ def write_csv(path: Path, header: list[str], columns: list):
     copied as they are.  A ``ValueError`` names ``header`` when it does not
     name every column, and ``columns`` when there are none, their lengths
     differ, one is not 1-d or a bytes cell holds NUL; a ``TypeError`` names
-    ``columns`` when one is neither kind (text as str, say).
+    ``header`` or ``columns`` when it is not a list, and ``columns`` when
+    one is neither kind (text as str, say).
 
     The body is built as bytes, `numtext.BLOCK_ROWS` rows at a time
     (`numtext.table_text`): each cell gets a slot (`_number_column`,
@@ -155,6 +156,8 @@ def write_csv(path: Path, header: list[str], columns: list):
     zeros are filled with those bytes from digit tables, not by CPython's
     %.15g, which takes its slow bignum route for each number.  Every other
     number is %.15g text."""
+    require_instance("header", header, list)
+    require_instance("columns", columns, list)
     if len(header) != len(columns):
         raise ValueError(f"header must name each of the {len(columns)} columns, "
                          f"got {len(header)} names")

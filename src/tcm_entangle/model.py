@@ -22,7 +22,8 @@ boundary that takes the quantity calls it:
   integer (n_max, n_points, photon numbers);
 * numbers (:func:`require_numbers`): reals for the T of the closed forms
   and every grid, complex numbers for the states ``psi``, ``psi0`` and
-  ``rho``; text and None are refused, and so is a complex T;
+  ``rho``; text and None are refused, and so is a complex T (this rule
+  and the finite one refuse a Python int beyond float range);
 * grid (``concurrence_trace``, ``evolve_grid``, ``closed_form_states``);
 * instances (:func:`require_instance`): each family, spec, params, basis,
   trace path, trace and decomposition a function takes, a ``RunConfig``
@@ -72,6 +73,10 @@ SUPPORT_KETS = {
 }
 
 
+#: what both number rules say of a Python int beyond float range
+_BEYOND_FLOAT = "must lie within float range, got a number beyond it"
+
+
 def require_real(name: str, value):
     """Raise ``TypeError`` naming ``name`` unless ``value`` is a non-bool real number."""
     # a float, the common case, is decided without the ABC check
@@ -81,8 +86,13 @@ def require_real(name: str, value):
 
 
 def require_finite(name: str, value):
-    """Raise naming ``name`` unless ``value`` is a finite real number."""
-    if not math.isfinite(require_real(name, value)):
+    """Raise naming ``name`` unless ``value`` is a finite real number (a
+    Python int beyond float range is not)."""
+    try:
+        finite = math.isfinite(require_real(name, value))
+    except OverflowError:   # a Python int beyond float range
+        raise ValueError(f"{name} {_BEYOND_FLOAT}") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
@@ -128,7 +138,8 @@ def require_numbers(name: str, values, dtype: type = float) -> np.ndarray:
     names ``name`` unless they are booleans, integers, reals or (for
     complex) complex numbers.  Text is never read as a number, a complex
     value is not a real one, and an object array is searched element by
-    element, so a None, which numpy would read as NaN, is refused."""
+    element, so a None, which numpy would read as NaN, is refused.  A
+    Python int beyond float range raises ``ValueError`` naming ``name``."""
     if type(values) is np.ndarray and values.dtype == dtype:   # the common case, as it is
         return values
     kinds, element, said = _NUMBERS[dtype]
@@ -140,6 +151,8 @@ def require_numbers(name: str, values, dtype: type = float) -> np.ndarray:
             return array.astype(dtype, copy=False)
     except (TypeError, ValueError):   # ragged, or not an array numpy can build
         pass
+    except OverflowError:   # a Python int beyond float range
+        raise ValueError(f"{name} {_BEYOND_FLOAT}") from None
     raise TypeError(f"{name} {said}, got {values!r}")
 
 
@@ -254,8 +267,9 @@ class Basis:
 
     def index(self, atom_a: str, atom_b: str, n_a: int, n_b: int) -> int:
         """Basis index of |atom_a, atom_b, n_a, n_b>; photon numbers are ints."""
-        if atom_a not in LEVELS or atom_b not in LEVELS:
-            raise ValueError(f"unknown atomic level in ({atom_a}, {atom_b})")
+        for name, level in (("atom_a", atom_a), ("atom_b", atom_b)):
+            if level not in LEVELS:
+                raise ValueError(f"{name} must be an atomic level in {LEVELS}, got {level!r}")
         require_integer("photon number n_a", n_a)
         require_integer("photon number n_b", n_b)
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
@@ -267,6 +281,7 @@ class Basis:
         read-only array found once per basis and family."""
         found = self._support.get(family)
         if found is None:
+            require_instance("family", family, Family)
             found = np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])
             found.flags.writeable = False
             self._support[family] = found

@@ -675,3 +675,29 @@ class TestEstimatePeriod:
         t = _trace(Family.PSI, math.pi / 8, 0.0, T_max=2.0, n=200)
         with pytest.raises(ValueError, match="short"):
             estimate_period(t)
+
+
+class TestEstimatePeriodAliasing:
+    """C(T) holds frequencies up to sigma = 2 x the fastest |x_i|^2 rate
+    (``analytic._rates``), so a step must lie below pi/sigma, not pi/kappa."""
+
+    @pytest.mark.parametrize("family,alpha,eps,fraction", [
+        (Family.PHI, 0.3, 2.0, 0.8), (Family.PHI, 0.3, 2.0, 0.95),
+        (Family.PSI, 0.1, 1.0, 0.9), (Family.PSI, 0.1, 2.0, 0.9)])
+    def test_step_below_pi_over_kappa_rejected(self, family, alpha, eps, fraction):
+        # under a guard at pi/kappa these read 1.500 and 2.228 for 1.405 (PHI),
+        # 9.418 for 1.047 and 3.564 for 0.664 (PSI), with no error
+        grid = np.arange(0.0, 200.0, fraction * math.pi / math.sqrt(8.0 + eps * eps))
+        with pytest.raises(ValueError, match="T_grid"):
+            estimate_period(_trace_at(family, alpha, eps, grid))
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_step_just_below_pi_over_sigma_reads_the_fine_grid(self, family, eps):
+        step = 0.9 * math.pi / (2.0 * max(analytic._rates(family, eps)))
+        coarse = np.arange(int(200.0 / step) + 1) * step
+        fine = np.linspace(0.0, 200.0, 200_001)
+        for alpha in (0.1, 0.3, 0.6, 0.9, 1.2):
+            want = estimate_period(_trace_at(family, alpha, eps, fine))
+            assert estimate_period(_trace_at(family, alpha, eps, coarse)) == pytest.approx(
+                want, abs=1e-3), alpha

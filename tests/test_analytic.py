@@ -106,6 +106,26 @@ class TestAmplitudesMatchDerivedConstants:
                                            want), (n, eps, lam)
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 3.0])
+def test_rates_are_the_frequencies_of_the_squared_amplitudes(family, eps):
+    # every spectral peak of each |x_i|^2 lies within one bin of a listed
+    # rate, and every listed rate is such a peak; a Blackman window keeps
+    # each sidelobe below 2e-4, and each component here is above 2e-2
+    n, dt = 2**16, 0.02
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n, dt)
+    rates = analytic._rates(family, eps)
+    window = np.blackman(n)
+    found = []
+    for x in amplitudes(family, 0.3, eps, 2.0, np.arange(n) * dt):
+        p = np.abs(x) ** 2
+        F = np.abs(np.fft.rfft((p - p.mean()) * window)) / window.sum()
+        peaks = 1 + np.flatnonzero((F[1:-1] > F[:-2]) & (F[1:-1] >= F[2:]) & (F[1:-1] > 1e-3))
+        found.extend(omega[peaks].tolist())
+    assert all(min(abs(w - r) for r in rates) <= omega[1] for w in found), (found, rates)
+    assert all(min(abs(w - r) for w in found) <= omega[1] for r in rates), (found, rates)
+
+
 class TestGridCache:
     """Whole-grid evaluations reuse their alpha-free arrays and change no byte.
 

@@ -252,6 +252,23 @@ _BAD_INPUT = {
     "line_chart curve lengths": (lambda: svgplot.line_chart(
         [("a", [0.0, 1.0], [0.0, 1.0]), ("b", [0.0, 1.0], [0.0, 0.5, 1.0])]), ValueError,
         r"^curves\[1\] must have xs and ys of one shape, got \(2,\) and \(3,\)"),
+    # a Python int beyond float range raised a bare OverflowError
+    "T_max beyond float range": (lambda: RunConfig(T_max=10**400), ConfigError,
+                                 "^T_max must lie within float range"),
+    "amplitudes T beyond float range": (lambda: analytic.psi_amplitudes(0.3, 0.0, [10**400]),
+                                        ValueError, "^T must lie within float range"),
+    "require_grid beyond float range": (lambda: model.require_grid([0, 10**400]), ValueError,
+                                        "^T_grid must lie within float range"),
+    # public names outside __all__
+    "support_indices family text": (lambda: tcm_entangle.Basis(2).support_indices("PSI"),
+                                    TypeError, "^family must be a Family member, got 'PSI'"),
+    "index atom_a None": (lambda: tcm_entangle.Basis(2).index(None, "g", 0, 0), ValueError,
+                          "^atom_a must be an atomic level in"),
+    "write_csv header None": (lambda: figures.write_csv(Path("unwritten.csv"), None,
+                                                        [np.zeros(2)]),
+                              TypeError, "^header must be a list, got None"),
+    "write_csv columns None": (lambda: figures.write_csv(Path("unwritten.csv"), ["a"], None),
+                               TypeError, "^columns must be a list, got None"),
 }
 
 
@@ -276,7 +293,8 @@ _UNCHECKED_EXPORTS = {
 }
 
 #: the wrong kinds of value every public parameter must refuse
-_WRONG_KINDS = {"None": None, "str": "x", "numeric str": "1.5", "object": object()}
+_WRONG_KINDS = {"None": None, "str": "x", "numeric str": "1.5", "object": object(),
+                "int beyond float range": 10**400}
 
 
 @functools.cache

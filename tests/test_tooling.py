@@ -258,7 +258,8 @@ def test_verify_draws_once_and_walks_each_support_once(monkeypatch):
 @pytest.mark.parametrize("fragment", ["must lie in [0, pi/2]", "must be >= 0, got",
                                       "must be finite, got", "T_grid must be",
                                       "must be an integer", "must be complex numbers",
-                                      "must be a TracePath member"])
+                                      "must be a TracePath member",
+                                      "must lie within float range"])
 def test_each_input_rule_is_written_once(fragment):
     # every boundary calls the rule in model, so no second copy can drift
     # from it; a message fragment found in another module is such a copy
@@ -266,6 +267,24 @@ def test_each_input_rule_is_written_once(fragment):
     owners = [p.name for p in sorted(package.glob("*.py"))
               if fragment in p.read_text(encoding="utf-8")]
     assert owners == ["model.py"]
+
+
+@pytest.mark.parametrize("expression", ["math.sqrt(8.0 + epsilon * epsilon)",
+                                        "math.sqrt(16.0 + epsilon * epsilon)"])
+def test_each_rate_is_written_once(expression):
+    # kappa and eta are computed in analytic._rates alone, which the closed
+    # forms and estimate_period read, so no copy can drift from it
+    package = Path(model.__file__).parent
+    owners = [p.name for p in sorted(package.glob("*.py"))
+              for _ in range(p.read_text(encoding="utf-8").count(expression))]
+    assert owners == ["analytic.py"]
+
+
+@pytest.mark.parametrize("module", ["hamiltonian.py", "propagator.py"])
+def test_the_propagation_route_reads_no_closed_form_rate(module):
+    # the two routes stay independent: exact propagation derives its
+    # frequencies from H/g alone
+    assert "_rates" not in (Path(model.__file__).parent / module).read_text(encoding="utf-8")
 
 
 def _package_functions():
