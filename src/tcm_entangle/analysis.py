@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, propagator
-from .model import (Family, InitialStateSpec, ModelParams, initial_state, require_grid,
+from .model import (Family, InitialStateSpec, ModelParams, _shown, initial_state, require_grid,
                     require_instance, require_positive)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -37,6 +37,12 @@ DEFAULT_ZERO_THRESHOLD = 1e-9
 #: as a death window; shorter runs are isolated zero touches
 MIN_RUN_POINTS = 3
 _BISECT_TOL = 1e-10
+_BISECT_STEPS = 200
+#: bisection steps a bracket speculates per closed-form call (:func:`_bisect_roots`)
+_SPECULATE = 12
+#: from this many points on, numpy computes a closed-form call's complex
+#: products in place (temporaries of 256 KiB or more)
+_INPLACE_POINTS = 16384
 #: largest relative step deviation for which a grid counts as uniform
 _UNIFORM_RTOL = 1e-6
 #: largest |C(analytic) - C(oracle)| a BOTH trace accepts at any point
@@ -231,24 +237,92 @@ class DeathInterval:
         return self.T_end - self.T_start
 
 
-def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _secant(a, fa, b, fb):
+    """Zero of the line through (a, fa) and (b, fb), a prediction: it may be NaN."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return a - fa * (b - a) / (fb - fa)
+
+
+def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
+                  hint: np.ndarray) -> np.ndarray:
     """Roots of the sign changes of ``sign * fn`` on the brackets [lo, hi],
-    bisected together; ``fn(t, k)`` evaluates brackets ``k`` at ``t``.  A
-    bracket stops once it is at most ``_BISECT_TOL`` wide, or after a pass
-    whose midpoint rounded to one of its ends: above T of about 1e6 adjacent
-    doubles are wider than the tolerance, and every later pass would repeat
-    that one."""
-    lo_positive = sign * fn(lo, np.arange(lo.size)) > 0
-    active = np.ones(lo.size, dtype=bool)
-    for _ in range(200):
-        k = (active & (hi - lo > _BISECT_TOL)).nonzero()[0]
-        if k.size == 0:
-            break
-        lo_k, hi_k = lo[k], hi[k]
-        mid = 0.5 * (lo_k + hi_k)
-        same = (sign[k] * fn(mid, k) > 0) == lo_positive[k]
-        lo[k[same]], hi[k[~same]] = mid[same], mid[~same]
-        active[k] = (mid != lo_k) & (mid != hi_k)
+    bisected together; ``fn(t, k)`` evaluates brackets ``k`` at ``t``.  A step
+    halves a bracket at ``0.5 * (lo + hi)``.  A bracket stops once it is at
+    most ``_BISECT_TOL`` wide, after ``_BISECT_STEPS`` steps, or after a step
+    whose midpoint rounded to one of its ends (above T of about 1e6 adjacent
+    doubles are wider than the tolerance, and every later step would repeat
+    that one).
+
+    One call evaluates many speculated steps.  In each round a bracket
+    predicts its root by a secant, first through the grid cell that holds its
+    sign change, [lo, hint] or [hint, hi] (the first call evaluates lo, hint
+    and hi), then through the last two midpoints it kept, and walks towards
+    it for as many steps as it needs, at most ``_SPECULATE``.  It keeps the
+    steps up to and including the first whose sign differs from the
+    prediction, so each step is decided by the sign at the very midpoint that
+    one-step bisection evaluates: the roots keep their bits, and a bracket
+    evaluates the same points whatever brackets it is bisected with.  From
+    ``_INPLACE_POINTS`` points on, numpy computes complex products in place,
+    which may round a value differently: walks are cut short to keep a call
+    below that, and while the open brackets alone are as many, a call holds
+    one step of each, the very call of one-step bisection."""
+    n = lo.size
+    copies = 3 if 3 * n < _INPLACE_POINTS else 1   # lo, then hint and hi where they fit
+    f_lo, f_hint, f_hi = values = np.full((3, n), np.nan)
+    values[:copies] = sign * fn(np.concatenate((lo, hint, hi)[:copies]),
+                                np.arange(copies * n) % n).reshape(copies, n)
+    lo_positive = f_lo > 0
+    right = (f_hint > 0) == lo_positive   # the sign changes in [hint, hi]
+    root = _secant(np.where(right, hi, lo), np.where(right, f_hi, f_lo), hint, f_hint)
+    # the open brackets, compacted as they stop, with the last point each kept
+    k = (hi - lo > _BISECT_TOL).nonzero()[0]
+    state = (k, lo[k], hi[k], root[k], sign[k], lo_positive[k],
+             np.zeros(k.size, dtype=int), hint[k], f_hint[k])
+    while k.size:
+        k, a0, b0, root, sgn, positive, steps, last_t, last_f = state
+        m = k.size
+        # each walk as deep as its bracket needs, at most _SPECULATE steps
+        own = np.minimum(np.clip(np.frexp((b0 - a0) / _BISECT_TOL)[1], 1, _SPECULATE),
+                         _BISECT_STEPS - steps)
+        depth = int(own.max())
+        if depth * m >= _INPLACE_POINTS:
+            depth = max(1, (_INPLACE_POINTS - 1) // m)
+            own = np.minimum(own, depth)
+        # the walks, a row per bracket: the bracket before each step, its midpoint
+        los, his, mids = np.empty((3, m, depth))
+        a, b = a0.copy(), b0.copy()
+        for j in range(depth):
+            los[:, j], his[:, j] = a, b
+            mids[:, j] = mid = 0.5 * (a + b)
+            toward = mid < root
+            np.copyto(a, mid, where=toward)
+            np.copyto(b, mid, where=~toward)
+        walked = np.arange(depth) < own[:, None]
+        f = np.full((m, depth), np.nan)
+        f[walked] = fn(mids[walked], np.repeat(k, own))
+        f *= sgn[:, None]
+        same = (f > 0) == positive[:, None]
+        # a walk ends at its last step, at a wrong prediction, or where it leaves
+        # the bracket at most _BISECT_TOL wide (after a midpoint equal to an end
+        # it repeats that step, changing nothing; go_on stops the bracket)
+        rows = np.arange(m)
+        last = same != (mids < root[:, None])
+        last[:, :-1] |= his[:, 1:] - los[:, 1:] <= _BISECT_TOL
+        last[rows, own - 1] = True
+        i = last.argmax(axis=1)
+        mid, same_i, lo_i, hi_i = mids[rows, i], same[rows, i], los[rows, i], his[rows, i]
+        a0, b0 = np.where(same_i, mid, lo_i), np.where(same_i, hi_i, mid)
+        lo[k], hi[k] = a0, b0
+        steps = steps + i + 1
+        before = i > 0
+        root = _secant(np.where(before, mids[rows, i - 1], last_t),
+                       np.where(before, f[rows, i - 1], last_f), mid, f[rows, i])
+        state = (k, a0, b0, root, sgn, positive, steps, mid, f[rows, i])
+        go_on = ((mid != lo_i) & (mid != hi_i) & (steps < _BISECT_STEPS)
+                 & (b0 - a0 > _BISECT_TOL))
+        if not go_on.all():
+            state = tuple(x[go_on] for x in state)
+            k = state[0]
     return 0.5 * (lo + hi)
 
 
@@ -277,10 +351,16 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     points on, numpy computes its complex products in place, which may
     round a branch value differently, but those values only decide whether
     a run's minimum lies below -zero_threshold/2.)
+
+    :func:`_bisect_roots` bisects the edges in speculated rounds, starting
+    from the secant through each edge's grid cell.  Every step it keeps is
+    decided by the sign at the midpoint one step per call would evaluate, so
+    the endpoints keep their bits, and no call reaches 16,384 points unless
+    the open brackets alone do.
     """
     require_positive("zero_threshold", zero_threshold)
     if not isinstance(traces, Iterable) or isinstance(traces, (str, bytes)):
-        raise TypeError(f"traces must be an iterable of ConcurrenceTrace, got {traces!r}")
+        raise TypeError(f"traces must be an iterable of ConcurrenceTrace, got {_shown(traces)}")
     traces = list(traces)
     for trace in traces:
         require_instance("trace", trace, ConcurrenceTrace)
@@ -316,7 +396,8 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     roots = _bisect_roots(lambda t, k: branch(t, at[k]),
                           np.concatenate([T[starts[left] - 1], t_mid[right]]),
                           np.concatenate([t_mid[left], T[ends[right] + 1]]),
-                          np.repeat([1.0, -1.0], [n_left, np.count_nonzero(right)]))
+                          np.repeat([1.0, -1.0], [n_left, np.count_nonzero(right)]),
+                          np.concatenate([T[starts[left]], T[ends[right]]]))
     t_start, t_end = T[starts], T[ends]
     t_start[left], t_end[right] = roots[:n_left], roots[n_left:]
     for row, a, b, r in zip(rows.tolist(), t_start.tolist(), t_end.tolist(),

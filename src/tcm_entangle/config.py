@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass, field
 
 from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath
-from .model import (Family, require_alpha, require_epsilon, require_instance, require_integer,
-                    require_positive)
+from .model import (Family, _shown, require_alpha, require_epsilon, require_instance,
+                    require_integer, require_positive)
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
@@ -92,7 +92,7 @@ class RunConfig:
                 values = tuple(values)
             except TypeError:
                 raise TypeError(f"{name} must be a sequence of real numbers, "
-                                f"got {values!r}") from None
+                                f"got {_shown(values)}") from None
             if not values:
                 raise ConfigError(f"{name} must hold at least one value")
             # -0.0 + 0.0 is +0.0: a signed zero would be a second file tag
@@ -101,10 +101,12 @@ class RunConfig:
         require_positive("T_max", self.T_max)
         require_positive("zero_threshold", self.zero_threshold)
         if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise TypeError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
+            raise TypeError(f"output_dir must be a str or os.PathLike, "
+                            f"got {_shown(self.output_dir)}")
         require_instance("emit_svg", self.emit_svg, bool)
         if not 2 <= require_integer("n_points", self.n_points) <= MAX_N_POINTS:
-            raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
+            raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], "
+                              f"got {_shown(self.n_points)}")
         require_instance("path", self.path, TracePath)
         for name in ("alpha_list", "epsilon_list"):
             seen: dict[str, float] = {}
@@ -122,7 +124,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("false", "no", "0"):
         return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {_shown(value)}")
 
 
 #: config key -> (RunConfig field, parser of the value text)
@@ -153,7 +155,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected `key = value`, got {_shown(raw)}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:

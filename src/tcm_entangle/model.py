@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Complex, Integral, Real
 
@@ -53,7 +54,7 @@ MAX_N_MAX = 16
 def _check_n_max(n_max, least: int):
     """Raise naming ``n_max`` unless it is an int in [least, MAX_N_MAX]."""
     if not least <= require_integer("n_max", n_max) <= MAX_N_MAX:
-        raise ValueError(f"n_max must lie in [{least}, {MAX_N_MAX}], got {n_max}")
+        raise ValueError(f"n_max must lie in [{least}, {MAX_N_MAX}], got {_shown(n_max)}")
 
 
 class Family(enum.Enum):
@@ -75,13 +76,28 @@ SUPPORT_KETS = {
 
 #: what both number rules say of a Python int beyond float range
 _BEYOND_FLOAT = "must lie within float range, got a number beyond it"
+#: the longest text an error message shows of a value
+_SHOWN_LENGTH = 200
+
+
+def _shown(value) -> str:
+    """``repr(value)`` as every error message shows a value: cut to
+    ``_SHOWN_LENGTH`` characters, and described where CPython refuses to
+    write it, as it does an int of more than ``sys.get_int_max_str_digits()``
+    (4,300) digits, or a list holding one."""
+    try:
+        text = repr(value)
+    except ValueError:
+        huge = f"int of more than {sys.get_int_max_str_digits()} digits"
+        return f"<{huge}>" if isinstance(value, int) else f"<{type(value).__name__} of an {huge}>"
+    return text if len(text) <= _SHOWN_LENGTH else text[:_SHOWN_LENGTH - 3] + "..."
 
 
 def require_real(name: str, value):
     """Raise ``TypeError`` naming ``name`` unless ``value`` is a non-bool real number."""
     # a float, the common case, is decided without the ABC check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+        raise TypeError(f"{name} must be a real number, got {_shown(value)}")
     return value
 
 
@@ -93,35 +109,35 @@ def require_finite(name: str, value):
     except OverflowError:   # a Python int beyond float range
         raise ValueError(f"{name} {_BEYOND_FLOAT}") from None
     if not finite:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
     return value
 
 
 def require_positive(name: str, value):
     """Raise naming ``name`` unless ``value`` is a finite real number > 0."""
     if require_finite(name, value) <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {_shown(value)}")
     return value
 
 
 def require_epsilon(name: str, value):
     """Raise naming ``name`` unless ``value`` is a finite real number >= 0."""
     if require_finite(name, value) < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {_shown(value)}")
     return value
 
 
 def require_alpha(name: str, value):
     """Raise naming ``name`` unless ``value`` is a real number in [0, pi/2]."""
     if not 0.0 <= require_real(name, value) <= math.pi / 2:
-        raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
+        raise ValueError(f"{name} must lie in [0, pi/2], got {_shown(value)}")
     return value
 
 
 def require_integer(name: str, value):
     """Raise ``TypeError`` naming ``name`` unless ``value`` is a non-bool integer."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -153,7 +169,7 @@ def require_numbers(name: str, values, dtype: type = float) -> np.ndarray:
         pass
     except OverflowError:   # a Python int beyond float range
         raise ValueError(f"{name} {_BEYOND_FLOAT}") from None
-    raise TypeError(f"{name} {said}, got {values!r}")
+    raise TypeError(f"{name} {said}, got {_shown(values)}")
 
 
 def require_grid(T_grid) -> np.ndarray:
@@ -176,7 +192,8 @@ def require_instance(name: str, value, cls: type):
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
         member = " member" if issubclass(cls, enum.Enum) else ""
-        raise TypeError(f"{name} must be {article} {cls.__name__}{member}, got {value!r}")
+        raise TypeError(f"{name} must be {article} {cls.__name__}{member}, "
+                        f"got {_shown(value)}")
     return value
 
 
@@ -269,17 +286,20 @@ class Basis:
         """Basis index of |atom_a, atom_b, n_a, n_b>; photon numbers are ints."""
         for name, level in (("atom_a", atom_a), ("atom_b", atom_b)):
             if level not in LEVELS:
-                raise ValueError(f"{name} must be an atomic level in {LEVELS}, got {level!r}")
+                raise ValueError(f"{name} must be an atomic level in {LEVELS}, "
+                                 f"got {_shown(level)}")
         require_integer("photon number n_a", n_a)
         require_integer("photon number n_b", n_b)
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
-            raise ValueError(f"photon numbers ({n_a}, {n_b}) outside [0, n_max={self.n_max}]")
+            raise ValueError(f"photon numbers ({_shown(n_a)}, {_shown(n_b)}) outside "
+                             f"[0, n_max={self.n_max}]")
         return self.position(int(atom_a == "e"), int(atom_b == "e"), n_a, n_b)
 
     def support_indices(self, family: Family) -> np.ndarray:
         """Basis indices of ``SUPPORT_KETS[family]``, in amplitude order, as a
         read-only array found once per basis and family."""
-        found = self._support.get(family)
+        # the cache is read with a Family only: any other key may be unhashable
+        found = self._support.get(family) if isinstance(family, Family) else None
         if found is None:
             require_instance("family", family, Family)
             found = np.array([self.index(*ket) for ket in SUPPORT_KETS[family]])

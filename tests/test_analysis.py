@@ -445,6 +445,107 @@ class TestDeathWindows:
         assert death_windows(traces) == [detect_death_intervals(t) for t in traces]
 
 
+def _one_step_bisect(fn, lo, hi, sign):
+    """Bisection with one midpoint per bracket per call: the loop that
+    speculative bisection replaced, kept as its bit-for-bit reference."""
+    lo_positive = sign * fn(lo, np.arange(lo.size)) > 0
+    active = np.ones(lo.size, dtype=bool)
+    for _ in range(200):
+        k = (active & (hi - lo > 1e-10)).nonzero()[0]
+        if k.size == 0:
+            break
+        lo_k, hi_k = lo[k], hi[k]
+        mid = 0.5 * (lo_k + hi_k)
+        same = (sign[k] * fn(mid, k) > 0) == lo_positive[k]
+        lo[k[same]], hi[k[~same]] = mid[same], mid[~same]
+        active[k] = (mid != lo_k) & (mid != hi_k)
+    return 0.5 * (lo + hi)
+
+
+def _cubics(roots, gaps, fill):
+    """``fn(t, k)``: bracket k's cubic with roots ``roots[k]``, equal to
+    ``fill[k]`` on [gaps[k, 0], gaps[k, 1]].  Only +, - and * act on each
+    point, so a value never depends on the call it is evaluated in."""
+    def fn(t, k):
+        r, g = roots[k], gaps[k]
+        value = (t - r[:, 0]) * (t - r[:, 1]) * (t - r[:, 2])
+        return np.where((g[:, 0] <= t) & (t <= g[:, 1]), fill[k], value)
+    return fn
+
+
+@st.composite
+def _bracket_sets(draw):
+    """(fn, lo, hi, sign, hint): up to 400 brackets at one magnitude of T (from
+    1e6 on, many are a few doubles wide, so midpoints round to an end), each
+    with zero to three sign changes, a stretch of NaN, +inf or -inf, and a
+    hint inside, outside or NaN."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.sampled_from([0.0, 1.0, 1e6, 1e8])) * rng.uniform(1.0, 2.0, n)
+    # a bracket 1e60 wide needs more than the 200 steps bisection takes
+    width = np.exp(rng.uniform(np.log(1e-11),
+                               np.log(draw(st.sampled_from([1e-6, 1.0, 50.0, 1e60]))), n))
+    hi = np.maximum(lo + width, np.nextafter(lo, np.inf))
+    def inside(low, high, size):
+        # half of them near lo, down to 1e-70 of the width: deep bisections
+        fraction = np.where(rng.uniform(size=(n, size)) < 0.5, rng.uniform(low, high, (n, size)),
+                            10.0 ** rng.uniform(-70.0, 0.0, (n, size)))
+        return lo[:, None] + fraction * (hi - lo)[:, None]
+    fill = rng.choice([np.nan, np.inf, -np.inf, 1.0], n)
+    gaps = np.sort(inside(-0.5, 1.5, 2), axis=1)
+    hint = np.where(rng.uniform(size=n) < 0.1, np.nan, inside(-0.5, 1.5, 1)[:, 0])
+    return (_cubics(inside(-0.2, 1.2, 3), gaps, fill), lo, hi,
+            rng.choice([-1.0, 1.0], n), hint)
+
+
+class TestSpeculativeBisection:
+    """``_bisect_roots`` evaluates predicted paths of midpoints, one call per
+    round, and keeps the roots of one-step bisection to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_bracket_sets())
+    def test_same_roots_as_one_step_bisection(self, case):
+        fn, lo, hi, sign, hint = case
+        expected = _one_step_bisect(fn, lo.copy(), hi.copy(), sign)
+        assert analysis._bisect_roots(fn, lo, hi, sign, hint).tobytes() == expected.tobytes()
+
+    def test_closed_form_calls_of_one_trace(self, monkeypatch):
+        # one call for the run minima, one for each bracket's end and hint
+        # and three rounds of speculated steps (one-step bisection: 34 calls)
+        t = _trace_at(Family.PHI, 0.3, 2.0, np.linspace(0.0, 20.0, 2000))
+        calls = _count_closed_form_calls(monkeypatch)
+        windows = detect_death_intervals(t)
+        assert len(calls) == 5
+        monkeypatch.undo()
+        assert len(windows) == 10 and windows == _reference_death_intervals(t, 1e-9)
+
+    @staticmethod
+    def _calls(bisect, lo, hi, *args):
+        """(roots, the points of each call of ``bisect``)."""
+        calls = []
+        fn = _cubics(np.stack([lo + 0.3 * (hi - lo), hi + 1.0, hi + 2.0], axis=1),
+                     np.full((lo.size, 2), -1.0), np.zeros(lo.size))
+        def recorded(t, k):
+            calls.append(t.copy())
+            return fn(t, k)
+        return bisect(recorded, lo.copy(), hi.copy(), *args), calls
+
+    @pytest.mark.parametrize("n_narrow,n_wide", [(0, 6000), (9000, 8000)])
+    def test_no_call_reaches_in_place_size_unless_one_step_does(self, n_narrow, n_wide):
+        # from 16,384 points on, numpy computes complex products in place, so
+        # such a call holds the very points of a call of one-step bisection
+        width = np.repeat([1e-9, 1.0], [n_narrow, n_wide])
+        lo = np.linspace(0.0, 1.0, width.size)
+        hi, sign = lo + width, np.ones(width.size)
+        roots, calls = self._calls(analysis._bisect_roots, lo, hi, sign, lo + 0.1 * width)
+        expected, reference = self._calls(_one_step_bisect, lo, hi, sign)
+        assert roots.tobytes() == expected.tobytes()
+        big = [c.tobytes() for c in calls if c.size >= analysis._INPLACE_POINTS]
+        assert big == [c.tobytes() for c in reference if c.size >= analysis._INPLACE_POINTS]
+        # with the narrow brackets: the ends, then a step of each until those stop
+        assert len(big) == (5 if n_narrow else 0) and len(calls) < len(reference)
+
+
 class TestMaxConcurrence:
     def test_bell_start_is_global_max(self):
         t = _trace(Family.PSI, math.pi / 4, 0.0)

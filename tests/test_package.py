@@ -262,6 +262,17 @@ _BAD_INPUT = {
     # public names outside __all__
     "support_indices family text": (lambda: tcm_entangle.Basis(2).support_indices("PSI"),
                                     TypeError, "^family must be a Family member, got 'PSI'"),
+    "support_indices family list": (lambda: tcm_entangle.Basis(2).support_indices([1]),
+                                    TypeError, r"^family must be a Family member, got \[1\]"),
+    # an int of more digits than CPython writes as text (4,300)
+    "index photon number of 5,001 digits": (lambda: tcm_entangle.Basis(2).index(
+        "e", "g", 10**5000, 0), ValueError, r"^photon numbers \(<int of more than 4300 digits>"),
+    "n_points of 5,001 digits": (lambda: RunConfig(n_points=10**5000), ConfigError,
+                                 "^n_points must lie in .*, got <int of more than 4300 digits>$"),
+    "output_dir of 5,001 digits": (lambda: RunConfig(output_dir=10**5000), TypeError,
+                                   "^output_dir must be a str or os.PathLike, got <int of"),
+    "T list of a 5,001-digit int": (lambda: model.require_numbers("T", ["x", 10**5000]),
+                                    TypeError, "^T must be real numbers, got <list of an int of"),
     "index atom_a None": (lambda: tcm_entangle.Basis(2).index(None, "g", 0, 0), ValueError,
                           "^atom_a must be an atomic level in"),
     "write_csv header None": (lambda: figures.write_csv(Path("unwritten.csv"), None,
@@ -270,6 +281,15 @@ _BAD_INPUT = {
     "write_csv columns None": (lambda: figures.write_csv(Path("unwritten.csv"), ["a"], None),
                                TypeError, "^columns must be a list, got None"),
 }
+
+
+@pytest.mark.parametrize("value", [10**5000, [10**5000], "x" * 10**6, list(range(10**5))],
+                         ids=["int of 5,001 digits", "list of one", "long text", "long list"])
+def test_a_message_shows_a_value_in_bounded_text(value):
+    with pytest.raises(TypeError) as caught:
+        tcm_entangle.detect_death_intervals(value)
+    message = str(caught.value)
+    assert message.startswith("trace must be a ConcurrenceTrace, got ") and len(message) < 300
 
 
 @pytest.mark.filterwarnings("error")   # e.g. a ComplexWarning as numpy drops an imaginary part
@@ -294,7 +314,8 @@ _UNCHECKED_EXPORTS = {
 
 #: the wrong kinds of value every public parameter must refuse
 _WRONG_KINDS = {"None": None, "str": "x", "numeric str": "1.5", "object": object(),
-                "int beyond float range": 10**400}
+                "int beyond float range": 10**400,
+                "int of more digits than CPython prints": 10**5000}
 
 
 @functools.cache

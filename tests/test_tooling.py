@@ -113,7 +113,9 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
     # the grid cache must not change what analytic.amplitude_calls and
     # analytic.amplitude_points count: every trace still calls the
     # amplitudes on its whole grid, cold cache or warm (the counts are
-    # those of the same scan before the cache existed)
+    # those of the same scan before the cache existed, with the window
+    # edges bisected in speculated rounds; one step per call made 226
+    # calls on 11,374 points)
     grid = np.linspace(0.0, 40.0, 400)
 
     def scan():
@@ -138,14 +140,15 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
         tracer.uninstall()
     for metrics in tracer.per_command_metrics():
         assert metrics["analysis.trace_calls"] == 12
-        assert metrics["analytic.amplitude_calls"] == 226
-        assert metrics["analytic.amplitude_points"] == 11374
+        assert metrics["analytic.amplitude_calls"] == 144
+        assert metrics["analytic.amplitude_points"] == 12088
 
 
 def test_amplitude_counts_of_batched_refinement(tmp_path):
     # figures.run refines the windows of every alpha of one epsilon in shared
-    # closed-form calls: 6 whole-grid trace calls and 71 refinement calls,
-    # where refining each trace alone makes 210
+    # closed-form calls: 6 whole-grid trace calls and 14 refinement calls,
+    # where refining each trace alone makes 38 (with one bisection step per
+    # call: 71 and 210); each bracket evaluates the same points either way
     alphas = (math.pi / 12, math.pi / 8, math.pi / 6)
     config = RunConfig(family=Family.PHI, alpha_list=alphas, epsilon_list=(0.0, 2.0),
                        T_max=20.0, n_points=300, output_dir=str(tmp_path))
@@ -165,8 +168,8 @@ def test_amplitude_counts_of_batched_refinement(tmp_path):
     finally:
         tracer.uninstall()
     batched, one_trace = tracer.per_command_metrics()
-    assert batched["analytic.amplitude_calls"] == 77
-    assert one_trace["analytic.amplitude_calls"] == 216
+    assert batched["analytic.amplitude_calls"] == 20
+    assert one_trace["analytic.amplitude_calls"] == 44
     assert batched["analytic.amplitude_points"] == one_trace["analytic.amplitude_points"]
 
 
