@@ -121,47 +121,70 @@ def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelPar
                          "epsilon or T is too large for double precision")
 
 
+def _used_block(states: np.ndarray, kets: np.ndarray, spec: InitialStateSpec,
+                params: ModelParams, T_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The used columns of propagated ``states``, whose columns are the
+    ascending basis kets ``kets``, and the states on them, each checked
+    finite and of unit norm.
+
+    The used columns are those nonzero in some state, joined with the
+    family's ``SUPPORT_KETS``, which ``kets`` must hold.  They are read from
+    the states, not from the decomposition, so amplitude that leaks outside
+    the occupied eigenspace is seen.  Both checks read the row norms over
+    these columns: every other entry is an exact zero, so each norm is the
+    whole row's up to summation order.  An entry of a propagated state is
+    bounded by the basis size, so a norm is non-finite exactly when some
+    entry of its row is (a NaN entry counts as nonzero, so its column is
+    used)."""
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        used = np.any(states, axis=0) | np.isin(kets, params.basis.support_indices(spec.family))
+        block = states if used.all() else states[:, used]
+        norm = np.linalg.norm(block, axis=-1)
+    _require_finite(np.isfinite(norm), spec, params, T_grid)
+    entanglement.require_unit_norms(norm)
+    return kets[used], block
+
+
 def occupied_states(spec: InitialStateSpec, params: ModelParams,
                     T_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States propagated from the initial state of ``spec`` over ``T_grid``
-    under H/g of ``params``, each checked finite and of unit norm, and the
-    ascending indices of their used columns.
-
-    The used columns are those nonzero in some state, joined with the
-    family's ``SUPPORT_KETS``.  They are read from the states, not from the
-    decomposition, so amplitude that leaks outside the occupied eigenspace
-    is seen.  Both checks read the row norms over these columns: every
-    other entry is an exact zero, so each norm is the whole row's up to
-    summation order.  An entry of a propagated state is bounded by the
-    basis size, so a norm is non-finite exactly when some entry of its row
-    is (a NaN entry counts as nonzero, so its column is used)."""
+    under H/g of ``params``, whole rows of ``basis.size`` entries, and the
+    ascending indices of their used columns, on which :func:`_used_block`
+    checks each state."""
     require_instance("spec", spec, InitialStateSpec)
     require_instance("params", params, ModelParams)
     basis = params.basis
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _used_block
         psis = propagator.evolve_grid(initial_state(spec, basis), params.decomposition,
                                       T_grid)
-        columns = np.union1d(np.flatnonzero(np.any(psis, axis=0)),
-                             basis.support_indices(spec.family))
-        norm = np.linalg.norm(psis[:, columns], axis=-1)
-    _require_finite(np.isfinite(norm), spec, params, T_grid)
-    entanglement.require_unit_norms(norm)
-    return psis, columns
+    return psis, _used_block(psis, np.arange(basis.size), spec, params, T_grid)[0]
 
 
 def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
-             C: np.ndarray, amps: np.ndarray):
+             C: np.ndarray, xs):
     """Raise ``TraceDisagreement`` unless the closed-form C, from amplitudes
-    ``amps`` (one row per point), agrees with propagation."""
+    ``xs`` (one array per support ket), agrees with propagation, which runs
+    on the rows a state can occupy and the support kets only.  Points the
+    bound leaves uncertified take the oracle C from the whole rows of
+    :func:`occupied_states`, the bits an all-points comparison reads."""
     basis = params.basis
-    psis, columns = occupied_states(spec, params, T_grid)
+    support = basis.support_indices(spec.family)
+    psi0 = initial_state(spec, basis)
+    w, V = params.decomposition
+    rows = np.union1d(propagator.occupied(psi0, V)[2], support)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by _used_block
+        narrow = propagator.evolve_grid(psi0[rows], propagator.SpectralDecomposition(w, V[rows]),
+                                        T_grid)
+    columns, psis = _used_block(narrow, rows, spec, params, T_grid)
     closed = np.zeros((T_grid.size, columns.size), dtype=complex)
-    closed[:, np.searchsorted(columns, basis.support_indices(spec.family))] = amps
-    bound = entanglement.concurrence_gap_bound(closed, psis[:, columns], basis)
+    for column, x in zip(np.searchsorted(columns, support).tolist(), xs):
+        closed[:, column] = x
+    bound = entanglement.concurrence_gap_bound(closed, psis, basis)
     check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
     if check.size == 0:
         return
-    gaps = np.abs(C[check] - entanglement.pure_concurrence(psis[check]))
+    oracle = entanglement.pure_concurrence(occupied_states(spec, params, T_grid)[0][check])
+    gaps = np.abs(C[check] - oracle)
     if np.any(gaps > TRACE_AGREEMENT_TOL):
         worst = np.argmax(gaps)
         raise TraceDisagreement(
@@ -182,8 +205,9 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     gap is bounded by ``entanglement.concurrence_gap_bound``,
     |C(a) - C(o)| <= (n_max+1)^2 e (||a|| + ||o||) for the closed-form state
     a and the propagated state o at distance e once their global phases are
-    aligned.  Both states are read on the used columns of
-    :func:`occupied_states` only (those nonzero somewhere in the evolution,
+    aligned.  Only the rows the initial state can occupy are propagated
+    (:func:`_certify`), O(points x occupied kets) in memory, and both states
+    are read on the used columns (those nonzero somewhere in the evolution,
     and the family's support kets): every other entry of both is an exact
     zero, so the closed-form block is built there straight from the
     trace's amplitudes.  A point whose bound is at most
@@ -194,7 +218,7 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     exceeds the tolerance cannot be certified, so a failing trace fails at
     the same alpha, epsilon and T with the same gap as a comparison at
     every point.  Every propagated state is checked finite and of unit
-    norm (:func:`occupied_states`), once: the ORACLE C is taken from
+    norm (:func:`_used_block`), once: the ORACLE C is taken from
     ``pure_concurrence``'s unchecked core."""
     require_instance("spec", spec, InitialStateSpec)
     require_instance("params", params, ModelParams)
@@ -208,13 +232,12 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
                                      params.lam, T_grid, _cached=True)
             C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
-            # the complex stack is built only for the BOTH certificate
             abs_amps = np.stack([np.abs(x) for x in xs], axis=-1)
         if not (np.isfinite(C).all() and np.isfinite(abs_amps).all()):   # find the first T
             _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
                             spec, params, T_grid)
         if path is TracePath.BOTH:
-            _certify(spec, params, T_grid, C, np.stack(xs, axis=-1))
+            _certify(spec, params, T_grid, C, xs)
     else:   # one batched pass per trace
         psis = occupied_states(spec, params, T_grid)[0]
         C = entanglement._block_concurrence(entanglement._atom_blocks(psis))
@@ -267,6 +290,8 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
     below that, and while the open brackets alone are as many, a call holds
     one step of each, the very call of one-step bisection."""
     n = lo.size
+    if n == 0:   # no bracket, no call
+        return lo
     copies = 3 if 3 * n < _INPLACE_POINTS else 1   # lo, then hint and hi where they fit
     f_lo, f_hint, f_hi = values = np.full((3, n), np.nan)
     values[:copies] = sign * fn(np.concatenate((lo, hint, hi)[:copies]),

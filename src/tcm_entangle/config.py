@@ -19,10 +19,12 @@ from .model import (Family, _shown, require_alpha, require_epsilon, require_inst
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
-#: largest accepted n_points.  An ORACLE or BOTH trace holds, per grid
-#: point, a 9 x 9 complex Wootters matrix and a 36-entry complex state at
-#: n_max 2, (81 + 36) x 16 B = 1.9 kB (2.6 kB measured with temporaries),
-#: so a trace at the cap peaks near 2-3 GB.
+#: largest accepted n_points.  An ORACLE trace holds, per grid point, a
+#: 9 x 9 complex Wootters matrix and a 36-entry complex state at n_max 2,
+#: (81 + 36) x 16 B = 1.9 kB (2.4 kB traced peak with temporaries), so it
+#: peaks near 2.4 GB at the cap.  A BOTH trace evolves only the 3-5 kets its
+#: state occupies and peaks at 0.5-0.6 kB a point, near 0.6 GB at the cap
+#: (PHI, tracemalloc at 100,000 and 200,000 points).
 MAX_N_POINTS = 10**6
 
 _PI_RE = re.compile(r"^(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")

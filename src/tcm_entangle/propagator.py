@@ -149,27 +149,39 @@ def evolve(psi0: np.ndarray, decomp: SpectralDecomposition, T: float) -> np.ndar
     return evolve_grid(psi0, decomp, [require_finite("T", T)])[0]
 
 
+def occupied(psi0: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = V^dag psi0, the indices k where c_k != 0, and the rows where one
+    of those eigenvectors is nonzero: the rows a state evolved from ``psi0``
+    can occupy."""
+    c = V.conj().T @ psi0
+    keep = np.flatnonzero(c)
+    return c, keep, np.flatnonzero(np.any(V[:, keep], axis=1))
+
+
 def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
                 T_grid: np.ndarray) -> np.ndarray:
-    """States at each grid time, shape (len(T_grid), dim).
+    """States at each grid time, shape (len(T_grid), len(psi0)).
 
     Each point is computed directly from the decomposition as
     U(T) psi0 = V diag(exp(-i w T)) V^dag psi0.
 
     Only the occupied eigenspace is propagated: the components k with
     c_k = (V^dag psi0)_k != 0, on the basis rows where their eigenvectors
-    are nonzero; every other entry is 0.  This is exact, not a truncation:
-    H conserves the excitation number, Jacobi never rotates a pair whose
-    entry is exactly zero, so V is block-diagonal by sector with exact
-    zeros, and c_k is exactly 0 outside the sectors of psi0.  The full
-    product adds only exact zeros to the same terms, so on a grid of two or
-    more points the result is the same to the bit.  (numpy multiplies a
-    one-point grid as a matrix-vector product, whose summation order
-    depends on the length, so there the two agree to rounding.)  A row
-    where an eigenphase w T overflows, occupied or not, is NaN, as it is in
-    the full product.  ``decomp`` must be a ``SpectralDecomposition``,
-    ``T_grid`` must pass ``model.require_grid``, and ``psi0`` must be a
-    vector of the decomposition's size.
+    are nonzero (:func:`occupied`); every other entry is 0.  This is exact,
+    not a truncation: H conserves the excitation number, Jacobi never
+    rotates a pair whose entry is exactly zero, so V is block-diagonal by
+    sector with exact zeros, and c_k is exactly 0 outside the sectors of
+    psi0.  The full product adds only exact zeros to the same terms, so on
+    a grid of two or more points the result is the same to the bit.
+    (numpy multiplies a one-point grid as a matrix-vector product, whose
+    summation order depends on the length, so there the two agree to
+    rounding.)  A row where an eigenphase w T overflows, occupied or not,
+    is NaN, as it is in the full product.  A decomposition of every
+    eigenvalue and the rows V[rows] evolves ``psi0[rows]`` on exactly those
+    rows: where they hold all rows :func:`occupied` finds, the whole
+    evolution's nonzero entries, to rounding.  ``decomp`` must be a
+    ``SpectralDecomposition``, ``T_grid`` must pass ``model.require_grid``,
+    and ``psi0`` must be a vector as long as the eigenvectors.
     """
     require_instance("decomp", decomp, SpectralDecomposition)
     T_grid = require_grid(T_grid)
@@ -177,10 +189,8 @@ def evolve_grid(psi0: np.ndarray, decomp: SpectralDecomposition,
     V = decomp.eigenvectors
     if np.shape(psi0) != (V.shape[0],):
         raise ValueError(f"psi0 must be a vector of length {V.shape[0]}, got {np.shape(psi0)}")
-    c = V.conj().T @ psi0
-    keep = np.flatnonzero(c)
+    c, keep, rows = occupied(psi0, V)
     V_kept = V[:, keep]
-    rows = np.flatnonzero(np.any(V_kept, axis=1))
     phases = np.exp(-1j * np.outer(T_grid, decomp.eigenvalues[keep]))
     phases *= c[keep]
     states = np.zeros((T_grid.size, V.shape[0]), dtype=complex)

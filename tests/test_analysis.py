@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -118,6 +119,28 @@ class TestBothPath:
                 r"^analytic/oracle traces disagree by \S+ \(tolerance 1e-09\) at "
                 r"alpha = 0\.392699081698724, epsilon = 2, T = \S+$")):
             concurrence_trace(spec, params, np.linspace(0.0, 20.0, 200), TracePath.BOTH)
+
+
+    def test_certificate_memory_grows_with_the_occupied_kets(self, monkeypatch):
+        # the certificate evolves only the rows the state occupies (5 of 36
+        # for PHI): at 100,000 points a BOTH trace's traced peak exceeds the
+        # ANALYTIC trace's by about 350 bytes a point (about 1,000 when it
+        # evolved every ket); the grid cache is cold on both sides
+        n = 100_000
+        spec, grid = InitialStateSpec(Family.PHI, 0.3), np.linspace(0.0, 20.0, n)
+        peaks = {}
+        for path in (TracePath.ANALYTIC, TracePath.BOTH):
+            monkeypatch.setattr(analytic, "_GRID_CACHE",
+                                analytic._GridCache(analytic._GRID_CACHE.limit))
+            params = ModelParams(epsilon=2.0)
+            params.decomposition
+            tracemalloc.start()
+            try:
+                concurrence_trace(spec, params, grid, path)
+                peaks[path] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[TracePath.BOTH] - peaks[TracePath.ANALYTIC] <= 640 * n
 
 
 class TestOracleConcurrence:
@@ -518,6 +541,15 @@ class TestSpeculativeBisection:
         assert len(calls) == 5
         monkeypatch.undo()
         assert len(windows) == 10 and windows == _reference_death_intervals(t, 1e-9)
+
+    def test_no_call_without_a_bracket(self, monkeypatch):
+        # every sub-threshold run is dropped (its branch never reaches
+        # -zero_threshold / 2): one call for the run minima, and no call on
+        # the empty set of brackets
+        t = _trace_at(Family.PHI, math.pi / 4, 0.0, np.linspace(0.0, math.pi, 500))
+        calls = _count_closed_form_calls(monkeypatch)
+        assert detect_death_intervals(t) == []
+        assert [np.size(args[-1]) for args in calls] == [2]
 
     @staticmethod
     def _calls(bisect, lo, hi, *args):

@@ -16,7 +16,7 @@ from tcm_entangle import (analysis, cli, entanglement, figures, hamiltonian, num
 from tcm_entangle.analysis import TracePath, concurrence_trace
 from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
                                  parse_angle, parse_config)
-from tcm_entangle.model import Family, InitialStateSpec, ModelParams
+from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams
 
 
 class TestParseAngle:
@@ -576,10 +576,11 @@ class TestBothGate:
 
     def test_leak_outside_the_occupied_rows_is_seen(self, tmp_path, capsys, monkeypatch):
         # the certificate reads the columns nonzero in the states, so amplitude
-        # that a defective evolve_grid puts outside the occupied eigenspace
-        # still reaches the norm check: 1e-4 on |e e 0 1>, which no PHI state
-        # occupies, makes that norm 1 + 5e-9 (a leak of 1e-6 stays inside
-        # NORM_TOL, and its C agrees to 1e-9)
+        # that a defective evolve_grid adds still reaches the norm check: 1e-4
+        # on column 1 of the block it returns, which for the certificate's
+        # evolved rows (|e e 0 0>, |e g 1 1>, |g e 1 1>, |g g 0 0>, |g g 2 2>) is
+        # |e g 1 1>, an occupied ket: the leak adds to its amplitude and makes
+        # that norm 1 - 4.8e-7
         evolve_grid = propagator.evolve_grid
 
         def leaky(*args):
@@ -588,6 +589,26 @@ class TestBothGate:
             return psis
 
         monkeypatch.setattr(propagator, "evolve_grid", leaky)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(_FIG2_DEFAULTS + "path = BOTH\n")
+        assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: state norm ")
+
+    def test_leak_in_an_occupied_eigenvector_is_seen(self, tmp_path, capsys, monkeypatch):
+        # the certificate evolves the rows where the occupied eigenvectors
+        # are nonzero, read from the decomposition: 1e-4 on |e e 0 1>, outside
+        # PHI's support kets, in an eigenvector |e e 0 0> occupies, puts that
+        # ket in the evolved block, and its amplitude breaks the unit norm
+        jacobi_eigh = propagator.jacobi_eigh
+        leak = Basis(2).index("e", "e", 0, 1)
+
+        def leaky(A):
+            w, V = jacobi_eigh(A)
+            V = V.copy()
+            V[leak, np.flatnonzero(V[0])[0]] += 1e-4
+            return propagator.SpectralDecomposition(w, V)
+
+        monkeypatch.setattr(propagator, "jacobi_eigh", leaky)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(_FIG2_DEFAULTS + "path = BOTH\n")
         assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

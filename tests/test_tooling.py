@@ -114,8 +114,8 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
     # analytic.amplitude_points count: every trace still calls the
     # amplitudes on its whole grid, cold cache or warm (the counts are
     # those of the same scan before the cache existed, with the window
-    # edges bisected in speculated rounds; one step per call made 226
-    # calls on 11,374 points)
+    # edges bisected in speculated rounds and no call on an empty set of
+    # brackets; one step per call made 226 calls on 11,374 points)
     grid = np.linspace(0.0, 40.0, 400)
 
     def scan():
@@ -140,7 +140,7 @@ def test_amplitude_counts_of_a_multi_alpha_scan(monkeypatch):
         tracer.uninstall()
     for metrics in tracer.per_command_metrics():
         assert metrics["analysis.trace_calls"] == 12
-        assert metrics["analytic.amplitude_calls"] == 144
+        assert metrics["analytic.amplitude_calls"] == 143
         assert metrics["analytic.amplitude_points"] == 12088
 
 
