@@ -33,9 +33,6 @@ from .model import (Family, InitialStateSpec, ModelParams, _shown, initial_state
                     require_instance, require_positive)
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-#: a sub-threshold run must span at least this many grid points to count
-#: as a death window; shorter runs are isolated zero touches
-MIN_RUN_POINTS = 3
 _BISECT_TOL = 1e-10
 _BISECT_STEPS = 200
 #: bisection steps a bracket speculates per closed-form call (:func:`_bisect_roots`)
@@ -165,8 +162,8 @@ def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
     """Raise ``TraceDisagreement`` unless the closed-form C, from amplitudes
     ``xs`` (one array per support ket), agrees with propagation, which runs
     on the rows a state can occupy and the support kets only.  Points the
-    bound leaves uncertified take the oracle C from the whole rows of
-    :func:`occupied_states`, the bits an all-points comparison reads."""
+    bound leaves uncertified take the oracle C of their certified states,
+    placed on whole rows."""
     basis = params.basis
     support = basis.support_indices(spec.family)
     psi0 = initial_state(spec, basis)
@@ -183,7 +180,9 @@ def _certify(spec: InitialStateSpec, params: ModelParams, T_grid: np.ndarray,
     check = np.flatnonzero(bound > TRACE_AGREEMENT_TOL / 10)
     if check.size == 0:
         return
-    oracle = entanglement.pure_concurrence(occupied_states(spec, params, T_grid)[0][check])
+    whole = np.zeros((check.size, basis.size), dtype=complex)
+    whole[:, columns] = psis[check]
+    oracle = entanglement._block_concurrence(entanglement._atom_blocks(whole))
     gaps = np.abs(C[check] - oracle)
     if np.any(gaps > TRACE_AGREEMENT_TOL):
         worst = np.argmax(gaps)
@@ -213,13 +212,13 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
     trace's amplitudes.  A point whose bound is at most
     TRACE_AGREEMENT_TOL / 10 is certified (the margin covers the rounding
     of both computed C); only the other points, if any, get the oracle C
-    from ``pure_concurrence`` (W. K. Wootters, PRL 80, 2245, 1998) on their
-    whole rows and are compared with the tolerance.  A point whose gap
-    exceeds the tolerance cannot be certified, so a failing trace fails at
-    the same alpha, epsilon and T with the same gap as a comparison at
-    every point.  Every propagated state is checked finite and of unit
-    norm (:func:`_used_block`), once: the ORACLE C is taken from
-    ``pure_concurrence``'s unchecked core."""
+    of ``pure_concurrence`` (W. K. Wootters, PRL 80, 2245, 1998) from the
+    same propagated states and are compared with the tolerance.  A point
+    whose gap exceeds the tolerance cannot be certified, so a failing trace
+    fails at the same alpha, epsilon and T with the same gap, to rounding,
+    as a comparison at every point.  Every propagated state is checked
+    finite and of unit norm (:func:`_used_block`), once: the oracle C is
+    taken from ``pure_concurrence``'s unchecked core."""
     require_instance("spec", spec, InitialStateSpec)
     require_instance("params", params, ModelParams)
     require_instance("path", path, TracePath)
@@ -409,7 +408,7 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     run_min = np.minimum.reduceat(
         branch(T[np.concatenate(points)], np.repeat(rows, lengths)),
         np.cumsum(lengths) - lengths)
-    keep = (lengths >= MIN_RUN_POINTS) & (run_min < -0.5 * zero_threshold)
+    keep = run_min < -0.5 * zero_threshold
     rows, starts, ends = rows[keep], starts[keep], ends[keep]
 
     # the branch is positive before a window opens and negative inside it,
@@ -436,13 +435,13 @@ def detect_death_intervals(trace: ConcurrenceTrace,
     """Maximal runs with C below threshold, endpoints refined by bisection.
 
     A genuine window has the signed X-state branch strictly negative in its
-    interior; an isolated tangential zero (the concurrence touching zero at
-    a point) keeps the branch >= 0 and is excluded no matter how many grid
-    points fall inside the dip.  Runs shorter than ``MIN_RUN_POINTS`` grid
-    points are likewise excluded.  Endpoints interior to the grid are
-    refined on the closed-form branch expression to 1e-10 in T, between the
-    outside neighbour and the run's middle point; a run touching the grid
-    boundary keeps the boundary point and is marked unrefined."""
+    interior: a run of any length is kept when its branch falls below
+    -zero_threshold / 2, and an isolated tangential zero (the concurrence
+    touching zero at a point) keeps the branch >= 0 and is excluded no
+    matter how many grid points fall inside the dip.  Endpoints interior to
+    the grid are refined on the closed-form branch expression to 1e-10 in T,
+    between the outside neighbour and the run's middle point; a run touching
+    the grid boundary keeps the boundary point and is marked unrefined."""
     return death_windows([trace], zero_threshold)[0]
 
 

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import config, figures, verify as verify_mod
-from .config import ConfigError, RunConfig, parse_config, parse_angle
+from .config import ConfigError, RunConfig, parse_config
 from .model import Family, ModelParams
 
 
@@ -88,19 +88,13 @@ def _dump_hamiltonian(path: Path, epsilon: float) -> Path:
 
 
 def _cmd_sweep(args) -> int:
-    with _flag("--alpha"):
-        alphas = tuple(parse_angle(t) for t in args.alpha.split(","))
-    with _flag("--epsilon"):
-        epsilons = tuple(float(t) for t in args.epsilon.split(","))
-    cfg = RunConfig(
-        family=Family(args.family.upper()),
-        alpha_list=alphas,
-        epsilon_list=epsilons,
-        T_max=args.tmax,
-        n_points=args.points,
-        output_dir=args.out,
-        emit_svg=args.svg,
-    )
+    values = {}
+    for key in ("family", "alpha", "epsilon"):   # read as the config keys are
+        name, parse = config._PARSERS[key]
+        with _flag(f"--{key}"):
+            values[name] = parse(getattr(args, key))
+    cfg = RunConfig(**values, T_max=args.tmax, n_points=args.points,
+                    output_dir=args.out, emit_svg=args.svg)
     for path in figures.run(cfg):
         print(path)
     return 0

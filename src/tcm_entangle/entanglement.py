@@ -130,8 +130,8 @@ def concurrence_gap_bound(a: np.ndarray, o: np.ndarray, basis: Basis) -> np.ndar
 
     The caller passes the columns: ``a`` and ``o`` may hold any common
     subset of the basis columns that keeps every nonzero entry of both
-    (path BOTH of ``analysis.concurrence_trace`` passes those of
-    ``analysis.occupied_states``).  Zeros add nothing to the overlap or the
+    (path BOTH of ``analysis.concurrence_trace`` passes the used columns of
+    its narrow evolution).  Zeros add nothing to the overlap or the
     norms, so leaving them out changes only the rounding of the bound.
     ``a`` and ``o`` may be single states or stacks of any leading shape.
     """

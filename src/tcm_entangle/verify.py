@@ -2,17 +2,18 @@
 
 The suites check the kernels the commands run: the Hamiltonian build,
 ``evolve_grid``, the closed-form amplitudes, ``concurrence_trace``,
-``reduce_to_atoms`` and ``pure_concurrence``.  Each suite returns a
-(name, max_residual, threshold, passed) row, which ``run_all`` stamps with
-the suite's elapsed seconds; the CLI prints one machine-readable line per
-suite, or with ``--json`` one JSON document, and exits nonzero on any
-failure.
+``reduce_to_atoms`` and ``pure_concurrence``.  Each suite yields one
+residual per case, and :func:`_worst` makes it return the row (name,
+max_residual, threshold, passed), which ``run_all`` stamps with the suite's
+elapsed seconds; the CLI prints one machine-readable line per suite, or
+with ``--json`` one JSON document, and exits nonzero on any failure.
 ``inject_fault`` deliberately corrupts one off-sector Hamiltonian entry so
 the conservation suite demonstrably catches broken input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -65,18 +66,32 @@ def _evolutions(models):
                 yield spec, params, psis
 
 
-def suite_hermiticity(models) -> SuiteResult:
-    worst = 0.0
+def _worst(name: str, threshold: float):
+    """Turn a generator of one residual per case into the suite ``name``,
+    whose row holds the largest residual (0.0 for no case); a NaN residual
+    is kept over any number, so the suite reports NaN and fails."""
+    def reduce(residuals):
+        @functools.wraps(residuals)
+        def suite(*args, **kwargs) -> SuiteResult:
+            worst = 0.0
+            for residual in map(float, residuals(*args, **kwargs)):
+                if residual > worst or math.isnan(residual):
+                    worst = residual
+            return SuiteResult(name, worst, threshold)
+        return suite
+    return reduce
+
+
+@_worst("hermiticity", 0.0)
+def suite_hermiticity(models):
     for params in models:
-        H = params.hamiltonian
-        worst = max(worst, float(np.max(np.abs(H - H.conj().T))))
-    return SuiteResult("hermiticity", worst, 0.0)
+        yield np.max(np.abs(params.hamiltonian - params.hamiltonian.conj().T))
 
 
-def suite_conservation(models, inject_fault: bool = False) -> SuiteResult:
+@_worst("conservation", 0.0)
+def suite_conservation(models, inject_fault: bool = False):
     """Each model of ``models`` and its copies at the other n_max of 2 to 4:
     a model's own H/g is the one the other suites read, built once."""
-    worst = 0.0
     for model in models:
         for n_max in (2, 3, 4):
             params = model if model.n_max == n_max else replace(model, n_max=n_max)
@@ -86,16 +101,13 @@ def suite_conservation(models, inject_fault: bool = False) -> SuiteResult:
                 H[0, 1] += 0.01  # couples states of different excitation number
             if not check_conservation(H, basis):
                 n = basis.excitations
-                off = np.abs(H) * (n[:, None] != n[None, :])
-                worst = max(worst, float(off.max()))
-    return SuiteResult("conservation", worst, 0.0)
+                yield np.max(np.abs(H) * (n[:, None] != n[None, :]))
 
 
-def suite_unitarity(evolutions) -> SuiteResult:
-    worst = 0.0
+@_worst("unitarity", 1e-12)
+def suite_unitarity(evolutions):
     for *_, psis in evolutions:
-        worst = max(worst, float(np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0))))
-    return SuiteResult("unitarity", worst, 1e-12)
+        yield np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
 
 
 def _energies(H: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -108,72 +120,61 @@ def _energies(H: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ti,ij,tj->t", kept.conj(), H[np.ix_(nz, nz)], kept))
 
 
-def suite_energy_conservation(evolutions) -> SuiteResult:
-    worst = 0.0
+@_worst("energy_conservation", 1e-10)
+def suite_energy_conservation(evolutions):
     for _, params, psis in evolutions:
         H = params.hamiltonian
         energies = _energies(H, psis)
-        scale = float(np.max(np.abs(H)))
-        worst = max(worst, float(np.max(np.abs(energies - energies[0]))) / scale)
-    return SuiteResult("energy_conservation", worst, 1e-10)
+        yield np.max(np.abs(energies - energies[0])) / np.max(np.abs(H))
 
 
-def suite_sector_confinement(evolutions) -> SuiteResult:
-    worst = 0.0
+@_worst("sector_confinement", 1e-12)
+def suite_sector_confinement(evolutions):
     for spec, params, psis in evolutions:
         basis = params.basis
         sectors = basis.excitations[basis.support_indices(spec.family)]
-        outside = ~np.isin(basis.excitations, sectors)
-        worst = max(worst, float(np.max(np.abs(psis[:, outside]))))
-    return SuiteResult("sector_confinement", worst, 1e-12)
+        yield np.max(np.abs(psis[:, ~np.isin(basis.excitations, sectors)]))
 
 
-def suite_fidelity(evolutions) -> SuiteResult:
+@_worst("fidelity", 1e-9)
+def suite_fidelity(evolutions):
     """Oracle equivalence: closed-form state vs propagated state."""
-    worst = 0.0
     for spec, params, psis in evolutions:
-        analytic_states = analytic.closed_form_states(spec, params, _T_GRID)
-        fid = np.abs(np.einsum("ti,ti->t", analytic_states.conj(), psis))
-        worst = max(worst, float(np.max(1.0 - fid)))
-    return SuiteResult("fidelity", worst, 1e-9)
+        closed = analytic.closed_form_states(spec, params, _T_GRID)
+        yield np.max(1.0 - np.abs(np.einsum("ti,ti->t", closed.conj(), psis)))
 
 
-def suite_trace_agreement(evolutions) -> SuiteResult:
+@_worst("trace_agreement", 1e-9)
+def suite_trace_agreement(evolutions):
     """Closed-form C(T) vs the pure-state concurrence of propagated states."""
-    worst = 0.0
     for spec, params, psis in evolutions:
         t_a = analysis.concurrence_trace(spec, params, _T_GRID, TracePath.ANALYTIC)
-        gap = np.abs(t_a.C - entanglement.pure_concurrence(psis))
-        worst = max(worst, float(np.max(gap)))
-    return SuiteResult("trace_agreement", worst, 1e-9)
+        yield np.max(np.abs(t_a.C - entanglement.pure_concurrence(psis)))
 
 
-def suite_density_matrix(evolutions) -> SuiteResult:
+@_worst("density_matrix", 1e-10)
+def suite_density_matrix(evolutions):
     """Hermiticity, unit trace and positivity of the reduced atomic state,
     at every tenth time of each evolution."""
-    worst = 0.0
     for *_, psis in evolutions:
         rho = entanglement.reduce_to_atoms(psis[::10])
-        worst = max(worst,
-                    float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))),
-                    float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))),
-                    max(0.0, -float(np.linalg.eigvalsh(rho).min())))
-    return SuiteResult("density_matrix", worst, 1e-10)
+        yield np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+        yield np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+        yield -np.linalg.eigvalsh(rho).min()
 
 
-def suite_local_unitary_invariance(at_pi_8, rng) -> SuiteResult:
+@_worst("local_unitary_invariance", 1e-10)
+def suite_local_unitary_invariance(at_pi_8, rng):
     """``pure_concurrence`` under 20 Haar-random u_A (x) u_B at T = 1.3,
     drawn from the numpy Generator ``rng``."""
-    worst = 0.0
     for _, params, psis in at_pi_8:
         if params.epsilon != 2.0:   # 2.0 is one of _EPSILONS
             continue
         psi = psis[13]   # _T_GRID[13] = 1.3
         u = _haar_products(rng, 20)
         turned = (u @ entanglement._atom_blocks(psi)).reshape(len(u), -1)
-        gap = entanglement.pure_concurrence(turned) - entanglement.pure_concurrence(psi)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return SuiteResult("local_unitary_invariance", worst, 1e-10)
+        yield np.max(np.abs(entanglement.pure_concurrence(turned)
+                            - entanglement.pure_concurrence(psi)))
 
 
 def _haar_products(rng, count: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tcm_entangle import analysis, analytic, entanglement, hamiltonian, propagator
-from tcm_entangle.analysis import (MIN_RUN_POINTS, TRACE_AGREEMENT_TOL, DeathInterval,
+from tcm_entangle.analysis import (TRACE_AGREEMENT_TOL, DeathInterval,
                                    TraceDisagreement, TracePath, _branch_fn, analytic_concurrence,
                                    concurrence_trace, death_windows,
                                    detect_death_intervals, estimate_period,
@@ -107,6 +107,20 @@ class TestBothPath:
             assert both.signed_C.tobytes() == analytic_trace.signed_C.tobytes()
         else:
             assert both.signed_C is None and analytic_trace.signed_C is None
+
+    def test_uncertified_points_read_the_certified_states(self, monkeypatch):
+        # at T up to 1e4 the bound leaves 368 of 2,000 points uncertified;
+        # their oracle C comes from the 5-row evolution the certificate
+        # made, with no second evolution at full width
+        spec, params = InitialStateSpec(Family.PHI, math.pi / 8), ModelParams(epsilon=2.0)
+        evolved, concurrence_states = [], []
+        evolve_grid, block_concurrence = propagator.evolve_grid, entanglement._block_concurrence
+        monkeypatch.setattr(propagator, "evolve_grid",
+                            lambda psi0, *a: evolved.append(len(psi0)) or evolve_grid(psi0, *a))
+        monkeypatch.setattr(entanglement, "_block_concurrence", lambda B: (
+            concurrence_states.append(len(B)) or block_concurrence(B)))
+        concurrence_trace(spec, params, np.linspace(0.0, 1e4, 2000), TracePath.BOTH)
+        assert evolved == [5] and concurrence_states == [368]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_disagreement_names_the_point(self, family, monkeypatch):
@@ -290,19 +304,18 @@ class TestDeathIntervals:
         t = concurrence_trace(spec, params, np.linspace(1.0, 2.0, 500))
         assert detect_death_intervals(t) == [DeathInterval(1.0, 2.0, False)]
 
-    def test_short_run_dropped(self):
-        # window (0.863, 2.278): two grid points inside it are not enough, a
-        # third makes it a window
+    def test_short_run_kept(self):
+        # window (0.863, 2.278): two grid points inside it find it as three do
         spec = InitialStateSpec(Family.PHI, math.pi / 6)
         params = ModelParams()
-        two = concurrence_trace(spec, params, np.array([0.5, 1.2, 2.0, 2.6]))
-        assert np.count_nonzero(two.C < 1e-9) == 2 < MIN_RUN_POINTS
-        assert detect_death_intervals(two) == []
-        three = concurrence_trace(spec, params, np.array([0.5, 1.2, 1.6, 2.0, 2.6]))
-        ivs = detect_death_intervals(three)
-        assert len(ivs) == 1 and ivs[0].refined
-        assert ivs[0].T_start == pytest.approx(
-            math.asin(math.sqrt(math.tan(math.pi / 6))), abs=1e-9)
+        lo = math.asin(math.sqrt(math.tan(math.pi / 6)))
+        for grid in ([0.5, 1.2, 2.0, 2.6], [0.5, 1.2, 1.6, 2.0, 2.6]):
+            trace = concurrence_trace(spec, params, np.array(grid))
+            assert np.count_nonzero(trace.C < 1e-9) == len(grid) - 2
+            ivs = detect_death_intervals(trace)
+            assert len(ivs) == 1 and ivs[0].refined
+            assert ivs[0].T_start == pytest.approx(lo, abs=1e-9)
+            assert ivs[0].T_end == pytest.approx(math.pi - lo, abs=1e-9)
 
 
 def _reference_bisect(fn, lo, hi):
@@ -331,8 +344,7 @@ def _reference_death_intervals(trace, zero_threshold):
         j = i
         while j + 1 < n and below[j + 1]:
             j += 1
-        if (j - i + 1 >= MIN_RUN_POINTS
-                and float(np.min(branch(T[i:j + 1]))) < -0.5 * zero_threshold):
+        if float(np.min(branch(T[i:j + 1]))) < -0.5 * zero_threshold:
             t_mid = T[i + (j - i) // 2]
             t_start = _reference_bisect(branch, T[i - 1], t_mid) if i > 0 else T[0]
             t_end = (_reference_bisect(lambda t: -branch(t), t_mid, T[j + 1])

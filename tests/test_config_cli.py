@@ -790,6 +790,39 @@ class TestCliVerify:
         assert all(len(r.split(",")) == 36 for r in rows)
 
 
+@pytest.mark.parametrize("suite,raised", [
+    ("conservation", None), ("unitarity", None), ("energy_conservation", None),
+    ("sector_confinement", None), ("fidelity", None),
+    ("density_matrix", "Eigenvalues did not converge"),
+    ("trace_agreement", "state norm nan"), ("local_unitary_invariance", "state norm nan"),
+])
+def test_a_nan_residual_fails_its_suite(suite, raised):
+    # max(worst, nan) is worst, so a suite that reduced its cases that way
+    # passed a NaN; each suite reports the NaN and fails, or raises where a
+    # kernel it runs rejects the NaN state first
+    models = [ModelParams(epsilon=eps) for eps in verify._EPSILONS]
+    at_pi_8 = [e for e in verify._evolutions(models) if e[0].alpha == math.pi / 8]
+    for *_, psis in at_pi_8:
+        # rows 10 and 13: density_matrix reads every tenth row, and
+        # local_unitary_invariance row 13 of the epsilon = 2 evolutions
+        psis[[10, 13]] = complex(np.nan, np.nan)
+    corrupt = ModelParams()
+    H = corrupt.hamiltonian.copy()
+    H[0, 1] = np.nan   # the entry --inject-fault corrupts, between two sectors
+    vars(corrupt)["hamiltonian"] = H   # the slot the cached property reads
+    args = {"conservation": ([corrupt],),
+            "local_unitary_invariance": (at_pi_8, np.random.default_rng(20260823))
+            }.get(suite, (at_pi_8,))
+    run = getattr(verify, f"suite_{suite}")
+    if raised:
+        with pytest.raises(ValueError, match=raised):
+            run(*args)
+    else:
+        result = run(*args)
+        assert math.isnan(result.max_residual) and not result.passed
+        assert result.line() == f"{suite},nan,{result.threshold:.1e},FAIL"
+
+
 #: number text as a user might type it: plain, huge, non-finite, negative
 _NUMBER_TEXT = st.one_of(
     st.sampled_from(["0", "-0", "-0.0", "0.5", "3", "1e10", "1e200", "1e300", "1e308",
