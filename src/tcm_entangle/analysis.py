@@ -22,6 +22,7 @@ closed-form call covering every trace.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -37,9 +38,6 @@ _BISECT_TOL = 1e-10
 _BISECT_STEPS = 200
 #: bisection steps a bracket speculates per closed-form call (:func:`_bisect_roots`)
 _SPECULATE = 12
-#: from this many points on, numpy computes a closed-form call's complex
-#: products in place (temporaries of 256 KiB or more)
-_INPLACE_POINTS = 16384
 #: largest relative step deviation for which a grid counts as uniform
 _UNIFORM_RTOL = 1e-6
 #: largest |C(analytic) - C(oracle)| a BOTH trace accepts at any point
@@ -66,7 +64,7 @@ class ConcurrenceTrace:
     abs_amplitudes: np.ndarray    # |x_i| per grid point, shape (npts, 3 or 5)
 
 
-def _branch(family: Family, xs):
+def _branch(family: Family, xs, moduli=None):
     """Signed X-state branch of the closed-form state with amplitudes ``xs``.
 
     The reduced atomic state of either family is X-shaped; its entries
@@ -75,16 +73,24 @@ def _branch(family: Family, xs):
     rho = diag(|x1|^2, |x4|^2, |x3|^2, |x2|^2 + |x5|^2) with
     rho_23 = x4 x3* and rho_14 = x1 x2*.  ``analytic.phi_amplitudes``
     returns x4 as the same array as x3 (x3 = x4 = Gam M- / eta), so
-    rho_22 = rho_33 is computed once.
+    rho_22 = rho_33 is computed once.  ``moduli``, when given, holds the
+    |x_i| as its columns, and the branch squares those instead of taking
+    each abs again.  The products are ufunc calls, which numpy never
+    computes in place of a temporary operand, so a point's value does not
+    depend on how many points a call holds.
     """
+    def square_modulus(i):
+        return (np.abs(xs[i]) if moduli is None else moduli[:, i]) ** 2
+
     if family is Family.PSI:
-        x1, x2, x3 = xs
-        diag = (0.0, np.abs(x1) ** 2, np.abs(x2) ** 2, np.abs(x3) ** 2)
-        return entanglement.xstate_branch(diag, x1 * np.conj(x2), 0.0)
-    x1, x2, x3, x4, x5 = xs
-    r33 = np.abs(x3) ** 2
-    diag = (np.abs(x1) ** 2, r33, r33, np.abs(x2) ** 2 + np.abs(x5) ** 2)
-    return entanglement.xstate_branch(diag, x4 * np.conj(x3), x1 * np.conj(x2))
+        x1, x2, _ = xs
+        diag = (0.0, square_modulus(0), square_modulus(1), square_modulus(2))
+        return entanglement.xstate_branch(diag, np.multiply(x1, np.conj(x2)), 0.0)
+    x1, x2, x3, x4, _ = xs
+    r33 = square_modulus(2)
+    diag = (square_modulus(0), r33, r33, square_modulus(1) + square_modulus(4))
+    return entanglement.xstate_branch(diag, np.multiply(x4, np.conj(x3)),
+                                      np.multiply(x1, np.conj(x2)))
 
 
 def _branch_fn(traces):
@@ -229,9 +235,9 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
             xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon,
                                      params.lam, T_grid, _cached=True)
-            C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
-            signed = 2.0 * np.real(xs[0] * np.conj(xs[1])) if psi_family else None
             abs_amps = np.stack([np.abs(x) for x in xs], axis=-1)
+            C = 2.0 * np.maximum(0.0, _branch(spec.family, xs, abs_amps))
+            signed = 2.0 * np.real(np.multiply(xs[0], np.conj(xs[1]))) if psi_family else None
         if not (np.isfinite(C).all() and np.isfinite(abs_amps).all()):   # find the first T
             _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
                             spec, params, T_grid)
@@ -283,18 +289,12 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
     steps up to and including the first whose sign differs from the
     prediction, so each step is decided by the sign at the very midpoint that
     one-step bisection evaluates: the roots keep their bits, and a bracket
-    evaluates the same points whatever brackets it is bisected with.  From
-    ``_INPLACE_POINTS`` points on, numpy computes complex products in place,
-    which may round a value differently: walks are cut short to keep a call
-    below that, and while the open brackets alone are as many, a call holds
-    one step of each, the very call of one-step bisection."""
+    evaluates the same points whatever brackets it is bisected with."""
     n = lo.size
     if n == 0:   # no bracket, no call
         return lo
-    copies = 3 if 3 * n < _INPLACE_POINTS else 1   # lo, then hint and hi where they fit
-    f_lo, f_hint, f_hi = values = np.full((3, n), np.nan)
-    values[:copies] = sign * fn(np.concatenate((lo, hint, hi)[:copies]),
-                                np.arange(copies * n) % n).reshape(copies, n)
+    f_lo, f_hint, f_hi = sign * fn(np.concatenate((lo, hint, hi)),
+                                   np.arange(3 * n) % n).reshape(3, n)
     lo_positive = f_lo > 0
     right = (f_hint > 0) == lo_positive   # the sign changes in [hint, hi]
     root = _secant(np.where(right, hi, lo), np.where(right, f_hi, f_lo), hint, f_hint)
@@ -305,13 +305,12 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
     while k.size:
         k, a0, b0, root, sgn, positive, steps, last_t, last_f = state
         m = k.size
-        # each walk as deep as its bracket needs, at most _SPECULATE steps
-        own = np.minimum(np.clip(np.frexp((b0 - a0) / _BISECT_TOL)[1], 1, _SPECULATE),
-                         _BISECT_STEPS - steps)
+        # each walk as deep as its bracket needs, at most _SPECULATE steps; a
+        # bracket too wide for the quotient gets exponent 0 of frexp(inf), so 1
+        with np.errstate(over="ignore"):
+            own = np.minimum(np.clip(np.frexp((b0 - a0) / _BISECT_TOL)[1], 1, _SPECULATE),
+                             _BISECT_STEPS - steps)
         depth = int(own.max())
-        if depth * m >= _INPLACE_POINTS:
-            depth = max(1, (_INPLACE_POINTS - 1) // m)
-            own = np.minimum(own, depth)
         # the walks, a row per bracket: the bracket before each step, its midpoint
         los, his, mids = np.empty((3, m, depth))
         a, b = a0.copy(), b0.copy()
@@ -371,16 +370,12 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     that differs); their alpha may differ.  Each closed-form call takes the
     points of every trace, each at its own trace's alpha, and each bracket
     stops on its own test, so every trace gets the windows it gets alone.
-    (One call takes the sub-threshold points of all traces; from 16,384
-    points on, numpy computes its complex products in place, which may
-    round a branch value differently, but those values only decide whether
-    a run's minimum lies below -zero_threshold/2.)
+    Traces with no sample below ``zero_threshold`` make no call at all.
 
     :func:`_bisect_roots` bisects the edges in speculated rounds, starting
     from the secant through each edge's grid cell.  Every step it keeps is
     decided by the sign at the midpoint one step per call would evaluate, so
-    the endpoints keep their bits, and no call reaches 16,384 points unless
-    the open brackets alone do.
+    the endpoints keep their bits.
     """
     require_positive("zero_threshold", zero_threshold)
     if not isinstance(traces, Iterable) or isinstance(traces, (str, bytes)):
@@ -391,10 +386,12 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     if not traces:
         return []
     _require_shared(traces)
+    belows = [trace.C < zero_threshold for trace in traces]
+    if not any(below.any() for below in belows):
+        return [[] for _ in traces]
     T, branch = traces[0].T_grid, _branch_fn(traces)
     starts, ends, points = [], [], []
-    for trace in traces:
-        below = trace.C < zero_threshold
+    for below in belows:
         edges = np.diff(below.astype(np.int8), prepend=0, append=0)
         starts.append((edges == 1).nonzero()[0])
         ends.append((edges == -1).nonzero()[0] - 1)
@@ -402,8 +399,6 @@ def death_windows(traces, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
     rows = np.repeat(np.arange(len(traces)), [s.size for s in starts])
     starts, ends = np.concatenate(starts), np.concatenate(ends)
     windows = [[] for _ in traces]
-    if starts.size == 0:
-        return windows
     lengths = ends - starts + 1
     run_min = np.minimum.reduceat(
         branch(T[np.concatenate(points)], np.repeat(rows, lengths)),
@@ -515,6 +510,15 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     return c_best, t_best
 
 
+@functools.lru_cache(maxsize=4)
+def _hann(n: int) -> np.ndarray:
+    """``np.hanning(n)``, built once per grid length; read-only, since every
+    caller shares it."""
+    window = np.hanning(n)
+    window.flags.writeable = False
+    return window
+
+
 def estimate_period(trace: ConcurrenceTrace) -> float:
     """Dominant period of C(T) from the spectral peak of the trace.
 
@@ -546,7 +550,7 @@ def estimate_period(trace: ConcurrenceTrace) -> float:
                          "twice the fastest |x_i|^2 rate: the spectrum would alias")
     x = C - C.mean()
     n = len(x)
-    F = np.abs(np.fft.rfft(x * np.hanning(n)))
+    F = np.abs(np.fft.rfft(x * _hann(n)))
     if F.size < 3 or not np.any(F[1:] > 0):
         raise ValueError("no oscillation found in trace")
     k = 1 + int(F[1:].argmax())

@@ -68,12 +68,16 @@ def _cmd_verify(args) -> int:
             print(path)
     results = verify_mod.run_all(inject_fault=args.inject_fault)
     ok = all(res.passed for res in results)
+    errors = {res.name: res.error for res in results if res.error is not None}
     if args.json:
-        document = {"passed": ok, "suites": [res.record() for res in results]}
-        print(json.dumps(document, indent=1, sort_keys=True))
+        document = {"passed": ok, "suites": [res.record() for res in results],
+                    "errors": errors}
+        print(json.dumps(document, indent=1, sort_keys=True, allow_nan=False))
     else:
         for res in results:
             print(res.line())
+        for name, message in errors.items():
+            print(f"error: {name}: {message}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -121,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full Hamiltonian matrix as CSV")
     p.add_argument("--json", action="store_true",
                    help="print one JSON document: per suite its name, residual, "
-                        "threshold, pass flag and elapsed seconds")
+                        "threshold, pass flag and elapsed seconds, and the error "
+                        "message of each suite that could not finish")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("sweep", help="emit curves over an explicit grid")

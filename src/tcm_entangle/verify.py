@@ -5,8 +5,10 @@ The suites check the kernels the commands run: the Hamiltonian build,
 ``reduce_to_atoms`` and ``pure_concurrence``.  Each suite yields one
 residual per case, and :func:`_worst` makes it return the row (name,
 max_residual, threshold, passed), which ``run_all`` stamps with the suite's
-elapsed seconds; the CLI prints one machine-readable line per suite, or
-with ``--json`` one JSON document, and exits nonzero on any failure.
+elapsed seconds.  A suite that raises ``ValueError`` (``LinAlgError``
+included) gets a NaN row holding the message, and the rest still run; the
+CLI prints one machine-readable line per suite, or with ``--json`` one JSON
+document, and exits nonzero on any failure.
 ``inject_fault`` deliberately corrupts one off-sector Hamiltonian entry so
 the conservation suite demonstrably catches broken input.
 """
@@ -36,6 +38,8 @@ class SuiteResult:
     max_residual: float
     threshold: float
     elapsed_s: float = field(default=0.0, compare=False)
+    #: the message of the ``ValueError`` that ended the suite, if one did
+    error: str | None = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -46,8 +50,9 @@ class SuiteResult:
         return f"{self.name},{self.max_residual:.3e},{self.threshold:.1e},{status}"
 
     def record(self) -> dict:
-        """The row as a JSON-ready dict."""
-        return {"name": self.name, "residual": self.max_residual,
+        """The row as a JSON-ready dict; a non-finite residual is None."""
+        residual = self.max_residual if math.isfinite(self.max_residual) else None
+        return {"name": self.name, "residual": residual,
                 "threshold": self.threshold, "passed": self.passed,
                 "elapsed_s": self.elapsed_s}
 
@@ -69,7 +74,9 @@ def _evolutions(models):
 def _worst(name: str, threshold: float):
     """Turn a generator of one residual per case into the suite ``name``,
     whose row holds the largest residual (0.0 for no case); a NaN residual
-    is kept over any number, so the suite reports NaN and fails."""
+    is kept over any number, so the suite reports NaN and fails.  The suite
+    keeps ``name`` and ``threshold`` as attributes, for the row of a run
+    that raises."""
     def reduce(residuals):
         @functools.wraps(residuals)
         def suite(*args, **kwargs) -> SuiteResult:
@@ -78,6 +85,7 @@ def _worst(name: str, threshold: float):
                 if residual > worst or math.isnan(residual):
                     worst = residual
             return SuiteResult(name, worst, threshold)
+        suite.name, suite.threshold = name, threshold
         return suite
     return reduce
 
@@ -193,8 +201,13 @@ def _haar_products(rng, count: int) -> np.ndarray:
 
 
 def _timed(suite, *args, **kwargs) -> SuiteResult:
+    """The row of ``suite``, stamped with its elapsed seconds; a suite that
+    raises ``ValueError`` gets residual NaN and the message."""
     start = time.perf_counter()
-    result = suite(*args, **kwargs)
+    try:
+        result = suite(*args, **kwargs)
+    except ValueError as exc:   # np.linalg.LinAlgError is one
+        result = SuiteResult(suite.name, math.nan, suite.threshold, error=str(exc))
     return replace(result, elapsed_s=time.perf_counter() - start)
 
 

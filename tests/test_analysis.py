@@ -66,6 +66,19 @@ class TestConcurrenceTrace:
         expected = (-1 + 3 * s + (1 + s) * np.cos(math.sqrt(8) * t.T_grid)) / 4
         np.testing.assert_allclose(t.signed_C, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1000, 40_000])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_same_bytes_as_taking_each_abs_twice(self, family, n):
+        # the branch squares the |x_i| the trace stacks for abs_amplitudes
+        grid = np.linspace(0.0, 40.0, n)
+        t = _trace_at(family, 0.3, 2.0, grid)
+        C, signed, abs_amps = _reference_trace(
+            family, analytic.amplitudes(family, 0.3, 2.0, 2.0, grid))
+        assert t.C.tobytes() == C.tobytes()
+        assert t.abs_amplitudes.tobytes() == abs_amps.tobytes()
+        assert (t.signed_C is None if signed is None
+                else t.signed_C.tobytes() == signed.tobytes())
+
     def test_rejects_bad_grid(self):
         spec = InitialStateSpec(Family.PSI, 0.3)
         params = ModelParams()
@@ -85,6 +98,45 @@ class TestConcurrenceTrace:
         params = ModelParams()
         with pytest.raises(ValueError, match="^T_grid must be finite$"):
             concurrence_trace(spec, params, np.array(grid), path)
+
+
+def _reference_trace(family, xs):
+    """(C, signed_C, abs_amplitudes) of the closed-form amplitudes ``xs``,
+    each |x_i| taken once for the branch and once more for the stack."""
+    square = [np.abs(x) ** 2 for x in xs]
+    if family is Family.PSI:
+        diag = (0.0, square[0], square[1], square[2])
+        branch = entanglement.xstate_branch(diag, np.multiply(xs[0], np.conj(xs[1])), 0.0)
+        signed = 2.0 * np.real(np.multiply(xs[0], np.conj(xs[1])))
+    else:
+        diag = (square[0], square[2], square[2], square[1] + square[4])
+        branch = entanglement.xstate_branch(diag, np.multiply(xs[3], np.conj(xs[2])),
+                                            np.multiply(xs[0], np.conj(xs[1])))
+        signed = None
+    return 2.0 * np.maximum(0.0, branch), signed, np.stack([np.abs(x) for x in xs], axis=-1)
+
+
+class TestBitsDoNotDependOnCallSize:
+    """Above 16,384 complex points numpy may compute ``a * (temporary)`` in
+    place of the temporary, rounding differently; the closed-form products
+    are ufunc calls, so no value depends on how many points a call holds."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_one_call_equals_1000_point_calls(self, family):
+        grid = np.linspace(0.0, 40.0, 40_000)
+        blocks = np.split(grid, 40)
+        xs = analytic.amplitudes(family, 0.3, 2.0, 2.0, grid)
+        parts = [analytic.amplitudes(family, 0.3, 2.0, 2.0, block) for block in blocks]
+        for i, x in enumerate(xs):
+            assert x.tobytes() == np.concatenate([p[i] for p in parts]).tobytes()
+        branch = np.concatenate([analysis._branch(family, p) for p in parts])
+        assert analysis._branch(family, xs).tobytes() == branch.tobytes()
+        whole = _trace_at(family, 0.3, 2.0, grid)
+        traces = [_trace_at(family, 0.3, 2.0, block) for block in blocks]
+        assert whole.C.tobytes() == np.concatenate([t.C for t in traces]).tobytes()
+        if family is Family.PSI:
+            signed = np.concatenate([t.signed_C for t in traces])
+            assert whole.signed_C.tobytes() == signed.tobytes()
 
 
 class TestBothPath:
@@ -447,6 +499,30 @@ class TestDeathWindows:
     def test_empty_batch(self):
         assert death_windows([]) == []
 
+    def test_windowless_traces(self, monkeypatch):
+        # no sample below the threshold: empty lists, and no closed-form call
+        grid = np.linspace(0.0, 25.0, 4000)
+        traces = [_trace_at(Family.PSI, alpha, 2.0, grid)
+                  for alpha in (math.pi / 8, math.pi / 4, math.pi / 3)]
+        calls = _count_closed_form_calls(monkeypatch)
+        assert death_windows(traces) == [[], [], []]
+        assert detect_death_intervals(traces[0]) == [] and calls == []
+
+    def test_windowless_traces_still_checked(self):
+        grid = np.linspace(0.0, 25.0, 400)
+        quiet = _trace_at(Family.PSI, math.pi / 4, 2.0, grid)
+        with pytest.raises(TypeError, match="traces"):
+            death_windows(quiet)
+        with pytest.raises(TypeError, match="trace must be"):
+            death_windows([quiet, "trace"])
+        with pytest.raises(ValueError, match="zero_threshold"):
+            death_windows([quiet], -1.0)
+        for field, other in (("epsilon", _trace_at(Family.PSI, math.pi / 4, 1.0, grid)),
+                             ("lam", _trace_at(Family.PSI, math.pi / 4, 2.0, grid, lam=3.0)),
+                             ("T_grid", _trace_at(Family.PSI, math.pi / 4, 2.0, grid[:-1]))):
+            with pytest.raises(ValueError, match=f"must share {field}"):
+                death_windows([quiet, other])
+
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
     def test_threshold_checked(self, threshold):
         with pytest.raises(ValueError, match="zero_threshold"):
@@ -575,19 +651,16 @@ class TestSpeculativeBisection:
         return bisect(recorded, lo.copy(), hi.copy(), *args), calls
 
     @pytest.mark.parametrize("n_narrow,n_wide", [(0, 6000), (9000, 8000)])
-    def test_no_call_reaches_in_place_size_unless_one_step_does(self, n_narrow, n_wide):
-        # from 16,384 points on, numpy computes complex products in place, so
-        # such a call holds the very points of a call of one-step bisection
+    def test_many_brackets_keep_one_step_roots(self, n_narrow, n_wide):
+        # calls of many thousand points; TestBitsDoNotDependOnCallSize shows
+        # the closed forms give each point the bits of a small call
         width = np.repeat([1e-9, 1.0], [n_narrow, n_wide])
         lo = np.linspace(0.0, 1.0, width.size)
         hi, sign = lo + width, np.ones(width.size)
         roots, calls = self._calls(analysis._bisect_roots, lo, hi, sign, lo + 0.1 * width)
         expected, reference = self._calls(_one_step_bisect, lo, hi, sign)
         assert roots.tobytes() == expected.tobytes()
-        big = [c.tobytes() for c in calls if c.size >= analysis._INPLACE_POINTS]
-        assert big == [c.tobytes() for c in reference if c.size >= analysis._INPLACE_POINTS]
-        # with the narrow brackets: the ends, then a step of each until those stop
-        assert len(big) == (5 if n_narrow else 0) and len(calls) < len(reference)
+        assert len(calls) < len(reference)
 
 
 class TestMaxConcurrence:
@@ -820,6 +893,31 @@ class TestEstimatePeriod:
         t = _trace(Family.PSI, math.pi / 8, 0.0, T_max=2.0, n=200)
         with pytest.raises(ValueError, match="short"):
             estimate_period(t)
+
+    @pytest.mark.parametrize("n", [300, 4000, 4001])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_same_bits_as_a_fresh_window(self, family, n):
+        t = _trace_at(family, 0.3, 2.0, np.linspace(0.0, 40.0, n))
+        for _ in range(2):   # the window built, then read from the cache
+            assert estimate_period(t) == _reference_period(t)
+
+    def test_window_is_shared_and_read_only(self):
+        window = analysis._hann(300)
+        assert analysis._hann(300) is window
+        assert window.tobytes() == np.hanning(300).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 1.0
+
+
+def _reference_period(trace):
+    """``estimate_period``'s spectral peak, with a fresh ``np.hanning``."""
+    x = trace.C - trace.C.mean()
+    n = len(x)
+    F = np.abs(np.fft.rfft(x * np.hanning(n)))
+    k = 1 + int(F[1:].argmax())
+    lm, l0, lp = np.log(F[k - 1]), np.log(F[k]), np.log(F[k + 1])
+    delta = 0.5 * (lm - lp) / (lm - 2.0 * l0 + lp)
+    return n * float(np.diff(trace.T_grid).mean()) / (k + float(delta))
 
 
 class TestEstimatePeriodAliasing:

@@ -823,6 +823,58 @@ def test_a_nan_residual_fails_its_suite(suite, raised):
         assert result.line() == f"{suite},nan,{result.threshold:.1e},FAIL"
 
 
+def _nan_row_10(monkeypatch):
+    """Row 10 of every evolution that ``verify`` propagates set to NaN."""
+    evolve_grid = propagator.evolve_grid
+
+    def corrupted(psi0, decomposition, T):
+        psis = evolve_grid(psi0, decomposition, T)
+        psis[10] = np.nan
+        return psis
+    monkeypatch.setattr(propagator, "evolve_grid", corrupted)
+
+
+#: the messages of the two suites whose kernels reject a NaN state
+_NAN_ERRORS = {"trace_agreement": "state norm nan differs from 1",
+               "density_matrix": "Eigenvalues did not converge"}
+
+
+class TestVerifyRunsEverySuite:
+    """A suite stopped by an error is a failed NaN row, and the rest still run."""
+
+    def test_plain_lines(self, capsys, monkeypatch):
+        _nan_row_10(monkeypatch)
+        assert _run(["verify"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            "hermiticity", "conservation", "unitarity", "energy_conservation",
+            "sector_confinement", "fidelity", "trace_agreement", "density_matrix",
+            "local_unitary_invariance"]
+        assert "trace_agreement,nan,1.0e-09,FAIL" in lines
+        assert "density_matrix,nan,1.0e-10,FAIL" in lines
+        assert lines[-1].startswith("local_unitary_invariance,") and lines[-1].endswith(",PASS")
+        assert captured.err.splitlines() == [f"error: {name}: {message}"
+                                             for name, message in _NAN_ERRORS.items()]
+
+    def test_strict_json(self, capsys, monkeypatch):
+        _nan_row_10(monkeypatch)
+        assert _run(["verify", "--json"]) == 1
+        captured = capsys.readouterr()
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+        document = json.loads(captured.out, parse_constant=refuse)
+        assert document["passed"] is False and document["errors"] == _NAN_ERRORS
+        residuals = {s["name"]: s["residual"] for s in document["suites"]}
+        assert residuals["trace_agreement"] is None and residuals["unitarity"] is None
+        assert residuals["hermiticity"] == 0.0 and captured.err == ""
+
+    def test_passing_run_has_no_errors(self, capsys):
+        assert _run(["verify", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == {}
+
+
 #: number text as a user might type it: plain, huge, non-finite, negative
 _NUMBER_TEXT = st.one_of(
     st.sampled_from(["0", "-0", "-0.0", "0.5", "3", "1e10", "1e200", "1e300", "1e308",
@@ -903,6 +955,17 @@ class TestAnyInputGivesFiniteOutputOrExit2:
         assert _run(_oracle_argv(tmp_path, family, epsilon, tmax)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_huge_tmax_writes_no_warning(self, tmp_path, capsys):
+        # a bisection bracket wider than about 1.8e298 overflowed the quotient
+        # that sets its walk depth, and numpy's RuntimeWarning reached stderr
+        argv = ["sweep", "--family", "PHI", "--alpha", "0.3", "--epsilon", "2",
+                "--tmax", "1e300", "--points", "50", "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(argv) == 0
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family", ["PSI", "PHI"])
