@@ -38,6 +38,10 @@ _BISECT_TOL = 1e-10
 _BISECT_STEPS = 200
 #: bisection steps a bracket speculates per closed-form call (:func:`_bisect_roots`)
 _SPECULATE = 12
+#: most points a round of speculated steps evaluates in one call, so its
+#: temporaries stay small however many brackets are open (one step each
+#: once the open brackets alone are as many)
+_SPECULATE_POINTS = 16384
 #: largest relative step deviation for which a grid counts as uniform
 _UNIFORM_RTOL = 1e-6
 #: largest |C(analytic) - C(oracle)| a BOTH trace accepts at any point
@@ -64,7 +68,7 @@ class ConcurrenceTrace:
     abs_amplitudes: np.ndarray    # |x_i| per grid point, shape (npts, 3 or 5)
 
 
-def _branch(family: Family, xs, moduli=None):
+def _branch(family: Family, xs):
     """Signed X-state branch of the closed-form state with amplitudes ``xs``.
 
     The reduced atomic state of either family is X-shaped; its entries
@@ -73,22 +77,17 @@ def _branch(family: Family, xs, moduli=None):
     rho = diag(|x1|^2, |x4|^2, |x3|^2, |x2|^2 + |x5|^2) with
     rho_23 = x4 x3* and rho_14 = x1 x2*.  ``analytic.phi_amplitudes``
     returns x4 as the same array as x3 (x3 = x4 = Gam M- / eta), so
-    rho_22 = rho_33 is computed once.  ``moduli``, when given, holds the
-    |x_i| as its columns, and the branch squares those instead of taking
-    each abs again.  The products are ufunc calls, which numpy never
-    computes in place of a temporary operand, so a point's value does not
-    depend on how many points a call holds.
+    rho_22 = rho_33 is computed once.  The products are ufunc calls, which
+    numpy never computes in place of a temporary operand, so a point's
+    value does not depend on how many points a call holds.
     """
-    def square_modulus(i):
-        return (np.abs(xs[i]) if moduli is None else moduli[:, i]) ** 2
-
     if family is Family.PSI:
-        x1, x2, _ = xs
-        diag = (0.0, square_modulus(0), square_modulus(1), square_modulus(2))
+        x1, x2, x3 = xs
+        diag = (0.0, np.abs(x1) ** 2, np.abs(x2) ** 2, np.abs(x3) ** 2)
         return entanglement.xstate_branch(diag, np.multiply(x1, np.conj(x2)), 0.0)
-    x1, x2, x3, x4, _ = xs
-    r33 = square_modulus(2)
-    diag = (square_modulus(0), r33, r33, square_modulus(1) + square_modulus(4))
+    x1, x2, x3, x4, x5 = xs
+    r33 = np.abs(x3) ** 2
+    diag = (np.abs(x1) ** 2, r33, r33, np.abs(x2) ** 2 + np.abs(x5) ** 2)
     return entanglement.xstate_branch(diag, np.multiply(x4, np.conj(x3)),
                                       np.multiply(x1, np.conj(x2)))
 
@@ -235,9 +234,9 @@ def concurrence_trace(spec: InitialStateSpec, params: ModelParams,
         with np.errstate(over="ignore", invalid="ignore"):   # reported below
             xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon,
                                      params.lam, T_grid, _cached=True)
-            abs_amps = np.stack([np.abs(x) for x in xs], axis=-1)
-            C = 2.0 * np.maximum(0.0, _branch(spec.family, xs, abs_amps))
+            C = 2.0 * np.maximum(0.0, _branch(spec.family, xs))
             signed = 2.0 * np.real(np.multiply(xs[0], np.conj(xs[1]))) if psi_family else None
+            abs_amps = np.stack([np.abs(x) for x in xs], axis=-1)
         if not (np.isfinite(C).all() and np.isfinite(abs_amps).all()):   # find the first T
             _require_finite(np.isfinite(C) & np.all(np.isfinite(abs_amps), axis=-1),
                             spec, params, T_grid)
@@ -284,17 +283,21 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
     One call evaluates many speculated steps.  In each round a bracket
     predicts its root by a secant, first through the grid cell that holds its
     sign change, [lo, hint] or [hint, hi] (the first call evaluates lo, hint
-    and hi), then through the last two midpoints it kept, and walks towards
-    it for as many steps as it needs, at most ``_SPECULATE``.  It keeps the
-    steps up to and including the first whose sign differs from the
-    prediction, so each step is decided by the sign at the very midpoint that
-    one-step bisection evaluates: the roots keep their bits, and a bracket
-    evaluates the same points whatever brackets it is bisected with."""
+    and hi, or lo alone if the three pass ``_SPECULATE_POINTS`` points), then
+    through the last two midpoints it kept, and walks towards it for as many
+    steps as it needs, at most ``_SPECULATE``, and fewer where the round
+    would pass ``_SPECULATE_POINTS`` points.  It keeps the steps up to and
+    including the first whose sign differs from the prediction, so each step
+    is decided by the sign at the very midpoint that one-step bisection
+    evaluates: the roots keep their bits, and a bracket evaluates the same
+    points whatever brackets it is bisected with."""
     n = lo.size
     if n == 0:   # no bracket, no call
         return lo
-    f_lo, f_hint, f_hi = sign * fn(np.concatenate((lo, hint, hi)),
-                                   np.arange(3 * n) % n).reshape(3, n)
+    copies = 3 if 3 * n <= _SPECULATE_POINTS else 1   # lo, then hint and hi where they fit
+    f_lo, f_hint, f_hi = values = np.full((3, n), np.nan)
+    values[:copies] = sign * fn(np.concatenate((lo, hint, hi)[:copies]),
+                                np.arange(copies * n) % n).reshape(copies, n)
     lo_positive = f_lo > 0
     right = (f_hint > 0) == lo_positive   # the sign changes in [hint, hi]
     root = _secant(np.where(right, hi, lo), np.where(right, f_hi, f_lo), hint, f_hint)
@@ -311,6 +314,9 @@ def _bisect_roots(fn, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
             own = np.minimum(np.clip(np.frexp((b0 - a0) / _BISECT_TOL)[1], 1, _SPECULATE),
                              _BISECT_STEPS - steps)
         depth = int(own.max())
+        if depth * m > _SPECULATE_POINTS:
+            depth = max(1, _SPECULATE_POINTS // m)
+            own = np.minimum(own, depth)
         # the walks, a row per bracket: the bracket before each step, its midpoint
         los, his, mids = np.empty((3, m, depth))
         a, b = a0.copy(), b0.copy()
@@ -510,10 +516,11 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     return c_best, t_best
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _hann(n: int) -> np.ndarray:
-    """``np.hanning(n)``, built once per grid length; read-only, since every
-    caller shares it."""
+    """``np.hanning(n)``, kept for the last length asked (a scan's traces
+    share one grid), so at most one window stays alive; read-only, since
+    every caller shares it."""
     window = np.hanning(n)
     window.flags.writeable = False
     return window

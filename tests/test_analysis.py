@@ -69,7 +69,7 @@ class TestConcurrenceTrace:
     @pytest.mark.parametrize("n", [1000, 40_000])
     @pytest.mark.parametrize("family", list(Family))
     def test_same_bytes_as_taking_each_abs_twice(self, family, n):
-        # the branch squares the |x_i| the trace stacks for abs_amplitudes
+        # the trace's C, signed_C and |x_i|, to the byte, at both call sizes
         grid = np.linspace(0.0, 40.0, n)
         t = _trace_at(family, 0.3, 2.0, grid)
         C, signed, abs_amps = _reference_trace(
@@ -651,16 +651,19 @@ class TestSpeculativeBisection:
         return bisect(recorded, lo.copy(), hi.copy(), *args), calls
 
     @pytest.mark.parametrize("n_narrow,n_wide", [(0, 6000), (9000, 8000)])
-    def test_many_brackets_keep_one_step_roots(self, n_narrow, n_wide):
-        # calls of many thousand points; TestBitsDoNotDependOnCallSize shows
-        # the closed forms give each point the bits of a small call
+    def test_no_call_passes_the_point_budget_unless_one_step_does(self, n_narrow, n_wide):
+        # a call's temporaries grow with its points: past _SPECULATE_POINTS a
+        # call holds the very points of a call of one-step bisection
         width = np.repeat([1e-9, 1.0], [n_narrow, n_wide])
         lo = np.linspace(0.0, 1.0, width.size)
         hi, sign = lo + width, np.ones(width.size)
         roots, calls = self._calls(analysis._bisect_roots, lo, hi, sign, lo + 0.1 * width)
         expected, reference = self._calls(_one_step_bisect, lo, hi, sign)
         assert roots.tobytes() == expected.tobytes()
-        assert len(calls) < len(reference)
+        big = [c.tobytes() for c in calls if c.size > analysis._SPECULATE_POINTS]
+        assert big == [c.tobytes() for c in reference if c.size > analysis._SPECULATE_POINTS]
+        # with the narrow brackets: the ends, then a step of each until those stop
+        assert len(big) == (5 if n_narrow else 0) and len(calls) < len(reference)
 
 
 class TestMaxConcurrence:
