@@ -106,14 +106,6 @@ def _branch_fn(traces):
         family, alphas, params.epsilon, params.lam, t, _at=at))
 
 
-def analytic_concurrence(trace: ConcurrenceTrace, T):
-    """Closed-form C at arbitrary T for the spec and params of a trace."""
-    require_instance("trace", trace, ConcurrenceTrace)
-    spec, params = trace.spec, trace.params
-    return 2.0 * np.maximum(0.0, _branch(spec.family, analytic.amplitudes(
-        spec.family, spec.alpha, params.epsilon, params.lam, T)))
-
-
 def _require_finite(finite: np.ndarray, spec: InitialStateSpec, params: ModelParams,
                     T_grid: np.ndarray):
     if not np.all(finite):
@@ -463,14 +455,14 @@ def _samples(lo: float, hi: float) -> np.ndarray:
     return t
 
 
-def _zoom(trace: ConcurrenceTrace, lo: float, hi: float, c_best: float,
-          t_best: float) -> tuple[float, float]:
-    """Follow the argmax of ``_ZOOM_POINTS`` samples of [lo, hi] down to a
-    bracket at most ``_MAX_TOL`` wide, or until a pass no longer narrows it;
-    the best of (c_best, t_best) and every point evaluated."""
+def _zoom(branch, lo: float, hi: float, c_best: float, t_best: float) -> tuple[float, float]:
+    """Follow the argmax of ``_ZOOM_POINTS`` samples of C = 2 max(0, branch)
+    on [lo, hi] down to a bracket at most ``_MAX_TOL`` wide, or until a pass
+    no longer narrows it; the best of (c_best, t_best) and every point
+    evaluated."""
     while hi - lo > _MAX_TOL:
         t = _samples(lo, hi)
-        c = analytic_concurrence(trace, t)
+        c = 2.0 * np.maximum(0.0, branch(t))
         j = int(c.argmax())
         if c[j] >= c_best:
             c_best, t_best = float(c[j]), float(t[j])
@@ -505,13 +497,14 @@ def max_concurrence(trace: ConcurrenceTrace) -> tuple[float, float]:
     c_best, t_best = float(trace.C[k]), float(T[k])
     if hi - lo <= _MAX_TOL:
         return c_best, t_best
+    branch = _branch_fn([trace])
     t = _samples(lo, hi)
-    c = analytic_concurrence(trace, t)
+    c = 2.0 * np.maximum(0.0, branch(t))
     edged = np.concatenate(([-np.inf], c, [-np.inf]))
     for j in np.flatnonzero((c > edged[:-2]) & (c >= edged[2:])).tolist():
         if c[j] >= c_best:
             c_best, t_best = float(c[j]), float(t[j])
-        c_best, t_best = _zoom(trace, float(t[max(j - 1, 0)]),
+        c_best, t_best = _zoom(branch, float(t[max(j - 1, 0)]),
                                float(t[min(j + 1, _ZOOM_POINTS - 1)]), c_best, t_best)
     return c_best, t_best
 

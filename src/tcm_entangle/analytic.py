@@ -36,12 +36,14 @@ once, in ``_rates``; ``analysis.estimate_period`` reads them there too.
 Only cos(a) and sin(a) depend on alpha.  Whole-grid evaluations
 (``analysis.concurrence_trace`` on the ANALYTIC path and
 ``closed_form_states``) take the alpha-free terms (``_psi_terms``,
-``_phi_terms``) from a cache of at most 8 MiB keyed by eps, lam and the
-grid's exact bytes; refinement calls on a few points share one set of terms
-among the alpha of every point instead (the private ``_at``).  The
-amplitudes keep their bytes because a cached array that stood as the only
-temporary operand of a product is copied first (derived in
-``tests/test_analytic.py::TestGridCache``).
+``_phi_terms``) from a lock-guarded store (``_terms``) keyed by the
+function, the bits of eps and lam and the grid's shape and exact bytes: at
+most 8 MiB of read-only arrays, the least recently used evicted first, and
+an entry larger than that neither stored nor evicting any.  Refinement
+calls on a few points share one set of terms among the alpha of every point
+instead (the private ``_at``).  No stored array is copied: numpy computes
+an operation in place only in an unnamed temporary, never in a term, so a
+cached and a plain call round every product alike.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -57,45 +58,32 @@ from .model import (Family, InitialStateSpec, ModelParams, require_alpha, requir
                     require_finite, require_grid, require_instance, require_numbers)
 
 
-class _GridCache:
-    """Alpha-free terms of whole-grid evaluations, the least recently used
-    evicted first, never more than ``limit`` bytes in all.
-
-    An entry is keyed by the function that computes it, the bits of its
-    scalar arguments and the grid's shape and exact bytes.  Its arrays are
-    read-only; an entry larger than ``limit`` is computed and not stored."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def terms(self, compute, args: tuple, T: np.ndarray) -> tuple:
-        """``compute(*args, T)``, stored or reused."""
-        key = (compute, struct.pack(f"{len(args)}d", *args), T.shape, T.tobytes())
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                self._entries.move_to_end(key)
-                return found
-        found = compute(*args, T)
-        size = sum(a.nbytes for a in found)
-        for a in found:
-            a.flags.writeable = False
-        if size <= self.limit:
-            with self._lock:
-                if key not in self._entries:
-                    self._entries[key] = found
-                    self.nbytes += size
-                while self.nbytes > self.limit:
-                    _, evicted = self._entries.popitem(last=False)
-                    self.nbytes -= sum(a.nbytes for a in evicted)
-        return found
+#: the alpha-free terms of whole-grid evaluations, the least recently used first
+_STORE: dict = {}
+_STORE_LOCK = threading.Lock()
+#: most bytes of arrays the store holds: five PHI entries of 20,001 points
+_STORE_BOUND = 8 * 2**20
 
 
-#: 8 MiB holds six PHI entries of 20,001 points
-_GRID_CACHE = _GridCache(8 * 2**20)
+def _terms(compute, args: tuple, T: np.ndarray, cached: bool) -> tuple:
+    """``compute(*args, T)``; with ``cached``, from the store or put in it."""
+    if not cached:
+        return compute(*args, T)
+    key = (compute, struct.pack(f"{len(args)}d", *args), T.shape, T.tobytes())
+    with _STORE_LOCK:
+        found = _STORE.pop(key, None)
+        if found is not None:
+            _STORE[key] = found   # now the most recently used
+            return found
+    found = compute(*args, T)
+    for a in found:
+        a.flags.writeable = False
+    if sum(a.nbytes for a in found) <= _STORE_BOUND:
+        with _STORE_LOCK:
+            _STORE.setdefault(key, found)
+            while sum(a.nbytes for entry in _STORE.values() for a in entry) > _STORE_BOUND:
+                del _STORE[next(iter(_STORE))]
+    return found
 
 
 #: the members as module constants: reading ``Family.PSI`` costs about 0.1 us
@@ -142,9 +130,8 @@ def psi_amplitudes(alpha: float, epsilon: float, T, *, _cached: bool = False, _a
     k = _rates(_PSI, epsilon)[0]
     theta_plus = cos_a + sin_a
     theta_minus = cos_a - sin_a
-    lam_phase, split, xi2, one_minus = (_GRID_CACHE.terms(_psi_terms, (epsilon, k), T)
-                                        if _cached else _psi_terms(epsilon, k, T))
-    core = theta_plus * split.copy()   # a temporary rounds as the uncached product
+    lam_phase, split, xi2, one_minus = _terms(_psi_terms, (epsilon, k), T, _cached)
+    core = theta_plus * split
     x1 = lam_phase / 4.0 * (core + xi2 * theta_minus)
     x2 = lam_phase / 4.0 * (core - xi2 * theta_minus)
     x3 = lam_phase * theta_plus / k * one_minus
@@ -168,12 +155,11 @@ def phi_amplitudes(alpha: float, epsilon: float, lam: float, T, *, _cached: bool
     require_finite("lam", lam)
     T = require_numbers("T", T)
     eta = _rates(_PHI, epsilon)[0]
-    gam_phase, lam_phase, m_minus, sym_plus, sym_minus = (
-        _GRID_CACHE.terms(_phi_terms, (epsilon, lam, eta), T) if _cached
-        else _phi_terms(epsilon, lam, eta, T))
-    gam = cos_a * gam_phase.copy()   # temporaries round as the uncached products
+    gam_phase, lam_phase, m_minus, sym_plus, sym_minus = _terms(
+        _phi_terms, (epsilon, lam, eta), T, _cached)
+    gam = cos_a * gam_phase
     x1 = gam / 4.0 * sym_plus
-    x2 = lam_phase.copy() * sin_a
+    x2 = lam_phase * sin_a
     x3 = gam * m_minus / eta
     x5 = gam / 4.0 * sym_minus
     return x1, x2, x3, x3, x5

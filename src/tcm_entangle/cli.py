@@ -62,8 +62,10 @@ def _flag(name: str):
 
 
 def _cmd_verify(args) -> int:
+    with _flag("--epsilon"):
+        params = ModelParams(epsilon=args.epsilon)
     if args.dump_hamiltonian:
-        path = _dump_hamiltonian(Path(args.dump_hamiltonian), args.epsilon)
+        path = _dump_hamiltonian(Path(args.dump_hamiltonian), params)
         if not args.json:   # stdout holds the document alone
             print(path)
     results = verify_mod.run_all(inject_fault=args.inject_fault)
@@ -81,10 +83,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _dump_hamiltonian(path: Path, epsilon: float) -> Path:
+def _dump_hamiltonian(path: Path, params: ModelParams) -> Path:
     """Debug CSV of the full matrix, complex entries as `re+imi` pairs."""
-    with _flag("--epsilon"):
-        params = ModelParams(epsilon=epsilon)
     rows = [",".join(f"{z.real:+.9g}{z.imag:+.9g}i" for z in row)
             for row in params.hamiltonian.tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")

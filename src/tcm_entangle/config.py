@@ -8,14 +8,17 @@ pi/8 carry no decimal drift.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .analysis import DEFAULT_ZERO_THRESHOLD, TracePath
-from .model import (Family, _shown, require_alpha, require_epsilon, require_instance,
-                    require_integer, require_positive)
+from .model import (Family, _shown, require_alpha, require_epsilon, require_grid,
+                    require_instance, require_integer, require_positive)
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_N_POINTS = 2000
@@ -109,6 +112,12 @@ class RunConfig:
         if not 2 <= require_integer("n_points", self.n_points) <= MAX_N_POINTS:
             raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], "
                               f"got {_shown(self.n_points)}")
+        try:
+            require_grid(self.grid)
+        except ValueError:
+            raise ConfigError(f"T_max = {_shown(self.T_max)} and n_points = "
+                              f"{self.n_points} give a time grid that is not strictly "
+                              "ascending") from None
         require_instance("path", self.path, TracePath)
         for name in ("alpha_list", "epsilon_list"):
             seen: dict[str, float] = {}
@@ -118,6 +127,13 @@ class RunConfig:
                     raise ConfigError(f"{name} values {seen[tag]!r} and {value!r} share the "
                                       f"file tag {tag!r}, so their output files would collide")
                 seen[tag] = value
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """The time grid, ``np.linspace(0.0, T_max, n_points)``, read-only."""
+        grid = np.linspace(0.0, self.T_max, self.n_points)
+        grid.flags.writeable = False
+        return grid
 
 
 def _parse_bool(value: str) -> bool:

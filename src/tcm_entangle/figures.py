@@ -224,7 +224,7 @@ def run(config: RunConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     interval_rows, refined = [], []
-    grid = np.linspace(0.0, config.T_max, config.n_points)
+    grid = config.grid
     T_text = _number_text(grid)
     for eps in config.epsilon_list:
         params = ModelParams(epsilon=eps)

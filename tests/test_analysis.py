@@ -10,9 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tcm_entangle import analysis, analytic, entanglement, hamiltonian, propagator
 from tcm_entangle.analysis import (TRACE_AGREEMENT_TOL, DeathInterval,
-                                   TraceDisagreement, TracePath, _branch_fn, analytic_concurrence,
-                                   concurrence_trace, death_windows,
-                                   detect_death_intervals, estimate_period,
+                                   TraceDisagreement, TracePath, _branch_fn, concurrence_trace,
+                                   death_windows, detect_death_intervals, estimate_period,
                                    max_concurrence)
 from tcm_entangle.model import Family, InitialStateSpec, ModelParams
 
@@ -116,6 +115,15 @@ def _reference_trace(family, xs):
     return 2.0 * np.maximum(0.0, branch), signed, np.stack([np.abs(x) for x in xs], axis=-1)
 
 
+def _closed_form_C(trace, T):
+    """Closed-form C at ``T`` for the spec and params of ``trace``, from
+    ``analytic.amplitudes`` and ``entanglement.xstate_branch`` alone: a
+    reference independent of the refinement's ``analysis._branch_fn``."""
+    spec, params = trace.spec, trace.params
+    xs = analytic.amplitudes(spec.family, spec.alpha, params.epsilon, params.lam, T)
+    return _reference_trace(spec.family, xs)[0]
+
+
 class TestBitsDoNotDependOnCallSize:
     """Above 16,384 complex points numpy may compute ``a * (temporary)`` in
     place of the temporary, rounding differently; the closed-form products
@@ -191,13 +199,12 @@ class TestBothPath:
         # the certificate evolves only the rows the state occupies (5 of 36
         # for PHI): at 100,000 points a BOTH trace's traced peak exceeds the
         # ANALYTIC trace's by about 350 bytes a point (about 1,000 when it
-        # evolved every ket); the grid cache is cold on both sides
+        # evolved every ket); the store of alpha-free terms is empty on both sides
         n = 100_000
         spec, grid = InitialStateSpec(Family.PHI, 0.3), np.linspace(0.0, 20.0, n)
         peaks = {}
         for path in (TracePath.ANALYTIC, TracePath.BOTH):
-            monkeypatch.setattr(analytic, "_GRID_CACHE",
-                                analytic._GridCache(analytic._GRID_CACHE.limit))
+            monkeypatch.setattr(analytic, "_STORE", {})
             params = ModelParams(epsilon=2.0)
             params.decomposition
             tracemalloc.start()
@@ -693,7 +700,7 @@ class TestMaxConcurrence:
         t = _trace(Family.PSI, math.pi / 8, 0.0, n=199)
         c, T_at = max_concurrence(t)
         assert c >= float(np.max(t.C))
-        assert c == pytest.approx(analytic_concurrence(t, T_at), abs=1e-12)
+        assert c == pytest.approx(_closed_form_C(t, T_at), abs=1e-12)
 
     def test_interior_peak_beside_a_higher_end_sample(self):
         # the grid argmax is T = 0 (C = sin 1.5); the 33 samples of its
@@ -724,22 +731,22 @@ class TestMaxConcurrence:
         # above T = 8192 adjacent doubles are 1.8e-12 apart, more than the
         # 1e-12 tolerance, so a loop that waits for the bracket to shrink
         # below it never ends; the counter turns such a hang into a failure
-        calls = []
+        calls, amplitudes = [], analytic.amplitudes
 
-        def counted(trace, T):
-            calls.append(T)
+        def counted(*args, **kwargs):
+            calls.append(args)
             if len(calls) > 300:
                 raise RuntimeError("max_concurrence does not converge")
-            return analytic_concurrence(trace, T)
+            return amplitudes(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "analytic_concurrence", counted)
         spec = InitialStateSpec(family, 0.3)
         t = concurrence_trace(spec, ModelParams(epsilon=1.0), grid)
+        monkeypatch.setattr(analytic, "amplitudes", counted)
         c, T_at = max_concurrence(t)
         k = int(np.argmax(t.C))
         assert c >= float(np.max(t.C))
         assert t.T_grid[max(k - 1, 0)] <= T_at <= t.T_grid[min(k + 1, grid.size - 1)]
-        assert c == pytest.approx(float(analytic_concurrence(t, T_at)), abs=1e-15)
+        assert c == pytest.approx(float(_closed_form_C(t, T_at)), abs=1e-15)
 
 
 class TestZoomSamples:
@@ -829,14 +836,14 @@ def _reference_max_concurrence(trace):
     lo, hi = T[max(k - 1, 0)], T[min(k + 1, T.size - 1)]
     if hi <= lo:
         return float(trace.C[k]), float(T[k])
-    c, t = _golden_max(lambda x: analytic_concurrence(trace, x), float(lo), float(hi))
+    c, t = _golden_max(lambda x: _closed_form_C(trace, x), float(lo), float(hi))
     return (c, t) if c >= trace.C[k] else (float(trace.C[k]), float(T[k]))
 
 
 def _peak_count(trace, lo, hi, n=20001):
     """Rises followed by falls of C on a dense sampling of [lo, hi]; steps
     below 1e-12 (rounding on a flat top) count as level."""
-    d = np.diff(analytic_concurrence(trace, np.linspace(lo, hi, n)))
+    d = np.diff(_closed_form_C(trace, np.linspace(lo, hi, n)))
     signs = np.sign(d[np.abs(d) > 1e-12])
     return int(np.count_nonzero((signs[:-1] > 0) & (signs[1:] < 0)))
 
@@ -859,7 +866,7 @@ class TestMaxConcurrenceMatchesGoldenSection:
         assert lo <= T_at <= hi
         # a scalar evaluation differs from the same T inside an array by up
         # to 5.6e-16 (numpy's array and scalar complex multiplies)
-        assert c == pytest.approx(float(analytic_concurrence(t, T_at)), abs=1e-15)
+        assert c == pytest.approx(float(_closed_form_C(t, T_at)), abs=1e-15)
 
 
 class TestEstimatePeriod:

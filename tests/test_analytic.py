@@ -63,9 +63,9 @@ def _reference_phi_amplitudes(alpha, epsilon, lam, T):
     return x1, x2, x3, x3, x5
 
 
-#: grid lengths on both sides of numpy's temporary elision, which computes
-#: an operation on a temporary of 256 KiB (16,384 complex points) or more
-#: in place, and an in-place complex product may round differently
+#: grid lengths on both sides of numpy's temporary elision threshold: it
+#: computes an operation on a temporary of 256 KiB (16,384 complex points)
+#: or more in place, and the amplitude bits must hold on either side
 GRID_LENGTHS = (4000, 16383, 16384, 20001)
 
 
@@ -74,20 +74,20 @@ def _same_bytes(got, want) -> bool:
 
 
 def _cached_arrays(cache):
-    return [a for entry in cache._entries.values() for a in entry]
+    return [a for entry in cache.values() for a in entry]
 
 
 @pytest.fixture
 def cache(monkeypatch):
-    """An empty grid cache of the package's bound, in place of the shared one."""
-    fresh = analytic._GridCache(analytic._GRID_CACHE.limit)
-    monkeypatch.setattr(analytic, "_GRID_CACHE", fresh)
+    """An empty store of alpha-free terms in place of the shared one."""
+    fresh = {}
+    monkeypatch.setattr(analytic, "_STORE", fresh)
     return fresh
 
 
 class TestAmplitudesMatchDerivedConstants:
     """The amplitudes equal the derived-constants reference to the byte, by
-    the plain call and by the grid cache's miss and hit."""
+    the plain call and by the store's miss and hit."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_same_bytes(self, cache, alpha):
@@ -132,20 +132,13 @@ class TestGridCache:
     Only cos(a) and sin(a) depend on alpha.  A scan over alpha at fixed eps
     (and lam) on one grid therefore reuses everything else: whole-grid
     evaluations take the exponentials and the alpha-free products built
-    from them (``_psi_terms``, ``_phi_terms``) from a cache keyed by the
+    from them (``_psi_terms``, ``_phi_terms``) from a store keyed by the
     function, the bits of eps (and lam) and the grid's shape and exact
-    bytes.  The cache holds at most 8 MiB (least recently used evicted
+    bytes.  The store holds at most 8 MiB (least recently used evicted
     first; an entry larger than that is not stored), i.e. at most 16 B x 4
     (PSI) or 5 (PHI) arrays per grid point per entry.  Refinement calls on a
-    few points never touch it.  The amplitudes keep their bytes: every
-    expression after the terms is the one written without the cache, in the
-    same order.  numpy computes an operation on a temporary operand of
-    256 KiB or more (16,384 complex points) in place in that temporary, and
-    a complex product computed in its right operand may round differently
-    from one computed in its left or out of place.  So the amplitude bits
-    depend on the grid length with or without the cache, and a cached array
-    that stood as the only temporary operand of a product is copied before
-    the product, so that it is computed where it was.
+    few points never touch it.  Every expression after the terms is the one
+    a plain call evaluates, so the amplitudes keep their bytes.
     """
 
     @pytest.mark.parametrize("family", list(Family))
@@ -153,9 +146,9 @@ class TestGridCache:
     def test_second_alpha_same_bytes(self, cache, family, n):
         T = np.linspace(0.0, 40.0, n)
         amplitudes(family, 0.3, 1.3, 2.0, T, _cached=True)
-        assert len(cache._entries) == 1
+        assert len(cache) == 1
         got = amplitudes(family, 1.1, 1.3, 2.0, T, _cached=True)
-        assert len(cache._entries) == 1
+        assert len(cache) == 1
         assert _same_bytes(got, amplitudes(family, 1.1, 1.3, 2.0, T))
 
     @pytest.mark.parametrize("family", list(Family))
@@ -165,7 +158,7 @@ class TestGridCache:
             T = np.linspace(0.0, T_max, 300)
             assert _same_bytes(amplitudes(family, 0.3, 1.3, 2.0, T, _cached=True),
                                amplitudes(family, 0.3, 1.3, 2.0, T))
-        assert len(cache._entries) == 3
+        assert len(cache) == 3
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 2])
@@ -184,12 +177,12 @@ class TestGridCache:
         for family in Family:
             trace = concurrence_trace(InitialStateSpec(family, 0.3),
                                       ModelParams(epsilon=0.5), T)
-            keys = list(cache._entries)
+            keys = list(cache)
             assert detect_death_intervals(trace) or family is Family.PSI
             max_concurrence(trace)
             for eps in np.linspace(0.0, 5.0, 50):
                 amplitudes(family, 0.3, eps, 2.0, T[:33])
-            assert list(cache._entries) == keys
+            assert list(cache) == keys
 
     def test_never_holds_more_than_its_bound(self, cache):
         T = np.linspace(0.0, 40.0, 20001)
@@ -197,26 +190,24 @@ class TestGridCache:
             family = Family.PSI if k % 3 else Family.PHI
             concurrence_trace(InitialStateSpec(family, 0.3),
                               ModelParams(epsilon=eps), T)
-            assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
-        assert len(cache._entries) < 12   # the least recently used were evicted
-        before = list(cache._entries)
-        huge = np.linspace(0.0, 40.0, cache.limit // (5 * 16) + 1)
+            assert sum(a.nbytes for a in _cached_arrays(cache)) <= analytic._STORE_BOUND
+        assert len(cache) < 12   # the least recently used were evicted
+        before = list(cache)
+        huge = np.linspace(0.0, 40.0, analytic._STORE_BOUND // (5 * 16) + 1)
         phi_amplitudes(0.3, 1.0, 2.0, huge, _cached=True)   # larger than the bound
-        assert list(cache._entries) == before
+        assert list(cache) == before
 
 
-    def test_threads_share_it_without_losing_count(self, monkeypatch):
-        # a cache of three small entries, hammered by more threads than
-        # cores, keeps its byte count and its answers exact
-        T = np.linspace(0.0, 40.0, 100)
-        cache = analytic._GridCache(3 * 5 * 16 * T.size)
-        monkeypatch.setattr(analytic, "_GRID_CACHE", cache)
+    def test_threads_share_it_without_losing_count(self, cache):
+        # a store with room for three of five entries, hammered by more
+        # threads than cores, keeps its bound and its answers exact
+        T = np.linspace(0.0, 40.0, analytic._STORE_BOUND // (3 * 5 * 16))
         want = {eps: amplitudes(Family.PHI, 0.3, eps, 2.0, T) for eps in range(5)}
         errors = []
 
         def work(seed):
             try:
-                for eps in np.random.default_rng(seed).integers(0, 5, 300).tolist():
+                for eps in np.random.default_rng(seed).integers(0, 5, 40).tolist():
                     got = amplitudes(Family.PHI, 0.3, eps, 2.0, T, _cached=True)
                     if not _same_bytes(got, want[eps]):
                         errors.append(eps)
@@ -235,7 +226,7 @@ class TestGridCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert cache.nbytes == sum(a.nbytes for a in _cached_arrays(cache)) <= cache.limit
+        assert sum(a.nbytes for a in _cached_arrays(cache)) <= analytic._STORE_BOUND
 
 
 class TestPerPointAlpha:

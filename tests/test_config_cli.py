@@ -16,7 +16,7 @@ from tcm_entangle import (analysis, cli, entanglement, figures, hamiltonian, num
 from tcm_entangle.analysis import TracePath, concurrence_trace
 from tcm_entangle.config import (MAX_N_POINTS, NUMBER_FORMAT, ConfigError, RunConfig, fmt,
                                  parse_angle, parse_config)
-from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams
+from tcm_entangle.model import Basis, Family, InitialStateSpec, ModelParams, require_grid
 
 
 class TestParseAngle:
@@ -91,6 +91,24 @@ class TestParseConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(T_max=st.one_of(st.floats(5e-324, 1e-318), st.floats(5e-324, 1e308)),
+           n_points=st.one_of(st.integers(2, 50), st.integers(2, 20_000)))
+    @example(T_max=1e-321, n_points=1000)
+    def test_grid_accepted_exactly_when_ascending(self, T_max, n_points):
+        # RunConfig takes the pairs whose grid model.require_grid takes, and
+        # keeps that grid, read-only, for figures.run
+        grid = np.linspace(0.0, T_max, n_points)
+        try:
+            require_grid(grid)
+        except ValueError:
+            with pytest.raises(ConfigError, match=r"^T_max = .* and n_points = \d+ give a "
+                                                  r"time grid that is not strictly ascending$"):
+                RunConfig(T_max=T_max, n_points=n_points)
+        else:
+            cfg = RunConfig(T_max=T_max, n_points=n_points)
+            assert cfg.grid.tobytes() == grid.tobytes() and not cfg.grid.flags.writeable
 
     def test_signed_zeros_read_as_zero(self):
         cfg = RunConfig(alpha_list=(-0.0, 0.5), epsilon_list=(-0.0,), n_points=MAX_N_POINTS)
@@ -442,6 +460,8 @@ class TestCliFigures:
          "--epsilon: epsilon must be >= 0, got -1.0"),
         (["verify", "--dump-hamiltonian", "H.csv", "--epsilon", "nan"],
          "--epsilon: epsilon must be finite, got nan"),
+        (["verify", "--epsilon", "nan"], "--epsilon: epsilon must be finite, got nan"),
+        (["verify", "--epsilon", "-5"], "--epsilon: epsilon must be >= 0, got -5.0"),
     ])
     def test_flag_errors_name_the_flag(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -505,6 +525,24 @@ class TestCliFigures:
         assert _run(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    # a grid whose steps underflow used to fail inside the trace with a
+    # message that named no flag, after the output directory was made
+    @pytest.mark.parametrize("command", ["sweep", "fig2"])
+    def test_grid_that_does_not_ascend_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        if command == "sweep":
+            argv = ["sweep", "--family", "PSI", "--alpha", "0.3", "--epsilon", "1",
+                    "--tmax", "1e-321", "--points", "1000", "--out", str(out)]
+        else:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("family = PHI\nalpha = pi/8\nT_max = 1e-321\nn_points = 1000\n")
+            argv = ["fig2", "--config", str(cfg), "--out", str(out)]
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: T_max = 1e-321 and n_points = 1000 give a time grid "
+                              "that is not strictly ascending")
+        assert not out.exists()
 
     def test_both_disagreement_exits_2(self, tmp_path, capsys):
         # at T ~ 1e8 the oracle phases lose ~1e-8 to round-off, above the

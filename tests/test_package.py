@@ -90,8 +90,6 @@ _BAD_INPUT = {
     "occupied_states spec tuple": (lambda: tcm_entangle.analysis.occupied_states(
         (tcm_entangle.Family.PHI, 0.3), tcm_entangle.ModelParams(), np.array([1.0, 2.0])),
         TypeError, "^spec must be an InitialStateSpec"),
-    "analytic_concurrence None": (lambda: tcm_entangle.analysis.analytic_concurrence(
-        None, [1.0]), TypeError, "^trace must be a ConcurrenceTrace, got None"),
     "max_concurrence None": (lambda: tcm_entangle.max_concurrence(None), TypeError,
                              "^trace must be a ConcurrenceTrace, got None"),
     "estimate_period tuple": (lambda: tcm_entangle.estimate_period(
